@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-snapshot all
+.PHONY: build test race stress lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-e2e-smoke bench-snapshot all
 
 all: build lint test
 
@@ -92,6 +92,14 @@ shard-smoke:
 # real measurement runs use cmd/vnlbench.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
+
+# bench-e2e-smoke vets, tests and smoke-runs the end-to-end benchmark. It is
+# a module of its own (benchmark/go.mod), so build, lint and test above never
+# compile it: this target is what keeps it building against the internals.
+# One-second windows over all four workloads, every oracle check on. Measured
+# figures go into BENCH_e2e.json through scripts/bench_record.py.
+bench-e2e-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -smoke
 
 # bench-snapshot runs the tracked benchmark set (reader scaling, maintain
 # batch, vnlserver wire latency, single-thread query latency) and writes

@@ -337,13 +337,9 @@ func (a *applier) applyDelta(vt *VTable, d Delta) (bool, error) {
 	case DeltaInsert:
 		return true, a.insert(vt, d.Row)
 	case DeltaUpdate, DeltaDelete:
-		rid, ok := vt.tbl.SearchKey(d.Key)
-		if !ok {
-			return false, nil
-		}
-		ext, err := vt.tbl.Get(rid)
-		if err != nil {
-			return false, nil
+		rid, ext, found, err := vt.lookupKey(d.Key)
+		if !found {
+			return false, err
 		}
 		if _, visible := vt.ext.CurrentVersion(ext); !visible {
 			return false, nil

@@ -88,12 +88,14 @@ func (s *Store) GCWithFloor(floor VN) GCStats {
 	journalOpen := false
 	for _, vt := range s.Tables() {
 		e := vt.ext
+		// The victim test runs against the stored tuples in place; only
+		// victims are copied out, and only their RIDs kept.
 		var victims []storage.RID
-		vt.tbl.Scan(func(rid storage.RID, t catalog.Tuple) bool {
+		_ = vt.tbl.ScanFilter(func(t catalog.Tuple) (bool, error) {
 			stats.Scanned++
-			if e.OpAt(t, 1) == OpDelete && e.TupleVN(t, 1) <= floor {
-				victims = append(victims, rid)
-			}
+			return e.OpAt(t, 1) == OpDelete && e.TupleVN(t, 1) <= floor, nil
+		}, func(rids []storage.RID, _ []catalog.Tuple) bool {
+			victims = append(victims, rids...)
 			return true
 		})
 		for _, rid := range victims {
@@ -136,12 +138,13 @@ func (s *Store) DeadTuples() map[string]int {
 	for _, vt := range s.Tables() {
 		e := vt.ext
 		n := 0
-		vt.tbl.Scan(func(_ storage.RID, t catalog.Tuple) bool {
+		// Counted in place: the predicate keeps nothing, so nothing is copied.
+		_ = vt.tbl.ScanFilter(func(t catalog.Tuple) (bool, error) {
 			if e.OpAt(t, 1) == OpDelete {
 				n++
 			}
-			return true
-		})
+			return false, nil
+		}, func([]storage.RID, []catalog.Tuple) bool { return true })
 		out[e.Base.Name] = n
 	}
 	return out

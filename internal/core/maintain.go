@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -229,6 +230,23 @@ func (m *Maintenance) DeleteWhere(tableName string, pred func(catalog.Tuple) boo
 	return n, nil
 }
 
+// lookupKey reads the stored tuple with the given unique key. found is false
+// when no tuple has the key, or its slot was freed since the index lookup —
+// the legal skip. Any other read error is an I/O fault and is returned, so
+// that it fails the operation instead of passing for a missing key and
+// silently shrinking the transaction.
+func (v *VTable) lookupKey(key catalog.Tuple) (rid storage.RID, ext catalog.Tuple, found bool, err error) {
+	rid, ok := v.tbl.SearchKey(key)
+	if !ok {
+		return rid, nil, false, nil
+	}
+	ext, err = v.tbl.Get(rid)
+	if errors.Is(err, storage.ErrNotFound) {
+		return rid, nil, false, nil
+	}
+	return rid, ext, err == nil, err
+}
+
 // UpdateKey updates the single tuple with the given unique key. It reports
 // whether a live tuple with that key existed.
 func (m *Maintenance) UpdateKey(tableName string, key catalog.Tuple, set func(catalog.Tuple) catalog.Tuple) (bool, error) {
@@ -239,13 +257,9 @@ func (m *Maintenance) UpdateKey(tableName string, key catalog.Tuple, set func(ca
 	if err != nil {
 		return false, err
 	}
-	rid, ok := vt.tbl.SearchKey(key)
-	if !ok {
-		return false, nil
-	}
-	ext, err := vt.tbl.Get(rid)
-	if err != nil {
-		return false, nil
+	rid, ext, found, err := vt.lookupKey(key)
+	if !found {
+		return false, err
 	}
 	cur, visible := vt.ext.CurrentVersion(ext)
 	if !visible {
@@ -264,13 +278,9 @@ func (m *Maintenance) DeleteKey(tableName string, key catalog.Tuple) (bool, erro
 	if err != nil {
 		return false, err
 	}
-	rid, ok := vt.tbl.SearchKey(key)
-	if !ok {
-		return false, nil
-	}
-	ext, err := vt.tbl.Get(rid)
-	if err != nil {
-		return false, nil
+	rid, ext, found, err := vt.lookupKey(key)
+	if !found {
+		return false, err
 	}
 	if _, visible := vt.ext.CurrentVersion(ext); !visible {
 		return false, nil
@@ -285,13 +295,9 @@ func (m *Maintenance) GetCurrent(tableName string, key catalog.Tuple) (catalog.T
 	if err != nil {
 		return nil, false, err
 	}
-	rid, ok := vt.tbl.SearchKey(key)
-	if !ok {
-		return nil, false, nil
-	}
-	ext, err := vt.tbl.Get(rid)
-	if err != nil {
-		return nil, false, nil
+	_, ext, found, err := vt.lookupKey(key)
+	if !found {
+		return nil, false, err
 	}
 	cur, visible := vt.ext.CurrentVersion(ext)
 	return cur, visible, nil

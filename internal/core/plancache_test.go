@@ -209,8 +209,8 @@ func legacyQuery(t *testing.T, sess *Session, text string, params exec.Params) (
 // The cached/vectorized pipeline is pinned against the per-call rewrite +
 // tree-walking oracle across a multi-version history: sessions at three
 // different VNs, tuples with mixed slot states (inserted, updated, deleted
-// at different versions), so batches split between the case-1 fast variant
-// and the full CASE reconstruction.
+// at different versions), so one page holds tuples that take the case-1 fast
+// variant beside tuples that need the full CASE reconstruction.
 func TestQueryDifferentialAcrossVersions(t *testing.T) {
 	s := newStore(t, 4) // nVNL so three sessions stay reconstructible
 	if _, err := s.CreateTable(kvSchema()); err != nil {
@@ -268,6 +268,8 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 		`SELECT k, v + 1 FROM kv WHERE k >= 10 AND k < 60`,
 		`SELECT v FROM kv WHERE k = :k`,
 		`SELECT k FROM kv WHERE v BETWEEN 120 AND 140 LIMIT 5`,
+		`SELECT k FROM kv LIMIT 0`,
+		`SELECT v FROM kv WHERE k = :k LIMIT 0`,
 		`SELECT COUNT(*) FROM kv`,
 		`SELECT k, v FROM kv WHERE v <> 0 ORDER BY v, k LIMIT 9`,
 		`SELECT CASE WHEN v < 150 THEN 'lo' ELSE 'hi' END FROM kv WHERE k < 20`,

@@ -1,0 +1,133 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/db"
+	"repro/internal/exec"
+)
+
+// LIMIT 0 returns no row on every read path: the cached plan's scan and index
+// paths, a prepared statement, and the tree-walker (plan cache off).
+func TestLimitZeroEveryPath(t *testing.T) {
+	queries := []string{
+		`SELECT k FROM kv LIMIT 0`,
+		`SELECT k FROM kv WHERE k = 3 LIMIT 0`,
+	}
+	check := func(name string, rows *exec.Rows, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rows.Len() != 0 || len(rows.Columns) != 1 {
+			t.Errorf("%s: %d rows, columns %v; want no row and one column", name, rows.Len(), rows.Columns)
+		}
+	}
+	cached, _ := prepStore(t)
+	walker := newStore(t, 2, func(o *Options) { o.PlanCacheSize = -1 })
+	if _, err := walker.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	m := mustMaint(t, walker)
+	for k := int64(0); k < 10; k++ {
+		if err := m.Insert("kv", kvTuple(k, 100+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+	for _, q := range queries {
+		sess := cached.BeginSession()
+		for i := 0; i < 2; i++ { // miss, then hit
+			rows, err := sess.Query(q, nil)
+			check("cached "+q, rows, err)
+		}
+		p, err := cached.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := sess.QueryPrepared(p, nil)
+		check("prepared "+q, rows, err)
+		sess.Close()
+
+		sess = walker.BeginSession()
+		rows, err = sess.Query(q, nil)
+		check("tree-walker "+q, rows, err)
+		sess.Close()
+	}
+}
+
+// A WHERE that fails on one tuple fails the query with no partial result,
+// and the page latch it failed under is released: maintenance on that page
+// proceeds.
+func TestScanPredicateErrorReleasesLatch(t *testing.T) {
+	s, _ := prepStore(t) // v = 100 + k for k in 0..9
+	sess := s.BeginSession()
+	defer sess.Close()
+	const q = `SELECT k FROM kv WHERE 10 / (v - 105) > 0`
+	for i := 0; i < 2; i++ { // compile, then the cached plan
+		rows, err := sess.Query(q, nil)
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("err = %v, want a division by zero", err)
+		}
+		if rows != nil {
+			t.Fatalf("failed query leaked %d rows", rows.Len())
+		}
+	}
+	m := mustMaint(t, s)
+	if ok, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(5)},
+		func(catalog.Tuple) catalog.Tuple { return kvTuple(5, 7) }); err != nil || !ok {
+		t.Fatalf("update after the failed scan: ok=%v err=%v", ok, err)
+	}
+	commit(t, m)
+}
+
+// factStore builds the benchmark's scan shape: rows tuples, grp = id mod 64,
+// n = 4 versions.
+func factStore(t testing.TB, rows int64) *Store {
+	t.Helper()
+	s, err := Open(db.Open(db.Options{}), Options{N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTableSQL(`CREATE TABLE fact (id INT(8), grp INT(8), qty INT(8) UPDATABLE, amount INT(8) UPDATABLE, UNIQUE KEY(id))`); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.BeginMaintenance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(0); id < rows; id++ {
+		if err := m.Insert("fact", catalog.Tuple{catalog.NewInt(id), catalog.NewInt(id % 64), catalog.NewInt(id * 3), catalog.NewInt(id * 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// The allocation guard: a prepared scan returning 256 of 16 384 rows copies
+// only its survivors, so it allocates for the result and little else — not
+// once per tuple scanned (16 958 before the in-place filter).
+func TestScanAllocationsDoNotScaleWithTable(t *testing.T) {
+	s := factStore(t, 16384)
+	p, err := s.Prepare(`SELECT id, qty, amount FROM fact WHERE grp = :g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.BeginSession()
+	defer sess.Close()
+	params := exec.Params{"g": catalog.NewInt(5)}
+	allocs := testing.AllocsPerRun(10, func() {
+		rows, err := sess.QueryPrepared(p, params)
+		if err != nil || rows.Len() != 256 {
+			t.Fatalf("rows=%v err=%v", rows.Len(), err)
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("%v allocations per 256-row scan of 16384 rows; the bound is 400", allocs)
+	}
+}

@@ -73,3 +73,20 @@ func TestParallelSweepWithRandomFaults(t *testing.T) {
 	script := vfs.RandomScript(11, base.PersistOps)
 	runSweep(t, Config{Seed: 4, Parallel: true, Script: script})
 }
+
+// TestParallelBatchSurfacesReadFault pins a script the random sweep found:
+// the write-back fault at op 37 surfaces from the point read of fact key 2
+// inside the batched tail. The batch must fail on it — the run stops, and
+// recovery lands on a commit point — rather than take the failed read for a
+// missing key, skip the update, and acknowledge a commit that lacks it. The
+// op numbers are those of the schedule the race detector produces; on another
+// schedule the script is one more fault run that must validate.
+func TestParallelBatchSurfacesReadFault(t *testing.T) {
+	script, err := vfs.ParseScript("fault 15 torn 5\nfault 23 short 2\nfault 37 err")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunOnce(Config{Seed: 4, Parallel: true}, script); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -59,6 +59,12 @@ func (t *Table) Len() int { return t.heap.Len() }
 // Scan implements exec.Table.
 func (t *Table) Scan(fn func(storage.RID, catalog.Tuple) bool) { t.heap.Scan(fn) }
 
+// ScanFilter implements exec.Table; see storage.Heap.ScanFilter for what pred
+// may do under the page latch.
+func (t *Table) ScanFilter(pred func(catalog.Tuple) (bool, error), fn func([]storage.RID, []catalog.Tuple) bool) error {
+	return t.heap.ScanFilter(pred, fn)
+}
+
 // Get implements exec.Table.
 func (t *Table) Get(rid storage.RID) (catalog.Tuple, error) { return t.heap.Get(rid) }
 

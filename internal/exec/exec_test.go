@@ -232,6 +232,37 @@ func (m *memTable) Scan(fn func(rid storageRID, t catalog.Tuple) bool) {
 		}
 	}
 }
+
+// memPage is how many rows memTable.ScanFilter treats as one page.
+const memPage = 100
+
+// ScanFilter mimics the heap's page walker: survivors are delivered a page
+// at a time in slices the next page overwrites.
+func (m *memTable) ScanFilter(pred func(catalog.Tuple) (bool, error), fn func([]storageRID, []catalog.Tuple) bool) error {
+	var rids []storageRID
+	var tuples []catalog.Tuple
+	for start := 0; start < len(m.rows); start += memPage {
+		rids, tuples = rids[:0], tuples[:0]
+		for i := start; i < min(start+memPage, len(m.rows)); i++ {
+			r := m.rows[i]
+			if r == nil {
+				continue
+			}
+			keep, err := pred(r)
+			if err != nil {
+				return err
+			}
+			if keep {
+				rids = append(rids, storageRID{Slot: i})
+				tuples = append(tuples, r.Clone())
+			}
+		}
+		if len(tuples) > 0 && !fn(rids, tuples) {
+			return nil
+		}
+	}
+	return nil
+}
 func (m *memTable) Get(rid storageRID) (catalog.Tuple, error) {
 	if rid.Slot >= len(m.rows) || m.rows[rid.Slot] == nil {
 		return nil, errors.New("missing")

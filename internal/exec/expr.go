@@ -27,6 +27,12 @@ type Table interface {
 	Schema() *catalog.Schema
 	// Scan calls fn for every live tuple; returning false stops early.
 	Scan(fn func(storage.RID, catalog.Tuple) bool)
+	// ScanFilter calls fn page by page with copies of the live tuples pred
+	// accepts. pred sees the stored tuple under the page latch: it must not
+	// retain or modify it, block, or call back into the table. The slices
+	// fn receives are overwritten by the next page. An error from pred ends
+	// the scan and is returned.
+	ScanFilter(pred func(catalog.Tuple) (bool, error), fn func([]storage.RID, []catalog.Tuple) bool) error
 	// Get returns the tuple at rid.
 	Get(rid storage.RID) (catalog.Tuple, error)
 	// Insert validates and stores a tuple, maintaining indexes.

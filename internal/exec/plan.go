@@ -9,11 +9,10 @@ import (
 	"repro/internal/storage"
 )
 
-// BatchSize is the number of tuples a vectorized plan processes per batch.
-// Batches amortize the per-row dispatch and let per-batch decisions (the
-// Table 1 / §5 version-reconstruction fast path) hoist work out of the
-// per-tuple loop.
-const BatchSize = 256
+// maxChunkRows caps how many result rows share one backing allocation: a
+// vectorized plan cuts its rows out of chunks that double up to this many
+// rows, instead of allocating each row.
+const maxChunkRows = 256
 
 // ErrPlanStale is returned by Plan.Execute when the table the plan was
 // compiled against has been replaced (its schema pointer changed). Callers
@@ -23,21 +22,20 @@ const BatchSize = 256
 var ErrPlanStale = errors.New("exec: plan compiled against a replaced table")
 
 // CompileOptions tunes CompileSelect. The Fast/Classify pair implements the
-// per-batch version-reconstruction decision: the 2VNL layer passes the
-// statement it would run if every tuple in a batch were readable in its
-// current version (Table 1 / §5 case 1 — no CASE reconstruction), plus a
-// per-tuple classifier. When every tuple of a batch classifies fast, the
-// batch runs the fast filter/projections; otherwise that batch falls back
-// to the full rewritten form, tuple by tuple. Executions that do not bind
-// ClassifyParam run the full form throughout.
+// per-tuple version-reconstruction decision: the 2VNL layer passes the
+// statement it would run for a tuple readable in its current version
+// (Table 1 / §5 case 1 — no CASE reconstruction), plus a per-tuple
+// classifier. A tuple that classifies fast runs the fast filter and
+// projections; any other runs the full rewritten form. Executions that do
+// not bind ClassifyParam run the full form throughout.
 type CompileOptions struct {
 	// Fast is the case-1 variant of the statement: same output columns,
 	// valid for a tuple t whenever Classify(t, v) is true, where v is the
 	// execution's binding of ClassifyParam.
 	Fast *sql.SelectStmt
-	// Classify reports whether a tuple may be read through Fast. It must be
-	// cheap (the batch executor calls it once per tuple) and must not
-	// retain row.
+	// Classify reports whether a tuple may be read through Fast. It runs
+	// under the page latch (see Table.ScanFilter), once per tuple scanned:
+	// it must be cheap, must not allocate and must not retain row.
 	Classify func(row catalog.Tuple, v catalog.Value) bool
 	// ClassifyParam names the parameter whose bound value feeds Classify
 	// (the 2VNL layer passes ":sessionVN"). The lookup is hoisted to one
@@ -47,8 +45,8 @@ type CompileOptions struct {
 
 // Plan is a SELECT compiled for repeated execution: filter and projection
 // expressions are compiled closures (column offsets and parameter slots
-// resolved once), and execution runs a vectorized scan → filter → project
-// pipeline over BatchSize-tuple batches. Statements outside the vectorized
+// resolved once), and execution filters the table in place, page by page,
+// and projects the survivors (see Execute). Statements outside the vectorized
 // subset — joins, aggregates, GROUP BY/HAVING, ORDER BY, DISTINCT, no FROM
 // — compile to a fallback plan that executes through the tree-walking
 // executor, still skipping parse and rewrite when cached.
@@ -75,7 +73,7 @@ type Plan struct {
 	eqCols []string
 	eqVals []compiledExpr
 
-	// Per-batch fast path (see CompileOptions).
+	// Per-tuple fast path (see CompileOptions).
 	fastFilter    compiledExpr
 	fastProject   []compiledExpr
 	classify      func(row catalog.Tuple, v catalog.Value) bool
@@ -270,9 +268,11 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-// Execute runs the plan. Vectorized plans stream the table in BatchSize
-// batches through the compiled filter and projections; fallback plans run
-// the tree-walking executor on the stored statement.
+// Execute runs the plan. A vectorized plan without a usable index hands its
+// filter to the table's page walker, which evaluates it against each stored
+// tuple under the page latch and copies out only the survivors; Execute
+// projects those. With an index it fetches the matching RIDs one by one.
+// Fallback plans run the tree-walking executor on the stored statement.
 func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
 	if !p.vectorized {
 		return Select(cat, p.stmt, params)
@@ -284,75 +284,130 @@ func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
 	if tbl.Schema() != p.schema {
 		return nil, fmt.Errorf("%w: %s", ErrPlanStale, p.table)
 	}
-	ctx := p.comp.newCtx(params)
 	out := &Rows{Columns: p.columns}
-
-	// Hoist the classifier's parameter lookup to one map access per
-	// execution; per batch the only residual version logic is the
-	// classifier's integer comparison per tuple.
-	var clsVal catalog.Value
-	split := false
-	if p.classify != nil {
-		if v, ok := params[p.classifyParam]; ok {
-			clsVal = v
-			split = true
-		}
-	}
-
-	run := func(batch []catalog.Tuple) (bool, error) {
-		return p.runBatch(ctx, batch, clsVal, split, out)
-	}
-
-	if rids, ok := p.lookupRIDs(ctx, tbl); ok {
-		batch := make([]catalog.Tuple, 0, BatchSize)
-		for _, rid := range rids {
-			t, err := tbl.Get(rid)
-			if err != nil {
-				if errors.Is(err, storage.ErrNotFound) {
-					continue // slot concurrently freed; legal skip
-				}
-				return nil, fmt.Errorf("exec: indexed read of %v: %w", rid, err)
-			}
-			batch = append(batch, t)
-			if len(batch) == BatchSize {
-				if done, err := run(batch); err != nil || done {
-					return out, err
-				}
-				batch = batch[:0]
-			}
-		}
-		if len(batch) > 0 {
-			if _, err := run(batch); err != nil {
-				return nil, err
-			}
-		}
+	if p.limit != nil && *p.limit <= 0 {
 		return out, nil
 	}
+	r := planRun{p: p, ctx: p.comp.newCtx(params), out: out}
+	// Hoist the classifier's parameter lookup to one map access per
+	// execution; per tuple the only residual version logic is the
+	// classifier's integer comparison.
+	if p.classify != nil {
+		r.clsVal, r.split = params[p.classifyParam]
+	}
+	if rids, ok := p.lookupRIDs(r.ctx, tbl); ok {
+		return r.fetch(tbl, rids)
+	}
+	return r.scan(tbl)
+}
 
-	batch := make([]catalog.Tuple, 0, BatchSize)
-	var scanErr error
-	tbl.Scan(func(_ storage.RID, t catalog.Tuple) bool {
-		batch = append(batch, t)
-		if len(batch) == BatchSize {
-			done, err := run(batch)
-			batch = batch[:0]
+// planRun is the state of one Execute.
+type planRun struct {
+	p      *Plan
+	ctx    *evalCtx
+	clsVal catalog.Value
+	split  bool // clsVal is bound: choose the variant per tuple
+	out    *Rows
+	free   []catalog.Value // unused rest of the current row chunk
+}
+
+// variant picks the filter and projections for t: the fast pair when the
+// plan has one and t classifies fast (Table 1 / §5 case 1), else the full
+// rewritten pair.
+func (r *planRun) variant(t catalog.Tuple) (compiledExpr, []compiledExpr) {
+	if r.split && r.p.classify(t, r.clsVal) {
+		return r.p.fastFilter, r.p.fastProject
+	}
+	return r.p.filter, r.p.project
+}
+
+// keep reports whether t passes the WHERE. It is the predicate handed to
+// Table.ScanFilter, so it runs under the page latch: compiled closures
+// neither retain t nor allocate unless they fail.
+func (r *planRun) keep(t catalog.Tuple) (bool, error) {
+	filter, _ := r.variant(t)
+	if filter == nil {
+		return true, nil
+	}
+	v, err := filter(r.ctx, t)
+	if err != nil {
+		return false, err
+	}
+	return truthy(v), nil
+}
+
+// emit projects t, which keep accepted, into the next result row; done
+// reports that the LIMIT is reached.
+func (r *planRun) emit(t catalog.Tuple) (done bool, err error) {
+	_, project := r.variant(t)
+	w := len(project)
+	if len(r.free) < w {
+		// Chunks double with the result, from one row up to maxChunkRows.
+		rows := min(max(len(r.out.Tuples), 1), maxChunkRows)
+		r.free = make([]catalog.Value, rows*w)
+	}
+	// Capped to its own width, so appending to a row cannot reach the next.
+	row := catalog.Tuple(r.free[:w:w])
+	r.free = r.free[w:]
+	for i, fn := range project {
+		if row[i], err = fn(r.ctx, t); err != nil {
+			return false, err
+		}
+	}
+	r.out.Tuples = append(r.out.Tuples, row)
+	return r.p.limit != nil && int64(len(r.out.Tuples)) >= *r.p.limit, nil
+}
+
+// fetch is the index access path: read each RID, re-apply the full WHERE.
+func (r *planRun) fetch(tbl Table, rids []storage.RID) (*Rows, error) {
+	for _, rid := range rids {
+		t, err := tbl.Get(rid)
+		if err != nil {
+			if errors.Is(err, storage.ErrNotFound) {
+				continue // slot concurrently freed; legal skip
+			}
+			return nil, fmt.Errorf("exec: indexed read of %v: %w", rid, err)
+		}
+		ok, err := r.keep(t)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		if done, err := r.emit(t); err != nil {
+			return nil, err
+		} else if done {
+			break
+		}
+	}
+	return r.out, nil
+}
+
+// scan is the heap access path. It takes r by value so that only a scan, not
+// an indexed read, pays for moving it to the heap with the closures.
+func (r planRun) scan(tbl Table) (*Rows, error) {
+	var emitErr error
+	err := tbl.ScanFilter(r.keep, func(_ []storage.RID, survivors []catalog.Tuple) bool {
+		for _, t := range survivors {
+			done, err := r.emit(t)
 			if err != nil {
-				scanErr = err
+				emitErr = err
 				return false
 			}
-			return !done
+			if done {
+				return false
+			}
 		}
 		return true
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err == nil {
+		err = emitErr
 	}
-	if len(batch) > 0 {
-		if _, err := run(batch); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return r.out, nil
 }
 
 // lookupRIDs attempts the index access path with the compiled conjuncts,
@@ -380,49 +435,4 @@ func (p *Plan) lookupRIDs(ctx *evalCtx, tbl Table) ([]storage.RID, bool) {
 		return nil, false
 	}
 	return it.LookupEqual(cols, vals)
-}
-
-// runBatch filters and projects one batch. When the plan carries a fast
-// variant and every tuple in the batch classifies fast, the whole batch
-// runs the fast closures — the Table 1 / §5 reconstruction decision made
-// once per batch instead of once per tuple per attribute. Returns done=true
-// when the LIMIT is reached.
-func (p *Plan) runBatch(ctx *evalCtx, batch []catalog.Tuple, clsVal catalog.Value, split bool, out *Rows) (bool, error) {
-	filter, project := p.filter, p.project
-	if split {
-		fast := true
-		for _, t := range batch {
-			if !p.classify(t, clsVal) {
-				fast = false
-				break
-			}
-		}
-		if fast {
-			filter, project = p.fastFilter, p.fastProject
-		}
-	}
-	for _, t := range batch {
-		if filter != nil {
-			v, err := filter(ctx, t)
-			if err != nil {
-				return false, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		row := make(catalog.Tuple, len(project))
-		for i, fn := range project {
-			v, err := fn(ctx, t)
-			if err != nil {
-				return false, err
-			}
-			row[i] = v
-		}
-		out.Tuples = append(out.Tuples, row)
-		if p.limit != nil && int64(len(out.Tuples)) >= *p.limit {
-			return true, nil
-		}
-	}
-	return false, nil
 }

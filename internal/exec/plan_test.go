@@ -13,8 +13,7 @@ import (
 )
 
 // planTable builds a memTable with deterministic pseudo-random contents,
-// large enough that the vectorized pipeline crosses several batch
-// boundaries. Column c carries NULLs so three-valued logic is exercised.
+// large enough that a scan crosses several of memTable's pages. Column c carries NULLs so three-valued logic is exercised.
 func planTable(rows int, seed int64) *memTable {
 	schema := catalog.MustSchema("t", []catalog.Column{
 		{Name: "a", Type: catalog.TypeInt, Length: 8},
@@ -78,8 +77,8 @@ func runBoth(t *testing.T, cat Catalog, text string, params Params) {
 }
 
 // The vectorized pipeline is pinned row-for-row against the tree-walking
-// executor across filters, projections, parameters, NULL logic, and LIMIT,
-// on tables crossing multiple 256-tuple batch boundaries.
+// executor across filters, projections, parameters, NULL logic, and LIMIT
+// (zero, inside a page, across pages), on a table of several pages.
 func TestPlanDifferentialScan(t *testing.T) {
 	mt := planTable(1000, 1)
 	cat := memCatalog{"t": mt}
@@ -99,6 +98,7 @@ func TestPlanDifferentialScan(t *testing.T) {
 		`SELECT a FROM t WHERE b = :p`,
 		`SELECT a FROM t WHERE b < :p AND c >= :q`,
 		`SELECT a FROM t LIMIT 10`,
+		`SELECT a FROM t LIMIT 0`,
 		`SELECT a FROM t WHERE b < 50 LIMIT 300`,
 		`SELECT a FROM t WHERE b < 0`,
 		`SELECT a, COALESCE(c, -1) FROM t`,
@@ -131,9 +131,12 @@ func TestPlanDifferentialErrors(t *testing.T) {
 		if perr != nil {
 			t.Fatalf("%q: compile error %v (should defer to execution)", q, perr)
 		}
-		_, gerr := pl.Execute(cat, nil)
+		got, gerr := pl.Execute(cat, nil)
 		if werr == nil || gerr == nil {
 			t.Fatalf("%q: expected both to fail, legacy=%v plan=%v", q, werr, gerr)
+		}
+		if got != nil {
+			t.Fatalf("%q: failed plan leaked %d rows", q, got.Len())
 		}
 	}
 	// An unbound parameter inside an untaken CASE arm must NOT fail — on
@@ -187,6 +190,7 @@ func TestPlanIndexAccessPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runBoth(t, cat, `SELECT a FROM t WHERE a = :k LIMIT 0`, Params{"k": catalog.NewInt(7)})
 	for _, k := range []int64{0, 7, 499, 1000} {
 		params := Params{"k": catalog.NewInt(k)}
 		got, err := pl.Execute(cat, params)
@@ -211,11 +215,12 @@ func TestPlanIndexAccessPath(t *testing.T) {
 	}
 }
 
-// The per-batch fast path (CompileOptions.Fast/Classify) must be outcome-
-// invisible: batches where every tuple classifies fast run the fast variant,
-// mixed batches run the full form, and the two agree by construction of the
-// variant. Here the "full" form is a CASE-selected value and the fast variant
-// its first arm, valid whenever classify says version <= cutoff.
+// The per-tuple fast path (CompileOptions.Fast/Classify) must be outcome-
+// invisible: a tuple that classifies fast runs the fast variant, its
+// neighbour on the same page may run the full form, and the two agree by
+// construction of the variant. Here the "full" form is a CASE-selected value
+// and the fast variant its first arm, valid whenever classify says
+// version <= cutoff.
 func TestPlanFastPathSplit(t *testing.T) {
 	schema := catalog.MustSchema("t", []catalog.Column{
 		{Name: "vn", Type: catalog.TypeInt, Length: 8},
@@ -226,7 +231,7 @@ func TestPlanFastPathSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 900; i++ {
 		// Long runs of low vn (fast-classifiable) with occasional high-vn
-		// tuples, so some batches are all-fast and others mixed.
+		// tuples, so some pages are all-fast and others mixed.
 		vn := int64(1)
 		if i > 600 && rng.Intn(8) == 0 {
 			vn = 100

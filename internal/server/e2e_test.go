@@ -330,6 +330,33 @@ func TestDrainDeadlineForcesStragglers(t *testing.T) {
 	}
 }
 
+// The RequestTimeout watchdog stops cleanly however the server is stopped:
+// Close and Shutdown, each twice and in either order, straight after Start.
+// Under -race this is the regression test for the watchdog selecting on a
+// stop channel that Close reassigned.
+func TestWatchdogStopsWithServer(t *testing.T) {
+	shutdown := func(s *server.Server) { _ = s.Shutdown(context.Background()) }
+	closeSrv := func(s *server.Server) { _ = s.Close() }
+	for name, stops := range map[string][]func(*server.Server){
+		"close twice":         {closeSrv, closeSrv},
+		"shutdown twice":      {shutdown, shutdown},
+		"shutdown then close": {shutdown, closeSrv},
+		"close then shutdown": {closeSrv, shutdown},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, _ := startServer(t, func(c *server.Config) { c.RequestTimeout = 4 * time.Millisecond })
+			c := dialServer(t, srv, vnlclient.Options{DialAttempts: 1})
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			_ = c.Close()
+			for _, stop := range stops {
+				stop(srv)
+			}
+		})
+	}
+}
+
 // Max-conns backpressure: with the limit filled by pinned sessions, the next
 // dial is answered with an explicit too_busy rejection, and the slot frees
 // when a session closes.

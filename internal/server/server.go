@@ -122,8 +122,11 @@ type Server struct {
 	// pairs. Shutdown and Close wait on it, so "drained" provably means
 	// "no server goroutine is still running".
 	wg sync.WaitGroup
-	// watchStop stops the request-timeout watchdog.
-	watchStop chan struct{}
+	// watchStop stops the request-timeout watchdog. It is closed once,
+	// through watchStopOnce, and never reassigned, so the watchdog may
+	// select on the field without s.mu.
+	watchStop     chan struct{}
+	watchStopOnce sync.Once
 
 	started    atomic.Bool
 	draining   atomic.Bool
@@ -347,7 +350,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
-	close(s.watchStopOnce())
+	s.stopWatchdog()
 	// Nudge every blocked reader: it wakes with a timeout error, sees the
 	// drain flag, and either exits (no open sessions) or extends its
 	// deadline to the drain deadline and keeps serving.
@@ -384,14 +387,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return fmt.Errorf("server: drain deadline exceeded; %d connections force-closed", n)
 }
 
-// watchStopOnce returns watchStop exactly once; later calls get a fresh
-// dead channel so double Shutdown does not double-close.
-func (s *Server) watchStopOnce() chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := s.watchStop
-	s.watchStop = make(chan struct{})
-	return ch
+// stopWatchdog closes watchStop; Shutdown and Close may each call it, in any
+// order and more than once.
+func (s *Server) stopWatchdog() {
+	s.watchStopOnce.Do(func() { close(s.watchStop) })
 }
 
 // Close hard-stops the server: listener and every connection close
@@ -403,7 +402,7 @@ func (s *Server) Close() error {
 	if s.ln != nil {
 		err = s.ln.Close()
 	}
-	close(s.watchStopOnce())
+	s.stopWatchdog()
 	s.mu.Lock()
 	for c := range s.conns {
 		c.forceClose()

@@ -182,11 +182,11 @@ func (h *Heap) SyncBacking() error {
 }
 
 // touchRead records a read access, deliberately blanking any eviction
-// write-back error. Scan is its only caller: a full-table reader keeps
-// working when the mirror's disk is failing, because the mirror is not
-// authoritative (the WAL is) and the in-memory pages it is reading are. The
-// error stays observable via the pool's Err. Point reads (Get) propagate the
-// same error instead — see Get.
+// write-back error. The page walker behind Scan and ScanFilter is its only
+// caller: a full-table reader keeps working when the mirror's disk is
+// failing, because the mirror is not authoritative (the WAL is) and the
+// in-memory pages it is reading are. The error stays observable via the
+// pool's Err. Point reads (Get) propagate the same error instead — see Get.
 func (h *Heap) touchRead(pi int) {
 	_ = h.pool.Touch(PageKey{h.fileID, pi}, false)
 }
@@ -372,47 +372,121 @@ func (h *Heap) Delete(rid RID) error {
 	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
 }
 
-// Scan calls fn for every live tuple. Each page's latch is held only while
-// that page's live tuples are copied out; fn runs without any latch held, so
-// it may freely read or write the heap. Scan observes each slot at most
-// once; tuples inserted into already-visited pages during the scan are not
-// observed (standard heap-scan semantics). Returning false from fn stops the
-// scan early.
-func (h *Heap) Scan(fn func(RID, catalog.Tuple) bool) {
-	n := h.NumPages()
-	var buf []struct {
-		rid RID
-		t   catalog.Tuple
+// block holds the tuples one page contributed to a scan: copies of the
+// accepted tuples, cut as 3-index slices out of one shared backing array, and
+// their RIDs.
+type block struct {
+	rids   []RID
+	tuples []catalog.Tuple
+	vals   []catalog.Value
+}
+
+func (b *block) add(rid RID, t catalog.Tuple) {
+	n := len(b.vals)
+	b.vals = append(b.vals, t...)
+	// Full slice expression: appending to one tuple reallocates it instead
+	// of overwriting its neighbour.
+	b.tuples = append(b.tuples, b.vals[n:len(b.vals):len(b.vals)])
+	b.rids = append(b.rids, rid)
+}
+
+// fill copies page pi's live tuples that pred accepts (all of them when pred
+// is nil) into b, under the page's read latch. With fresh set the tuples get
+// a backing array of their own, sized exactly, so the caller may keep them;
+// otherwise b's previous array is overwritten.
+func (h *Heap) fill(b *block, pi int, pg *page, pred func(catalog.Tuple) (bool, error), fresh bool) (touched bool, err error) {
+	b.rids, b.tuples, b.vals = b.rids[:0], b.tuples[:0], b.vals[:0]
+	pg.mu.RLock()
+	defer pg.mu.RUnlock()
+	if pg.live == 0 {
+		return false, nil
 	}
+	if fresh {
+		n := 0
+		for si := range pg.slots {
+			if pg.slots[si].live {
+				n += len(pg.slots[si].tuple)
+			}
+		}
+		b.vals = make([]catalog.Value, 0, n)
+	}
+	for si := range pg.slots {
+		s := &pg.slots[si]
+		if !s.live {
+			continue
+		}
+		if pred != nil {
+			keep, err := pred(s.tuple)
+			if err != nil {
+				return true, err
+			}
+			if !keep {
+				continue
+			}
+		}
+		b.add(RID{pi, si}, s.tuple)
+	}
+	return true, nil
+}
+
+// walk is the one page walker behind Scan and ScanFilter: page by page, fill
+// a block under the read latch, release the latch, record the read, and hand
+// the block to fn.
+func (h *Heap) walk(pred func(catalog.Tuple) (bool, error), fresh bool, fn func([]RID, []catalog.Tuple) bool) error {
+	n := h.NumPages()
+	var b block
 	for pi := 0; pi < n; pi++ {
 		pg := h.getPage(pi)
 		if pg == nil {
-			return
+			return nil
 		}
-		buf = buf[:0]
-		pg.mu.RLock()
-		touched := false
-		if pg.live > 0 {
-			touched = true
-			for si := range pg.slots {
-				if pg.slots[si].live {
-					buf = append(buf, struct {
-						rid RID
-						t   catalog.Tuple
-					}{RID{pi, si}, pg.slots[si].tuple.Clone()})
-				}
-			}
+		touched, err := h.fill(&b, pi, pg, pred, fresh)
+		if err != nil {
+			return err
 		}
-		pg.mu.RUnlock()
 		if touched {
 			h.touchRead(pi)
 		}
-		for _, e := range buf {
-			if !fn(e.rid, e.t) {
-				return
-			}
+		if len(b.tuples) > 0 && !fn(b.rids, b.tuples) {
+			return nil
 		}
 	}
+	return nil
+}
+
+// ScanFilter calls fn once per page with copies of the live tuples pred
+// accepts, and their RIDs; pages with no accepted tuple are skipped. fn runs
+// without any latch held and may read or write the heap, but the slices it
+// receives, and the tuples in them, are overwritten by the next page: it must
+// copy what it keeps. Returning false from fn stops the scan.
+//
+// pred runs against the stored tuple under the page's read latch, so it must
+// not retain or modify the tuple, block, or call back into the heap or its
+// pool, and should allocate only when it fails. An error from pred ends the
+// scan, after the latch is released, and is returned as is; fn is not called
+// for that page. Which slots are observed is as for Scan.
+func (h *Heap) ScanFilter(pred func(catalog.Tuple) (keep bool, err error), fn func([]RID, []catalog.Tuple) bool) error {
+	return h.walk(pred, false, fn)
+}
+
+// Scan calls fn for every live tuple. Each page's latch is held only while
+// that page's live tuples are copied out; fn runs without any latch held, so
+// it may freely read or write the heap, and it may keep the tuple. The tuples
+// of one page share one backing array (each is capped to its own length, so
+// appending to one never touches another): keeping one tuple keeps its page's
+// copy alive. Scan observes each slot at most once; tuples inserted into
+// already-visited pages during the scan are not observed (standard heap-scan
+// semantics). Returning false from fn stops the scan early.
+func (h *Heap) Scan(fn func(RID, catalog.Tuple) bool) {
+	// walk returns only pred's error, and there is no pred.
+	_ = h.walk(nil, true, func(rids []RID, tuples []catalog.Tuple) bool {
+		for i, t := range tuples {
+			if !fn(rids[i], t) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // UpdateFunc applies fn to the tuple at rid atomically under the page latch:
