@@ -20,7 +20,7 @@ race:
 # maintenance, shared sessions, mid-query expiry) under the race detector,
 # with a generous timeout so slow CI machines finish the full matrix.
 stress:
-	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestMidQueryVersionAdvance|TestConcurrentReadersDuringMaintenance' -count=2 ./internal/core/
+	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance' -count=2 ./internal/core/
 
 # lint runs vnlvet, the in-repo analyzer suite: the paper's latch,
 # guarded-write, decision-table, metric-registry, and WAL-error invariants,
@@ -102,7 +102,7 @@ bench-e2e-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./... && $(GO) run . -smoke
 
 # bench-snapshot runs the tracked benchmark set (reader scaling, maintain
-# batch, vnlserver wire latency, single-thread query latency) and writes
+# batch, vnlserver wire latency, replica catch-up, shard scaling) and writes
 # machine-readable BENCH_*.json snapshots next to the raw bench output; CI
 # uploads them as artifacts.
 bench-snapshot:

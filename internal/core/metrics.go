@@ -74,11 +74,7 @@ type storeMetrics struct {
 	batchDeltas  *obs.Counter
 	batchNS      *obs.Histogram
 
-	// Prepared-statement rewrite cache (Prepare/QueryPrepared).
-	preparedHits   *obs.Counter
-	preparedMisses *obs.Counter
-
-	// Ad-hoc rewrite/plan cache (Session.Query / QueryStmt / server MsgQuery).
+	// Plan cache (Session.Query / QueryStmt / QueryPrepared).
 	planHits   *obs.Counter
 	planMisses *obs.Counter
 
@@ -137,11 +133,8 @@ func newStoreMetrics(reg *obs.Registry, tracer obs.Tracer) *storeMetrics {
 		batchDeltas:  c("core_maint_batch_deltas_total", "logical deltas applied through ApplyBatch"),
 		batchNS:      h("core_maint_batch_apply_ns", "latency of one ApplyBatch call, partition to join"),
 
-		preparedHits:   c("core_prepared_rewrite_hits_total", "prepared executions served from the cached §4.1 rewrite"),
-		preparedMisses: c("core_prepared_rewrite_misses_total", "prepared executions that re-derived the §4.1 rewrite"),
-
-		planHits:   c("core_plan_cache_hits_total", "ad-hoc queries served from the cached rewrite/compiled plan"),
-		planMisses: c("core_plan_cache_misses_total", "ad-hoc queries that parsed, rewrote, and compiled a fresh plan"),
+		planHits:   c("core_plan_cache_hits_total", "queries (ad hoc and prepared) served from the cached rewrite/compiled plan"),
+		planMisses: c("core_plan_cache_misses_total", "queries that rewrote and compiled a fresh plan"),
 
 		gcPasses:  c("core_gc_passes_total", "garbage-collection passes"),
 		gcScanned: c("core_gc_scanned_total", "physical tuples examined by GC"),

@@ -8,11 +8,11 @@ import (
 	"repro/internal/sql"
 )
 
-// defaultPlanCacheEntries bounds the ad-hoc plan cache when Options leaves
-// PlanCacheSize at zero. The cache is per store and keyed by query text, so
-// the bound caps memory for workloads that generate unbounded distinct SQL
-// (e.g. literals inlined instead of parameters).
-const defaultPlanCacheEntries = 256
+// planCacheEntries bounds the plan cache (keys, counting both raw-text and
+// canonical ones). The cache is per store and keyed by query text, so the
+// bound caps memory for workloads that generate unbounded distinct SQL (e.g.
+// literals inlined instead of parameters).
+const planCacheEntries = 256
 
 // planEntry is one cached, immutable query plan: the §4.1 rewrite compiled
 // by exec.CompileSelect, valid for exactly the table registry it was derived
@@ -25,26 +25,24 @@ type planEntry struct {
 	plan *exec.Plan
 }
 
-// planCache is the store-level rewrite/plan cache for ad-hoc queries
-// (Session.Query, Session.QueryStmt, and the server's MsgQuery path, which
-// funnels through Session.Query). Entries are keyed twice: by the raw query
-// text, so a repeated Query(text) skips the parser entirely, and by the
-// canonical printed form (sql.Print), so textual variants of one statement
-// share a single compiled plan and QueryStmt callers hit too.
+// planCache is the store's one statement cache: every SELECT — Session.Query,
+// Session.QueryStmt, Session.QueryPrepared and the server paths that funnel
+// into them — runs a planEntry resolved here. Entries are keyed twice: by the
+// raw query text, so a repeated Query(text) skips the parser entirely, and by
+// the canonical printed form (sql.Print), so textual variants of one
+// statement, QueryStmt callers and Prepared handles share a single compiled
+// plan.
 //
-// Validity follows the same rule as Prepared: a cached plan is usable iff
-// the store's copy-on-write table registry is the identical pointer the plan
-// was derived against. CreateTable and AdoptTable publish a fresh registry,
-// invalidating every entry with no shootdown protocol — stale entries are
-// simply missed and overwritten on the next derivation.
+// The rewrite binds :sessionVN as a parameter at execution time, so a plan
+// depends on the registered relations and their schemas and never on the
+// session. A cached plan is therefore usable iff the store's copy-on-write
+// table registry is the identical pointer the plan was derived against.
+// CreateTable and AdoptTable publish a fresh registry, invalidating every
+// entry and every Prepared handle with no shootdown protocol — stale entries
+// are simply missed and overwritten on the next derivation.
 type planCache struct {
-	mu    sync.RWMutex
-	limit int
-	m     map[string]*planEntry
-}
-
-func newPlanCache(limit int) *planCache {
-	return &planCache{limit: limit, m: make(map[string]*planEntry)}
+	mu sync.RWMutex
+	m  map[string]*planEntry
 }
 
 // get returns the entry under key when it is valid for reg, else nil.
@@ -58,33 +56,18 @@ func (c *planCache) get(key string, reg *tableRegistry) *planEntry {
 	return nil
 }
 
-// put installs e under every key, evicting arbitrary entries to stay within
-// the size bound. Map-order eviction is deliberate: the cache is a steady-
-// state accelerator, and any entry evicted by mistake is one miss away from
-// being rebuilt.
-func (c *planCache) put(keys []string, e *planEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, k := range keys {
-		if _, present := c.m[k]; !present && len(c.m) >= c.limit {
-			for victim := range c.m {
-				delete(c.m, victim)
-				break
-			}
-		}
-		c.m[k] = e
-	}
-}
-
-// alias records an extra key (the raw spelling of a statement that hit under
-// its canonical form) so the next Query with that exact text skips parsing.
-func (c *planCache) alias(key string, e *planEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m[key] == e {
+// put installs e under key (no-op for the empty key, which callers pass when
+// they hold no raw text), evicting an arbitrary entry to stay within the size
+// bound. Map-order eviction is deliberate: the cache is a steady-state
+// accelerator, and any entry evicted by mistake is one miss away from being
+// rebuilt.
+func (c *planCache) put(key string, e *planEntry) {
+	if key == "" {
 		return
 	}
-	if _, present := c.m[key]; !present && len(c.m) >= c.limit {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, present := c.m[key]; !present && len(c.m) >= planCacheEntries {
 		for victim := range c.m {
 			delete(c.m, victim)
 			break
@@ -93,30 +76,21 @@ func (c *planCache) alias(key string, e *planEntry) {
 	c.m[key] = e
 }
 
-// len reports the number of cached keys (test hook).
-func (c *planCache) size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
 // selectPlan returns the cached plan for sel, deriving, compiling, and
 // caching a fresh one on miss. raw, when non-empty, is the original query
 // text and becomes a second cache key so the next Query(raw) skips the
-// parser. Only called when the plan cache is enabled.
+// parser.
 //
-// The registry is loaded once, before derivation, exactly as Prepared does:
-// a registry flip racing the derivation tags the new plan with the older
-// pointer, which only means the next lookup misses and rebuilds — both plans
-// are correct for the registry they loaded.
+// The registry is loaded once, before derivation: a registry flip racing the
+// derivation tags the new plan with the older pointer, which only means the
+// next lookup misses and rebuilds — both plans are correct for the registry
+// they loaded.
 func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) {
 	reg := s.tables.Load()
 	canon := sql.Print(sel)
 	if e := s.plans.get(canon, reg); e != nil {
 		s.metrics.planHits.Inc()
-		if raw != "" {
-			s.plans.alias(raw, e)
-		}
+		s.plans.put(raw, e)
 		return e, nil
 	}
 	s.metrics.planMisses.Inc()
@@ -130,11 +104,8 @@ func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) 
 		return nil, err
 	}
 	e := &planEntry{reg: reg, src: src, plan: pl}
-	keys := []string{canon}
-	if raw != "" && raw != canon {
-		keys = append(keys, raw)
-	}
-	s.plans.put(keys, e)
+	s.plans.put(canon, e)
+	s.plans.put(raw, e)
 	return e, nil
 }
 

@@ -155,42 +155,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// PlanCacheSize < 0 disables the cache: the legacy parse-and-rewrite path
-// answers every call and the counters never move.
-func TestPlanCacheDisabled(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := newStore(t, 2, func(o *Options) { o.Metrics = reg; o.PlanCacheSize = -1 })
-	if _, err := s.CreateTable(kvSchema()); err != nil {
-		t.Fatal(err)
-	}
-	m := mustMaint(t, s)
-	for k := int64(0); k < 10; k++ {
-		if err := m.Insert("kv", kvTuple(k, 100+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit(t, m)
-	sess := s.BeginSession()
-	defer sess.Close()
-	const q = `SELECT k, v FROM kv WHERE v < 105`
-	rows, err := sess.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 5 {
-		t.Fatalf("rows = %d, want 5", rows.Len())
-	}
-	if _, err := sess.Query(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	if h, mi := planCounts(reg); h != 0 || mi != 0 {
-		t.Fatalf("disabled cache moved counters: hits=%d misses=%d", h, mi)
-	}
-	if s.plans != nil {
-		t.Fatal("plan cache allocated despite PlanCacheSize = -1")
-	}
-}
-
 // legacyQuery is the pre-cache oracle: fresh rewrite, tree-walking executor,
 // at the session's version.
 func legacyQuery(t *testing.T, sess *Session, text string, params exec.Params) (*exec.Rows, error) {
@@ -309,19 +273,19 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 // The cache stays bounded: filling it past the limit evicts rather than
 // growing without bound.
 func TestPlanCacheBounded(t *testing.T) {
-	s := newStore(t, 2, func(o *Options) { o.PlanCacheSize = 8 })
+	s := newStore(t, 2)
 	if _, err := s.CreateTable(kvSchema()); err != nil {
 		t.Fatal(err)
 	}
 	sess := s.BeginSession()
 	defer sess.Close()
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 2*planCacheEntries; i++ {
 		q := fmt.Sprintf(`SELECT k FROM kv WHERE v = %d`, i)
 		if _, err := sess.Query(q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := s.plans.size(); n > 8 {
-		t.Fatalf("cache grew to %d entries, bound is 8", n)
+	if n := len(s.plans.m); n > planCacheEntries {
+		t.Fatalf("cache grew to %d entries, bound is %d", n, planCacheEntries)
 	}
 }

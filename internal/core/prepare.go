@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -9,161 +8,62 @@ import (
 	"repro/internal/sql"
 )
 
-// Prepared is a SELECT that has been parsed once and whose §4.1 rewrite is
-// cached: executing it through Session.QueryPrepared skips both the parse
-// and — on the steady-state path — the rewrite derivation that Session.Query
-// performs per call.
-//
-// The rewrite depends only on the set of registered versioned relations and
-// their schemas, never on the session's version (the rewrite binds
-// :sessionVN as a parameter at execution time), so one rewritten form is
-// valid until the table registry changes. The cache is therefore keyed on
-// the identity of the store's copy-on-write table registry: CreateTable and
-// AdoptTable publish a fresh registry, which invalidates every cached plan
-// with a single pointer comparison and no shootdown protocol. A Prepared is
-// safe for concurrent use by any number of sessions.
+// Prepared is a SELECT parsed once plus a handle on its entry in the store's
+// plan cache (plancache.go). While the table registry is the one the entry
+// was derived against, executing it costs one atomic load, one pointer
+// compare and one counter; when CreateTable or AdoptTable has published a
+// fresh registry, the handle asks the cache again — so a statement prepared
+// over the wire and the same statement issued ad hoc compile once and
+// invalidate through one code path. The handle keeps its entry reachable
+// even after the cache's bound evicted it from the map. A Prepared is safe
+// for concurrent use by any number of sessions.
 type Prepared struct {
 	store *Store
 	src   *sql.SelectStmt
-	plan  atomic.Pointer[preparedPlan]
+	entry atomic.Pointer[planEntry]
 }
 
-// preparedPlan is one immutable cached rewrite — and its compiled form —
-// valid for exactly the table registry it was derived against.
-type preparedPlan struct {
-	reg  *tableRegistry
-	rw   *sql.SelectStmt
-	plan *exec.Plan
-}
-
-// Prepare parses a SELECT and returns its prepared form.
+// Prepare parses a SELECT and returns its prepared form. A statement over a
+// table that does not exist parses (it could name a relation created later)
+// and fails at execution instead.
 func (s *Store) Prepare(text string) (*Prepared, error) {
 	sel, err := sql.ParseSelect(text)
 	if err != nil {
 		return nil, err
 	}
-	return s.PrepareStmt(sel), nil
-}
-
-// PrepareStmt prepares an already-parsed SELECT. The input is cloned, so
-// later mutations by the caller do not affect the prepared statement.
-func (s *Store) PrepareStmt(sel *sql.SelectStmt) *Prepared {
-	return &Prepared{store: s, src: sql.CloneSelect(sel)}
+	return &Prepared{store: s, src: sel}, nil
 }
 
 // SQL returns the canonical printed form of the prepared statement — the
 // normalization key callers use to deduplicate preparations.
 func (p *Prepared) SQL() string { return sql.Print(p.src) }
 
-// compiled returns the cached rewrite-plus-plan when the table registry is
-// unchanged, deriving and caching a fresh one otherwise. Concurrent misses
-// may race to derive; each derivation is correct for the registry it loaded,
-// and the losing Store is harmless (last writer wins, both plans valid for
-// their registries).
-func (p *Prepared) compiled() (*preparedPlan, error) {
-	reg := p.store.tables.Load()
-	if pl := p.plan.Load(); pl != nil && pl.reg == reg {
-		p.store.metrics.preparedHits.Inc()
-		return pl, nil
+// plan resolves the handle. Concurrent misses may both ask the cache; each
+// gets an entry valid for the registry it loaded and the last store wins.
+func (p *Prepared) plan() (*planEntry, error) {
+	st := p.store
+	if e := p.entry.Load(); e != nil && e.reg == st.tables.Load() {
+		st.metrics.planHits.Inc()
+		return e, nil
 	}
-	rw, err := RewriteSelect(p.store, p.src)
+	e, err := st.selectPlan(p.src, "")
 	if err != nil {
 		return nil, err
 	}
-	plan, err := exec.CompileSelect(queryCatalog{p.store}, rw, p.store.fastOptions(p.src))
-	if err != nil {
-		return nil, err
-	}
-	p.store.metrics.preparedMisses.Inc()
-	pl := &preparedPlan{reg: reg, rw: rw, plan: plan}
-	p.plan.Store(pl)
-	return pl, nil
+	p.entry.Store(e)
+	return e, nil
 }
 
-// rewritten returns the §4.1 rewritten form, from cache when valid.
-func (p *Prepared) rewritten() (*sql.SelectStmt, error) {
-	pl, err := p.compiled()
-	if err != nil {
-		return nil, err
-	}
-	return pl.rw, nil
-}
-
-// QueryPrepared executes a prepared SELECT at the session's version,
-// following the same expiration discipline as QueryStmt (global pessimistic
-// check before and after, or the per-tuple probe for optimistic sessions).
-// On a cache hit the steady-state path performs no parsing, no rewrite, and
-// no mutex acquisition.
+// QueryPrepared executes a prepared SELECT at the session's version under
+// the discipline of Session.run. On a hit the steady-state path performs no
+// parsing, no rewrite, and no mutex acquisition.
 func (sess *Session) QueryPrepared(p *Prepared, params exec.Params) (*exec.Rows, error) {
 	if p.store != sess.store {
 		return nil, fmt.Errorf("core: prepared statement belongs to a different store")
 	}
-	if sess.perTuple {
-		return sess.queryPreparedPerTuple(p, params)
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	pl, err := p.compiled()
+	e, err := p.plan()
 	if err != nil {
 		return nil, err
 	}
-	rows, err := sess.executePrepared(pl, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// executePrepared runs a prepared plan, falling back to the tree-walking
-// executor over the cached rewrite if the table registry flipped between
-// cache validation and execution (the same stale-plan recovery as the
-// ad-hoc path; the tree-walker resolves tables at execution time, which is
-// exactly what the pre-compilation code did).
-func (sess *Session) executePrepared(pl *preparedPlan, params exec.Params) (*exec.Rows, error) {
-	rows, err := pl.plan.Execute(queryCatalog{sess.store}, params)
-	if err != nil && errors.Is(err, exec.ErrPlanStale) {
-		return exec.Select(queryCatalog{sess.store}, pl.rw, params)
-	}
-	return rows, err
-}
-
-// queryPreparedPerTuple is QueryPrepared under §3.2's optimistic expiration
-// alternative, mirroring queryPerTuple: execute, then probe each versioned
-// table in FROM for tuples the session can no longer reconstruct.
-func (sess *Session) queryPreparedPerTuple(p *Prepared, params exec.Params) (*exec.Rows, error) {
-	if sess.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	_, _, floor := sess.store.readGlobals()
-	if sess.vn < floor {
-		return nil, sess.markExpired()
-	}
-	pl, err := p.compiled()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := sess.executePrepared(pl, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	for _, tr := range p.src.From {
-		vt := sess.store.lookup(tr.Table)
-		if vt == nil {
-			continue
-		}
-		if vt.hasUnreconstructible(sess.vn) {
-			return nil, sess.markExpired()
-		}
-	}
-	return rows, nil
+	return sess.run(e, params)
 }

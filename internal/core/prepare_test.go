@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/db"
+	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/sql"
 )
 
 // prepStore builds a store on a private registry with kv preloaded: keys
@@ -27,129 +32,220 @@ func prepStore(t *testing.T) (*Store, *obs.Registry) {
 	return s, reg
 }
 
-// A prepared statement answers exactly like the ad-hoc path, at the
-// session's pinned version, before and after a maintenance commit.
-func TestPreparedMatchesAdHoc(t *testing.T) {
-	s, _ := prepStore(t)
-	p, err := s.Prepare(`SELECT k, v FROM kv WHERE k < 5 ORDER BY k`)
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-
-	sess := s.BeginSession()
-	defer sess.Close()
-	want, err := sess.Query(`SELECT k, v FROM kv WHERE k < 5 ORDER BY k`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sess.QueryPrepared(p, nil)
-	if err != nil {
-		t.Fatalf("QueryPrepared: %v", err)
-	}
-	if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
-		t.Fatalf("prepared answered %v, ad hoc %v", got.Tuples, want.Tuples)
-	}
-
-	// Maintenance commits under the open session; the prepared execution
-	// must keep reading the session's original version.
-	m := mustMaint(t, s)
-	if _, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(1)},
-		func(catalog.Tuple) catalog.Tuple { return kvTuple(1, 9999) }); err != nil {
-		t.Fatal(err)
-	}
-	commit(t, m)
-	after, err := sess.QueryPrepared(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(after.Tuples) != fmt.Sprint(want.Tuples) {
-		t.Fatalf("prepared moved with maintenance: %v, want the session's original %v", after.Tuples, want.Tuples)
-	}
-
-	// A fresh session sees the new version through the same Prepared.
-	sess2 := s.BeginSession()
-	defer sess2.Close()
-	fresh, err := sess2.QueryPrepared(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(fresh.Tuples) == fmt.Sprint(want.Tuples) {
-		t.Fatalf("fresh session through the prepared plan did not see the committed update")
-	}
-}
-
-// The cached rewrite survives maintenance commits (the rewrite is
-// VN-independent) and is invalidated only when the table registry changes.
-func TestPreparedCacheInvalidation(t *testing.T) {
+// A statement prepared and then issued ad hoc — by its own text, by another
+// spelling, pre-parsed — compiles once: one miss, and the handle and both
+// cache keys hold the same entry.
+func TestPrepareThenAdHocSharesOnePlan(t *testing.T) {
 	s, reg := prepStore(t)
-	p, err := s.Prepare(`SELECT COUNT(*) FROM kv`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := func() (hits, misses int64) {
-		snap := reg.Snapshot()
-		return snap.Counters["core_prepared_rewrite_hits_total"],
-			snap.Counters["core_prepared_rewrite_misses_total"]
-	}
-	query := func() {
-		t.Helper()
-		sess := s.BeginSession()
-		defer sess.Close()
-		if _, err := sess.QueryPrepared(p, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	query() // first execution derives the rewrite
-	if h, m := counts(); h != 0 || m != 1 {
-		t.Fatalf("after first execution: hits=%d misses=%d, want 0/1", h, m)
-	}
-	query() // cached
-	query()
-	if h, m := counts(); h != 2 || m != 1 {
-		t.Fatalf("after repeats: hits=%d misses=%d, want 2/1", h, m)
-	}
-
-	// A maintenance commit advances the VN but leaves the registry pointer
-	// alone: still a cache hit.
-	m := mustMaint(t, s)
-	if err := m.Insert("kv", kvTuple(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	commit(t, m)
-	query()
-	if h, mi := counts(); h != 3 || mi != 1 {
-		t.Fatalf("after maintenance commit: hits=%d misses=%d, want 3/1", h, mi)
-	}
-
-	// Creating a table swaps the copy-on-write registry: the next execution
-	// must re-derive against the new registry.
-	if _, err := s.CreateTable(catalog.MustSchema("other", []catalog.Column{
-		{Name: "k", Type: catalog.TypeInt, Length: 8},
-	}, "k")); err != nil {
-		t.Fatal(err)
-	}
-	query()
-	if h, mi := counts(); h != 3 || mi != 2 {
-		t.Fatalf("after CreateTable: hits=%d misses=%d, want 3/2", h, mi)
-	}
-}
-
-// Prepare rejects unparseable statements up front; a query over a table
-// that does not exist parses (it could name a plain relation adopted later)
-// and fails at execution instead.
-func TestPrepareErrors(t *testing.T) {
-	s, _ := prepStore(t)
 	if _, err := s.Prepare(`SELEC nonsense`); err == nil {
 		t.Fatal("Prepare accepted garbage SQL")
 	}
-	p, err := s.Prepare(`SELECT x FROM no_such_table`)
+	const q = `SELECT k, v FROM kv WHERE k < 5`
+	p, err := s.Prepare(q)
 	if err != nil {
-		t.Fatalf("Prepare rejected a syntactically valid query: %v", err)
+		t.Fatal(err)
 	}
 	sess := s.BeginSession()
 	defer sess.Close()
-	if _, err := sess.QueryPrepared(p, nil); err == nil {
-		t.Fatal("executing over a missing table succeeded")
+	want, err := sess.QueryPrepared(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := planCounts(reg); h != 0 || m != 1 {
+		t.Fatalf("after the prepared execution: hits=%d misses=%d, want 0/1", h, m)
+	}
+	sel, err := sql.ParseSelect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range []func() (*exec.Rows, error){
+		func() (*exec.Rows, error) { return sess.Query(q, nil) },
+		func() (*exec.Rows, error) { return sess.Query("select k, v  from kv where k < 5", nil) },
+		func() (*exec.Rows, error) { return sess.QueryStmt(sel, nil) },
+		func() (*exec.Rows, error) { return sess.QueryPrepared(p, nil) },
+	} {
+		got, err := run()
+		if err != nil || fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
+			t.Fatalf("run %d: %v, %v; want %v", i, got, err, want.Tuples)
+		}
+	}
+	if h, m := planCounts(reg); h != 4 || m != 1 {
+		t.Fatalf("after four more executions: hits=%d misses=%d, want 4/1", h, m)
+	}
+	e := p.entry.Load()
+	cur := s.tables.Load()
+	if e == nil || s.plans.get(q, cur) != e || s.plans.get(p.SQL(), cur) != e {
+		t.Fatal("the handle, the raw-text key and the canonical key do not share one entry")
+	}
+}
+
+// A maintenance commit advances the VN and leaves every plan alone (the
+// rewrite binds :sessionVN as a parameter). CreateTable and AdoptTable swap
+// the copy-on-write registry: that one pointer flip kills the Prepared handle
+// and the map entry alike, and the next execution through either re-derives
+// once for both.
+func TestRegistryFlipInvalidatesHandleAndMapEntry(t *testing.T) {
+	s, reg := prepStore(t)
+	const q = `SELECT k, v FROM plain`
+	pt, err := s.DB().CreateTable(catalog.MustSchema("plain", kvSchema().Columns, "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pt.Insert(kvTuple(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.BeginSession()
+	defer sess.Close()
+	both := func() *planEntry {
+		t.Helper()
+		for _, run := range []func() (*exec.Rows, error){
+			func() (*exec.Rows, error) { return sess.QueryPrepared(p, nil) },
+			func() (*exec.Rows, error) { return sess.Query(q, nil) },
+		} {
+			if rows, err := run(); err != nil || fmt.Sprint(rows.Tuples) != "[(1, 10)]" {
+				t.Fatalf("rows = %v, err = %v", rows, err)
+			}
+		}
+		e := p.entry.Load()
+		if e != s.plans.get(q, s.tables.Load()) {
+			t.Fatal("handle and map entry differ after executing through both")
+		}
+		return e
+	}
+	first := both()
+	if h, m := planCounts(reg); h != 1 || m != 1 {
+		t.Fatalf("warmup: hits=%d misses=%d, want 1/1", h, m)
+	}
+	mt := mustMaint(t, s)
+	if err := mt.Insert("kv", kvTuple(100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, mt)
+	if both() != first {
+		t.Fatal("a maintenance commit replaced the plan")
+	}
+
+	stale := first
+	for _, f := range []struct {
+		name string
+		flip func() error
+	}{
+		{"CreateTable", func() error {
+			_, err := s.CreateTable(catalog.MustSchema("other", kvSchema().Columns, "k"))
+			return err
+		}},
+		{"AdoptTable", func() error { _, err := s.AdoptTable("plain"); return err }},
+	} {
+		name, flip := f.name, f.flip
+		before := p.entry.Load()
+		h0, m0 := planCounts(reg)
+		if err := flip(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cur := s.tables.Load()
+		if before.reg == cur || s.plans.get(q, cur) != nil {
+			t.Fatalf("%s left the handle or the map entry valid", name)
+		}
+		if both() == before {
+			t.Fatalf("%s: the stale entry was reused", name)
+		}
+		if h, m := planCounts(reg); h != h0+1 || m != m0+1 {
+			t.Fatalf("%s: hits %d→%d misses %d→%d, want one miss shared by both paths", name, h0, h, m0, m)
+		}
+	}
+	// The race the registry compare cannot close: an entry validated just
+	// before AdoptTable replaced its table. The plan notices (ErrPlanStale)
+	// and run re-derives instead of failing the query.
+	if rows, err := sess.run(stale, nil); err != nil || fmt.Sprint(rows.Tuples) != "[(1, 10)]" {
+		t.Fatalf("stale plan: %v, %v; want recovery to the adopted table's row", rows, err)
+	}
+}
+
+// Prepared executions race registry flips: the handle's atomic pointer, the
+// cache map and the stale-plan recovery hold up under -race, and every
+// execution answers from a whole table — kv is never replaced, and a table
+// being adopted is either readable or (between AdoptTable's drop and rename)
+// absent, never half-loaded. Each reader also runs the entry resolved before
+// the adoption, so the recovery is exercised on every pass, not only when a
+// flip lands between validation and execution.
+func TestPreparedRacesRegistryFlips(t *testing.T) {
+	s, _ := prepStore(t)
+	const adopted = 12
+	pKV, err := s.Prepare(`SELECT k FROM kv WHERE v >= 100`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pPlain [adopted]*Prepared
+	var stale [adopted]*planEntry
+	for i := range pPlain {
+		name := fmt.Sprintf("plain%d", i)
+		pt, err := s.DB().CreateTable(catalog.MustSchema(name, kvSchema().Columns, "k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pt.Insert(kvTuple(1, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if pPlain[i], err = s.Prepare(`SELECT k, v FROM ` + name); err != nil {
+			t.Fatal(err)
+		}
+		if stale[i], err = pPlain[i].plan(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	errCh := make(chan error, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < cap(errCh); r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sess := s.BeginSession()
+				rows, err := sess.QueryPrepared(pKV, nil)
+				if err != nil || rows.Len() != 10 {
+					errCh <- fmt.Errorf("kv: %v", err)
+					return
+				}
+				for _, run := range []func() (*exec.Rows, error){
+					func() (*exec.Rows, error) { return sess.QueryPrepared(pPlain[i%adopted], nil) },
+					func() (*exec.Rows, error) { return sess.run(stale[i%adopted], nil) },
+				} {
+					rows, err := run()
+					if err == nil && fmt.Sprint(rows.Tuples) != "[(1, 10)]" {
+						errCh <- fmt.Errorf("plain%d: rows %v", i%adopted, rows.Tuples)
+						return
+					}
+					if err != nil && !errors.Is(err, db.ErrNoSuchTable) {
+						errCh <- fmt.Errorf("plain%d: %v", i%adopted, err)
+						return
+					}
+				}
+				sess.Close()
+			}
+		}()
+	}
+	for i := 0; i < adopted; i++ {
+		if _, err := s.AdoptTable(fmt.Sprintf("plain%d", i)); err != nil {
+			t.Error(err)
+		}
+		if _, err := s.CreateTable(catalog.MustSchema(fmt.Sprintf("other%d", i), kvSchema().Columns, "k")); err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
 	}
 }

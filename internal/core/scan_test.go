@@ -10,7 +10,7 @@ import (
 )
 
 // LIMIT 0 returns no row on every read path: the cached plan's scan and index
-// paths, a prepared statement, and the tree-walker (plan cache off).
+// paths, a prepared statement, and the tree-walker (legacyQuery).
 func TestLimitZeroEveryPath(t *testing.T) {
 	queries := []string{
 		`SELECT k FROM kv LIMIT 0`,
@@ -25,34 +25,20 @@ func TestLimitZeroEveryPath(t *testing.T) {
 			t.Errorf("%s: %d rows, columns %v; want no row and one column", name, rows.Len(), rows.Columns)
 		}
 	}
-	cached, _ := prepStore(t)
-	walker := newStore(t, 2, func(o *Options) { o.PlanCacheSize = -1 })
-	if _, err := walker.CreateTable(kvSchema()); err != nil {
-		t.Fatal(err)
-	}
-	m := mustMaint(t, walker)
-	for k := int64(0); k < 10; k++ {
-		if err := m.Insert("kv", kvTuple(k, 100+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit(t, m)
+	s, _ := prepStore(t)
 	for _, q := range queries {
-		sess := cached.BeginSession()
+		sess := s.BeginSession()
 		for i := 0; i < 2; i++ { // miss, then hit
 			rows, err := sess.Query(q, nil)
 			check("cached "+q, rows, err)
 		}
-		p, err := cached.Prepare(q)
+		p, err := s.Prepare(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rows, err := sess.QueryPrepared(p, nil)
 		check("prepared "+q, rows, err)
-		sess.Close()
-
-		sess = walker.BeginSession()
-		rows, err = sess.Query(q, nil)
+		rows, err = legacyQuery(t, sess, q, nil)
 		check("tree-walker "+q, rows, err)
 		sess.Close()
 	}

@@ -217,28 +217,25 @@ func (sess *Session) Check() error {
 func (sess *Session) Expired() bool { return sess.Check() != nil }
 
 // Query parses text, applies the 2VNL reader rewrite (§4.1), and executes
-// it at the session's version. The global expiration check runs before and
-// after execution, so a session that silently expired mid-query (a second
-// maintenance transaction began) reports ErrSessionExpired rather than
-// returning an inconsistent result.
-//
-// When the store's plan cache is enabled (the default), a repeated query
+// it at the session's version under the discipline of run. A repeated query
 // text skips the parser, the rewrite derivation, and expression compilation
-// entirely: the cache is probed with the raw text before anything else, and
-// validity is one table-registry pointer comparison.
+// entirely: the store's plan cache is probed with the raw text before
+// anything else, and validity is one table-registry pointer comparison.
 func (sess *Session) Query(text string, params exec.Params) (*exec.Rows, error) {
 	st := sess.store
-	if st.plans != nil {
-		if e := st.plans.get(text, st.tables.Load()); e != nil {
-			st.metrics.planHits.Inc()
-			return sess.queryEntry(e, params)
+	e := st.plans.get(text, st.tables.Load())
+	if e != nil {
+		st.metrics.planHits.Inc()
+	} else {
+		sel, err := sql.ParseSelect(text)
+		if err != nil {
+			return nil, err
+		}
+		if e, err = st.selectPlan(sel, text); err != nil {
+			return nil, err
 		}
 	}
-	sel, err := sql.ParseSelect(text)
-	if err != nil {
-		return nil, err
-	}
-	return sess.queryKeyed(sel, text, params)
+	return sess.run(e, params)
 }
 
 // QueryStmt is Query over a pre-parsed statement. The input is not
@@ -247,52 +244,26 @@ func (sess *Session) Query(text string, params exec.Params) (*exec.Rows, error) 
 // is an atomic registry load, and the plan cache (keyed here by the
 // statement's canonical printed form) is a read-locked map probe.
 func (sess *Session) QueryStmt(sel *sql.SelectStmt, params exec.Params) (*exec.Rows, error) {
-	return sess.queryKeyed(sel, "", params)
-}
-
-// queryKeyed executes sel through the plan cache when enabled (raw, when
-// non-empty, is the original text and becomes a second cache key), else
-// through the per-call rewrite path.
-func (sess *Session) queryKeyed(sel *sql.SelectStmt, raw string, params exec.Params) (*exec.Rows, error) {
-	st := sess.store
-	if st.plans != nil {
-		e, err := st.selectPlan(sel, raw)
-		if err != nil {
-			return nil, err
-		}
-		return sess.queryEntry(e, params)
-	}
-	if sess.perTuple {
-		return sess.queryPerTuple(sel, params)
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	rw, err := RewriteSelect(st, sel)
+	e, err := sess.store.selectPlan(sel, "")
 	if err != nil {
 		return nil, err
 	}
-	rows, err := exec.Select(queryCatalog{st}, rw, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	if err := sess.Check(); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return sess.run(e, params)
 }
 
-// queryEntry runs a cached plan under the session's expiration discipline —
-// the same check-execute-check (or execute-probe) shape as the uncached
-// paths.
-func (sess *Session) queryEntry(e *planEntry, params exec.Params) (*exec.Rows, error) {
-	if sess.perTuple {
-		return sess.queryEntryPerTuple(e, params)
-	}
-	if err := sess.Check(); err != nil {
+// run is the one reader path (§3.2, §4.1): expiration check, execute the
+// plan with :sessionVN bound, expiration check again — so a session that
+// silently expired mid-query (a second maintenance transaction began)
+// reports ErrSessionExpired rather than returning an inconsistent result.
+// Query, QueryStmt and QueryPrepared each resolve a plan entry and hand it
+// here.
+//
+// Error order: the statement is resolved before run is reached, so a
+// statement that cannot be planned (syntax error, unknown table) reports
+// that error on any session, live, expired or closed; the session's state is
+// consulted only for statements that could run.
+func (sess *Session) run(e *planEntry, params exec.Params) (*exec.Rows, error) {
+	if err := sess.checkBefore(); err != nil {
 		return nil, err
 	}
 	rows, err := sess.executePlan(e, withSessionVN(params, sess.vn))
@@ -302,17 +273,54 @@ func (sess *Session) queryEntry(e *planEntry, params exec.Params) (*exec.Rows, e
 	if sess.midQueryHook != nil {
 		sess.midQueryHook()
 	}
-	if err := sess.Check(); err != nil {
+	if err := sess.checkAfter(e.src.From); err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// checkBefore is the pre-execution half of the expiration discipline. The
+// global (pessimistic) discipline runs the full Check. The per-tuple
+// (optimistic) one only refuses a closed session or one below the logless-
+// rollback floor: whether a tuple the query needs is gone is decided after
+// execution, by checkAfter.
+func (sess *Session) checkBefore() error {
+	if !sess.perTuple {
+		return sess.Check()
+	}
+	if sess.closed.Load() {
+		return ErrSessionClosed
+	}
+	if _, _, floor := sess.store.readGlobals(); sess.vn < floor {
+		return sess.markExpired()
+	}
+	return nil
+}
+
+// checkAfter is the post-execution half. The global discipline repeats
+// Check. The per-tuple one probes each versioned table in the query's FROM
+// list — not every table, as Check does — for tuples the session can no
+// longer reconstruct. Unreconstructibility is monotone (tuple version
+// numbers only grow), so a clean probe after the query implies the whole
+// execution read reconstructible tuples.
+func (sess *Session) checkAfter(from []sql.TableRef) error {
+	if !sess.perTuple {
+		return sess.Check()
+	}
+	for _, tr := range from {
+		if vt := sess.store.lookup(tr.Table); vt != nil && vt.hasUnreconstructible(sess.vn) {
+			return sess.markExpired()
+		}
+	}
+	return nil
 }
 
 // executePlan runs a cached plan, recovering from the rare stale-plan race:
 // the table registry can flip between cache validation and execution (e.g.
 // AdoptTable replacing the table mid-flight), which the plan detects by
 // schema-pointer comparison. Recovery re-derives against the current
-// registry instead of failing the query; the stale cache entry dies on its
+// registry and runs the tree-walker, which resolves tables at execution
+// time, instead of failing the query; the stale cache entry dies on its
 // next lookup.
 func (sess *Session) executePlan(e *planEntry, params exec.Params) (*exec.Rows, error) {
 	st := sess.store
@@ -325,71 +333,6 @@ func (sess *Session) executePlan(e *planEntry, params exec.Params) (*exec.Rows, 
 		return exec.Select(queryCatalog{st}, rw, params)
 	}
 	return rows, err
-}
-
-// queryEntryPerTuple is queryEntry under §3.2's optimistic expiration
-// alternative, mirroring queryPerTuple.
-func (sess *Session) queryEntryPerTuple(e *planEntry, params exec.Params) (*exec.Rows, error) {
-	if sess.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	_, _, floor := sess.store.readGlobals()
-	if sess.vn < floor {
-		return nil, sess.markExpired()
-	}
-	rows, err := sess.executePlan(e, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	for _, tr := range e.src.From {
-		vt := sess.store.lookup(tr.Table)
-		if vt == nil {
-			continue
-		}
-		if vt.hasUnreconstructible(sess.vn) {
-			return nil, sess.markExpired()
-		}
-	}
-	return rows, nil
-}
-
-// queryPerTuple executes with the optimistic expiration discipline: run the
-// rewritten query, then probe each versioned table it touched for tuples
-// the session can no longer reconstruct. Unreconstructibility is monotone
-// (tuple version numbers only grow), so a clean probe after the query
-// implies the whole execution read reconstructible tuples.
-func (sess *Session) queryPerTuple(sel *sql.SelectStmt, params exec.Params) (*exec.Rows, error) {
-	if sess.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	_, _, floor := sess.store.readGlobals()
-	if sess.vn < floor {
-		return nil, sess.markExpired()
-	}
-	rw, err := RewriteSelect(sess.store, sel)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := exec.Select(queryCatalog{sess.store}, rw, withSessionVN(params, sess.vn))
-	if err != nil {
-		return nil, err
-	}
-	if sess.midQueryHook != nil {
-		sess.midQueryHook()
-	}
-	for _, tr := range sel.From {
-		vt := sess.store.lookup(tr.Table)
-		if vt == nil {
-			continue
-		}
-		if vt.hasUnreconstructible(sess.vn) {
-			return nil, sess.markExpired()
-		}
-	}
-	return rows, nil
 }
 
 // hasUnreconstructible reports whether any tuple's oldest recorded

@@ -51,12 +51,6 @@ type Options struct {
 	// operations concurrently. 0 selects GOMAXPROCS at batch time; 1 forces
 	// the sequential path. Per-call override: ApplyBatchWorkers.
 	ApplyWorkers int
-	// PlanCacheSize bounds the ad-hoc rewrite/plan cache (entries, counting
-	// both raw-text and canonical keys). 0 selects the default bound;
-	// negative disables the cache entirely, restoring the parse-and-rewrite-
-	// per-call path — the benchmarks use this to measure what the cache
-	// saves.
-	PlanCacheSize int
 }
 
 // Store is the 2VNL/nVNL controller for one database: it owns the global
@@ -109,8 +103,8 @@ type Store struct {
 	// pass.
 	gcClamp atomic.Pointer[func() (VN, bool)]
 
-	// plans is the ad-hoc rewrite/plan cache (nil when disabled). Entries
-	// invalidate by table-registry pointer, the same rule Prepared uses.
+	// plans is the statement cache every SELECT resolves through. Entries
+	// invalidate by table-registry pointer (plancache.go).
 	plans *planCache
 
 	versionTbl *db.Table // non-nil in relation-backed mode
@@ -172,13 +166,7 @@ func Open(d *db.Database, opts Options) (*Store, error) {
 		metrics:      newStoreMetrics(reg, tracer),
 		commitRetry:  opts.CommitRetry.Normalize(),
 		applyWorkers: opts.ApplyWorkers,
-	}
-	if opts.PlanCacheSize >= 0 {
-		limit := opts.PlanCacheSize
-		if limit == 0 {
-			limit = defaultPlanCacheEntries
-		}
-		s.plans = newPlanCache(limit)
+		plans:        &planCache{m: make(map[string]*planEntry)},
 	}
 	// The store is not shared until Open returns, but the publish
 	// discipline is cheap enough to follow even here.

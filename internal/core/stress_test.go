@@ -267,64 +267,6 @@ func TestSessionSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestMidQueryVersionAdvanceExpires pins the post-query half of the
-// expiration protocol: when the session silently expires between execution
-// and the result being returned (a second maintenance transaction began),
-// QueryStmt reports ErrSessionExpired instead of handing back a result the
-// session's version can no longer vouch for.
-func TestMidQueryVersionAdvanceExpires(t *testing.T) {
-	s := newStore(t, 2)
-	if _, err := s.CreateTable(kvSchema()); err != nil {
-		t.Fatal(err)
-	}
-	m := mustMaint(t, s)
-	if err := m.Insert("kv", kvTuple(1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	commit(t, m) // currentVN = 2
-
-	sel, err := sql.ParseSelect(`SELECT SUM(v) FROM kv`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := s.BeginSession() // VN 2
-	defer sess.Close()
-	var held *Maintenance
-	sess.midQueryHook = func() {
-		// Commit one transaction and begin another: with n = 2 the
-		// session's version is now more than n−1 transactions behind.
-		m := mustMaint(t, s)
-		commit(t, m) // currentVN = 3
-		held = mustMaint(t, s)
-	}
-	if _, err := sess.QueryStmt(sel, nil); !errors.Is(err, ErrSessionExpired) {
-		t.Fatalf("QueryStmt with mid-query version advance = %v, want ErrSessionExpired", err)
-	}
-	sess.midQueryHook = nil
-	commit(t, held)
-
-	// Per-tuple (optimistic) discipline: the session expires only when a
-	// tuple it could need becomes unreconstructible mid-query — here, the
-	// same key updated by two committed transactions while the query runs.
-	pt := s.BeginSessionPerTupleExpiry()
-	defer pt.Close()
-	bump := func() {
-		m := mustMaint(t, s)
-		if _, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(1)},
-			func(c catalog.Tuple) catalog.Tuple {
-				c[1] = catalog.NewInt(c[1].Int() + 1)
-				return c
-			}); err != nil {
-			t.Fatal(err)
-		}
-		commit(t, m)
-	}
-	pt.midQueryHook = func() { bump(); bump() }
-	if _, err := pt.QueryStmt(sel, nil); !errors.Is(err, ErrSessionExpired) {
-		t.Fatalf("per-tuple QueryStmt with mid-query overwrites = %v, want ErrSessionExpired", err)
-	}
-}
-
 // TestActiveSessionsGaugeTracksRegistry pins the Add-based gauge
 // accounting: the gauge moves with every begin/close (idempotently for
 // double closes) and always equals the sharded registry's count.

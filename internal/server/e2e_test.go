@@ -189,6 +189,42 @@ func TestPreparedOverWire(t *testing.T) {
 	}
 }
 
+// The statement table is bounded: a client that inlines literals fills it and
+// is then refused with too_busy, while every id already granted — and a
+// re-Prepare of a known text, which needs no new slot — keeps working.
+func TestStatementTableBounded(t *testing.T) {
+	srv, _ := startServer(t)
+	c := dialServer(t, srv, vnlclient.Options{})
+	if _, err := c.ApplyBatch([]vnlclient.Delta{kvInsert(0, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	var granted []*vnlclient.Stmt
+	var full error
+	for i := 0; full == nil; i++ {
+		if i > 1<<16 {
+			t.Fatal("65536 distinct statements prepared and the table never filled")
+		}
+		st, err := c.Prepare(fmt.Sprintf(`SELECT v FROM kv WHERE k = %d`, i))
+		if err != nil {
+			full = err
+			break
+		}
+		granted = append(granted, st)
+	}
+	if code, ok := vnlclient.ErrorCode(full); !ok || code != vnlclient.CodeTooBusy {
+		t.Fatalf("a full statement table answered %v, want code %v", full, vnlclient.CodeTooBusy)
+	}
+	if _, err := c.Prepare(`SELECT v FROM kv WHERE k = 0`); err != nil {
+		t.Fatalf("re-Prepare of a granted statement: %v", err)
+	}
+	if rows, err := granted[0].Query(nil); err != nil || len(rows.Tuples) != 1 || rows.Tuples[0][0].Int() != 7 {
+		t.Fatalf("first granted statement answered %v, %v", rows, err)
+	}
+	if _, err := granted[len(granted)-1].Query(nil); err != nil {
+		t.Fatalf("last granted statement: %v", err)
+	}
+}
+
 // Concurrent clients issue queries and sessions while maintenance batches
 // commit; run under -race this doubles as the data-race check for the whole
 // serving path.

@@ -138,8 +138,10 @@ type Server struct {
 	// requests queue here instead of erroring.
 	maintMu sync.Mutex
 
-	// stmts is the server-global prepared-statement cache, keyed on
-	// normalized SQL; ids are dense and valid on every connection.
+	// stmts is the server-global prepared-statement table, keyed on
+	// normalized SQL; ids are dense and valid on every connection. It only
+	// interns: the backend's statement (for a store, a handle on a plan-
+	// cache entry) owns the plan. At most maxStatements entries.
 	stmts struct {
 		sync.RWMutex
 		ids  map[string]uint32
@@ -415,9 +417,18 @@ func (s *Server) Close() error {
 	return err
 }
 
+// maxStatements caps the statement table. Ids are never retired, so a client
+// that inlines literals instead of binding parameters would otherwise grow
+// server memory — each statement pins a compiled plan — without limit.
+const maxStatements = 1024
+
+var errStatementsFull = fmt.Errorf("statement table full (%d distinct statements): bind parameters instead of inlining literals", maxStatements)
+
 // prepare returns the server-global statement id for the SQL text,
 // preparing and caching it on first sight. The cache key is the canonical
-// printed form, so formatting variants of one query share an entry.
+// printed form, so formatting variants of one query share an entry. Past
+// maxStatements distinct statements it returns errStatementsFull; ids
+// already granted stay valid.
 func (s *Server) prepare(text string) (uint32, error) {
 	p, err := s.backend.Prepare(text)
 	if err != nil {
@@ -434,6 +445,9 @@ func (s *Server) prepare(text string) (uint32, error) {
 	defer s.stmts.Unlock()
 	if id, ok = s.stmts.ids[key]; ok {
 		return id, nil
+	}
+	if len(s.stmts.list) >= maxStatements {
+		return 0, errStatementsFull
 	}
 	s.stmts.list = append(s.stmts.list, p)
 	id = uint32(len(s.stmts.list)) // ids start at 1; 0 is never granted
@@ -739,6 +753,9 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 			return c.errResp(CodeBadFrame, err)
 		}
 		id, err := s.prepare(p.SQL)
+		if errors.Is(err, errStatementsFull) {
+			return c.errResp(CodeTooBusy, err)
+		}
 		if err != nil {
 			return c.errResp(CodeParse, err)
 		}

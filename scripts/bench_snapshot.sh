@@ -7,8 +7,6 @@
 #   reader_scaling  BenchmarkReaderScaling   (root package)
 #   maintain_batch  BenchmarkMaintainBatch   (root package)
 #   wire_latency    BenchmarkWirePing        (internal/server, single run)
-#   query_latency   BenchmarkQueryLatency    (root package; cached vs
-#                                             uncached ad-hoc, prepared)
 #   replica_catchup BenchmarkReplicaCatchup  (internal/repl; cold-start
 #                                             time-to-VN-parity per backlog)
 #   shard_scaling   BenchmarkShardScaling    (internal/shard; two-phase
@@ -24,7 +22,6 @@
 #   READER_BENCHTIME     -benchtime for reader_scaling  (default 1000x)
 #   BATCH_BENCHTIME      -benchtime for maintain_batch  (default 3x)
 #   WIRE_BENCHTIME       -benchtime for wire_latency    (default 1000x)
-#   QUERY_BENCHTIME      -benchtime for query_latency   (default 1000x)
 #   REPLICA_BENCHTIME    -benchtime for replica_catchup (default 20x)
 #   SHARD_BENCHTIME      -benchtime for shard_scaling   (default 20x)
 set -euo pipefail
@@ -101,6 +98,5 @@ run_group() {
 run_group reader_scaling 'BenchmarkReaderScaling' '.' "${READER_BENCHTIME:-1000x}"
 run_group maintain_batch 'BenchmarkMaintainBatch' '.' "${BATCH_BENCHTIME:-3x}"
 run_group wire_latency '^BenchmarkWirePing$' './internal/server/' "${WIRE_BENCHTIME:-1000x}"
-run_group query_latency '^BenchmarkQueryLatency$' '.' "${QUERY_BENCHTIME:-1000x}"
 run_group replica_catchup '^BenchmarkReplicaCatchup$' './internal/repl/' "${REPLICA_BENCHTIME:-20x}"
 run_group shard_scaling '^BenchmarkShardScaling$' './internal/shard/' "${SHARD_BENCHTIME:-20x}"
