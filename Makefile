@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-e2e-smoke bench-snapshot all
+.PHONY: build test race stress lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-e2e-smoke bench-snapshot clean all
 
 all: build lint test
 
@@ -20,7 +20,7 @@ race:
 # maintenance, shared sessions, mid-query expiry) under the race detector,
 # with a generous timeout so slow CI machines finish the full matrix.
 stress:
-	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance' -count=2 ./internal/core/
+	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance' -count=2 ./internal/core/
 
 # lint runs vnlvet, the in-repo analyzer suite: the paper's latch,
 # guarded-write, decision-table, metric-registry, and WAL-error invariants,
@@ -31,6 +31,11 @@ stress:
 # uploads as an artifact.
 lint:
 	$(GO) run ./cmd/vnlvet -artifact vnlvet-findings.txt ./...
+
+# clean removes the ignored build products a stale copy could mislead with:
+# the benchmark's build directory and the last lint run's findings.
+clean:
+	rm -rf .bench_build vnlvet-findings.txt
 
 # crash runs the exhaustive crash-point sweep: the scripted 2VNL workload
 # is crashed before every persisting I/O boundary, recovered, and checked

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -238,6 +239,7 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 		`SELECT k, v FROM kv WHERE v <> 0 ORDER BY v, k LIMIT 9`,
 		`SELECT CASE WHEN v < 150 THEN 'lo' ELSE 'hi' END FROM kv WHERE k < 20`,
 	}
+	queries = append(queries, groupByQueries...)
 	params := exec.Params{"k": catalog.NewInt(33)}
 	for _, sess := range []*Session{sessA, sessB, sessC} {
 		for _, q := range queries {
@@ -267,6 +269,149 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 		if (werr == nil) != (gerr == nil) || (werr == nil && fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples)) {
 			t.Fatalf("per-tuple %q diverged: %v / %v vs %v / %v", q, got, gerr, want, werr)
 		}
+	}
+
+	for _, n := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("group by/n=%d", n), func(t *testing.T) { groupByAcrossVersions(t, n) })
+	}
+}
+
+// groupByQueries aggregate kv grouped by a key expression over k (never
+// updated) and by one over the updatable v, whose group a tuple falls in
+// depends on the session's version.
+var groupByQueries = []string{
+	`SELECT COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM kv`,
+	`SELECT k / 10, COUNT(*), SUM(v) FROM kv GROUP BY k / 10`,
+	`SELECT v / 100, COUNT(*), MIN(k) FROM kv GROUP BY v / 100`,
+	`SELECT k / 25, SUM(v) FROM kv WHERE v < 1000 GROUP BY k / 25 HAVING SUM(v) > 0`,
+	`SELECT k / 10, MAX(v) FROM kv WHERE k >= :k GROUP BY k / 10 LIMIT 3`,
+}
+
+// groupByAcrossVersions pins the compiled aggregate against legacyQuery at
+// width n for sessions pinned before, during and after maintenance
+// transactions, including one whose query a commit overtakes (midQueryHook):
+// a session reads its version or reports ErrSessionExpired, never a partial
+// aggregate.
+func groupByAcrossVersions(t *testing.T, n int) {
+	s := newStore(t, n)
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	m := mustMaint(t, s)
+	for k := int64(0); k < 100; k++ {
+		if err := m.Insert("kv", kvTuple(k, 100+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+	// maintain runs one transaction that updates, deletes and inserts, and
+	// leaves it open for the caller to commit.
+	round := int64(0)
+	maintain := func() *Maintenance {
+		round++
+		m := mustMaint(t, s)
+		for k := round; k < 100; k += 3 {
+			if _, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(k)},
+				func(old catalog.Tuple) catalog.Tuple { return kvTuple(k, old[1].Int()+37*round) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.DeleteKey("kv", catalog.Tuple{catalog.NewInt(round * 11)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Insert("kv", kvTuple(100+round, round)); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	params := exec.Params{"k": catalog.NewInt(40)}
+	check := func(sess *Session, wantExpired bool) {
+		t.Helper()
+		for _, q := range groupByQueries {
+			got, gerr := sess.Query(q, params)
+			if wantExpired {
+				if !errors.Is(gerr, ErrSessionExpired) || got != nil {
+					t.Fatalf("vn=%d %q: %v, %v; want ErrSessionExpired and no rows", sess.VN(), q, got, gerr)
+				}
+				continue
+			}
+			want, werr := legacyQuery(t, sess, q, params)
+			if gerr != nil || werr != nil {
+				t.Fatalf("vn=%d %q: cached err=%v, oracle err=%v", sess.VN(), q, gerr, werr)
+			}
+			if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
+				t.Fatalf("vn=%d %q:\ncached: %v\noracle: %v", sess.VN(), q, got.Tuples, want.Tuples)
+			}
+		}
+	}
+
+	before := s.BeginSession()
+	defer before.Close()
+	m = maintain()
+	during := s.BeginSession() // the open transaction's tuples are beyond it
+	defer during.Close()
+	check(before, false)
+	check(during, false)
+	commit(t, m)
+	after := s.BeginSession()
+	defer after.Close()
+	check(before, false)
+	check(after, false)
+
+	// A second commit: before and during are two transactions behind, which
+	// only n > 2 can reconstruct.
+	commit(t, maintain())
+	check(before, n == 2)
+	check(during, n == 2)
+	check(after, false)
+
+	// Commits overtaking a query: n-1 of them leave the session's version
+	// reconstructible, n do not, and the post-execution check must say so.
+	for _, commits := range []int{n - 1, n} {
+		sess := s.BeginSession()
+		sess.midQueryHook = func() {
+			for i := 0; i < commits; i++ {
+				commit(t, maintain())
+			}
+			sess.midQueryHook = nil
+		}
+		got, err := sess.Query(groupByQueries[1], params)
+		if commits == n {
+			if !errors.Is(err, ErrSessionExpired) || got != nil {
+				t.Fatalf("%d commits mid-query: %v, %v; want ErrSessionExpired and no rows", commits, got, err)
+			}
+		} else {
+			want, werr := legacyQuery(t, sess, groupByQueries[1], params)
+			if err != nil || werr != nil || fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
+				t.Fatalf("%d commits mid-query: %v, %v; want %v, %v", commits, got, err, want, werr)
+			}
+		}
+		sess.Close()
+	}
+}
+
+// The benchmark's reader statement, rewritten, compiles to the aggregate
+// path: an aggregating statement is vectorized only through the fold.
+func TestBenchmarkGroupByCompiles(t *testing.T) {
+	s := newStore(t, 4)
+	if _, err := s.CreateTable(catalog.MustSchema("fact", []catalog.Column{
+		{Name: "id", Type: catalog.TypeInt, Length: 8},
+		{Name: "grp", Type: catalog.TypeInt, Length: 8},
+		{Name: "qty", Type: catalog.TypeInt, Length: 8, Updatable: true},
+		{Name: "amount", Type: catalog.TypeInt, Length: 8, Updatable: true},
+	}, "id")); err != nil {
+		t.Fatal(err)
+	}
+	sel, err := sql.ParseSelect(`SELECT grp, COUNT(*), SUM(amount) FROM fact GROUP BY grp`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.selectPlan(sel, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.plan.Vectorized() {
+		t.Fatalf("rewritten GROUP BY fell back to the tree-walker:\n%s", sql.Print(e.plan.Statement()))
 	}
 }
 

@@ -183,6 +183,172 @@ func runStress(t *testing.T, mode RollbackMode, relation bool) {
 	}
 }
 
+// TestAggregateConservationUnderMaintenance races the compiled aggregate's
+// fold — which reads each stored tuple under its page latch and copies none —
+// against batched maintenance. Every batch moves amount between row pairs and
+// inserts then deletes fresh rows, so COUNT(*) and SUM(amount) never change;
+// every fourth batch rolls back and GC runs between batches. A session must
+// read the invariant through the plain and the grouped aggregate, or be told
+// it expired: a torn, skipped or double-counted tuple breaks it. Run it under
+// -race (make stress does).
+func TestAggregateConservationUnderMaintenance(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			runConservation(t, n)
+		})
+	}
+}
+
+func runConservation(t *testing.T, n int) {
+	const (
+		rows   = 64
+		groups = 8
+		total  = int64(rows * 100)
+	)
+	s := newStore(t, n)
+	if _, err := s.CreateTable(catalog.MustSchema("fact", []catalog.Column{
+		{Name: "id", Type: catalog.TypeInt, Length: 8},
+		{Name: "grp", Type: catalog.TypeInt, Length: 8},
+		{Name: "amount", Type: catalog.TypeInt, Length: 8, Updatable: true},
+	}, "id")); err != nil {
+		t.Fatal(err)
+	}
+	row := func(id, amount int64) catalog.Tuple {
+		return catalog.Tuple{catalog.NewInt(id), catalog.NewInt(id % groups), catalog.NewInt(amount)}
+	}
+	amounts := make([]int64, rows) // the writer's model of the committed state
+	m := mustMaint(t, s)
+	for id := range amounts {
+		amounts[id] = 100
+		if err := m.Insert("fact", row(int64(id), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+
+	batches := 40
+	if testing.Short() {
+		batches = 10
+	}
+	const readers = 3
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errCh := make(chan error, readers+1) // one send at most per goroutine
+
+	// The writer runs a fixed number of batches; readers read until it stops.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		fresh := int64(1 << 20)
+		for i := 0; i < batches; i++ {
+			next := append([]int64(nil), amounts...)
+			var deltas []Delta
+			for j := 0; j < 8; j++ {
+				a, b := (i*7+j*5)%rows, (i*3+j*11+1)%rows
+				if a == b {
+					continue
+				}
+				d := int64(i%13 + j)
+				next[a] -= d
+				next[b] += d
+				for _, id := range []int{a, b} {
+					deltas = append(deltas, Delta{Table: "fact", Op: DeltaUpdate,
+						Row: row(int64(id), next[id]), Key: catalog.Tuple{catalog.NewInt(int64(id))}})
+				}
+			}
+			for j := 0; j < 4; j++ {
+				deltas = append(deltas,
+					Delta{Table: "fact", Op: DeltaInsert, Row: row(fresh, 1000)},
+					Delta{Table: "fact", Op: DeltaDelete, Key: catalog.Tuple{catalog.NewInt(fresh)}})
+				fresh++
+			}
+			m, err := s.BeginMaintenance()
+			if err != nil {
+				errCh <- fmt.Errorf("writer begin: %w", err)
+				return
+			}
+			if _, err := m.ApplyBatch(deltas); err != nil {
+				errCh <- fmt.Errorf("writer batch: %w", err)
+				_ = m.Rollback() // the batch error is the one reported
+				return
+			}
+			if i%4 == 3 {
+				err = m.Rollback()
+			} else if err = m.Commit(); err == nil {
+				amounts = next
+			}
+			if err != nil {
+				errCh <- fmt.Errorf("writer finish: %w", err)
+				return
+			}
+			s.GC()
+		}
+	}()
+
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := readConserved(s, rows, total); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if err := readConserved(s, rows, total); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readConserved runs one session of aggregate reads and checks each against
+// the invariant; an expired session ends early and is no error.
+func readConserved(s *Store, rows, total int64) error {
+	sess := s.BeginSession()
+	defer sess.Close()
+	for q := 0; q < 4; q++ {
+		plain, err := sess.Query(`SELECT COUNT(*), SUM(amount) FROM fact`, nil)
+		if errors.Is(err, ErrSessionExpired) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("reader: %w", err)
+		}
+		if c, sum := plain.Tuples[0][0].Int(), plain.Tuples[0][1].Int(); c != rows || sum != total {
+			return fmt.Errorf("session VN %d read COUNT(*) = %d, SUM(amount) = %d; want %d, %d", sess.VN(), c, sum, rows, total)
+		}
+		grouped, err := sess.Query(`SELECT grp, COUNT(*), SUM(amount) FROM fact GROUP BY grp`, nil)
+		if errors.Is(err, ErrSessionExpired) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("reader: %w", err)
+		}
+		var c, sum int64
+		for _, g := range grouped.Tuples {
+			c += g[1].Int()
+			sum += g[2].Int()
+		}
+		if c != rows || sum != total {
+			return fmt.Errorf("session VN %d read %d groups totalling COUNT %d, SUM %d; want %d, %d", sess.VN(), len(grouped.Tuples), c, sum, rows, total)
+		}
+	}
+	return nil
+}
+
 // TestSessionSharedAcrossGoroutines uses one Session from many goroutines
 // at once — queries, checks, gets — while maintenance advances the
 // version, then closes it from every goroutine concurrently. The session's

@@ -1,0 +1,377 @@
+package exec
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/catalog"
+	"repro/internal/sql"
+	"repro/internal/storage"
+)
+
+// This file implements the compiled hash aggregate: a single-table
+// COUNT/SUM/AVG/MIN/MAX with optional WHERE, GROUP BY, HAVING and LIMIT. The
+// fold is itself the Table.ScanFilter predicate, so it runs against each
+// stored tuple under the page latch and keeps nothing: per tuple it picks the
+// Table 1 variant, filters, evaluates the group key into a scratch tuple,
+// finds the group and adds the aggregate inputs, then answers false, so the
+// page walker copies no tuple. It allocates only when a new group appears.
+//
+// After the walk, HAVING and the select list run once per group against the
+// group row [key₀ … keyₖ₋₁, result₀ … resultₘ₋₁]: a subtree that prints like
+// a GROUP BY expression reads a key slot, an aggregate call reads a result
+// slot. Any other column reference — the tree-walker's representative-row
+// semantics — does not compile, and the statement falls back.
+
+// foldExprs are the closures one statement variant evaluates per stored
+// tuple: the WHERE (nil when absent), the GROUP BY key, and each aggregate
+// call's argument (nil for COUNT(*)).
+type foldExprs struct {
+	filter compiledExpr
+	keys   []compiledExpr
+	args   []compiledExpr
+}
+
+// aggPlan is the compiled aggregate of a Plan.
+type aggPlan struct {
+	full foldExprs
+	// fast is the Table 1 case-1 variant; used only when the Plan has a
+	// classifier (see CompileOptions).
+	fast   foldExprs
+	fns    []string // the aggregate function of each result slot
+	having compiledExpr
+	out    []compiledExpr // the select list, over the group row
+}
+
+// groupRow is a statement's select list and HAVING rewritten over the group
+// row, and the aggregate calls that fill its result slots.
+type groupRow struct {
+	keys   map[string]int // printed GROUP BY expression → key slot
+	calls  []*sql.FuncCall
+	out    []sql.Expr
+	having sql.Expr
+}
+
+func slotName(kind byte, i int) string { return fmt.Sprintf("#%c%d", kind, i) }
+
+// bind returns a copy of e over the group row, appending its aggregate calls
+// to g.calls.
+func (g *groupRow) bind(e sql.Expr) sql.Expr {
+	return replaceOuter(e, func(x sql.Expr) sql.Expr {
+		if i, ok := g.keys[sql.PrintExpr(x)]; ok {
+			return &sql.ColumnRef{Name: slotName('k', i)}
+		}
+		if fc, ok := x.(*sql.FuncCall); ok && IsAggregate(fc.Name) {
+			g.calls = append(g.calls, fc)
+			return &sql.ColumnRef{Name: slotName('a', len(g.calls)-1)}
+		}
+		return nil
+	})
+}
+
+// compileFold compiles what the fold evaluates for stmt and binds stmt's
+// select list and HAVING over the group row.
+func compileFold(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem) (foldExprs, *groupRow, error) {
+	var f foldExprs
+	g := &groupRow{keys: make(map[string]int, len(stmt.GroupBy))}
+	if stmt.Where != nil {
+		fn, err := comp.compile(stmt.Where)
+		if err != nil {
+			return f, nil, err
+		}
+		f.filter = fn
+	}
+	for i, ge := range stmt.GroupBy {
+		fn, err := comp.compile(ge)
+		if err != nil {
+			return f, nil, err
+		}
+		f.keys = append(f.keys, fn)
+		g.keys[sql.PrintExpr(ge)] = i // a repeated key: either slot holds its value
+	}
+	for _, it := range items {
+		g.out = append(g.out, g.bind(it.Expr))
+	}
+	g.having = g.bind(stmt.Having)
+	for _, fc := range g.calls {
+		if fc.Star {
+			f.args = append(f.args, nil)
+			continue
+		}
+		if len(fc.Args) == 0 {
+			return f, nil, fmt.Errorf("exec: %s needs an argument", fc.Name)
+		}
+		fn, err := comp.compile(fc.Args[0])
+		if err != nil {
+			return f, nil, err
+		}
+		f.args = append(f.args, fn)
+	}
+	return f, g, nil
+}
+
+// compileAgg compiles an aggregating statement into p. It reports false when
+// some expression does not compile, and the statement takes the fallback
+// path, which reports any error when it runs.
+func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem, opts *CompileOptions) bool {
+	full, g, err := compileFold(comp, stmt, items)
+	if err != nil {
+		return false
+	}
+	a := &aggPlan{full: full}
+	cols := make([]catalog.Column, len(stmt.GroupBy), len(stmt.GroupBy)+len(g.calls))
+	for i := range cols {
+		cols[i].Name = slotName('k', i)
+	}
+	for i, fc := range g.calls {
+		a.fns = append(a.fns, fc.Name)
+		cols = append(cols, catalog.Column{Name: slotName('a', i)})
+	}
+	row := []binding{{schema: &catalog.Schema{Columns: cols}}}
+	for i, e := range g.out {
+		fn, err := comp.compileAt(row, e)
+		if err != nil {
+			return false
+		}
+		a.out = append(a.out, fn)
+		p.columns = append(p.columns, itemName(items[i], i))
+	}
+	if g.having != nil {
+		if a.having, err = comp.compileAt(row, g.having); err != nil {
+			return false
+		}
+	}
+	if opts != nil && opts.Fast != nil && opts.Classify != nil {
+		fastItems := expandStars(opts.Fast, &env{bindings: comp.bindings})
+		fast, fg, err := compileFold(comp, opts.Fast, fastItems)
+		if err == nil && sameCalls(fg.calls, g.calls) && len(fast.keys) == len(full.keys) {
+			a.fast = fast
+			p.classify = opts.Classify
+			p.classifyParam = opts.ClassifyParam
+		}
+	}
+	p.agg = a
+	return true
+}
+
+// sameCalls reports whether two variants aggregate the same functions in the
+// same slots.
+func sameCalls(a, b []*sql.FuncCall) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || a[i].Star != b[i].Star {
+			return false
+		}
+	}
+	return true
+}
+
+// aggPartial is the group table of one fold: groups in discovery order, each
+// a key and one aggState per aggregate call. It is a partial aggregate —
+// merge combines the tables of two folds over disjoint tuples into the one a
+// single fold over both would build — so folds over parts of a relation can
+// run apart and combine.
+type aggPartial struct {
+	fns    []string
+	width  int            // key values per group
+	first  map[uint64]int // key hash → newest group with that hash
+	next   []int          // per group: an older group with the same hash, or -1
+	keys   []catalog.Value
+	states []aggState
+}
+
+func newAggPartial(fns []string, width int) aggPartial {
+	return aggPartial{fns: fns, width: width, first: make(map[uint64]int)}
+}
+
+func (p *aggPartial) len() int { return len(p.next) }
+
+func (p *aggPartial) key(g int) catalog.Tuple {
+	return p.keys[g*p.width : (g+1)*p.width : (g+1)*p.width]
+}
+
+func (p *aggPartial) statesOf(g int) []aggState {
+	n := len(p.fns)
+	return p.states[g*n : (g+1)*n]
+}
+
+// group returns the aggregate states of key's group, adding the group — and
+// copying key — if it is new. Keys group by catalog.TuplesEqual, so NULL keys
+// share one group.
+func (p *aggPartial) group(key catalog.Tuple) []aggState {
+	h := catalog.HashTuple(key)
+	head, seen := p.first[h]
+	if !seen {
+		head = -1
+	}
+	for g := head; g >= 0; g = p.next[g] {
+		if catalog.TuplesEqual(p.key(g), key) {
+			return p.statesOf(g)
+		}
+	}
+	g := p.len()
+	p.first[h] = g
+	p.next = append(p.next, head)
+	p.keys = append(p.keys, key...)
+	for _, fn := range p.fns {
+		p.states = append(p.states, aggState{fn: fn})
+	}
+	return p.statesOf(g)
+}
+
+// merge adds q's groups to p; groups new to p follow p's own, in q's order.
+func (p *aggPartial) merge(q *aggPartial) error {
+	for g := 0; g < q.len(); g++ {
+		dst, src := p.group(q.key(g)), q.statesOf(g)
+		for i := range dst {
+			if err := dst[i].merge(&src[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// aggRun is the state of one aggregate Execute.
+type aggRun struct {
+	p      *Plan
+	ctx    *evalCtx
+	clsVal catalog.Value
+	split  bool          // clsVal is bound: choose the variant per tuple
+	key    catalog.Tuple // the current tuple's group key (scratch)
+	part   aggPartial
+}
+
+func (p *Plan) newAggRun(params Params) *aggRun {
+	width := len(p.agg.full.keys)
+	r := &aggRun{
+		p:    p,
+		ctx:  p.comp.newCtx(params),
+		key:  make(catalog.Tuple, width),
+		part: newAggPartial(p.agg.fns, width),
+	}
+	if p.classify != nil {
+		r.clsVal, r.split = params[p.classifyParam]
+	}
+	return r
+}
+
+// executeAgg runs an aggregate plan: fold the table, then evaluate HAVING and
+// the select list per group.
+func (p *Plan) executeAgg(tbl Table, params Params) (*Rows, error) {
+	out := &Rows{Columns: p.columns}
+	if p.limit != nil && *p.limit <= 0 {
+		return out, nil
+	}
+	r := p.newAggRun(params)
+	if err := r.foldTable(tbl); err != nil {
+		return nil, err
+	}
+	return r.finish(out)
+}
+
+// foldTable folds every tuple of tbl the WHERE accepts: through the index
+// access path when the WHERE's equality conjuncts reach one, else in place
+// under the page latch.
+func (r *aggRun) foldTable(tbl Table) error {
+	if rids, ok := r.p.lookupRIDs(r.ctx, tbl); ok {
+		for _, rid := range rids {
+			t, err := tbl.Get(rid)
+			if err != nil {
+				if errors.Is(err, storage.ErrNotFound) {
+					continue // slot concurrently freed; legal skip
+				}
+				return fmt.Errorf("exec: indexed read of %v: %w", rid, err)
+			}
+			if _, err := r.fold(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return tbl.ScanFilter(r.fold, func([]storage.RID, []catalog.Tuple) bool { return true })
+}
+
+// fold adds t to its group when t passes the WHERE. It is the predicate
+// handed to Table.ScanFilter and never keeps t, so it runs under the page
+// latch: it neither retains t (values copied out of it are immutable) nor
+// allocates, except to admit a new group or to build an error.
+func (r *aggRun) fold(t catalog.Tuple) (bool, error) {
+	in := &r.p.agg.full
+	if r.split && r.p.classify(t, r.clsVal) {
+		in = &r.p.agg.fast
+	}
+	if in.filter != nil {
+		v, err := in.filter(r.ctx, t)
+		if err != nil || !truthy(v) {
+			return false, err
+		}
+	}
+	for i, k := range in.keys {
+		v, err := k(r.ctx, t)
+		if err != nil {
+			return false, err
+		}
+		r.key[i] = v
+	}
+	states := r.part.group(r.key)
+	for i, arg := range in.args {
+		v := catalog.NewInt(1) // non-null sentinel: COUNT(*) counts rows
+		if arg != nil {
+			var err error
+			if v, err = arg(r.ctx, t); err != nil {
+				return false, err
+			}
+		}
+		if err := states[i].add(v); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// finish evaluates HAVING and the select list over each group row, in
+// discovery order, up to the LIMIT. Without GROUP BY there is exactly one
+// group, empty input included.
+func (r *aggRun) finish(out *Rows) (*Rows, error) {
+	a, part := r.p.agg, &r.part
+	if part.len() == 0 && part.width == 0 {
+		part.group(r.key)
+	}
+	n, w := part.len(), len(a.out)
+	if r.p.limit != nil {
+		n = min(n, int(*r.p.limit))
+	}
+	row := make(catalog.Tuple, part.width+len(a.fns))
+	free := make([]catalog.Value, n*w)
+	out.Tuples = make([]catalog.Tuple, 0, n)
+	for g := 0; g < part.len() && len(out.Tuples) < n; g++ {
+		copy(row, part.key(g))
+		states := part.statesOf(g)
+		for i := range states {
+			row[part.width+i] = states[i].result()
+		}
+		if a.having != nil {
+			v, err := a.having(r.ctx, row)
+			if err != nil {
+				return nil, err
+			}
+			if !truthy(v) {
+				continue
+			}
+		}
+		t := catalog.Tuple(free[:w:w])
+		free = free[w:]
+		for i, fn := range a.out {
+			v, err := fn(r.ctx, row)
+			if err != nil {
+				return nil, err
+			}
+			t[i] = v
+		}
+		out.Tuples = append(out.Tuples, t)
+	}
+	return out, nil
+}

@@ -328,6 +328,16 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 	}
 }
 
+// compileAt compiles e against other bindings — the aggregate's group row —
+// sharing c's parameter slots, so closures compiled either way evaluate in
+// one execution context.
+func (c *compiler) compileAt(bindings []binding, e sql.Expr) (compiledExpr, error) {
+	saved := c.bindings
+	c.bindings = bindings
+	defer func() { c.bindings = saved }()
+	return c.compile(e)
+}
+
 // compileBinary specializes the operator at compile time. AND/OR evaluate
 // both sides (no short-circuit on errors) with three-valued logic, exactly
 // as evalBinary does.
@@ -472,9 +482,12 @@ func (c *compiler) compileBinary(x *sql.BinaryExpr) (compiledExpr, error) {
 	return nil, fmt.Errorf("exec: unknown binary operator %v", x.Op)
 }
 
-// compileFunc compiles scalar function calls. Aggregates never reach a
-// compiled plan (plans with aggregates fall back to the tree-walking
-// executor), so they are a compile error here.
+// compileFunc compiles scalar function calls. An aggregate is not a function
+// of one row: the compiled aggregate (agg.go) replaces each aggregate call by
+// a slot of its group row before compiling what surrounds it, so an
+// aggregate that reaches this point — in a WHERE, a GROUP BY key or another
+// aggregate's argument — is a compile error, and the statement falls back to
+// the tree-walker, which reports it.
 func (c *compiler) compileFunc(x *sql.FuncCall) (compiledExpr, error) {
 	if IsAggregate(x.Name) {
 		return nil, fmt.Errorf("exec: cannot compile aggregate %s", x.Name)

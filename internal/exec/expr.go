@@ -31,7 +31,8 @@ type Table interface {
 	// accepts. pred sees the stored tuple under the page latch: it must not
 	// retain or modify it, block, or call back into the table. The slices
 	// fn receives are overwritten by the next page. An error from pred ends
-	// the scan and is returned.
+	// the scan and is returned. A pred that accepts nothing — the
+	// aggregate's fold — makes the scan copy nothing.
 	ScanFilter(pred func(catalog.Tuple) (bool, error), fn func([]storage.RID, []catalog.Tuple) bool) error
 	// Get returns the tuple at rid.
 	Get(rid storage.RID) (catalog.Tuple, error)

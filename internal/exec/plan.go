@@ -26,8 +26,9 @@ var ErrPlanStale = errors.New("exec: plan compiled against a replaced table")
 // statement it would run for a tuple readable in its current version
 // (Table 1 / §5 case 1 — no CASE reconstruction), plus a per-tuple
 // classifier. A tuple that classifies fast runs the fast filter and
-// projections; any other runs the full rewritten form. Executions that do
-// not bind ClassifyParam run the full form throughout.
+// projections — for an aggregate, the fast filter, group key and aggregate
+// inputs; any other runs the full rewritten form. Executions that do not
+// bind ClassifyParam run the full form throughout.
 type CompileOptions struct {
 	// Fast is the case-1 variant of the statement: same output columns,
 	// valid for a tuple t whenever Classify(t, v) is true, where v is the
@@ -43,13 +44,15 @@ type CompileOptions struct {
 	ClassifyParam string
 }
 
-// Plan is a SELECT compiled for repeated execution: filter and projection
-// expressions are compiled closures (column offsets and parameter slots
-// resolved once), and execution filters the table in place, page by page,
-// and projects the survivors (see Execute). Statements outside the vectorized
-// subset — joins, aggregates, GROUP BY/HAVING, ORDER BY, DISTINCT, no FROM
-// — compile to a fallback plan that executes through the tree-walking
-// executor, still skipping parse and rewrite when cached.
+// Plan is a SELECT compiled for repeated execution: its expressions are
+// compiled closures (column offsets and parameter slots resolved once), and
+// execution evaluates them against the stored tuples in place, page by page
+// (see Execute). A scan projects the tuples that pass the WHERE; an aggregate
+// folds them into a hash table of groups and projects the groups (agg.go).
+// Statements outside that subset — joins, ORDER BY, DISTINCT, no FROM, an
+// aggregate whose select list reads a column that is not grouped — compile to
+// a fallback plan that executes through the tree-walking executor, still
+// skipping parse and rewrite when cached.
 //
 // A Plan is immutable after CompileSelect returns and safe for concurrent
 // use by any number of goroutines; each Execute builds its own evaluation
@@ -65,6 +68,7 @@ type Plan struct {
 	comp    *compiler
 	filter  compiledExpr // nil when the statement has no WHERE
 	project []compiledExpr
+	agg     *aggPlan // non-nil: the statement aggregates; filter and project are unused
 	columns []string
 	limit   *int64
 
@@ -80,22 +84,24 @@ type Plan struct {
 	classifyParam string
 }
 
-// Vectorized reports whether the plan runs the batched pipeline (false
-// means Execute falls back to the tree-walking executor).
+// Vectorized reports whether the plan runs compiled closures — the scan
+// pipeline or the hash aggregate (false means Execute falls back to the
+// tree-walking executor).
 func (p *Plan) Vectorized() bool { return p.vectorized }
 
 // Statement returns the statement the plan was compiled from.
 func (p *Plan) Statement() *sql.SelectStmt { return p.stmt }
 
-// CompileSelect compiles stmt against cat. Statements in the vectorized
-// subset (single-table scan/filter/project, optionally with LIMIT) get
-// compiled closures and the batched pipeline; everything else returns a
-// fallback plan whose Execute runs the tree-walking executor. The returned
-// plan retains stmt; callers must not mutate it afterwards.
+// CompileSelect compiles stmt against cat. A single-table statement without
+// ORDER BY or DISTINCT gets compiled closures: the scan pipeline when it
+// projects rows, the hash aggregate (agg.go) when it has aggregates, GROUP BY
+// or HAVING, either with LIMIT. Everything else, and any statement with an
+// expression that does not compile, returns a fallback plan whose Execute runs
+// the tree-walking executor. The returned plan retains stmt; callers must not
+// mutate it afterwards.
 func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Plan, error) {
-	p := &Plan{stmt: stmt}
-	if !vectorizable(stmt) {
-		return p, nil
+	if len(stmt.From) != 1 || stmt.Distinct || len(stmt.OrderBy) > 0 {
+		return &Plan{stmt: stmt}, nil
 	}
 	tr := stmt.From[0]
 	tbl, err := cat.Table(tr.Table)
@@ -105,67 +111,49 @@ func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Pl
 	sc := tbl.Schema()
 	comp := newCompiler([]binding{{name: tr.Binding(), schema: sc, offset: 0}})
 
-	items, err := expandStars(stmt, &env{bindings: comp.bindings})
-	if err != nil {
-		return nil, err
+	p := &Plan{stmt: stmt}
+	items := expandStars(stmt, &env{bindings: comp.bindings})
+	var ok bool
+	if len(stmt.GroupBy) > 0 || stmt.Having != nil || anyAggregate(items) {
+		ok = p.compileAgg(comp, stmt, items, opts)
+	} else {
+		ok = p.compileScan(comp, stmt, items, opts)
 	}
-	filter, project, columns, ok := compileFilterProject(comp, stmt.Where, items)
 	if !ok {
 		// Unresolvable or uncompilable expression: the fallback path
 		// reports the same error at execution time.
-		return p, nil
+		return &Plan{stmt: stmt}, nil
 	}
-
 	p.vectorized = true
 	p.table = tr.Table
 	p.binding = tr.Binding()
 	p.schema = sc
 	p.comp = comp
+	p.limit = stmt.Limit
+	p.compileEqConjuncts(comp, stmt.Where)
+	return p, nil
+}
+
+// compileScan compiles a scan/filter/project statement into p, with its fast
+// variant when opts has one; false means the statement falls back.
+func (p *Plan) compileScan(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem, opts *CompileOptions) bool {
+	filter, project, columns, ok := compileFilterProject(comp, stmt.Where, items)
+	if !ok {
+		return false
+	}
 	p.filter = filter
 	p.project = project
 	p.columns = columns
-	p.limit = stmt.Limit
-	p.compileEqConjuncts(comp, stmt.Where)
-
 	if opts != nil && opts.Fast != nil && opts.Classify != nil {
 		// The fast variant compiles with the same compiler, so both
 		// variants share one parameter-slot table and one execution
 		// context.
-		fastItems, err := expandStars(opts.Fast, &env{bindings: comp.bindings})
-		if err == nil {
-			if ff, fp, _, ok := compileFilterProject(comp, opts.Fast.Where, fastItems); ok && len(fp) == len(project) {
-				p.fastFilter = ff
-				p.fastProject = fp
-				p.classify = opts.Classify
-				p.classifyParam = opts.ClassifyParam
-			}
-		}
-	}
-	return p, nil
-}
-
-// vectorizable reports whether the statement is in the batched subset.
-func vectorizable(stmt *sql.SelectStmt) bool {
-	if len(stmt.From) != 1 || stmt.Distinct {
-		return false
-	}
-	if len(stmt.GroupBy) > 0 || stmt.Having != nil || len(stmt.OrderBy) > 0 {
-		return false
-	}
-	for _, it := range stmt.Items {
-		if it.Star {
-			continue
-		}
-		agg := false
-		sql.WalkExpr(it.Expr, func(e sql.Expr) bool {
-			if fc, ok := e.(*sql.FuncCall); ok && IsAggregate(fc.Name) {
-				agg = true
-				return false
-			}
-			return true
-		})
-		if agg {
-			return false
+		fastItems := expandStars(opts.Fast, &env{bindings: comp.bindings})
+		if ff, fp, _, ok := compileFilterProject(comp, opts.Fast.Where, fastItems); ok && len(fp) == len(project) {
+			p.fastFilter = ff
+			p.fastProject = fp
+			p.classify = opts.Classify
+			p.classifyParam = opts.ClassifyParam
 		}
 	}
 	return true
@@ -271,8 +259,10 @@ func equalFold(a, b string) bool {
 // Execute runs the plan. A vectorized plan without a usable index hands its
 // filter to the table's page walker, which evaluates it against each stored
 // tuple under the page latch and copies out only the survivors; Execute
-// projects those. With an index it fetches the matching RIDs one by one.
-// Fallback plans run the tree-walking executor on the stored statement.
+// projects those. An aggregate plan hands the walker its fold instead, which
+// keeps no tuple at all (see executeAgg). With an index either fetches the
+// matching RIDs one by one. Fallback plans run the tree-walking executor on
+// the stored statement.
 func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
 	if !p.vectorized {
 		return Select(cat, p.stmt, params)
@@ -283,6 +273,9 @@ func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
 	}
 	if tbl.Schema() != p.schema {
 		return nil, fmt.Errorf("%w: %s", ErrPlanStale, p.table)
+	}
+	if p.agg != nil {
+		return p.executeAgg(tbl, params)
 	}
 	out := &Rows{Columns: p.columns}
 	if p.limit != nil && *p.limit <= 0 {

@@ -92,10 +92,7 @@ func Select(cat Catalog, stmt *sql.SelectStmt, params Params) (*Rows, error) {
 		}
 		rows = kept
 	}
-	items, err := expandStars(stmt, ev)
-	if err != nil {
-		return nil, err
-	}
+	items := expandStars(stmt, ev)
 	var out *Rows
 	if len(stmt.GroupBy) > 0 || anyAggregate(items) || stmt.Having != nil {
 		out, err = aggregate(stmt, items, rows, ev)
@@ -206,7 +203,7 @@ func joinFrom(cat Catalog, from []sql.TableRef, ev *env, where sql.Expr, params 
 }
 
 // expandStars replaces `*` select items with explicit column references.
-func expandStars(stmt *sql.SelectStmt, ev *env) ([]sql.SelectItem, error) {
+func expandStars(stmt *sql.SelectStmt, ev *env) []sql.SelectItem {
 	var items []sql.SelectItem
 	for _, it := range stmt.Items {
 		if !it.Star {
@@ -222,7 +219,7 @@ func expandStars(stmt *sql.SelectStmt, ev *env) ([]sql.SelectItem, error) {
 			}
 		}
 	}
-	return items, nil
+	return items
 }
 
 func anyAggregate(items []sql.SelectItem) bool {
@@ -335,6 +332,37 @@ func (a *aggState) add(v catalog.Value) error {
 	return nil
 }
 
+// merge adds what b accumulated to a, as if a had seen b's rows itself: the
+// combine step of a partial aggregate. a and b aggregate the same function.
+func (a *aggState) merge(b *aggState) error {
+	if (a.fn == "MIN" || a.fn == "MAX") && b.count > 0 {
+		if a.count == 0 {
+			a.min, a.max = b.min, b.max
+		} else {
+			cmin, err := compare(b.min, a.min)
+			if err != nil {
+				return err
+			}
+			if cmin < 0 {
+				a.min = b.min
+			}
+			cmax, err := compare(b.max, a.max)
+			if err != nil {
+				return err
+			}
+			if cmax > 0 {
+				a.max = b.max
+			}
+		}
+	}
+	a.count += b.count
+	a.sumI += b.sumI
+	a.sumF += b.sumF
+	a.isFlt = a.isFlt || b.isFlt
+	a.sawAny = a.sawAny || b.sawAny
+	return nil
+}
+
 func (a *aggState) result() catalog.Value {
 	switch a.fn {
 	case "COUNT":
@@ -375,30 +403,55 @@ type group struct {
 	states []*aggState
 }
 
-// collectAggCalls finds every aggregate FuncCall in the select list and
-// HAVING clause, in a stable order, returning them plus an index map.
-func collectAggCalls(items []sql.SelectItem, having sql.Expr) []*sql.FuncCall {
-	var calls []*sql.FuncCall
-	add := func(e sql.Expr) {
-		sql.WalkExpr(e, func(x sql.Expr) bool {
-			if fc, ok := x.(*sql.FuncCall); ok && IsAggregate(fc.Name) {
-				calls = append(calls, fc)
-				return false // aggregates don't nest
-			}
-			return true
-		})
+// replaceOuter returns a copy of e in which every outermost subtree for which
+// match returns non-nil is replaced by what it returned. match sees the
+// copy's nodes top-down, so a matched node still holds its own children.
+func replaceOuter(e sql.Expr, match func(sql.Expr) sql.Expr) sql.Expr {
+	if e == nil {
+		return nil
 	}
-	for _, it := range items {
-		add(it.Expr)
-	}
-	add(having)
-	return calls
+	e = sql.CloneExpr(e)
+	repl := make(map[sql.Expr]sql.Expr)
+	sql.WalkExpr(e, func(x sql.Expr) bool {
+		if r := match(x); r != nil {
+			repl[x] = r
+			return false
+		}
+		return true
+	})
+	return sql.TransformExpr(e, func(x sql.Expr) sql.Expr {
+		if r, ok := repl[x]; ok {
+			return r
+		}
+		return x
+	})
 }
 
 // aggregate implements GROUP BY / HAVING / aggregate-only queries via hash
 // aggregation.
 func aggregate(stmt *sql.SelectStmt, items []sql.SelectItem, rows []catalog.Tuple, ev *env) (*Rows, error) {
-	aggCalls := collectAggCalls(items, stmt.Having)
+	// Each aggregate call in the select list and HAVING becomes a literal
+	// that takes the group's result; the expression around it is then
+	// evaluated once, against the group's representative row.
+	var aggCalls []*sql.FuncCall
+	var results []*sql.Literal
+	bind := func(e sql.Expr) sql.Expr {
+		return replaceOuter(e, func(x sql.Expr) sql.Expr {
+			fc, ok := x.(*sql.FuncCall)
+			if !ok || !IsAggregate(fc.Name) {
+				return nil
+			}
+			lit := &sql.Literal{}
+			aggCalls = append(aggCalls, fc)
+			results = append(results, lit)
+			return lit
+		})
+	}
+	exprs := make([]sql.Expr, len(items))
+	for i, it := range items {
+		exprs[i] = bind(it.Expr)
+	}
+	having := bind(stmt.Having)
 	groups := make(map[uint64][]*group)
 	var order []*group
 
@@ -459,11 +512,11 @@ func aggregate(stmt *sql.SelectStmt, items []sql.SelectItem, rows []catalog.Tupl
 		out.Columns = append(out.Columns, itemName(it, i))
 	}
 	for _, g := range order {
-		// Evaluate each output item with aggregate calls replaced by their
-		// computed results for this group.
-		gev := &aggEnv{env: ev, calls: aggCalls, group: g}
-		if stmt.Having != nil {
-			hv, err := gev.evalAgg(stmt.Having)
+		for i, lit := range results {
+			lit.Value = g.states[i].result()
+		}
+		if having != nil {
+			hv, err := ev.eval(having, g.rep)
 			if err != nil {
 				return nil, err
 			}
@@ -471,9 +524,9 @@ func aggregate(stmt *sql.SelectStmt, items []sql.SelectItem, rows []catalog.Tupl
 				continue
 			}
 		}
-		t := make(catalog.Tuple, len(items))
-		for i, it := range items {
-			v, err := gev.evalAgg(it.Expr)
+		t := make(catalog.Tuple, len(exprs))
+		for i, e := range exprs {
+			v, err := ev.eval(e, g.rep)
 			if err != nil {
 				return nil, err
 			}
@@ -482,68 +535,6 @@ func aggregate(stmt *sql.SelectStmt, items []sql.SelectItem, rows []catalog.Tupl
 		out.Tuples = append(out.Tuples, t)
 	}
 	return out, nil
-}
-
-// aggEnv evaluates expressions in a per-group context: aggregate calls
-// resolve to the group's accumulated results, everything else evaluates
-// against the group's representative row.
-type aggEnv struct {
-	env   *env
-	calls []*sql.FuncCall
-	group *group
-}
-
-func (a *aggEnv) evalAgg(e sql.Expr) (catalog.Value, error) {
-	if e == nil {
-		return catalog.Null, nil
-	}
-	// Identify aggregate calls by pointer (the same nodes collected
-	// earlier), substitute their results, and recurse structurally for
-	// everything else.
-	for i, fc := range a.calls {
-		if e == sql.Expr(fc) {
-			return a.group.states[i].result(), nil
-		}
-	}
-	switch x := e.(type) {
-	case *sql.BinaryExpr:
-		l, err := a.evalAgg(x.L)
-		if err != nil {
-			return catalog.Null, err
-		}
-		r, err := a.evalAgg(x.R)
-		if err != nil {
-			return catalog.Null, err
-		}
-		return a.env.evalBinary(&sql.BinaryExpr{Op: x.Op, L: &sql.Literal{Value: l}, R: &sql.Literal{Value: r}}, nil)
-	case *sql.UnaryExpr:
-		v, err := a.evalAgg(x.X)
-		if err != nil {
-			return catalog.Null, err
-		}
-		return a.env.eval(&sql.UnaryExpr{Op: x.Op, X: &sql.Literal{Value: v}}, nil)
-	case *sql.CaseExpr:
-		for _, w := range x.Whens {
-			c, err := a.evalAgg(w.Cond)
-			if err != nil {
-				return catalog.Null, err
-			}
-			if truthy(c) {
-				return a.evalAgg(w.Result)
-			}
-		}
-		return a.evalAgg(x.Else)
-	case *sql.IsNullExpr:
-		v, err := a.evalAgg(x.X)
-		if err != nil {
-			return catalog.Null, err
-		}
-		return catalog.NewBool(v.IsNull() != x.Not), nil
-	default:
-		// Group-by expressions and plain columns: evaluate over the
-		// representative row.
-		return a.env.eval(e, a.group.rep)
-	}
 }
 
 func distinct(tuples []catalog.Tuple) []catalog.Tuple {

@@ -462,9 +462,11 @@ func (h *Heap) walk(pred func(catalog.Tuple) (bool, error), fresh bool, fn func(
 //
 // pred runs against the stored tuple under the page's read latch, so it must
 // not retain or modify the tuple, block, or call back into the heap or its
-// pool, and should allocate only when it fails. An error from pred ends the
-// scan, after the latch is released, and is returned as is; fn is not called
-// for that page. Which slots are observed is as for Scan.
+// pool, and should allocate only when it fails or — for a predicate that
+// folds an aggregate and keeps nothing — when it admits a new group. An error
+// from pred ends the scan, after the latch is released, and is returned as
+// is; fn is not called for that page. Which slots are observed is as for
+// Scan.
 func (h *Heap) ScanFilter(pred func(catalog.Tuple) (keep bool, err error), fn func([]RID, []catalog.Tuple) bool) error {
 	return h.walk(pred, false, fn)
 }
