@@ -20,7 +20,7 @@ race:
 # maintenance, shared sessions, mid-query expiry) under the race detector,
 # with a generous timeout so slow CI machines finish the full matrix.
 stress:
-	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance' -count=2 ./internal/core/
+	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance' -count=2 ./internal/core/
 
 # lint runs vnlvet, the in-repo analyzer suite: the paper's latch,
 # guarded-write, decision-table, metric-registry, and WAL-error invariants,

@@ -48,10 +48,14 @@ type catalog4 struct {
 	amount            int64
 }
 
-// RunE9 demonstrates §4.3 mechanically: an index on a group-by attribute
-// serves the rewritten query (the bare column survives the rewrite), while
-// an index on an updatable attribute is defeated — the rewrite wraps every
-// reference in CASE, so the executor must scan.
+// RunE9 demonstrates §4.3: an index on a group-by attribute serves versioned
+// reads, while an index on an updatable attribute cannot. Under the §4.1
+// rewrite every reference to total_sales is a CASE over its versions, which
+// no access path matches. The compiled plan reads total_sales at each tuple's
+// version slot instead, and it still refuses by_total: the index holds
+// current values, so a session older than an update would miss every tuple
+// whose value it sees has since changed. by_total's query is a full scan
+// either way.
 func RunE9(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	facts := e9Facts(cfg)
@@ -92,7 +96,7 @@ func RunE9(cfg Config) ([]*Table, error) {
 		}
 		cityPath, totalPath := "index (by_city)", "index (by_total)"
 		if updatableDefeated {
-			totalPath = "full scan — CASE defeats by_total"
+			totalPath = "full scan — by_total holds current values only"
 		}
 		t.AddRow(name, "city (group-by)", cityReads, cityLat.Round(time.Microsecond).String(), cityPath)
 		t.AddRow(name, "total_sales (updatable)", totalReads, totalLat.Round(time.Microsecond).String(), totalPath)

@@ -81,6 +81,18 @@ func (a *applier) dropUndo(vt *VTable, rid storage.RID) {
 	}
 }
 
+// preImage returns the tuple at rid as this transaction found it before
+// first touching it, or nil: a logless transaction keeps no images, and a
+// tuple it inserted had none.
+func (a *applier) preImage(vt *VTable, rid storage.RID) catalog.Tuple {
+	for _, u := range a.undo {
+		if u.vt == vt && u.rid == rid && !u.inserted {
+			return u.image
+		}
+	}
+	return nil
+}
+
 // noteTupleLowered maintains the oldest-slot watermark after a rewrite
 // that lowered a tuple's slots (the Table 4 row-2 pop cell): sequentially
 // it recomputes at once if the pre-image may have carried the mark;
@@ -329,6 +341,22 @@ func (a *applier) applyDelete(vt *VTable, rid storage.RID, ext catalog.Tuple) er
 			// Popping lowered this tuple's oldest slot; if it carried the
 			// high-water mark, the mark is now stale-high and would falsely
 			// expire sessions. (physUpdate's noteTupleWrite only raises.)
+			a.noteTupleLowered(vt, ext)
+			a.stats.NetEffectFolds++
+			a.met().netFolds.Inc()
+			a.met().cellT4R2InsPop.Inc()
+			return nil
+		}
+		if img := a.preImage(vt, rid); img != nil {
+			// A re-insert over an earlier delete in 2VNL, which has no
+			// back slot to pop, but an undo-log transaction kept the
+			// delete it overwrote. Insert+delete nets to nothing, so
+			// restore it: deleting the tuple would leave the undo record
+			// an image of a tuple that no longer exists, and Rollback
+			// would fail on it.
+			if err := a.physUpdate(vt, rid, ext, img.Clone()); err != nil {
+				return err
+			}
 			a.noteTupleLowered(vt, ext)
 			a.stats.NetEffectFolds++
 			a.met().netFolds.Inc()

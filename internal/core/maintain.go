@@ -320,23 +320,19 @@ func (m *Maintenance) cursorSelect(vt *VTable, pred func(catalog.Tuple) bool) []
 	return rids
 }
 
-// Query runs a SELECT as the maintenance transaction: the reader rewrite
-// with sessionVN bound to maintenanceVN, so the transaction reads the
-// latest version of every tuple including its own uncommitted changes
-// (§3.3).
+// Query runs a SELECT as the maintenance transaction: the readers' plan
+// with sessionVN bound to maintenanceVN, so the transaction reads the first
+// row of Table 1 — the latest version of every tuple, its own uncommitted
+// changes included (§3.3).
 func (m *Maintenance) Query(text string, params exec.Params) (*exec.Rows, error) {
 	if err := m.checkActive(); err != nil {
 		return nil, err
 	}
-	sel, err := sql.ParseSelect(text)
+	e, err := m.store.textPlan(text)
 	if err != nil {
 		return nil, err
 	}
-	rw, err := RewriteSelect(m.store, sel)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Select(queryCatalog{m.store}, rw, withSessionVN(params, m.vn))
+	return m.store.executePlan(e, withSessionVN(params, m.vn))
 }
 
 // Exec parses and applies a maintenance DML statement — INSERT, UPDATE, or

@@ -119,6 +119,48 @@ func TestRollbackUndoLogExactRestore(t *testing.T) {
 	commit(t, m2)
 }
 
+// In 2VNL, re-inserting over an earlier delete and deleting again in one
+// transaction nets to nothing: the tuple goes back to the delete it was, so
+// an undo-log rollback can restore it and a commit leaves what a session
+// already saw. (It used to be deleted physically, and Rollback then failed
+// updating a tuple that no longer existed.)
+func TestReinsertThenDeleteRestoresTombstone(t *testing.T) {
+	s := newStore(t, 2)
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	key := catalog.Tuple{catalog.NewInt(1)}
+	m := mustMaint(t, s)
+	if err := m.Insert("kv", kvTuple(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, m)
+	m = mustMaint(t, s)
+	if _, err := m.DeleteKey("kv", key); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, m)
+	before := snapshotAll(t, s, "kv")
+	for _, finish := range []func(*Maintenance) error{(*Maintenance).Rollback, (*Maintenance).Commit} {
+		m = mustMaint(t, s)
+		if err := m.Insert("kv", kvTuple(1, 99)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.DeleteKey("kv", key); err != nil {
+			t.Fatal(err)
+		}
+		if err := finish(m); err != nil {
+			t.Fatal(err)
+		}
+		if after := snapshotAll(t, s, "kv"); !sameSnapshot(before, after) {
+			t.Fatalf("re-insert then delete changed the tuple:\nbefore: %v\nafter:  %v", before, after)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRollbackLogless verifies the §7-style logless rollback: the current
 // version is restored using only in-tuple information, new sessions read
 // correct data, and sessions older than currentVN are expired.

@@ -133,7 +133,7 @@ func newStoreMetrics(reg *obs.Registry, tracer obs.Tracer) *storeMetrics {
 		batchDeltas:  c("core_maint_batch_deltas_total", "logical deltas applied through ApplyBatch"),
 		batchNS:      h("core_maint_batch_apply_ns", "latency of one ApplyBatch call, partition to join"),
 
-		planHits:   c("core_plan_cache_hits_total", "queries (ad hoc and prepared) served from the cached rewrite/compiled plan"),
+		planHits:   c("core_plan_cache_hits_total", "queries (ad hoc and prepared) served from the cached compiled plan"),
 		planMisses: c("core_plan_cache_misses_total", "queries that rewrote and compiled a fresh plan"),
 
 		gcPasses:  c("core_gc_passes_total", "garbage-collection passes"),

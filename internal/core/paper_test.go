@@ -400,12 +400,22 @@ func TestExample51NVNL(t *testing.T) {
 			t.Errorf("s=%d: %v", c.vn, err)
 			continue
 		}
-		if visible != c.visible {
-			t.Errorf("s=%d: visible = %v, want %v", c.vn, visible, c.visible)
-			continue
+		if visible != (base != nil) {
+			t.Errorf("s=%d: ReadAsOf visible = %v with base %v", c.vn, visible, base)
 		}
-		if visible && base[4].Int() != c.total {
-			t.Errorf("s=%d: total = %d, want %d", c.vn, base[4].Int(), c.total)
+		// The compiled plan reads the same stored tuple through Slot.
+		var planned catalog.Tuple
+		if rows := planAsOf(t, s, "DailySales", c.vn); rows.Len() > 0 {
+			planned = rows.Tuples[0]
+		}
+		for path, got := range map[string]catalog.Tuple{"ReadAsOf": base, "plan": planned} {
+			if (got != nil) != c.visible {
+				t.Errorf("s=%d: %s: visible = %v, want %v", c.vn, path, got != nil, c.visible)
+				continue
+			}
+			if got != nil && got[4].Int() != c.total {
+				t.Errorf("s=%d: %s: total = %d, want %d", c.vn, path, got[4].Int(), c.total)
+			}
 		}
 	}
 }

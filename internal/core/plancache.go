@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/sql"
 )
@@ -14,11 +13,11 @@ import (
 // literals inlined instead of parameters).
 const planCacheEntries = 256
 
-// planEntry is one cached, immutable query plan: the §4.1 rewrite compiled
-// by exec.CompileSelect, valid for exactly the table registry it was derived
-// against. src is the original (pre-rewrite) statement, retained so the rare
-// stale-plan race — the registry flipped between cache validation and
-// execution — can recover by re-deriving instead of failing the query.
+// planEntry is one cached, immutable query plan (see selectPlan), valid for
+// exactly the table registry it was derived against. src is the original
+// (pre-rewrite) statement, retained so the rare stale-plan race — the
+// registry flipped between cache validation and execution — can recover by
+// re-deriving instead of failing the query.
 type planEntry struct {
 	reg  *tableRegistry
 	src  *sql.SelectStmt
@@ -33,7 +32,7 @@ type planEntry struct {
 // statement, QueryStmt callers and Prepared handles share a single compiled
 // plan.
 //
-// The rewrite binds :sessionVN as a parameter at execution time, so a plan
+// Every plan binds :sessionVN as a parameter at execution time, so a plan
 // depends on the registered relations and their schemas and never on the
 // session. A cached plan is therefore usable iff the store's copy-on-write
 // table registry is the identical pointer the plan was derived against.
@@ -81,6 +80,12 @@ func (c *planCache) put(key string, e *planEntry) {
 // text and becomes a second cache key so the next Query(raw) skips the
 // parser.
 //
+// A statement over one versioned relation compiles as written: the plan
+// reads each stored tuple at :sessionVN through the relation's slot selector
+// (ExtTable.Slot). A shape the compiled plans do not cover — a join, ORDER
+// BY, DISTINCT, a non-grouped column — compiles from the §4.1 rewrite
+// instead and runs through the tree-walker.
+//
 // The registry is loaded once, before derivation: a registry flip racing the
 // derivation tags the new plan with the older pointer, which only means the
 // next lookup misses and rebuilds — both plans are correct for the registry
@@ -95,11 +100,19 @@ func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) 
 	}
 	s.metrics.planMisses.Inc()
 	src := sql.CloneSelect(sel)
-	rw, err := RewriteSelect(s, src)
-	if err != nil {
-		return nil, err
+	var opts *exec.CompileOptions
+	if len(src.From) == 1 {
+		if vt := s.lookup(src.From[0].Table); vt != nil {
+			opts = vt.ext.versions()
+		}
 	}
-	pl, err := exec.CompileSelect(queryCatalog{s}, rw, s.fastOptions(src))
+	pl, err := exec.CompileSelect(queryCatalog{s}, src, opts)
+	if err == nil && !pl.Vectorized() {
+		var rw *sql.SelectStmt
+		if rw, err = RewriteSelect(s, src); err == nil {
+			pl, err = exec.CompileSelect(queryCatalog{s}, rw, nil)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -107,65 +120,4 @@ func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) 
 	s.plans.put(canon, e)
 	s.plans.put(raw, e)
 	return e, nil
-}
-
-// fastOptions builds the per-batch version-reconstruction fast path (Table 1
-// / §5) for a single-table SELECT over a versioned relation, or nil when the
-// shape does not qualify.
-//
-// The fast variant is valid by the newest-first slot ordering: tupleVN1 is
-// the maximum of a tuple's slot VNs, so for a session with
-// sessionVN >= tupleVN1 every per-attribute CASE of the rewrite takes its
-// first arm — the bare current-value column — and every visibility arm other
-// than the first has a false :s < tupleVNj conjunct. The whole rewrite
-// therefore collapses to the original statement plus the case-1 visibility
-// residue `operation1 <> 'delete'`, reading base columns directly. The
-// classifier is exactly that guard, one integer comparison per tuple, which
-// the batch executor hoists to one decision per batch.
-func (s *Store) fastOptions(sel *sql.SelectStmt) *exec.CompileOptions {
-	if len(sel.From) != 1 {
-		return nil
-	}
-	vt := s.lookup(sel.From[0].Table)
-	if vt == nil {
-		return nil
-	}
-	e := vt.ext
-	fast := sql.CloneSelect(sel)
-	var items []sql.SelectItem
-	for _, it := range fast.Items {
-		if !it.Star {
-			items = append(items, it)
-			continue
-		}
-		// Expand * over the base schema, matching the rewrite's own star
-		// expansion column for column (the extended schema's bookkeeping
-		// columns must not leak here either).
-		for _, c := range e.Base.Columns {
-			items = append(items, sql.SelectItem{Expr: &sql.ColumnRef{Name: c.Name}, Alias: c.Name})
-		}
-	}
-	fast.Items = items
-	_, op1 := slotColNames(e.L.N, 1)
-	guard := &sql.BinaryExpr{
-		Op: sql.OpNe,
-		L:  &sql.ColumnRef{Name: op1},
-		R:  &sql.Literal{Value: catalog.NewString(string(OpDelete))},
-	}
-	if fast.Where == nil {
-		fast.Where = guard
-	} else {
-		fast.Where = &sql.BinaryExpr{Op: sql.OpAnd, L: fast.Where, R: guard}
-	}
-	tvnIdx := e.L.TVN[0]
-	classify := func(row catalog.Tuple, v catalog.Value) bool {
-		tv := row[tvnIdx]
-		if tv.IsNull() || v.IsNull() {
-			// A null slot VN (never written by maintenance) falls back to
-			// the full rewritten form rather than guessing.
-			return false
-		}
-		return v.Int() >= tv.Int()
-	}
-	return &exec.CompileOptions{Fast: fast, Classify: classify, ClassifyParam: sessionParam}
 }

@@ -156,19 +156,38 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// legacyQuery is the pre-cache oracle: fresh rewrite, tree-walking executor,
-// at the session's version.
+// legacyQuery is the oracle the compiled plans are pinned against: fresh
+// §4.1 rewrite, tree-walking executor, at the session's version.
 func legacyQuery(t *testing.T, sess *Session, text string, params exec.Params) (*exec.Rows, error) {
 	t.Helper()
 	sel, err := sql.ParseSelect(text)
 	if err != nil {
 		t.Fatalf("parse %q: %v", text, err)
 	}
-	rw, err := RewriteSelect(sess.store, sel)
+	return legacyAt(sess.store, sess.vn, sel, params)
+}
+
+// legacyAt is legacyQuery at any version, with no session and no checks.
+func legacyAt(s *Store, vn VN, sel *sql.SelectStmt, params exec.Params) (*exec.Rows, error) {
+	rw, err := RewriteSelect(s, sel)
 	if err != nil {
 		return nil, err
 	}
-	return exec.Select(queryCatalog{sess.store}, rw, withSessionVN(params, sess.vn))
+	return exec.Select(queryCatalog{s}, rw, withSessionVN(params, vn))
+}
+
+// sameAnswer reports how got/gerr differs from the oracle's want/werr, or ""
+// when both failed or both returned the same columns and tuples.
+func sameAnswer(got *exec.Rows, gerr error, want *exec.Rows, werr error) string {
+	switch {
+	case (gerr == nil) != (werr == nil):
+		return fmt.Sprintf("err=%v, oracle err=%v", gerr, werr)
+	case gerr != nil:
+		return ""
+	case fmt.Sprint(got.Columns, got.Tuples) != fmt.Sprint(want.Columns, want.Tuples):
+		return fmt.Sprintf("\ngot:    %v %v\noracle: %v %v", got.Columns, got.Tuples, want.Columns, want.Tuples)
+	}
+	return ""
 }
 
 // The cached/vectorized pipeline is pinned against the per-call rewrite +
@@ -241,39 +260,144 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 	}
 	queries = append(queries, groupByQueries...)
 	params := exec.Params{"k": catalog.NewInt(33)}
-	for _, sess := range []*Session{sessA, sessB, sessC} {
-		for _, q := range queries {
-			want, werr := legacyQuery(t, sess, q, params)
-			got, gerr := sess.Query(q, params)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("vn=%d %q: oracle err=%v, cached err=%v", sess.VN(), q, werr, gerr)
-			}
-			if werr != nil {
-				continue
-			}
-			if fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) {
-				t.Fatalf("vn=%d %q: columns %v vs %v", sess.VN(), q, got.Columns, want.Columns)
-			}
-			if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
-				t.Fatalf("vn=%d %q:\ncached: %v\noracle: %v", sess.VN(), q, got.Tuples, want.Tuples)
-			}
-		}
-	}
-
 	// The per-tuple (optimistic expiry) sessions run the same cached plans.
 	sessP := s.BeginSessionPerTupleExpiry()
 	defer sessP.Close()
-	for _, q := range queries {
-		want, werr := legacyQuery(t, sessP, q, params)
-		got, gerr := sessP.Query(q, params)
-		if (werr == nil) != (gerr == nil) || (werr == nil && fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples)) {
-			t.Fatalf("per-tuple %q diverged: %v / %v vs %v / %v", q, got, gerr, want, werr)
+	for _, sess := range []*Session{sessA, sessB, sessC, sessP} {
+		for _, q := range queries {
+			want, werr := legacyQuery(t, sess, q, params)
+			got, gerr := sess.Query(q, params)
+			if diff := sameAnswer(got, gerr, want, werr); diff != "" {
+				t.Fatalf("vn=%d %q: %s", sess.VN(), q, diff)
+			}
 		}
 	}
 
 	for _, n := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("group by/n=%d", n), func(t *testing.T) { groupByAcrossVersions(t, n) })
+		t.Run(fmt.Sprintf("open maintenance/n=%d", n), func(t *testing.T) { differentialDuringMaintenance(t, n, queries) })
 	}
+}
+
+// differentialDuringMaintenance pins queries against legacyQuery at width n
+// while a maintenance transaction is open, so its uncommitted slot-1 writes
+// at maintenanceVN sit beside committed history, and they include each
+// net-effect fold of Tables 2–4: update then delete, insert then delete, a
+// re-insert over an earlier delete, and delete then insert. Sessions from
+// before, between and during the transactions, a per-tuple-expiry session and
+// the transaction itself (Maintenance.Query at maintenanceVN) all read
+// through the cached plans; an expired session must say so.
+func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
+	s := newStore(t, n)
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	key := func(k int64) catalog.Tuple { return catalog.Tuple{catalog.NewInt(k)} }
+	update := func(m *Maintenance, k, by int64) {
+		t.Helper()
+		if _, err := m.UpdateKey("kv", key(k), func(old catalog.Tuple) catalog.Tuple { return kvTuple(k, old[1].Int()+by) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert := func(m *Maintenance, k, v int64) {
+		t.Helper()
+		if err := m.Insert("kv", kvTuple(k, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := func(m *Maintenance, k int64) {
+		t.Helper()
+		if _, err := m.DeleteKey("kv", key(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := mustMaint(t, s)
+	for k := int64(0); k < 100; k++ {
+		insert(m, k, 100+k)
+	}
+	commit(t, m)
+	old := s.BeginSession()
+	defer old.Close()
+	m = mustMaint(t, s)
+	for k := int64(0); k < 100; k += 5 {
+		update(m, k, 1000)
+	}
+	for k := int64(60); k < 70; k++ {
+		del(m, k)
+	}
+	commit(t, m)
+	mid := s.BeginSession()
+	defer mid.Close()
+
+	m = mustMaint(t, s) // left open
+	for k := int64(0); k < 100; k += 7 {
+		update(m, k, 3)
+		if k%14 == 0 {
+			del(m, k) // update → delete
+		}
+	}
+	for k := int64(300); k < 310; k++ {
+		insert(m, k, k)
+		if k < 305 {
+			del(m, k) // insert → delete: no tuple at all
+		}
+	}
+	for k := int64(60); k < 65; k++ {
+		insert(m, k, 7*k) // re-insert over an earlier delete
+	}
+	for k := int64(90); k < 93; k++ {
+		del(m, k)
+		insert(m, k, k) // delete → insert: an update
+	}
+	during := s.BeginSession()
+	defer during.Close()
+	perTuple := s.BeginSessionPerTupleExpiry()
+	defer perTuple.Close()
+
+	params := exec.Params{"k": catalog.NewInt(33)}
+	check := func(sessions ...*Session) {
+		t.Helper()
+		for _, sess := range sessions {
+			expired := sess.Check() != nil
+			for _, q := range queries {
+				got, gerr := sess.Query(q, params)
+				if expired {
+					if !errors.Is(gerr, ErrSessionExpired) || got != nil {
+						t.Fatalf("vn=%d %q: %v, %v; want ErrSessionExpired and no rows", sess.VN(), q, got, gerr)
+					}
+					continue
+				}
+				want, werr := legacyQuery(t, sess, q, params)
+				if diff := sameAnswer(got, gerr, want, werr); diff != "" {
+					t.Fatalf("n=%d vn=%d %q: %s", n, sess.VN(), q, diff)
+				}
+			}
+		}
+	}
+	check(old, mid, during, perTuple)
+	if old.Check() == nil && n == 2 {
+		t.Fatal("2VNL: a session two versions back is live while maintenance is open")
+	}
+	for _, q := range queries {
+		got, gerr := m.Query(q, params)
+		want, werr := legacyAt(s, m.VN(), mustParse(t, q), params)
+		if diff := sameAnswer(got, gerr, want, werr); diff != "" {
+			t.Fatalf("maintenance %q: %s", q, diff)
+		}
+	}
+	commit(t, m)
+	after := s.BeginSession()
+	defer after.Close()
+	check(old, mid, during, perTuple, after)
+}
+
+func mustParse(t *testing.T, text string) *sql.SelectStmt {
+	t.Helper()
+	sel, err := sql.ParseSelect(text)
+	if err != nil {
+		t.Fatalf("parse %q: %v", text, err)
+	}
+	return sel
 }
 
 // groupByQueries aggregate kv grouped by a key expression over k (never
@@ -387,6 +511,108 @@ func groupByAcrossVersions(t *testing.T, n int) {
 			}
 		}
 		sess.Close()
+	}
+}
+
+// A tuple deleted before a session began does not exist for it, so no
+// expression of the session's query may run on it: here the deleted tuple's
+// v = 0 would make the WHERE divide by zero. Compiled plans decide visibility
+// before any expression, and the rewrite guards the WHERE with a lazy CASE,
+// so Query, QueryStmt and a fallback shape all answer — and agree with the
+// oracle.
+func TestDeletedTupleNeverEvaluated(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			s := newStore(t, n)
+			if _, err := s.CreateTable(kvSchema()); err != nil {
+				t.Fatal(err)
+			}
+			m := mustMaint(t, s)
+			for k := int64(0); k < 5; k++ {
+				v := k + 1
+				if k == 3 {
+					v = 0
+				}
+				if err := m.Insert("kv", kvTuple(k, v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(t, m)
+			m = mustMaint(t, s)
+			if _, err := m.DeleteKey("kv", catalog.Tuple{catalog.NewInt(3)}); err != nil {
+				t.Fatal(err)
+			}
+			commit(t, m)
+			sess := s.BeginSession()
+			defer sess.Close()
+			for _, c := range []struct{ q, want string }{
+				{`SELECT k FROM kv WHERE 10 / v > 1`, "[(0) (1) (2) (4)]"},
+				{`SELECT k FROM kv WHERE 10 / v > 1 ORDER BY k`, "[(0) (1) (2) (4)]"},
+				{`SELECT k, 10 / v FROM kv`, "[(0, 10) (1, 5) (2, 3) (4, 2)]"},
+				{`SELECT SUM(10 / v) FROM kv`, "[(20)]"},
+			} {
+				byText, err := sess.Query(c.q, nil)
+				if err != nil || fmt.Sprint(byText.Tuples) != c.want {
+					t.Fatalf("Query %q = %v, %v; want %s", c.q, byText, err, c.want)
+				}
+				byStmt, err := sess.QueryStmt(mustParse(t, c.q), nil)
+				if err != nil || fmt.Sprint(byStmt.Tuples) != c.want {
+					t.Fatalf("QueryStmt %q = %v, %v; want %s", c.q, byStmt, err, c.want)
+				}
+				want, werr := legacyQuery(t, sess, c.q, nil)
+				if diff := sameAnswer(byText, nil, want, werr); diff != "" {
+					t.Fatalf("%q: %s", c.q, diff)
+				}
+			}
+		})
+	}
+}
+
+// §4.3: an index holds current values, so an index on an updatable column
+// must never serve a versioned read. A session that began before an update
+// still finds the row by the value it sees, and not by the new one.
+func TestUpdatableIndexNeverServesVersionedRead(t *testing.T) {
+	s := newStore(t, 2)
+	vt, err := s.CreateTable(kvSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vt.Storage().CreateIndex("kv_v", "hash", "v"); err != nil {
+		t.Fatal(err)
+	}
+	m := mustMaint(t, s)
+	for k := int64(1); k <= 3; k++ {
+		if err := m.Insert("kv", kvTuple(k, 10*k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+	before := s.BeginSession()
+	defer before.Close()
+	m = mustMaint(t, s)
+	if _, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(1)},
+		func(catalog.Tuple) catalog.Tuple { return kvTuple(1, 11) }); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, m)
+	after := s.BeginSession()
+	defer after.Close()
+	for _, c := range []struct {
+		sess *Session
+		v    int64
+		want string
+	}{
+		{before, 10, "[(1)]"}, {before, 11, "[]"}, {after, 11, "[(1)]"}, {after, 10, "[]"},
+	} {
+		params := exec.Params{"v": catalog.NewInt(c.v)}
+		got, err := c.sess.Query(`SELECT k FROM kv WHERE v = :v`, params)
+		if err != nil || fmt.Sprint(got.Tuples) != c.want {
+			t.Fatalf("vn=%d v=%d: %v, %v; want %s", c.sess.VN(), c.v, got, err, c.want)
+		}
+		want, werr := legacyQuery(t, c.sess, `SELECT k FROM kv WHERE v = :v`, params)
+		if diff := sameAnswer(got, err, want, werr); diff != "" {
+			t.Fatalf("vn=%d v=%d: %s", c.sess.VN(), c.v, diff)
+		}
 	}
 }
 

@@ -2,52 +2,66 @@ package core
 
 import (
 	"repro/internal/catalog"
+	"repro/internal/exec"
 )
 
-// ReadAsOf reconstructs a tuple's state as of session version s,
-// implementing the reader decision procedure: Table 1 for 2VNL and the
-// three-case analysis of §5 for nVNL.
+// Slot is the reader decision of Table 1 (2VNL) and of §5's cases 1–2 (nVNL)
+// as one decision per stored tuple: the version slot j a session at s reads t
+// in — 0 for the current values, j ≥ 1 for slot j's pre-update copies;
+// L.Off[j] locates either — and whether t exists in that version at all.
 //
-// It returns the base-schema tuple and visible=true when the tuple exists
-// in version s; visible=false when the tuple must be ignored (reading the
-// current version of a deleted tuple, or the pre-update version of an
-// inserted tuple); and ErrSessionExpired when the tuple has been modified
-// by too many maintenance transactions since s (case 3: s < tupleVN(n−1)−1)
-// — the per-tuple expiration detection of §3.2.
-func (e *ExtTable) ReadAsOf(t catalog.Tuple, s VN) (base catalog.Tuple, visible bool, err error) {
-	n := e.L.N
-	tvn1 := e.TupleVN(t, 1)
-	// Case 1: sessionVN >= tupleVN — read the current version.
-	if s >= tvn1 {
-		if e.OpAt(t, 1) == OpDelete {
-			return nil, false, nil
-		}
-		return e.BaseValues(t), true, nil
-	}
-	// Case 3: the session predates even the oldest reconstructible
-	// version. (Unused slots carry tupleVN 0 and never trigger this,
-	// because sessions start at VN 1.)
-	oldest := e.TupleVN(t, n-1)
-	if oldest > 0 && s < oldest-1 {
-		return nil, false, ErrSessionExpired
-	}
-	// Case 2: read the pre-update version for the least tupleVNj > s —
-	// with slots ordered newest-first, that is the largest j whose
-	// tupleVNj exceeds s.
-	j := 1
-	for j < n-1 && e.TupleVN(t, j+1) > s {
+// Slots are ordered newest-first, so the session reads the current values
+// when s ≥ tupleVN1 and otherwise the pre-update copies of the largest j whose
+// tupleVNj exceeds s. The current version of a deleted tuple and the
+// pre-update version of an inserted one do not exist. Unused slots carry
+// tupleVN 0, which every session (VN ≥ 1) has seen.
+//
+// Slot neither allocates nor retains t, so compiled plans run it under the
+// page latch. It does not detect expiry (§5's case 3): ReadAsOf and the
+// session checks do.
+func (e *ExtTable) Slot(t catalog.Tuple, s VN) (j int, visible bool) {
+	for j < e.L.N-1 && s < e.TupleVN(t, j+1) {
 		j++
 	}
-	if e.OpAt(t, j) == OpInsert {
-		// Pre-update version of an insert: the tuple did not exist.
+	if j == 0 {
+		return 0, e.OpAt(t, 1) != OpDelete
+	}
+	return j, e.OpAt(t, j) != OpInsert
+}
+
+// ReadAsOf reconstructs a tuple's state as of session version s.
+//
+// It returns the base-schema tuple and visible=true when the tuple exists
+// in version s; visible=false when the tuple must be ignored (see Slot); and
+// ErrSessionExpired when the tuple has been modified by too many maintenance
+// transactions since s (case 3: s < tupleVN(n−1)−1) — the per-tuple
+// expiration detection of §3.2.
+func (e *ExtTable) ReadAsOf(t catalog.Tuple, s VN) (base catalog.Tuple, visible bool, err error) {
+	// Unused slots carry tupleVN 0 and never trigger this, because sessions
+	// start at VN 1; a session reading the current values never does either.
+	if oldest := e.TupleVN(t, e.L.N-1); oldest > 0 && s < oldest-1 {
+		return nil, false, ErrSessionExpired
+	}
+	j, visible := e.Slot(t, s)
+	if !visible {
 		return nil, false, nil
 	}
-	base = e.BaseValues(t)
-	pre := e.PreValues(t, j)
-	for k, ui := range e.L.Upd {
-		base[ui] = pre[k]
+	base = make(catalog.Tuple, e.L.BaseLen)
+	for i, off := range e.L.Off[j] {
+		base[i] = t[off]
 	}
 	return base, true, nil
+}
+
+// versions describes the relation's version slots to exec.CompileSelect, so
+// that a statement over the base schema reads each stored tuple through Slot
+// at the version bound to :sessionVN.
+func (e *ExtTable) versions() *exec.CompileOptions {
+	return &exec.CompileOptions{
+		Slots:  e.L.Off,
+		Select: func(t catalog.Tuple, vn int64) (int, bool) { return e.Slot(t, VN(vn)) },
+		Param:  sessionParam,
+	}
 }
 
 // CurrentVersion reconstructs the latest tuple state (what the maintenance

@@ -25,14 +25,30 @@ const sessionParam = "sessionVN"
 //
 //     and for nVNL the CASE walks the version slots newest-first.
 //
-//   - A visibility predicate is conjoined to WHERE for each versioned
-//     relation, generalizing the paper's
+//   - A visibility predicate for each versioned relation, generalizing the
+//     paper's
 //
 //     (:sessionVN >= tupleVN AND operation <> 'delete') OR
 //     (:sessionVN <  tupleVN AND operation <> 'insert')
 //
+//     guards the WHERE: the statement's own WHERE becomes
+//     CASE WHEN <visibility> THEN <where> END, which SQL evaluates only for
+//     visible tuples. (Conjoined with AND, as the paper writes it, the WHERE
+//     would also run on invisible tuples — a deleted tuple's values, an
+//     inserted tuple's NULL pre-update values — and an error there, such as
+//     a division by zero, would fail a query whose answer does not include
+//     the tuple.)
+//
 // Tables not registered with the store pass through untouched, so queries
 // may freely join versioned and ordinary relations.
+//
+// The rewrite is what the paper makes of 2VNL: a way to run it on a DBMS
+// that knows nothing of versions. This engine resolves versions natively for
+// the statements its compiled plans cover (Store.selectPlan, ExtTable.Slot),
+// so the rewrite serves the rest — joins, ORDER BY, DISTINCT, a non-grouped
+// column, and recovery from a stale plan — runs through the tree-walker,
+// produces Session.Rewrite's text, and is the oracle the compiled plans are
+// tested against.
 func RewriteSelect(s *Store, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
 	out := sql.CloneSelect(sel)
 
@@ -144,14 +160,20 @@ func RewriteSelect(s *Store, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
 		out.From[i].On = apply(out.From[i].On)
 	}
 
-	// Conjoin each versioned relation's visibility predicate.
+	// Guard the WHERE by every versioned relation's visibility predicate.
+	var visible sql.Expr
 	for _, bv := range versioned {
 		pred := visibilityPredicate(bv.vt.ext, bv.binding, len(out.From) > 1)
-		if out.Where == nil {
-			out.Where = pred
+		if visible == nil {
+			visible = pred
 		} else {
-			out.Where = &sql.BinaryExpr{Op: sql.OpAnd, L: out.Where, R: pred}
+			visible = &sql.BinaryExpr{Op: sql.OpAnd, L: visible, R: pred}
 		}
+	}
+	if out.Where == nil {
+		out.Where = visible
+	} else {
+		out.Where = &sql.CaseExpr{Whens: []sql.WhenClause{{Cond: visible, Result: out.Where}}}
 	}
 	return out, nil
 }

@@ -44,6 +44,11 @@ type Layout struct {
 	// Pre[j-1][k] is the extended-tuple index of the slot-j pre-update
 	// copy of the k-th updatable attribute.
 	Pre [][]int
+	// Off[j][i] is the extended-tuple index of base attribute i as a reader
+	// of version slot j sees it (ExtTable.Slot): slot 0 is the current
+	// values, slot j ≥ 1 the slot-j pre-update copies of the updatable
+	// attributes beside the current values of the others.
+	Off [][]int
 }
 
 // ExtTable couples a base schema with its 2VNL/nVNL extension.
@@ -140,6 +145,18 @@ func ExtendSchema(base *catalog.Schema, n int) (*ExtTable, error) {
 			cols = append(cols, catalog.Column{Name: preColName(n, j, c.Name), Type: c.Type, Length: c.Length})
 		}
 		l.Pre = append(l.Pre, prej)
+	}
+	for j := 0; j <= n-1; j++ {
+		off := make([]int, l.BaseLen)
+		for i := range off {
+			off[i] = l.BaseStart + i
+		}
+		if j > 0 {
+			for k, ui := range l.Upd {
+				off[ui] = l.Pre[j-1][k]
+			}
+		}
+		l.Off = append(l.Off, off)
 	}
 
 	ext, err := catalog.NewSchema(base.Name, cols, base.KeyNames()...)

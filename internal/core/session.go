@@ -216,26 +216,31 @@ func (sess *Session) Check() error {
 // Expired reports whether the global check fails.
 func (sess *Session) Expired() bool { return sess.Check() != nil }
 
-// Query parses text, applies the 2VNL reader rewrite (§4.1), and executes
-// it at the session's version under the discipline of run. A repeated query
-// text skips the parser, the rewrite derivation, and expression compilation
-// entirely: the store's plan cache is probed with the raw text before
-// anything else, and validity is one table-registry pointer comparison.
+// Query parses text, plans it (Store.selectPlan), and executes it at the
+// session's version under the discipline of run. A repeated query text skips
+// the parser and expression compilation entirely: the store's plan cache is
+// probed with the raw text before anything else, and validity is one
+// table-registry pointer comparison.
 func (sess *Session) Query(text string, params exec.Params) (*exec.Rows, error) {
-	st := sess.store
-	e := st.plans.get(text, st.tables.Load())
-	if e != nil {
-		st.metrics.planHits.Inc()
-	} else {
-		sel, err := sql.ParseSelect(text)
-		if err != nil {
-			return nil, err
-		}
-		if e, err = st.selectPlan(sel, text); err != nil {
-			return nil, err
-		}
+	e, err := sess.store.textPlan(text)
+	if err != nil {
+		return nil, err
 	}
 	return sess.run(e, params)
+}
+
+// textPlan resolves query text to its plan entry: the raw text probes the
+// plan cache before the parser runs.
+func (s *Store) textPlan(text string) (*planEntry, error) {
+	if e := s.plans.get(text, s.tables.Load()); e != nil {
+		s.metrics.planHits.Inc()
+		return e, nil
+	}
+	sel, err := sql.ParseSelect(text)
+	if err != nil {
+		return nil, err
+	}
+	return s.selectPlan(sel, text)
 }
 
 // QueryStmt is Query over a pre-parsed statement. The input is not
@@ -266,7 +271,7 @@ func (sess *Session) run(e *planEntry, params exec.Params) (*exec.Rows, error) {
 	if err := sess.checkBefore(); err != nil {
 		return nil, err
 	}
-	rows, err := sess.executePlan(e, withSessionVN(params, sess.vn))
+	rows, err := sess.store.executePlan(e, withSessionVN(params, sess.vn))
 	if err != nil {
 		return nil, err
 	}
@@ -322,15 +327,14 @@ func (sess *Session) checkAfter(from []sql.TableRef) error {
 // registry and runs the tree-walker, which resolves tables at execution
 // time, instead of failing the query; the stale cache entry dies on its
 // next lookup.
-func (sess *Session) executePlan(e *planEntry, params exec.Params) (*exec.Rows, error) {
-	st := sess.store
-	rows, err := e.plan.Execute(queryCatalog{st}, params)
+func (s *Store) executePlan(e *planEntry, params exec.Params) (*exec.Rows, error) {
+	rows, err := e.plan.Execute(queryCatalog{s}, params)
 	if err != nil && errors.Is(err, exec.ErrPlanStale) {
-		rw, rerr := RewriteSelect(st, e.src)
+		rw, rerr := RewriteSelect(s, e.src)
 		if rerr != nil {
 			return nil, rerr
 		}
-		return exec.Select(queryCatalog{st}, rw, params)
+		return exec.Select(queryCatalog{s}, rw, params)
 	}
 	return rows, err
 }

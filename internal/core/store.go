@@ -501,7 +501,8 @@ func (s *Store) ActiveSessions() int {
 }
 
 // queryCatalog adapts the store for the executor: registered tables resolve
-// to their extended form (the rewrite layer injects the version logic), and
+// to their extended form (a compiled plan reads them through
+// ExtTable.Slot, a rewritten statement through its CASE expressions), and
 // unregistered names fall through to the plain database.
 type queryCatalog struct{ s *Store }
 

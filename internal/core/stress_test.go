@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
@@ -345,6 +346,153 @@ func readConserved(s *Store, rows, total int64) error {
 		if c != rows || sum != total {
 			return fmt.Errorf("session VN %d read %d groups totalling COUNT %d, SUM %d; want %d, %d", sess.VN(), len(grouped.Tuples), c, sum, rows, total)
 		}
+	}
+	return nil
+}
+
+// TestCompiledMatchesOracleUnderMaintenance races compiled plans — scan,
+// index and aggregate — against a live writer whose batches update, delete,
+// re-insert over deletes, and fold update→delete and insert→delete within a
+// batch, so the tuples a reader meets are the ones being rewritten. Each
+// answer is checked against the §4.1 rewrite run through the tree-walker at
+// the same session version; a session that expires meanwhile is replaced,
+// since neither answer then binds. Run it under -race (make stress does).
+func TestCompiledMatchesOracleUnderMaintenance(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			runOracleRace(t, n)
+		})
+	}
+}
+
+func runOracleRace(t *testing.T, n int) {
+	const keys = 128
+	s := newStore(t, n)
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[int64]int64, keys) // the writer's model of the committed state
+	m := mustMaint(t, s)
+	for k := int64(0); k < keys; k++ {
+		live[k] = 100 + k
+		if err := m.Insert("kv", kvTuple(k, live[k])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+
+	batches := 30
+	if testing.Short() {
+		batches = 8
+	}
+	queries := []*sql.SelectStmt{
+		mustParse(t, `SELECT k, v FROM kv WHERE v < 160`),
+		mustParse(t, `SELECT v FROM kv WHERE k = 40`),
+		mustParse(t, `SELECT k / 16, COUNT(*), SUM(v), MAX(v) FROM kv GROUP BY k / 16`),
+		mustParse(t, `SELECT k, v FROM kv WHERE v > 150 ORDER BY v, k LIMIT 10`),
+	}
+	const readers = 2
+	var wg sync.WaitGroup
+	var checked atomic.Int64 // answers compared while their session was live
+	stop := make(chan struct{})
+	errCh := make(chan error, readers+1) // one send at most per goroutine
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < batches; i++ {
+			next := make(map[int64]int64, len(live))
+			for k, v := range live {
+				next[k] = v
+			}
+			var deltas []Delta
+			key := func(k int64) catalog.Tuple { return catalog.Tuple{catalog.NewInt(k)} }
+			for j := int64(0); j < 24; j++ {
+				k := (int64(i)*37 + j*11) % keys
+				v, ok := next[k]
+				switch {
+				case !ok: // re-insert over an earlier delete, or insert → delete
+					deltas = append(deltas, Delta{Table: "kv", Op: DeltaInsert, Row: kvTuple(k, 100+j)})
+					next[k] = 100 + j
+					if j%3 == 0 {
+						deltas = append(deltas, Delta{Table: "kv", Op: DeltaDelete, Key: key(k)})
+						delete(next, k)
+					}
+				case j%4 == 0: // update → delete
+					deltas = append(deltas,
+						Delta{Table: "kv", Op: DeltaUpdate, Row: kvTuple(k, v+1), Key: key(k)},
+						Delta{Table: "kv", Op: DeltaDelete, Key: key(k)})
+					delete(next, k)
+				default:
+					deltas = append(deltas, Delta{Table: "kv", Op: DeltaUpdate, Row: kvTuple(k, v+j-12), Key: key(k)})
+					next[k] = v + j - 12
+				}
+			}
+			m, err := s.BeginMaintenance()
+			if err != nil {
+				errCh <- fmt.Errorf("writer begin: %w", err)
+				return
+			}
+			if _, err := m.ApplyBatch(deltas); err != nil {
+				errCh <- fmt.Errorf("writer batch: %w", err)
+				_ = m.Rollback() // the batch error is the one reported
+				return
+			}
+			if i%5 == 4 {
+				err = m.Rollback()
+			} else if err = m.Commit(); err == nil {
+				live = next
+			}
+			if err != nil {
+				errCh <- fmt.Errorf("writer finish: %w", err)
+				return
+			}
+			s.GC()
+		}
+	}()
+
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := readAgainstOracle(s, queries, &checked); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	t.Logf("%d answers compared", checked.Load())
+}
+
+// readAgainstOracle runs one session's queries through the cached plans and
+// through legacyAt; while the session is live the two must agree.
+func readAgainstOracle(s *Store, queries []*sql.SelectStmt, checked *atomic.Int64) error {
+	sess := s.BeginSession()
+	defer sess.Close()
+	for _, q := range queries {
+		got, gerr := sess.QueryStmt(q, nil)
+		want, werr := legacyAt(s, sess.VN(), q, nil)
+		if sess.Check() != nil {
+			return nil // expired: neither answer binds
+		}
+		if diff := sameAnswer(got, gerr, want, werr); diff != "" {
+			return fmt.Errorf("session VN %d %q: %s", sess.VN(), sql.Print(q), diff)
+		}
+		checked.Add(1)
 	}
 	return nil
 }

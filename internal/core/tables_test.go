@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/storage"
 )
 
@@ -23,9 +24,29 @@ func kvTuple(k, v int64) catalog.Tuple {
 	return catalog.Tuple{catalog.NewInt(k), catalog.NewInt(v)}
 }
 
+// planAsOf reads table at version s as every session query does — through
+// the store's cached plan for SELECT *, which picks each stored tuple's
+// version slot with ExtTable.Slot — without a session or its expiry checks.
+func planAsOf(t *testing.T, s *Store, table string, vn VN) *exec.Rows {
+	t.Helper()
+	e, err := s.selectPlan(mustParse(t, "SELECT * FROM "+table), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.plan.Vectorized() {
+		t.Fatalf("SELECT * FROM %s is not a compiled plan", table)
+	}
+	rows, err := s.executePlan(e, withSessionVN(nil, vn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // TestTable1Exhaustive enumerates every cell of Table 1: for each recorded
 // operation and each relation of sessionVN to tupleVN, the reader must
-// extract the right version (or ignore the tuple, or report expiration).
+// extract the right version (or ignore the tuple, or report expiration) —
+// through ReadAsOf and through a compiled plan alike.
 func TestTable1Exhaustive(t *testing.T) {
 	ext, err := ExtendSchema(kvSchema(), 2)
 	if err != nil {
@@ -81,19 +102,38 @@ func TestTable1Exhaustive(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if visible != c.visible {
-			t.Errorf("%s: visible = %v, want %v", name, visible, c.visible)
-			continue
+		// The same tuple, stored alone, read by the compiled plan.
+		s := newStore(t, 2)
+		vt, err := s.CreateTable(kvSchema())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if visible {
-			if got := base[1].Int(); got != c.value {
-				t.Errorf("%s: v = %d, want %d", name, got, c.value)
+		if _, err := vt.Storage().Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+		var planned catalog.Tuple
+		if rows := planAsOf(t, s, "kv", c.s); rows.Len() > 0 {
+			planned = rows.Tuples[0]
+		}
+		for path, got := range map[string]catalog.Tuple{"ReadAsOf": base, "plan": planned} {
+			if (got != nil) != c.visible {
+				t.Errorf("%s: %s: visible = %v, want %v", name, path, got != nil, c.visible)
+				continue
+			}
+			if got == nil {
+				continue
+			}
+			if v := got[1].Int(); v != c.value {
+				t.Errorf("%s: %s: v = %d, want %d", name, path, v, c.value)
 			}
 			// Non-updatable attributes always come from the current
 			// values (Table 1's note).
-			if base[0].Int() != 1 {
-				t.Errorf("%s: non-updatable k = %v", name, base[0])
+			if got[0].Int() != 1 {
+				t.Errorf("%s: %s: non-updatable k = %v", name, path, got[0])
 			}
+		}
+		if visible != (base != nil) {
+			t.Errorf("%s: ReadAsOf visible = %v with base %v", name, visible, base)
 		}
 	}
 }
@@ -418,6 +458,17 @@ func TestVersionReconstructionProperty(t *testing.T) {
 						t.Logf("seed %d n=%d: version %d key %d: %d want %d", seed, n, vn, k, got[k], v)
 						return false
 					}
+				}
+				planned := planAsOf(t, s, "kv", vn)
+				for _, tu := range planned.Tuples {
+					if v, ok := want[tu[0].Int()]; !ok || v != tu[1].Int() {
+						t.Logf("seed %d n=%d: version %d: compiled plan read %v, want %v", seed, n, vn, tu, want)
+						return false
+					}
+				}
+				if planned.Len() != len(want) {
+					t.Logf("seed %d n=%d: version %d: compiled plan read %d tuples, want %d", seed, n, vn, planned.Len(), len(want))
+					return false
 				}
 			}
 			// For non-reconstructible versions the per-tuple detector may

@@ -14,12 +14,13 @@ import (
 // equality access paths. The executor probes it for single-table queries
 // whose WHERE contains equality conjuncts on plain column references.
 //
-// This is where §4.3 of the paper becomes mechanical: after the 2VNL
-// rewrite, an updatable attribute no longer appears as a bare column — it
-// is wrapped in a CASE expression — so no access path can match it and the
-// query falls back to a scan. Indexes on non-updatable attributes (the
-// group-by attributes of summary tables) are untouched by the rewrite and
-// keep working.
+// This is where §4.3 of the paper becomes mechanical: an index holds current
+// values, so it cannot serve a read of an updatable attribute at an older
+// version. After the 2VNL rewrite such an attribute is wrapped in a CASE
+// expression, which no access path matches; a compiled plan over a
+// versioned relation refuses it explicitly (Plan.compileEqConjuncts). Either
+// way the query scans. Indexes on non-updatable attributes (the group-by
+// attributes of summary tables) keep working.
 type IndexedTable interface {
 	Table
 	// LookupEqual returns the RIDs whose tuples have the given values in
@@ -34,61 +35,58 @@ type eqConjunct struct {
 	val catalog.Value
 }
 
-// extractEqConjuncts walks a WHERE tree collecting top-level AND-ed
-// equality comparisons between a bare column of the given binding and a
-// constant. Any OR anywhere above a conjunct disqualifies it.
-func extractEqConjuncts(where sql.Expr, binding string, params Params) []eqConjunct {
-	var out []eqConjunct
-	var walk func(e sql.Expr)
-	walk = func(e sql.Expr) {
-		be, ok := e.(*sql.BinaryExpr)
-		if !ok {
+// eqConjuncts calls fn for each top-level AND-ed equality between a bare
+// column of the given binding and a literal or parameter, either way round.
+// Any OR anywhere above a conjunct disqualifies it. A CASE with one arm and no
+// ELSE — how the §4.1 rewrite guards a WHERE by tuple visibility — is true
+// only where its result is, so the result's conjuncts qualify too.
+func eqConjuncts(where sql.Expr, binding string, fn func(col *sql.ColumnRef, val sql.Expr)) {
+	switch x := where.(type) {
+	case *sql.BinaryExpr:
+		if x.Op == sql.OpAnd {
+			eqConjuncts(x.L, binding, fn)
+			eqConjuncts(x.R, binding, fn)
 			return
 		}
-		switch be.Op {
-		case sql.OpAnd:
-			walk(be.L)
-			walk(be.R)
-		case sql.OpEq:
-			col, val, ok := eqSides(be, binding, params)
-			if ok {
-				out = append(out, eqConjunct{col: col, val: val})
-			}
-		default:
-			// No other operator can contribute an indexable conjunct.
+		if x.Op != sql.OpEq {
 			return
+		}
+		if col, ok := eqColumn(x.L, x.R, binding); ok {
+			fn(col, x.R)
+		} else if col, ok := eqColumn(x.R, x.L, binding); ok {
+			fn(col, x.L)
+		}
+	case *sql.CaseExpr:
+		if len(x.Whens) == 1 && x.Else == nil {
+			eqConjuncts(x.Whens[0].Result, binding, fn)
 		}
 	}
-	walk(where)
-	return out
 }
 
-// eqSides matches `col = const` or `const = col` for the given binding.
-func eqSides(be *sql.BinaryExpr, binding string, params Params) (string, catalog.Value, bool) {
-	try := func(l, r sql.Expr) (string, catalog.Value, bool) {
-		cr, ok := l.(*sql.ColumnRef)
-		if !ok {
-			return "", catalog.Null, false
-		}
-		if cr.Table != "" && !strings.EqualFold(cr.Table, binding) {
-			return "", catalog.Null, false
-		}
-		switch c := r.(type) {
-		case *sql.Literal:
-			return cr.Name, c.Value, true
-		case *sql.Param:
-			v, bound := params[c.Name]
-			if !bound {
-				return "", catalog.Null, false
-			}
-			return cr.Name, v, true
-		}
-		return "", catalog.Null, false
+// eqColumn matches `col = literal/param` with col a bare reference to the
+// binding.
+func eqColumn(l, r sql.Expr, binding string) (*sql.ColumnRef, bool) {
+	cr, ok := l.(*sql.ColumnRef)
+	if !ok || cr.Table != "" && !strings.EqualFold(cr.Table, binding) {
+		return nil, false
 	}
-	if col, v, ok := try(be.L, be.R); ok {
-		return col, v, ok
+	switch r.(type) {
+	case *sql.Literal, *sql.Param:
+		return cr, true
 	}
-	return try(be.R, be.L)
+	return nil, false
+}
+
+// extractEqConjuncts resolves the WHERE's equality conjuncts against params;
+// a conjunct whose parameter is unbound is unusable and dropped.
+func extractEqConjuncts(where sql.Expr, binding string, params Params) []eqConjunct {
+	var out []eqConjunct
+	eqConjuncts(where, binding, func(col *sql.ColumnRef, val sql.Expr) {
+		if v, err := EvalConst(val, params); err == nil {
+			out = append(out, eqConjunct{col: col.Name, val: v})
+		}
+	})
+	return out
 }
 
 // accessRIDs attempts an index-served row source for a single-table query,

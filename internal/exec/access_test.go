@@ -26,6 +26,10 @@ func TestExtractEqConjuncts(t *testing.T) {
 		{`t.a = 5`, 1},                    // qualified by the right binding
 		{`u.a = 5`, 0},                    // wrong qualifier
 		{`a + 1 = 5`, 0},                  // expression side unusable
+		// The rewrite's visibility guard: true only where its result is.
+		{`CASE WHEN c > 0 THEN a = 1 AND b = 2 END`, 2},
+		{`CASE WHEN c > 0 THEN a = 1 ELSE b = 2 END`, 0},
+		{`CASE WHEN a = 1 THEN TRUE END`, 0},
 	}
 	for _, c := range cases {
 		e, err := sql.ParseExpr(c.where)

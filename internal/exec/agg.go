@@ -12,10 +12,11 @@ import (
 // This file implements the compiled hash aggregate: a single-table
 // COUNT/SUM/AVG/MIN/MAX with optional WHERE, GROUP BY, HAVING and LIMIT. The
 // fold is itself the Table.ScanFilter predicate, so it runs against each
-// stored tuple under the page latch and keeps nothing: per tuple it picks the
-// Table 1 variant, filters, evaluates the group key into a scratch tuple,
-// finds the group and adds the aggregate inputs, then answers false, so the
-// page walker copies no tuple. It allocates only when a new group appears.
+// stored tuple under the page latch and keeps nothing: per tuple it reads the
+// tuple at the reader's version (skipping an invisible one), filters,
+// evaluates the group key into a scratch tuple, finds the group and adds the
+// aggregate inputs, then answers false, so the page walker copies no tuple.
+// It allocates only when a new group appears.
 //
 // After the walk, HAVING and the select list run once per group against the
 // group row [key₀ … keyₖ₋₁, result₀ … resultₘ₋₁]: a subtree that prints like
@@ -23,21 +24,13 @@ import (
 // slot. Any other column reference — the tree-walker's representative-row
 // semantics — does not compile, and the statement falls back.
 
-// foldExprs are the closures one statement variant evaluates per stored
-// tuple: the WHERE (nil when absent), the GROUP BY key, and each aggregate
-// call's argument (nil for COUNT(*)).
-type foldExprs struct {
+// aggPlan is the compiled aggregate of a Plan. The fold evaluates the WHERE
+// (nil when absent), the GROUP BY key and each aggregate call's argument (nil
+// for COUNT(*)) per stored tuple; HAVING and the select list run per group.
+type aggPlan struct {
 	filter compiledExpr
 	keys   []compiledExpr
 	args   []compiledExpr
-}
-
-// aggPlan is the compiled aggregate of a Plan.
-type aggPlan struct {
-	full foldExprs
-	// fast is the Table 1 case-1 variant; used only when the Plan has a
-	// classifier (see CompileOptions).
-	fast   foldExprs
 	fns    []string // the aggregate function of each result slot
 	having compiledExpr
 	out    []compiledExpr // the select list, over the group row
@@ -69,61 +62,45 @@ func (g *groupRow) bind(e sql.Expr) sql.Expr {
 	})
 }
 
-// compileFold compiles what the fold evaluates for stmt and binds stmt's
-// select list and HAVING over the group row.
-func compileFold(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem) (foldExprs, *groupRow, error) {
-	var f foldExprs
+// compileAgg compiles an aggregating statement into p: what the fold
+// evaluates per tuple, then stmt's select list and HAVING bound over the group
+// row. An error means some expression does not compile, and the statement
+// takes the fallback path, which reports any error when it runs.
+func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem) (err error) {
+	a := &aggPlan{}
 	g := &groupRow{keys: make(map[string]int, len(stmt.GroupBy))}
 	if stmt.Where != nil {
-		fn, err := comp.compile(stmt.Where)
-		if err != nil {
-			return f, nil, err
+		if a.filter, err = comp.compile(stmt.Where); err != nil {
+			return err
 		}
-		f.filter = fn
 	}
 	for i, ge := range stmt.GroupBy {
 		fn, err := comp.compile(ge)
 		if err != nil {
-			return f, nil, err
+			return err
 		}
-		f.keys = append(f.keys, fn)
+		a.keys = append(a.keys, fn)
 		g.keys[sql.PrintExpr(ge)] = i // a repeated key: either slot holds its value
 	}
 	for _, it := range items {
 		g.out = append(g.out, g.bind(it.Expr))
 	}
 	g.having = g.bind(stmt.Having)
-	for _, fc := range g.calls {
-		if fc.Star {
-			f.args = append(f.args, nil)
-			continue
-		}
-		if len(fc.Args) == 0 {
-			return f, nil, fmt.Errorf("exec: %s needs an argument", fc.Name)
-		}
-		fn, err := comp.compile(fc.Args[0])
-		if err != nil {
-			return f, nil, err
-		}
-		f.args = append(f.args, fn)
-	}
-	return f, g, nil
-}
-
-// compileAgg compiles an aggregating statement into p. It reports false when
-// some expression does not compile, and the statement takes the fallback
-// path, which reports any error when it runs.
-func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem, opts *CompileOptions) bool {
-	full, g, err := compileFold(comp, stmt, items)
-	if err != nil {
-		return false
-	}
-	a := &aggPlan{full: full}
 	cols := make([]catalog.Column, len(stmt.GroupBy), len(stmt.GroupBy)+len(g.calls))
 	for i := range cols {
 		cols[i].Name = slotName('k', i)
 	}
 	for i, fc := range g.calls {
+		var arg compiledExpr
+		if !fc.Star {
+			if len(fc.Args) == 0 {
+				return fmt.Errorf("exec: %s needs an argument", fc.Name)
+			}
+			if arg, err = comp.compile(fc.Args[0]); err != nil {
+				return err
+			}
+		}
+		a.args = append(a.args, arg)
 		a.fns = append(a.fns, fc.Name)
 		cols = append(cols, catalog.Column{Name: slotName('a', i)})
 	}
@@ -131,41 +108,18 @@ func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.Sele
 	for i, e := range g.out {
 		fn, err := comp.compileAt(row, e)
 		if err != nil {
-			return false
+			return err
 		}
 		a.out = append(a.out, fn)
 		p.columns = append(p.columns, itemName(items[i], i))
 	}
 	if g.having != nil {
 		if a.having, err = comp.compileAt(row, g.having); err != nil {
-			return false
-		}
-	}
-	if opts != nil && opts.Fast != nil && opts.Classify != nil {
-		fastItems := expandStars(opts.Fast, &env{bindings: comp.bindings})
-		fast, fg, err := compileFold(comp, opts.Fast, fastItems)
-		if err == nil && sameCalls(fg.calls, g.calls) && len(fast.keys) == len(full.keys) {
-			a.fast = fast
-			p.classify = opts.Classify
-			p.classifyParam = opts.ClassifyParam
+			return err
 		}
 	}
 	p.agg = a
-	return true
-}
-
-// sameCalls reports whether two variants aggregate the same functions in the
-// same slots.
-func sameCalls(a, b []*sql.FuncCall) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || a[i].Star != b[i].Star {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // aggPartial is the group table of one fold: groups in discovery order, each
@@ -236,26 +190,19 @@ func (p *aggPartial) merge(q *aggPartial) error {
 
 // aggRun is the state of one aggregate Execute.
 type aggRun struct {
-	p      *Plan
-	ctx    *evalCtx
-	clsVal catalog.Value
-	split  bool          // clsVal is bound: choose the variant per tuple
-	key    catalog.Tuple // the current tuple's group key (scratch)
-	part   aggPartial
+	p    *Plan
+	ctx  *evalCtx
+	key  catalog.Tuple // the current tuple's group key (scratch)
+	part aggPartial
 }
 
-func (p *Plan) newAggRun(params Params) *aggRun {
-	width := len(p.agg.full.keys)
-	r := &aggRun{
-		p:    p,
-		ctx:  p.comp.newCtx(params),
-		key:  make(catalog.Tuple, width),
-		part: newAggPartial(p.agg.fns, width),
+func (p *Plan) newAggRun(params Params) (*aggRun, error) {
+	ctx, err := p.comp.newCtx(params)
+	if err != nil {
+		return nil, err
 	}
-	if p.classify != nil {
-		r.clsVal, r.split = params[p.classifyParam]
-	}
-	return r
+	width := len(p.agg.keys)
+	return &aggRun{p: p, ctx: ctx, key: make(catalog.Tuple, width), part: newAggPartial(p.agg.fns, width)}, nil
 }
 
 // executeAgg runs an aggregate plan: fold the table, then evaluate HAVING and
@@ -265,7 +212,10 @@ func (p *Plan) executeAgg(tbl Table, params Params) (*Rows, error) {
 	if p.limit != nil && *p.limit <= 0 {
 		return out, nil
 	}
-	r := p.newAggRun(params)
+	r, err := p.newAggRun(params)
+	if err != nil {
+		return nil, err
+	}
 	if err := r.foldTable(tbl); err != nil {
 		return nil, err
 	}
@@ -294,15 +244,16 @@ func (r *aggRun) foldTable(tbl Table) error {
 	return tbl.ScanFilter(r.fold, func([]storage.RID, []catalog.Tuple) bool { return true })
 }
 
-// fold adds t to its group when t passes the WHERE. It is the predicate
-// handed to Table.ScanFilter and never keeps t, so it runs under the page
-// latch: it neither retains t (values copied out of it are immutable) nor
-// allocates, except to admit a new group or to build an error.
+// fold adds t to its group when t exists at the reader's version and passes
+// the WHERE. It is the predicate handed to Table.ScanFilter and never keeps t,
+// so it runs under the page latch: it neither retains t (values copied out of
+// it are immutable) nor allocates, except to admit a new group or to build an
+// error.
 func (r *aggRun) fold(t catalog.Tuple) (bool, error) {
-	in := &r.p.agg.full
-	if r.split && r.p.classify(t, r.clsVal) {
-		in = &r.p.agg.fast
+	if !r.ctx.at(t) {
+		return false, nil
 	}
+	in := r.p.agg
 	if in.filter != nil {
 		v, err := in.filter(r.ctx, t)
 		if err != nil || !truthy(v) {

@@ -29,26 +29,44 @@ type compiledExpr func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error)
 
 // evalCtx is the per-execution state shared by every compiled closure of
 // one plan: the parameter values, bound into slots assigned at compile
-// time. It is cheap to build (one small slice) and never escapes an
-// execution, so concurrent executions of one shared plan each get their
-// own.
+// time, and for a versioned relation the reader's version and where the
+// current tuple keeps its columns at that version. It is cheap to build (one
+// small slice) and never escapes an execution, so concurrent executions of
+// one shared plan each get their own.
 type evalCtx struct {
 	params []catalog.Value
 	bound  []bool
+	ver    *CompileOptions
+	vn     int64
+	off    []int // ver.Slots[k] for the slot k the current tuple is read in
+}
+
+// at points the context's column reads at the version slot the reader sees
+// stored tuple t in, and reports whether t exists in that version. Without a
+// versioned relation every tuple exists as stored.
+func (ctx *evalCtx) at(t catalog.Tuple) bool {
+	if ctx.ver == nil {
+		return true
+	}
+	k, visible := ctx.ver.Select(t, ctx.vn)
+	ctx.off = ctx.ver.Slots[k]
+	return visible
 }
 
 // compiler compiles expressions against a fixed set of range-variable
 // bindings, interning parameter names into slots as it encounters them.
 type compiler struct {
-	bindings  []binding
+	bindings []binding
+	// ver describes the versioned relation the bindings name, or is nil.
+	ver       *CompileOptions
 	paramSlot map[string]int
 	// paramNames, parallel to the slots, names each slot for binding and
 	// error messages.
 	paramNames []string
 }
 
-func newCompiler(bindings []binding) *compiler {
-	return &compiler{bindings: bindings, paramSlot: make(map[string]int)}
+func newCompiler(bindings []binding, ver *CompileOptions) *compiler {
+	return &compiler{bindings: bindings, ver: ver, paramSlot: make(map[string]int)}
 }
 
 // slot returns the parameter slot for name, creating one on first use.
@@ -64,11 +82,13 @@ func (c *compiler) slot(name string) int {
 
 // newCtx binds a Params map into an execution context. Unbound parameters
 // are detected lazily, when (and only when) their slot is read, mirroring
-// the tree-walking evaluator.
-func (c *compiler) newCtx(params Params) *evalCtx {
+// the tree-walking evaluator — except the reader's version, which every
+// stored tuple of a versioned relation needs.
+func (c *compiler) newCtx(params Params) (*evalCtx, error) {
 	ctx := &evalCtx{
 		params: make([]catalog.Value, len(c.paramNames)),
 		bound:  make([]bool, len(c.paramNames)),
+		ver:    c.ver,
 	}
 	for i, name := range c.paramNames {
 		if v, ok := params[name]; ok {
@@ -76,7 +96,14 @@ func (c *compiler) newCtx(params Params) *evalCtx {
 			ctx.bound[i] = true
 		}
 	}
-	return ctx
+	if c.ver != nil {
+		v, ok := params[c.ver.Param]
+		if !ok {
+			return nil, fmt.Errorf("%w: :%s", ErrUnboundParam, c.ver.Param)
+		}
+		ctx.vn = v.Int()
+	}
+	return ctx, nil
 }
 
 // resolve finds the row offset for a (possibly qualified) column reference,
@@ -129,6 +156,17 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 			return nil, err
 		}
 		name := x.Name
+		if c.ver != nil && c.ver.versioned(idx) {
+			return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+				if off := ctx.off[idx]; off < len(row) {
+					return row[off], nil
+				}
+				return catalog.Null, fmt.Errorf("exec: column %q out of range", name)
+			}, nil
+		}
+		if c.ver != nil {
+			idx = c.ver.Slots[0][idx]
+		}
 		return func(_ *evalCtx, row catalog.Tuple) (catalog.Value, error) {
 			if idx >= len(row) {
 				return catalog.Null, fmt.Errorf("exec: column %q out of range", name)
@@ -328,13 +366,13 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 	}
 }
 
-// compileAt compiles e against other bindings — the aggregate's group row —
-// sharing c's parameter slots, so closures compiled either way evaluate in
-// one execution context.
+// compileAt compiles e against other, unversioned bindings — the
+// aggregate's group row — sharing c's parameter slots, so closures compiled
+// either way evaluate in one execution context.
 func (c *compiler) compileAt(bindings []binding, e sql.Expr) (compiledExpr, error) {
-	saved := c.bindings
-	c.bindings = bindings
-	defer func() { c.bindings = saved }()
+	saved, ver := c.bindings, c.ver
+	c.bindings, c.ver = bindings, nil
+	defer func() { c.bindings, c.ver = saved, ver }()
 	return c.compile(e)
 }
 

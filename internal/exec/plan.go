@@ -21,27 +21,47 @@ const maxChunkRows = 256
 // guards direct Plan users.
 var ErrPlanStale = errors.New("exec: plan compiled against a replaced table")
 
-// CompileOptions tunes CompileSelect. The Fast/Classify pair implements the
-// per-tuple version-reconstruction decision: the 2VNL layer passes the
-// statement it would run for a tuple readable in its current version
-// (Table 1 / §5 case 1 — no CASE reconstruction), plus a per-tuple
-// classifier. A tuple that classifies fast runs the fast filter and
-// projections — for an aggregate, the fast filter, group key and aggregate
-// inputs; any other runs the full rewritten form. Executions that do not
-// bind ClassifyParam run the full form throughout.
+// CompileOptions describes a versioned relation — one whose stored tuples
+// keep several versions of some columns side by side (2VNL's Table 1, nVNL's
+// §5) — so that CompileSelect compiles a statement written against the
+// relation's base columns once. Per stored tuple, Select picks the version
+// slot the reader sees, or finds the tuple invisible, before any expression
+// runs; every column reference then reads the stored tuple at that slot's
+// offset.
 type CompileOptions struct {
-	// Fast is the case-1 variant of the statement: same output columns,
-	// valid for a tuple t whenever Classify(t, v) is true, where v is the
-	// execution's binding of ClassifyParam.
-	Fast *sql.SelectStmt
-	// Classify reports whether a tuple may be read through Fast. It runs
-	// under the page latch (see Table.ScanFilter), once per tuple scanned:
-	// it must be cheap, must not allocate and must not retain row.
-	Classify func(row catalog.Tuple, v catalog.Value) bool
-	// ClassifyParam names the parameter whose bound value feeds Classify
-	// (the 2VNL layer passes ":sessionVN"). The lookup is hoisted to one
-	// map access per execution.
-	ClassifyParam string
+	// Slots[k][i] is the offset in the stored tuple of base column i as
+	// version slot k holds it. Slot 0 holds the current values, and its
+	// stored columns name the base columns; a column whose offset is the
+	// same in every slot is never versioned.
+	Slots [][]int
+	// Select returns the slot a reader at version vn reads row in, and
+	// whether row exists in that version at all. It runs under the page
+	// latch (see Table.ScanFilter), once per tuple scanned: it must be
+	// cheap, must not allocate and must not retain row.
+	Select func(row catalog.Tuple, vn int64) (slot int, visible bool)
+	// Param names the parameter that binds the reader's version.
+	Param string
+}
+
+// base returns the relation as statements name it: the stored columns that
+// hold the current values.
+func (o *CompileOptions) base(stored *catalog.Schema) *catalog.Schema {
+	cols := make([]catalog.Column, len(o.Slots[0]))
+	for i, off := range o.Slots[0] {
+		cols[i] = stored.Columns[off]
+	}
+	return &catalog.Schema{Name: stored.Name, Columns: cols}
+}
+
+// versioned reports whether base column i is read at a slot-dependent
+// offset.
+func (o *CompileOptions) versioned(i int) bool {
+	for _, off := range o.Slots[1:] {
+		if off[i] != o.Slots[0][i] {
+			return true
+		}
+	}
+	return false
 }
 
 // Plan is a SELECT compiled for repeated execution: its expressions are
@@ -49,10 +69,11 @@ type CompileOptions struct {
 // execution evaluates them against the stored tuples in place, page by page
 // (see Execute). A scan projects the tuples that pass the WHERE; an aggregate
 // folds them into a hash table of groups and projects the groups (agg.go).
-// Statements outside that subset — joins, ORDER BY, DISTINCT, no FROM, an
-// aggregate whose select list reads a column that is not grouped — compile to
-// a fallback plan that executes through the tree-walking executor, still
-// skipping parse and rewrite when cached.
+// Over a versioned relation (CompileOptions) each stored tuple is first read
+// at the reader's version. Statements outside that subset — joins, ORDER BY,
+// DISTINCT, no FROM, an aggregate whose select list reads a column that is
+// not grouped — compile to a fallback plan that executes through the
+// tree-walking executor.
 //
 // A Plan is immutable after CompileSelect returns and safe for concurrent
 // use by any number of goroutines; each Execute builds its own evaluation
@@ -76,12 +97,6 @@ type Plan struct {
 	// compile time; values resolve per execution (literal or parameter).
 	eqCols []string
 	eqVals []compiledExpr
-
-	// Per-tuple fast path (see CompileOptions).
-	fastFilter    compiledExpr
-	fastProject   []compiledExpr
-	classify      func(row catalog.Tuple, v catalog.Value) bool
-	classifyParam string
 }
 
 // Vectorized reports whether the plan runs compiled closures — the scan
@@ -95,10 +110,12 @@ func (p *Plan) Statement() *sql.SelectStmt { return p.stmt }
 // CompileSelect compiles stmt against cat. A single-table statement without
 // ORDER BY or DISTINCT gets compiled closures: the scan pipeline when it
 // projects rows, the hash aggregate (agg.go) when it has aggregates, GROUP BY
-// or HAVING, either with LIMIT. Everything else, and any statement with an
-// expression that does not compile, returns a fallback plan whose Execute runs
-// the tree-walking executor. The returned plan retains stmt; callers must not
-// mutate it afterwards.
+// or HAVING, either with LIMIT. With opts, stmt names the base columns of the
+// versioned relation opts describes, and every execution reads that relation
+// at the version bound to opts.Param. Everything else, and any statement with
+// an expression that does not compile, returns a fallback plan whose Execute
+// runs the tree-walking executor. The returned plan retains stmt; callers
+// must not mutate it afterwards.
 func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Plan, error) {
 	if len(stmt.From) != 1 || stmt.Distinct || len(stmt.OrderBy) > 0 {
 		return &Plan{stmt: stmt}, nil
@@ -109,151 +126,67 @@ func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Pl
 		return nil, err
 	}
 	sc := tbl.Schema()
-	comp := newCompiler([]binding{{name: tr.Binding(), schema: sc, offset: 0}})
-
-	p := &Plan{stmt: stmt}
-	items := expandStars(stmt, &env{bindings: comp.bindings})
-	var ok bool
-	if len(stmt.GroupBy) > 0 || stmt.Having != nil || anyAggregate(items) {
-		ok = p.compileAgg(comp, stmt, items, opts)
-	} else {
-		ok = p.compileScan(comp, stmt, items, opts)
+	b := binding{name: tr.Binding(), schema: sc}
+	if opts != nil {
+		b.schema = opts.base(sc)
 	}
-	if !ok {
+	comp := newCompiler([]binding{b}, opts)
+
+	p := &Plan{stmt: stmt, table: tr.Table, binding: tr.Binding(), schema: sc, comp: comp, limit: stmt.Limit}
+	items := expandStars(stmt, &env{bindings: comp.bindings})
+	if len(stmt.GroupBy) > 0 || stmt.Having != nil || anyAggregate(items) {
+		err = p.compileAgg(comp, stmt, items)
+	} else {
+		err = p.compileScan(comp, stmt.Where, items)
+	}
+	if err != nil {
 		// Unresolvable or uncompilable expression: the fallback path
 		// reports the same error at execution time.
 		return &Plan{stmt: stmt}, nil
 	}
 	p.vectorized = true
-	p.table = tr.Table
-	p.binding = tr.Binding()
-	p.schema = sc
-	p.comp = comp
-	p.limit = stmt.Limit
 	p.compileEqConjuncts(comp, stmt.Where)
 	return p, nil
 }
 
-// compileScan compiles a scan/filter/project statement into p, with its fast
-// variant when opts has one; false means the statement falls back.
-func (p *Plan) compileScan(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem, opts *CompileOptions) bool {
-	filter, project, columns, ok := compileFilterProject(comp, stmt.Where, items)
-	if !ok {
-		return false
-	}
-	p.filter = filter
-	p.project = project
-	p.columns = columns
-	if opts != nil && opts.Fast != nil && opts.Classify != nil {
-		// The fast variant compiles with the same compiler, so both
-		// variants share one parameter-slot table and one execution
-		// context.
-		fastItems := expandStars(opts.Fast, &env{bindings: comp.bindings})
-		if ff, fp, _, ok := compileFilterProject(comp, opts.Fast.Where, fastItems); ok && len(fp) == len(project) {
-			p.fastFilter = ff
-			p.fastProject = fp
-			p.classify = opts.Classify
-			p.classifyParam = opts.ClassifyParam
-		}
-	}
-	return true
-}
-
-// compileFilterProject compiles the WHERE and the select list. ok=false
-// means some expression does not compile (unknown column, unsupported
-// form); the caller then uses the fallback path, which reports the same
-// error when the statement actually runs.
-func compileFilterProject(comp *compiler, where sql.Expr, items []sql.SelectItem) (filter compiledExpr, project []compiledExpr, columns []string, ok bool) {
+// compileScan compiles the WHERE and the select list of a scan/filter/project
+// statement into p. An error means some expression does not compile (unknown
+// column, unsupported form); the statement then falls back.
+func (p *Plan) compileScan(comp *compiler, where sql.Expr, items []sql.SelectItem) (err error) {
 	if where != nil {
-		f, err := comp.compile(where)
-		if err != nil {
-			return nil, nil, nil, false
+		if p.filter, err = comp.compile(where); err != nil {
+			return err
 		}
-		filter = f
 	}
-	project = make([]compiledExpr, len(items))
-	columns = make([]string, len(items))
 	for i, it := range items {
 		fn, err := comp.compile(it.Expr)
 		if err != nil {
-			return nil, nil, nil, false
+			return err
 		}
-		project[i] = fn
-		columns[i] = itemName(it, i)
+		p.project = append(p.project, fn)
+		p.columns = append(p.columns, itemName(it, i))
 	}
-	return filter, project, columns, true
+	return nil
 }
 
-// compileEqConjuncts records the WHERE's top-level AND-ed `col = const`
-// conjuncts with their value expressions compiled, so the index access
-// path works on cached plans with per-execution parameter values.
+// compileEqConjuncts records the WHERE's equality conjuncts (eqConjuncts)
+// with their value expressions compiled, so the index access path works on
+// cached plans with per-execution parameter values. A versioned column never
+// qualifies (§4.3): an index holds current values, so a reader at an older
+// version would miss every tuple whose value it sees differs from the
+// current one.
 func (p *Plan) compileEqConjuncts(comp *compiler, where sql.Expr) {
-	var collect func(e sql.Expr)
-	collect = func(e sql.Expr) {
-		be, ok := e.(*sql.BinaryExpr)
-		if !ok {
-			return
-		}
-		switch be.Op {
-		case sql.OpAnd:
-			collect(be.L)
-			collect(be.R)
-		case sql.OpEq:
-			if col, val, ok := p.eqSideCompiled(comp, be.L, be.R); ok {
-				p.eqCols = append(p.eqCols, col)
-				p.eqVals = append(p.eqVals, val)
-			} else if col, val, ok := p.eqSideCompiled(comp, be.R, be.L); ok {
-				p.eqCols = append(p.eqCols, col)
-				p.eqVals = append(p.eqVals, val)
+	eqConjuncts(where, p.binding, func(col *sql.ColumnRef, val sql.Expr) {
+		if comp.ver != nil {
+			if i, err := comp.resolve(col); err != nil || comp.ver.versioned(i) {
+				return
 			}
-		default:
-			// Every other operator (arithmetic, comparisons, OR) is not an
-			// AND-ed equality conjunct; the index access path ignores it and
-			// the compiled filter re-applies the full WHERE.
-			return
 		}
-	}
-	collect(where)
-}
-
-// eqSideCompiled matches `col = literal/param` with col a bare reference to
-// the plan's binding, compiling the value side.
-func (p *Plan) eqSideCompiled(comp *compiler, l, r sql.Expr) (string, compiledExpr, bool) {
-	cr, ok := l.(*sql.ColumnRef)
-	if !ok {
-		return "", nil, false
-	}
-	if cr.Table != "" && !equalFold(cr.Table, p.binding) {
-		return "", nil, false
-	}
-	switch r.(type) {
-	case *sql.Literal, *sql.Param:
-		fn, err := comp.compile(r)
-		if err != nil {
-			return "", nil, false
+		if fn, err := comp.compile(val); err == nil {
+			p.eqCols = append(p.eqCols, col.Name)
+			p.eqVals = append(p.eqVals, fn)
 		}
-		return cr.Name, fn, true
-	}
-	return "", nil, false
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
+	})
 }
 
 // Execute runs the plan. A vectorized plan without a usable index hands its
@@ -281,14 +214,12 @@ func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
 	if p.limit != nil && *p.limit <= 0 {
 		return out, nil
 	}
-	r := planRun{p: p, ctx: p.comp.newCtx(params), out: out}
-	// Hoist the classifier's parameter lookup to one map access per
-	// execution; per tuple the only residual version logic is the
-	// classifier's integer comparison.
-	if p.classify != nil {
-		r.clsVal, r.split = params[p.classifyParam]
+	ctx, err := p.comp.newCtx(params)
+	if err != nil {
+		return nil, err
 	}
-	if rids, ok := p.lookupRIDs(r.ctx, tbl); ok {
+	r := planRun{p: p, ctx: ctx, out: out}
+	if rids, ok := p.lookupRIDs(ctx, tbl); ok {
 		return r.fetch(tbl, rids)
 	}
 	return r.scan(tbl)
@@ -296,33 +227,24 @@ func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
 
 // planRun is the state of one Execute.
 type planRun struct {
-	p      *Plan
-	ctx    *evalCtx
-	clsVal catalog.Value
-	split  bool // clsVal is bound: choose the variant per tuple
-	out    *Rows
-	free   []catalog.Value // unused rest of the current row chunk
+	p    *Plan
+	ctx  *evalCtx
+	out  *Rows
+	free []catalog.Value // unused rest of the current row chunk
 }
 
-// variant picks the filter and projections for t: the fast pair when the
-// plan has one and t classifies fast (Table 1 / §5 case 1), else the full
-// rewritten pair.
-func (r *planRun) variant(t catalog.Tuple) (compiledExpr, []compiledExpr) {
-	if r.split && r.p.classify(t, r.clsVal) {
-		return r.p.fastFilter, r.p.fastProject
-	}
-	return r.p.filter, r.p.project
-}
-
-// keep reports whether t passes the WHERE. It is the predicate handed to
-// Table.ScanFilter, so it runs under the page latch: compiled closures
-// neither retain t nor allocate unless they fail.
+// keep reports whether t exists at the reader's version and passes the
+// WHERE. It is the predicate handed to Table.ScanFilter, so it runs under the
+// page latch: compiled closures neither retain t nor allocate unless they
+// fail.
 func (r *planRun) keep(t catalog.Tuple) (bool, error) {
-	filter, _ := r.variant(t)
-	if filter == nil {
+	if !r.ctx.at(t) {
+		return false, nil
+	}
+	if r.p.filter == nil {
 		return true, nil
 	}
-	v, err := filter(r.ctx, t)
+	v, err := r.p.filter(r.ctx, t)
 	if err != nil {
 		return false, err
 	}
@@ -332,8 +254,8 @@ func (r *planRun) keep(t catalog.Tuple) (bool, error) {
 // emit projects t, which keep accepted, into the next result row; done
 // reports that the LIMIT is reached.
 func (r *planRun) emit(t catalog.Tuple) (done bool, err error) {
-	_, project := r.variant(t)
-	w := len(project)
+	r.ctx.at(t)
+	w := len(r.p.project)
 	if len(r.free) < w {
 		// Chunks double with the result, from one row up to maxChunkRows.
 		rows := min(max(len(r.out.Tuples), 1), maxChunkRows)
@@ -342,7 +264,7 @@ func (r *planRun) emit(t catalog.Tuple) (done bool, err error) {
 	// Capped to its own width, so appending to a row cannot reach the next.
 	row := catalog.Tuple(r.free[:w:w])
 	r.free = r.free[w:]
-	for i, fn := range project {
+	for i, fn := range r.p.project {
 		if row[i], err = fn(r.ctx, t); err != nil {
 			return false, err
 		}
