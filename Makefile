@@ -17,10 +17,11 @@ race:
 	$(GO) test -race ./...
 
 # stress runs the multi-goroutine concurrency tests (readers racing
-# maintenance, shared sessions, mid-query expiry) under the race detector,
-# with a generous timeout so slow CI machines finish the full matrix.
+# maintenance, shared sessions, mid-query expiry, buffer-pool hits racing
+# evictions and flushes) under the race detector, with a generous timeout
+# so slow CI machines finish the full matrix.
 stress:
-	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance' -count=2 ./internal/core/
+	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance' -count=2 ./internal/core/ ./internal/storage/
 
 # lint runs vnlvet, the in-repo analyzer suite: the paper's latch,
 # guarded-write, decision-table, metric-registry, and WAL-error invariants,

@@ -157,6 +157,44 @@ func TestE1ShapeHolds(t *testing.T) {
 	}
 }
 
+// TestE3E9IOCountsPinned pins the §6 I/O figures at the default config:
+// every integer column of E3 and E9's page reads. They are deterministic
+// counts from the exact-LRU buffer pool, so any change to replacement or to
+// the access paths that feed it shows up here. Latency columns are left out.
+func TestE3E9IOCountsPinned(t *testing.T) {
+	tables, err := RunE3(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3 := map[string]string{
+		"S2PL":         "63 63 0 625 0 0 320000",
+		"2V2PL":        "200 200 0 2000 0 0 500000",
+		"MV2PL":        "202 202 2000 1261 2000 0 622597",
+		"MV2PL/cache2": "223 223 0 2223 0 2000 1100385",
+		"2VNL":         "118 118 0 1177 0 0 580261",
+	}
+	if rows := tables[0].Rows; len(rows) != len(e3) {
+		t.Errorf("E3 has %d rows, want %d", len(rows), len(e3))
+	}
+	for _, row := range tables[0].Rows {
+		if got := strings.Join(row[1:], " "); got != e3[row[0]] {
+			t.Errorf("E3 %s: got %q, want %q", row[0], got, e3[row[0]])
+		}
+	}
+
+	tables, err = RunE9(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads []string
+	for _, row := range tables[0].Rows {
+		reads = append(reads, row[2])
+	}
+	if got, want := strings.Join(reads, " "), "1895 41 1895 2000"; got != want {
+		t.Errorf("E9 page reads: got %q, want %q", got, want)
+	}
+}
+
 func TestFindAndAll(t *testing.T) {
 	if len(All()) != 23 {
 		t.Errorf("experiment count = %d", len(All()))

@@ -17,7 +17,10 @@
 // (reads), and dirty-page write-backs. Those counters power the paper's §6
 // I/O-overhead comparison between 2VNL (both tuple versions in one physical
 // location, zero extra I/O) and MV2PL version-pool designs (chain walks and
-// copy-outs cost extra I/O).
+// copy-outs cost extra I/O), so replacement must be exact LRU. A hit
+// stamps the page with one atomic store and takes no lock; a miss picks
+// its victim from a lazily re-keyed min-heap of stamps in amortised
+// O(log capacity), never by scanning the cache.
 package storage
 
 import (
@@ -81,18 +84,32 @@ type poolCounters struct {
 	hits, misses, writeBacks *obs.Counter
 }
 
+// victim is one item of the eviction heap: a cached entry and the stamp it
+// was keyed by when last placed in the heap.
+type victim struct {
+	e     *poolEntry
+	stamp int64
+}
+
 // BufferPool simulates a fixed-capacity page cache with LRU replacement and
 // counts logical I/O. All heaps sharing a pool compete for its capacity,
 // exactly as relations and a version pool would inside one DBMS.
 //
-// The hit path — by far the common case on the reader side — is lock-free:
-// the page index is read without any latch and a hit costs two atomic
-// operations (recency stamp, hit counter). Only misses take the mutex, to
-// serialize insertion and eviction. Single-threaded, the stamp-based
-// eviction (evict the minimum stamp) is exactly LRU, so the §6 I/O
-// experiments' exact hit/miss/write-back counts are unchanged; under
-// concurrency the counters are exact and the eviction order is LRU up to
-// the interleaving of the racing accesses.
+// The hit path — by far the common case on the reader side — is lock-free
+// and allocation-free: the page index is read without any latch and a hit
+// costs two atomic operations (recency stamp, hit counter). It does not
+// touch the eviction heap, so a heap key may lag its entry's stamp.
+//
+// Only misses take the mutex, to serialize insertion and eviction. The
+// victim is the entry with the minimum stamp, found lazily: when the
+// heap's top is keyed by its entry's current stamp it is that minimum
+// (every other key is at most its own entry's stamp, and stamps are
+// unique), otherwise the top is re-keyed to its current stamp and sifted
+// down. A hit re-keys an item at most once, so an eviction costs amortised
+// O(log capacity). Single-threaded this is exactly LRU, so the §6 I/O
+// experiments' hit/miss/write-back counts are exact; under concurrency the
+// counters are exact and the eviction order is LRU up to the interleaving
+// of the racing accesses.
 type BufferPool struct {
 	capacity int
 	clock    atomic.Int64
@@ -103,10 +120,11 @@ type BufferPool struct {
 	obsC     atomic.Pointer[poolCounters]
 
 	// mu serializes the miss path (insert + evict) and structural
-	// operations (Reset, Flush); it is never taken on a hit. size counts
-	// cached entries and is only touched while mu is held.
-	mu   sync.Mutex
-	size int
+	// operations (Reset, Flush); it is never taken on a hit. victims is
+	// the eviction min-heap, one item per cached entry, so its length is
+	// the number of cached pages; it is only touched while mu is held.
+	mu      sync.Mutex
+	victims []victim
 	// writers maps a file ID to the function that persists one of its
 	// pages. When a dirty page of a registered file is written back —
 	// eviction or Flush — the writer runs and its error surfaces to the
@@ -203,16 +221,19 @@ func (p *BufferPool) miss(key PageKey, write bool) error {
 		c.misses.Inc()
 	}
 	var firstErr error
-	for p.size >= p.capacity {
+	for len(p.victims) >= p.capacity {
 		if err := p.evictOldestLocked(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	e := &poolEntry{key: key}
-	e.stamp.Store(p.clock.Add(1))
+	st := p.clock.Add(1)
+	e.stamp.Store(st)
 	e.dirty.Store(write)
 	p.index.Store(key, e)
-	p.size++
+	// st was drawn after every key in the heap, so appending keeps heap
+	// order without a sift.
+	p.victims = append(p.victims, victim{e: e, stamp: st})
 	return firstErr
 }
 
@@ -233,32 +254,55 @@ func (p *BufferPool) writeBackLocked(key PageKey) error {
 // evictOldestLocked removes the entry with the minimum recency stamp —
 // exactly the LRU victim. A dirty victim is written back first; a
 // write-back failure still evicts (the WAL, not the mirror, is the
-// authority for durability) but surfaces the error. Callers hold mu.
+// authority for durability) but surfaces the error. Callers hold mu and
+// guarantee the heap is non-empty.
 func (p *BufferPool) evictOldestLocked() error {
-	var victim *poolEntry
-	var minStamp int64
-	p.index.Range(func(_, v any) bool {
-		e := v.(*poolEntry)
-		if st := e.stamp.Load(); victim == nil || st < minStamp {
-			victim, minStamp = e, st
+	for {
+		top := &p.victims[0]
+		st := top.e.stamp.Load()
+		if st == top.stamp {
+			break
 		}
-		return true
-	})
-	if victim == nil {
-		p.size = 0
-		return nil
+		top.stamp = st
+		p.siftDownLocked(0)
 	}
+	e := p.victims[0].e
+	last := len(p.victims) - 1
+	p.victims[0] = p.victims[last]
+	p.victims[last] = victim{} // drop the pointer; the backing array is reused
+	p.victims = p.victims[:last]
+	p.siftDownLocked(0)
+
 	var err error
-	if victim.dirty.Load() {
-		err = p.writeBackLocked(victim.key)
+	if e.dirty.Load() {
+		err = p.writeBackLocked(e.key)
 		p.wbacks.Add(1)
 		if c := p.obsC.Load(); c != nil {
 			c.writeBacks.Inc()
 		}
 	}
-	p.index.Delete(victim.key)
-	p.size--
+	p.index.Delete(e.key)
 	return err
+}
+
+// siftDownLocked restores heap order below item i after its key grew (or,
+// at the root, changed at all). Callers hold mu.
+func (p *BufferPool) siftDownLocked(i int) {
+	h := p.victims
+	for {
+		least, l := i, 2*i+1
+		if l < len(h) && h[l].stamp < h[least].stamp {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h[r].stamp < h[least].stamp {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // Stats returns a snapshot of the pool's counters.
@@ -278,11 +322,11 @@ func (p *BufferPool) Reset() {
 	p.hits.Store(0)
 	p.misses.Store(0)
 	p.wbacks.Store(0)
-	p.index.Range(func(k, _ any) bool {
-		p.index.Delete(k)
-		return true
-	})
-	p.size = 0
+	for _, v := range p.victims {
+		p.index.Delete(v.e.key)
+	}
+	clear(p.victims)
+	p.victims = p.victims[:0]
 	p.ioErr = nil
 }
 

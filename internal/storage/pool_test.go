@@ -1,0 +1,118 @@
+package storage
+
+import (
+	"container/list"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// refLRU is the reference the pool is checked against: a textbook LRU over
+// a linked list, front = most recently used, counting the same I/O.
+type refLRU struct {
+	capacity int
+	order    *list.List // of *refPage
+	pages    map[PageKey]*list.Element
+	stats    IOStats
+	written  []PageKey // dirty evictions, in order
+}
+
+type refPage struct {
+	key   PageKey
+	dirty bool
+}
+
+func newRefLRU(capacity int) *refLRU {
+	return &refLRU{capacity: capacity, order: list.New(), pages: map[PageKey]*list.Element{}}
+}
+
+func (r *refLRU) touch(key PageKey, write bool) {
+	if el, ok := r.pages[key]; ok {
+		r.order.MoveToFront(el)
+		if write {
+			el.Value.(*refPage).dirty = true
+		}
+		r.stats.Hits++
+		return
+	}
+	r.stats.Misses++
+	if r.order.Len() >= r.capacity {
+		old := r.order.Remove(r.order.Back()).(*refPage)
+		delete(r.pages, old.key)
+		if old.dirty {
+			r.stats.WriteBacks++
+			r.written = append(r.written, old.key)
+		}
+	}
+	r.pages[key] = r.order.PushFront(&refPage{key: key, dirty: write})
+}
+
+func (r *refLRU) reset() {
+	r.order.Init()
+	clear(r.pages)
+	r.stats = IOStats{}
+}
+
+// TestBufferPoolMatchesReferenceLRU drives the pool and a reference LRU with
+// one randomized, skewed read/write sequence and requires identical hit,
+// miss and write-back counts after every step, and the same pages handed to
+// the registered writers in the same order. The §6 I/O experiments depend on
+// the pool being exactly LRU single-threaded.
+func TestBufferPoolMatchesReferenceLRU(t *testing.T) {
+	const files = 3
+	for _, capacity := range []int{1, 2, 7, 64, 1024} {
+		t.Run(fmt.Sprint("capacity=", capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			pages := uint64(4 * capacity)
+			zipf := rand.NewZipf(rng, 1.2, 1, pages-1)
+			p := NewBufferPool(capacity)
+			ref := newRefLRU(capacity)
+			var written []PageKey
+			for f := 0; f < files; f++ {
+				p.RegisterWriter(f, func(page int) error {
+					written = append(written, PageKey{f, page})
+					return nil
+				})
+			}
+			steps := 20*capacity + 200
+			for i := 0; i < steps; i++ {
+				if i == steps/2 {
+					p.Reset()
+					ref.reset()
+				}
+				n := int(zipf.Uint64())
+				if rng.Intn(10) < 3 { // a uniform tail keeps old pages coming back
+					n = rng.Intn(int(pages))
+				}
+				key := PageKey{File: n % files, Page: n / files}
+				write := rng.Intn(4) == 0
+				if err := p.Touch(key, write); err != nil {
+					t.Fatalf("step %d: Touch(%v): %v", i, key, err)
+				}
+				ref.touch(key, write)
+				if got := p.Stats(); got != ref.stats {
+					t.Fatalf("step %d: Touch(%v, %v): pool %v, reference %v", i, key, write, got, ref.stats)
+				}
+			}
+			if len(written) != len(ref.written) {
+				t.Fatalf("pool wrote back %d pages, reference %d", len(written), len(ref.written))
+			}
+			for i := range written {
+				if written[i] != ref.written[i] {
+					t.Fatalf("write-back %d: pool %v, reference %v", i, written[i], ref.written[i])
+				}
+			}
+		})
+	}
+}
+
+// TestBufferPoolHitAllocatesNothing: a hit is one atomic stamp and one
+// counter, so the read path of a cached page allocates nothing.
+func TestBufferPoolHitAllocatesNothing(t *testing.T) {
+	p := NewBufferPool(8)
+	key := PageKey{1, 3}
+	p.Touch(key, false)
+	if n := testing.AllocsPerRun(1000, func() { p.Touch(key, true) }); n != 0 {
+		t.Errorf("hit allocated %.1f times per Touch, want 0", n)
+	}
+}
