@@ -332,7 +332,7 @@ func (m *Maintenance) Query(text string, params exec.Params) (*exec.Rows, error)
 	if err != nil {
 		return nil, err
 	}
-	return m.store.executePlan(e, withSessionVN(params, m.vn))
+	return m.store.executePlan(e, params, m.vn)
 }
 
 // Exec parses and applies a maintenance DML statement — INSERT, UPDATE, or
@@ -528,7 +528,11 @@ func (s *Store) finishCommitLocked(m *Maintenance) {
 // pre-transaction state.
 //
 // In RollbackUndoLog mode the recorded bookkeeping images are restored
-// exactly and no reader is affected.
+// exactly. Only readers whose queries ran wholly outside the transaction are
+// unaffected. A query that overlapped it may have read a slot the restore
+// rewrites with lower version numbers, and neither expiry check notices an
+// aborted transaction afterwards, so that query can return a wrong answer
+// without an error (ROADMAP item 0).
 //
 // In RollbackLogless mode (§7) the revert uses only the version
 // information inside each tuple: physically-inserted tuples are deleted,

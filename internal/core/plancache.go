@@ -22,6 +22,10 @@ type planEntry struct {
 	reg  *tableRegistry
 	src  *sql.SelectStmt
 	plan *exec.Plan
+	// direct reports that plan reads its relation through the slot selector,
+	// so the reader's version binds directly (exec.Plan.ExecuteAt); any other
+	// plan reads :sessionVN from its parameters.
+	direct bool
 }
 
 // planCache is the store's one statement cache: every SELECT — Session.Query,
@@ -32,10 +36,11 @@ type planEntry struct {
 // statement, QueryStmt callers and Prepared handles share a single compiled
 // plan.
 //
-// Every plan binds :sessionVN as a parameter at execution time, so a plan
-// depends on the registered relations and their schemas and never on the
-// session. A cached plan is therefore usable iff the store's copy-on-write
-// table registry is the identical pointer the plan was derived against.
+// Every plan takes the reader's version at execution time — as an argument
+// or as the :sessionVN parameter — so a plan depends on the registered
+// relations and their schemas and never on the session. A cached plan is
+// therefore usable iff the store's copy-on-write table registry is the
+// identical pointer the plan was derived against.
 // CreateTable and AdoptTable publish a fresh registry, invalidating every
 // entry and every Prepared handle with no shootdown protocol — stale entries
 // are simply missed and overwritten on the next derivation.
@@ -81,10 +86,10 @@ func (c *planCache) put(key string, e *planEntry) {
 // parser.
 //
 // A statement over one versioned relation compiles as written: the plan
-// reads each stored tuple at :sessionVN through the relation's slot selector
-// (ExtTable.Slot). A shape the compiled plans do not cover — a join, ORDER
-// BY, DISTINCT, a non-grouped column — compiles from the §4.1 rewrite
-// instead and runs through the tree-walker.
+// reads each stored tuple at the reader's version through the relation's
+// slot selector (ExtTable.Slot). A shape the compiled plans do not cover — a
+// join, ORDER BY, DISTINCT, a non-grouped column — compiles from the §4.1
+// rewrite instead and runs through the tree-walker.
 //
 // The registry is loaded once, before derivation: a registry flip racing the
 // derivation tags the new plan with the older pointer, which only means the
@@ -107,6 +112,7 @@ func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) 
 		}
 	}
 	pl, err := exec.CompileSelect(queryCatalog{s}, src, opts)
+	direct := err == nil && opts != nil && pl.Vectorized()
 	if err == nil && !pl.Vectorized() {
 		var rw *sql.SelectStmt
 		if rw, err = RewriteSelect(s, src); err == nil {
@@ -116,7 +122,7 @@ func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) 
 	if err != nil {
 		return nil, err
 	}
-	e := &planEntry{reg: reg, src: src, plan: pl}
+	e := &planEntry{reg: reg, src: src, plan: pl, direct: direct}
 	s.plans.put(canon, e)
 	s.plans.put(raw, e)
 	return e, nil

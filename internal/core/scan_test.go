@@ -95,6 +95,33 @@ func factStore(t testing.TB, rows int64) *Store {
 	return s
 }
 
+// The allocation pin for an indexed point read through a compiled plan on a
+// 2VNL table: the session's version binds without a parameter map and the
+// evaluation context holds the index lookup's scratch, so what is left is
+// the context, the index probe (key and RID list), the tuple copied out
+// under its page latch, and the result. The limit leaves a little room;
+// raising it needs a reason.
+func TestPointReadAllocations(t *testing.T) {
+	s := factStore(t, 1024)
+	p, err := s.Prepare(`SELECT id, qty, amount FROM fact WHERE id = :k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.BeginSession()
+	defer sess.Close()
+	params := exec.Params{"k": catalog.NewInt(77)}
+	allocs := testing.AllocsPerRun(200, func() {
+		rows, err := sess.QueryPrepared(p, params)
+		if err != nil || rows.Len() != 1 || rows.Tuples[0][2].Int() != 77*7 {
+			t.Fatalf("rows=%v err=%v", rows, err)
+		}
+	})
+	t.Logf("%.1f allocations per point read", allocs)
+	if allocs > 8 {
+		t.Errorf("%.1f allocations per compiled point read; the limit is 8", allocs)
+	}
+}
+
 // The allocation guard: a prepared scan returning 256 of 16 384 rows copies
 // only its survivors, so it allocates for the result and little else — not
 // once per tuple scanned (16 958 before the in-place filter).

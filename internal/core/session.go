@@ -257,7 +257,7 @@ func (sess *Session) QueryStmt(sel *sql.SelectStmt, params exec.Params) (*exec.R
 }
 
 // run is the one reader path (§3.2, §4.1): expiration check, execute the
-// plan with :sessionVN bound, expiration check again — so a session that
+// plan at the session's version, expiration check again — so a session that
 // silently expired mid-query (a second maintenance transaction began)
 // reports ErrSessionExpired rather than returning an inconsistent result.
 // Query, QueryStmt and QueryPrepared each resolve a plan entry and hand it
@@ -271,7 +271,7 @@ func (sess *Session) run(e *planEntry, params exec.Params) (*exec.Rows, error) {
 	if err := sess.checkBefore(); err != nil {
 		return nil, err
 	}
-	rows, err := sess.store.executePlan(e, withSessionVN(params, sess.vn))
+	rows, err := sess.store.executePlan(e, params, sess.vn)
 	if err != nil {
 		return nil, err
 	}
@@ -305,9 +305,12 @@ func (sess *Session) checkBefore() error {
 // checkAfter is the post-execution half. The global discipline repeats
 // Check. The per-tuple one probes each versioned table in the query's FROM
 // list — not every table, as Check does — for tuples the session can no
-// longer reconstruct. Unreconstructibility is monotone (tuple version
-// numbers only grow), so a clean probe after the query implies the whole
-// execution read reconstructible tuples.
+// longer reconstruct. A clean probe after the query implies the whole
+// execution read reconstructible tuples only while unreconstructibility is
+// monotone, that is while tuple version numbers only grow. Commits and
+// logless rollback keep that. Undo-log rollback does not: it restores lower
+// slot version numbers, so a query that overlapped a rolled-back
+// transaction can pass this probe with a wrong answer (ROADMAP item 0).
 func (sess *Session) checkAfter(from []sql.TableRef) error {
 	if !sess.perTuple {
 		return sess.Check()
@@ -320,21 +323,31 @@ func (sess *Session) checkAfter(from []sql.TableRef) error {
 	return nil
 }
 
-// executePlan runs a cached plan, recovering from the rare stale-plan race:
-// the table registry can flip between cache validation and execution (e.g.
-// AdoptTable replacing the table mid-flight), which the plan detects by
-// schema-pointer comparison. Recovery re-derives against the current
-// registry and runs the tree-walker, which resolves tables at execution
-// time, instead of failing the query; the stale cache entry dies on its
-// next lookup.
-func (s *Store) executePlan(e *planEntry, params exec.Params) (*exec.Rows, error) {
-	rows, err := e.plan.Execute(queryCatalog{s}, params)
+// executePlan runs a cached plan for a reader at vn. A compiled plan over a
+// versioned relation takes vn directly (exec.Plan.ExecuteAt); a fallback plan
+// reads the §4.1 rewrite's :sessionVN parameter, so only it gets a copy of
+// params with vn bound. executePlan also recovers from the rare stale-plan
+// race: the table registry can flip between cache validation and execution
+// (e.g. AdoptTable replacing the table mid-flight), which the plan detects
+// by schema-pointer comparison. Recovery re-derives against the current
+// registry and runs the rewrite through the tree-walker, which resolves
+// tables at execution time, instead of failing the query; the stale cache
+// entry dies on its next lookup.
+func (s *Store) executePlan(e *planEntry, params exec.Params, vn VN) (*exec.Rows, error) {
+	cat := queryCatalog{s}
+	var rows *exec.Rows
+	var err error
+	if e.direct {
+		rows, err = e.plan.ExecuteAt(cat, params, int64(vn))
+	} else {
+		rows, err = e.plan.Execute(cat, withSessionVN(params, vn))
+	}
 	if err != nil && errors.Is(err, exec.ErrPlanStale) {
 		rw, rerr := RewriteSelect(s, e.src)
 		if rerr != nil {
 			return nil, rerr
 		}
-		return exec.Select(queryCatalog{s}, rw, params)
+		return exec.Select(cat, rw, withSessionVN(params, vn))
 	}
 	return rows, err
 }

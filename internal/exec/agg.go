@@ -196,8 +196,8 @@ type aggRun struct {
 	part aggPartial
 }
 
-func (p *Plan) newAggRun(params Params) (*aggRun, error) {
-	ctx, err := p.comp.newCtx(params)
+func (p *Plan) newAggRun(params Params, vn int64, at bool) (*aggRun, error) {
+	ctx, err := p.comp.newCtx(params, vn, at)
 	if err != nil {
 		return nil, err
 	}
@@ -207,12 +207,12 @@ func (p *Plan) newAggRun(params Params) (*aggRun, error) {
 
 // executeAgg runs an aggregate plan: fold the table, then evaluate HAVING and
 // the select list per group.
-func (p *Plan) executeAgg(tbl Table, params Params) (*Rows, error) {
+func (p *Plan) executeAgg(tbl Table, params Params, vn int64, at bool) (*Rows, error) {
 	out := &Rows{Columns: p.columns}
 	if p.limit != nil && *p.limit <= 0 {
 		return out, nil
 	}
-	r, err := p.newAggRun(params)
+	r, err := p.newAggRun(params, vn, at)
 	if err != nil {
 		return nil, err
 	}

@@ -205,7 +205,7 @@ func TestAggregatePartialMerge(t *testing.T) {
 			var merged *aggRun
 			for lo := 0; lo < pages; {
 				hi := lo + 1 + rng.Intn(pages-lo)
-				r, err := pl.newAggRun(nil)
+				r, err := pl.newAggRun(nil, 0, false)
 				if err != nil {
 					t.Fatal(err)
 				}

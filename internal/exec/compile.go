@@ -29,17 +29,28 @@ type compiledExpr func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error)
 
 // evalCtx is the per-execution state shared by every compiled closure of
 // one plan: the parameter values, bound into slots assigned at compile
-// time, and for a versioned relation the reader's version and where the
-// current tuple keeps its columns at that version. It is cheap to build (one
-// small slice) and never escapes an execution, so concurrent executions of
-// one shared plan each get their own.
+// time; for a versioned relation the reader's version and where the current
+// tuple keeps its columns at that version; and the index lookup's scratch
+// (Plan.lookupRIDs). It never escapes an execution, so concurrent executions
+// of one shared plan each get their own. A plan with at most ctxInline
+// parameters and ctxInline equality conjuncts keeps all of it inside the
+// context, so building one is a single allocation.
 type evalCtx struct {
 	params []catalog.Value
 	bound  []bool
 	ver    *CompileOptions
 	vn     int64
 	off    []int // ver.Slots[k] for the slot k the current tuple is read in
+
+	paramArr [ctxInline]catalog.Value
+	boundArr [ctxInline]bool
+	lookCols [ctxInline]string
+	lookVals [ctxInline]catalog.Value
 }
+
+// ctxInline is how many parameters, and how many index-lookup conjuncts, an
+// evalCtx holds without a further allocation.
+const ctxInline = 2
 
 // at points the context's column reads at the version slot the reader sees
 // stored tuple t in, and reports whether t exists in that version. Without a
@@ -80,23 +91,27 @@ func (c *compiler) slot(name string) int {
 	return s
 }
 
-// newCtx binds a Params map into an execution context. Unbound parameters
-// are detected lazily, when (and only when) their slot is read, mirroring
-// the tree-walking evaluator — except the reader's version, which every
-// stored tuple of a versioned relation needs.
-func (c *compiler) newCtx(params Params) (*evalCtx, error) {
-	ctx := &evalCtx{
-		params: make([]catalog.Value, len(c.paramNames)),
-		bound:  make([]bool, len(c.paramNames)),
-		ver:    c.ver,
+// newCtx binds one execution's parameters into a fresh context. Unbound
+// parameters are detected lazily, when (and only when) their slot is read,
+// mirroring the tree-walking evaluator — except the reader's version, which
+// every stored tuple of a versioned relation needs. With at set the version
+// is vn (Plan.ExecuteAt), which also answers the version parameter wherever
+// the statement names it; otherwise it is read from params.
+func (c *compiler) newCtx(params Params, vn int64, at bool) (*evalCtx, error) {
+	ctx := &evalCtx{ver: c.ver, vn: vn}
+	if n := len(c.paramNames); n <= ctxInline {
+		ctx.params, ctx.bound = ctx.paramArr[:n], ctx.boundArr[:n]
+	} else {
+		ctx.params, ctx.bound = make([]catalog.Value, n), make([]bool, n)
 	}
 	for i, name := range c.paramNames {
-		if v, ok := params[name]; ok {
-			ctx.params[i] = v
-			ctx.bound[i] = true
+		if at && c.ver != nil && name == c.ver.Param {
+			ctx.params[i], ctx.bound[i] = catalog.NewInt(vn), true
+		} else if v, ok := params[name]; ok {
+			ctx.params[i], ctx.bound[i] = v, true
 		}
 	}
-	if c.ver != nil {
+	if c.ver != nil && !at {
 		v, ok := params[c.ver.Param]
 		if !ok {
 			return nil, fmt.Errorf("%w: :%s", ErrUnboundParam, c.ver.Param)

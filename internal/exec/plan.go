@@ -197,6 +197,20 @@ func (p *Plan) compileEqConjuncts(comp *compiler, where sql.Expr) {
 // matching RIDs one by one. Fallback plans run the tree-walking executor on
 // the stored statement.
 func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
+	return p.execute(cat, params, 0, false)
+}
+
+// ExecuteAt is Execute for a reader at version vn. A plan compiled over a
+// versioned relation (CompileOptions) reads every stored tuple at vn, so
+// params need not bind opts.Param, and a reference to that parameter in the
+// statement reads vn as well. Any other plan ignores vn and runs as Execute
+// does.
+func (p *Plan) ExecuteAt(cat Catalog, params Params, vn int64) (*Rows, error) {
+	return p.execute(cat, params, vn, true)
+}
+
+// execute runs the plan; with at set, vn is the reader's version (ExecuteAt).
+func (p *Plan) execute(cat Catalog, params Params, vn int64, at bool) (*Rows, error) {
 	if !p.vectorized {
 		return Select(cat, p.stmt, params)
 	}
@@ -208,13 +222,13 @@ func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
 		return nil, fmt.Errorf("%w: %s", ErrPlanStale, p.table)
 	}
 	if p.agg != nil {
-		return p.executeAgg(tbl, params)
+		return p.executeAgg(tbl, params, vn, at)
 	}
 	out := &Rows{Columns: p.columns}
 	if p.limit != nil && *p.limit <= 0 {
 		return out, nil
 	}
-	ctx, err := p.comp.newCtx(params)
+	ctx, err := p.comp.newCtx(params, vn, at)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +341,8 @@ func (r planRun) scan(tbl Table) (*Rows, error) {
 
 // lookupRIDs attempts the index access path with the compiled conjuncts,
 // dropping conjuncts whose parameter is unbound this execution (the same
-// per-conjunct rule the tree-walking extractor applies).
+// per-conjunct rule the tree-walking extractor applies). The lookup's column
+// and value lists are cut from the context's scratch.
 func (p *Plan) lookupRIDs(ctx *evalCtx, tbl Table) ([]storage.RID, bool) {
 	if len(p.eqCols) == 0 {
 		return nil, false
@@ -336,8 +351,7 @@ func (p *Plan) lookupRIDs(ctx *evalCtx, tbl Table) ([]storage.RID, bool) {
 	if !ok {
 		return nil, false
 	}
-	cols := make([]string, 0, len(p.eqCols))
-	vals := make([]catalog.Value, 0, len(p.eqCols))
+	cols, vals := ctx.lookCols[:0], ctx.lookVals[:0]
 	for i, col := range p.eqCols {
 		v, err := p.eqVals[i](ctx, nil)
 		if err != nil {

@@ -308,6 +308,7 @@ func TestPlanVersionSlots(t *testing.T) {
 		`SELECT k FROM t WHERE k = :p`,
 		`SELECT k, g FROM t WHERE v = :p`,
 		`SELECT COUNT(*) FROM t WHERE v = :p`,
+		`SELECT k, :vn FROM t WHERE k < 5`,
 	}
 	for _, vn := range []int64{1, 2, 3} {
 		want := memCatalog{"t": asOf(mt, opts, vn)}
@@ -329,6 +330,11 @@ func TestPlanVersionSlots(t *testing.T) {
 			}
 			if fmt.Sprint(got.Columns, got.Tuples) != fmt.Sprint(w.Columns, w.Tuples) {
 				t.Fatalf("vn=%d %q:\nplan:   %v %.300v\noracle: %v %.300v", vn, q, got.Columns, got.Tuples, w.Columns, w.Tuples)
+			}
+			// ExecuteAt binds the version directly, with no :vn in params.
+			at, err := pl.ExecuteAt(memCatalog2{"t": idx}, Params{"p": catalog.NewInt(17)}, vn)
+			if err != nil || fmt.Sprint(at.Columns, at.Tuples) != fmt.Sprint(w.Columns, w.Tuples) {
+				t.Fatalf("vn=%d %q: ExecuteAt: %v %.300v, err %v", vn, q, at.Columns, at.Tuples, err)
 			}
 			indexed := idx.lookups > before
 			if wantIndexed := strings.Contains(q, "k = :p") || strings.Contains(q, "g = 3"); indexed != wantIndexed {

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // DeadlineBound enforces the wire path's timeout discipline (PROTOCOL.md
@@ -14,8 +15,8 @@ import (
 // mode of every network server: it passes every test and then pins a
 // connection slot in production.
 //
-// Blocking wire ops are calls to the frame codec (`ReadFrame`/
-// `WriteFrame`), read methods on *bufio.Reader, write/flush methods on
+// Blocking wire ops are calls to the frame codec (`ReadFrame*`/
+// `WriteFrame*`), read methods on *bufio.Reader, write/flush methods on
 // *bufio.Writer, and Read/Write on a net.Conn. The domination test is
 // lexical (see interproc.go): a deadline call earlier in the same
 // function satisfies the rule even when configuration-gated, because
@@ -88,14 +89,15 @@ func deadlineHint(dir wireDir) string {
 // blockingWireOp classifies call as a blocking wire operation, returning
 // its direction and a human name for the diagnostic.
 func blockingWireOp(info *types.Info, call *ast.CallExpr) (wireDir, string) {
-	// The frame codec: ReadFrame/WriteFrame package-level functions
-	// (internal/server's or a fixture's).
+	// The frame codec: package-level ReadFrame*/WriteFrame* functions
+	// (internal/server's or a fixture's), the buffer-reusing variants
+	// included.
 	if fn := calleeOf(info, call); fn != nil && fn.Type().(*types.Signature).Recv() == nil {
-		switch fn.Name() {
-		case "ReadFrame":
-			return dirRead, "ReadFrame"
-		case "WriteFrame":
-			return dirWrite, "WriteFrame"
+		switch name := fn.Name(); {
+		case strings.HasPrefix(name, "ReadFrame"):
+			return dirRead, name
+		case strings.HasPrefix(name, "WriteFrame"):
+			return dirWrite, name
 		}
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

@@ -27,6 +27,39 @@ func WriteFrame(w io.Writer, t byte, body []byte) error {
 	return err
 }
 
+// ReadFrameInto mirrors internal/server.ReadFrameInto, the codec's
+// caller-buffer read: a blocking op like ReadFrame.
+func ReadFrameInto(r io.Reader, buf []byte) (byte, []byte, []byte, error) {
+	_, err := io.ReadFull(r, buf[:4])
+	return buf[0], nil, buf, err
+}
+
+// WriteFrameBuf mirrors internal/server.WriteFrameBuf.
+func WriteFrameBuf(w io.Writer, t byte, frame []byte) error {
+	frame[0] = t
+	_, err := w.Write(frame)
+	return err
+}
+
+// badBufferedRoundTrip is badRoundTrip through the caller-buffer codec.
+func badBufferedRoundTrip(nc net.Conn, frame, buf []byte) error {
+	if err := WriteFrameBuf(nc, 1, frame); err != nil { // want "WriteFrameBuf is not dominated"
+		return err
+	}
+	_, _, _, err := ReadFrameInto(nc, buf) // want "ReadFrameInto is not dominated"
+	return err
+}
+
+// goodBufferedRoundTrip arms one deadline for both directions first.
+func goodBufferedRoundTrip(nc net.Conn, frame, buf []byte) error {
+	_ = nc.SetDeadline(time.Now().Add(time.Second))
+	if err := WriteFrameBuf(nc, 1, frame); err != nil {
+		return err
+	}
+	_, _, _, err := ReadFrameInto(nc, buf)
+	return err
+}
+
 // badRead blocks on the conn with no deadline anywhere: finding.
 func badRead(nc net.Conn) {
 	buf := make([]byte, 16)

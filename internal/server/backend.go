@@ -33,13 +33,17 @@ type Backend interface {
 	ApplyBatch(deltas []core.Delta) (core.VN, core.BatchStats, error)
 }
 
-// BackendSession is one pinned reader session over the wire.
+// BackendSession is one pinned reader session over the wire. The params a
+// query receives are valid only for the call: the connection decodes its
+// next request's parameters into the same map, so an implementation must
+// not keep it, or anything it holds, past its return.
 type BackendSession interface {
 	VN() core.VN
 	Close()
 	Query(text string, params exec.Params) (*exec.Rows, error)
 	// QueryPrepared executes a statement obtained from the same backend's
 	// Prepare; passing another backend's statement is a programming error.
+	// Like Query's, params are valid only for the call.
 	QueryPrepared(stmt BackendStmt, params exec.Params) (*exec.Rows, error)
 }
 

@@ -9,6 +9,11 @@
 // the encoders/decoders both the server and pkg/vnlclient use. Decoders are
 // total — any byte sequence either decodes or returns an error; they never
 // panic — a property pinned by FuzzFrameDecode.
+//
+// Every message has Encode, which renders its body into a fresh slice, and
+// Append, which appends the body to a caller's buffer. A connection end
+// encodes into one buffer it reuses frame after frame (StartFrame,
+// WriteFrameBuf) and reads into another (ReadFrameInto).
 package server
 
 import (
@@ -31,6 +36,16 @@ const ProtocolVersion byte = 1
 // length prefix larger than this is rejected before any allocation, so a
 // malformed or hostile prefix cannot balloon memory.
 const MaxFrame = 16 << 20
+
+// MaxRetainedFrame caps the buffer either end of a connection keeps between
+// frames. A read or encode buffer that one large frame grew past it is
+// dropped once that frame is done (RetainFrame), so what a connection holds
+// while idle has a ceiling, whatever its largest result was.
+const MaxRetainedFrame = 64 << 10
+
+// frameHeader is the part of a frame before its body: the length prefix, the
+// version byte and the type byte.
+const frameHeader = 6
 
 // MsgType identifies a message. Requests (client → server) occupy 0x01..0x7f;
 // responses (server → client) occupy 0x80..0xff. The wire-enum directive
@@ -187,7 +202,7 @@ func WriteFrame(w io.Writer, t MsgType, body []byte) error {
 	if len(body)+2 > MaxFrame {
 		return fmt.Errorf("server: frame body of %d bytes exceeds MaxFrame", len(body))
 	}
-	hdr := [6]byte{}
+	hdr := [frameHeader]byte{}
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+2))
 	hdr[4] = ProtocolVersion
 	hdr[5] = byte(t)
@@ -198,32 +213,91 @@ func WriteFrame(w io.Writer, t MsgType, body []byte) error {
 	return err
 }
 
+// StartFrame empties buf, the caller's encode buffer, and reserves room for a
+// frame header at its front. Append a message body to the result and send it
+// with WriteFrameBuf.
+func StartFrame(buf []byte) []byte {
+	return append(buf[:0], 0, 0, 0, 0, 0, 0)
+}
+
+// WriteFrameBuf writes a frame built on StartFrame: it fills in the header
+// StartFrame reserved and writes the frame in one call, so the header needs
+// no buffer of its own. Like WriteFrame, it refuses a body over MaxFrame.
+func WriteFrameBuf(w io.Writer, t MsgType, frame []byte) error {
+	if len(frame) < frameHeader {
+		return fmt.Errorf("server: %d-byte frame has no room for its header", len(frame))
+	}
+	body := len(frame) - frameHeader
+	if body+2 > MaxFrame {
+		return fmt.Errorf("server: frame body of %d bytes exceeds MaxFrame", body)
+	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(body+2))
+	frame[4] = ProtocolVersion
+	frame[5] = byte(t)
+	_, err := w.Write(frame)
+	return err
+}
+
+// RetainFrame returns buf for a connection end to keep for its next frame,
+// or nil when a large frame grew it past MaxRetainedFrame.
+func RetainFrame(buf []byte) []byte {
+	if cap(buf) > MaxRetainedFrame {
+		return nil
+	}
+	return buf
+}
+
 // ReadFrame reads one frame, enforcing MaxFrame before allocating. A short
 // read, an undersized or oversized length prefix, or a foreign protocol
 // version is an error; ReadFrame never panics on any input.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+	t, body, _, err := readFrame(r, nil)
+	return t, body, err
+}
+
+// ReadFrameInto is ReadFrame reading into buf, the caller's read buffer. The
+// header goes through buf too, and buf grows only when the frame does not
+// fit, after the MaxFrame check; the buffer to keep for the next frame is
+// returned in every case. The body aliases that buffer, so it is valid until
+// the next frame is read into it: decode it first (the Decode functions copy
+// out whatever they keep).
+func ReadFrameInto(r io.Reader, buf []byte) (MsgType, []byte, []byte, error) {
+	return readFrame(r, buf)
+}
+
+// readFrame is the body ReadFrame and ReadFrameInto share. It is unexported
+// so that neither calls the other: deadlinebound holds every caller of a
+// ReadFrame* function to arming a deadline, and these two only take an
+// io.Reader.
+func readFrame(r io.Reader, buf []byte) (MsgType, []byte, []byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, buf, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n < 2 {
-		return 0, nil, fmt.Errorf("server: frame length %d below minimum of 2", n)
+		return 0, nil, buf, fmt.Errorf("server: frame length %d below minimum of 2", n)
 	}
 	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("server: frame length %d exceeds MaxFrame %d", n, MaxFrame)
+		return 0, nil, buf, fmt.Errorf("server: frame length %d exceeds MaxFrame %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, fmt.Errorf("server: truncated frame: %w", err)
+		return 0, nil, buf, fmt.Errorf("server: truncated frame: %w", err)
 	}
 	if payload[0] != ProtocolVersion {
-		return 0, nil, fmt.Errorf("server: protocol version %d, want %d", payload[0], ProtocolVersion)
+		return 0, nil, buf, fmt.Errorf("server: protocol version %d, want %d", payload[0], ProtocolVersion)
 	}
-	return MsgType(payload[1]), payload[2:], nil
+	return MsgType(payload[1]), payload[2:], buf, nil
 }
 
 // Value wire kinds (same shape as the WAL's value encoding; duplicated here
@@ -323,34 +397,34 @@ func (r *wireReader) uint64() (uint64, error) {
 	return v, nil
 }
 
-func (r *wireReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(r.b)) {
-		return "", fmt.Errorf("server: string length %d exceeds remaining %d bytes", n, len(r.b))
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
-}
-
-// bytes reads a uvarint-length-prefixed byte slice, bounds-checked against
-// the remaining body (same discipline as str: a forged length cannot drive
-// an allocation beyond the frame).
-func (r *wireReader) bytes() ([]byte, error) {
+// raw reads a uvarint-length-prefixed byte run without copying it: the
+// result aliases the body. The length is bounds-checked against the
+// remaining body, so a forged length cannot reach past the frame.
+func (r *wireReader) raw() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n > uint64(len(r.b)) {
-		return nil, fmt.Errorf("server: byte-slice length %d exceeds remaining %d bytes", n, len(r.b))
+		return nil, fmt.Errorf("server: length %d exceeds remaining %d bytes", n, len(r.b))
 	}
-	p := make([]byte, n)
-	copy(p, r.b[:n])
+	p := r.b[:n]
 	r.b = r.b[n:]
 	return p, nil
+}
+
+func (r *wireReader) str() (string, error) {
+	p, err := r.raw()
+	return string(p), err
+}
+
+// bytes reads a uvarint-length-prefixed byte slice into a copy of its own.
+func (r *wireReader) bytes() ([]byte, error) {
+	p, err := r.raw()
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(p)), p...), nil
 }
 
 func (r *wireReader) value() (catalog.Value, error) {
@@ -428,6 +502,39 @@ func (r *wireReader) tuple() (catalog.Tuple, error) {
 	return t, nil
 }
 
+// names reads a list of column names. When the list is exactly prev, prev
+// itself is returned and no name is copied.
+func (r *wireReader) names(prev []string) ([]string, error) {
+	n, err := r.count()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n == len(prev) {
+		rest, same := r.b, true
+		for _, want := range prev {
+			p, err := r.raw()
+			if err != nil {
+				return nil, err
+			}
+			if string(p) != want {
+				same = false
+				break
+			}
+		}
+		if same {
+			return prev, nil
+		}
+		r.b = rest
+	}
+	names := make([]string, n)
+	for i := range names {
+		if names[i], err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	return names, nil
+}
+
 // done verifies the body was consumed exactly.
 func (r *wireReader) done() error {
 	if len(r.b) != 0 {
@@ -443,7 +550,10 @@ type Hello struct {
 }
 
 // Encode renders the message body.
-func (m Hello) Encode() []byte { return appendString(nil, m.ClientName) }
+func (m Hello) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m Hello) Append(buf []byte) []byte { return appendString(buf, m.ClientName) }
 
 // DecodeHello parses a MsgHello body.
 func DecodeHello(b []byte) (Hello, error) {
@@ -475,8 +585,11 @@ type Welcome struct {
 }
 
 // Encode renders the message body.
-func (m Welcome) Encode() []byte {
-	buf := appendString(nil, m.Server)
+func (m Welcome) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m Welcome) Append(buf []byte) []byte {
+	buf = appendString(buf, m.Server)
 	buf = binary.AppendUvarint(buf, uint64(m.N))
 	buf = binary.AppendUvarint(buf, m.VN)
 	rep := byte(0)
@@ -538,14 +651,20 @@ type Query struct {
 }
 
 // Encode renders the message body.
-func (m Query) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(m.SID))
+func (m Query) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m Query) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(m.SID))
 	buf = appendString(buf, m.SQL)
 	return appendParams(buf, m.Params)
 }
 
 // DecodeQuery parses a MsgQuery body.
-func DecodeQuery(b []byte) (Query, error) {
+func DecodeQuery(b []byte) (Query, error) { return decodeQuery(b, nil) }
+
+// decodeQuery is DecodeQuery decoding the parameters into pb (see paramBuf).
+func decodeQuery(b []byte, pb *paramBuf) (Query, error) {
 	r := wireReader{b}
 	var m Query
 	sid, err := r.uvarint()
@@ -556,7 +675,7 @@ func DecodeQuery(b []byte) (Query, error) {
 	if m.SQL, err = r.str(); err != nil {
 		return m, err
 	}
-	if m.Params, err = readParams(&r); err != nil {
+	if m.Params, err = readParams(&r, pb); err != nil {
 		return m, err
 	}
 	return m, r.done()
@@ -572,7 +691,44 @@ func appendParams(buf []byte, params map[string]catalog.Value) []byte {
 	return buf
 }
 
-func readParams(r *wireReader) (map[string]catalog.Value, error) {
+// paramBuf is one connection's reusable parameter map. Each request's
+// parameters replace the previous request's in the same map, and a name an
+// earlier request carried reuses that request's string, so a connection
+// repeating one statement decodes its parameters without allocating. The
+// map is valid until the connection decodes its next request. What it
+// retains is bounded: a request with more than maxReusedParams parameters
+// gets a map of its own, and only names up to maxReusedName bytes are kept.
+type paramBuf struct {
+	m     map[string]catalog.Value
+	names []string
+}
+
+const (
+	maxReusedParams = 16
+	maxReusedName   = 64
+)
+
+// name returns k as a string, reusing a kept copy when there is one. A nil
+// paramBuf always copies.
+func (pb *paramBuf) name(k []byte) string {
+	if pb == nil {
+		return string(k)
+	}
+	for _, s := range pb.names {
+		if s == string(k) {
+			return s
+		}
+	}
+	s := string(k)
+	if len(pb.names) < maxReusedParams && len(s) <= maxReusedName {
+		pb.names = append(pb.names, s)
+	}
+	return s
+}
+
+// readParams decodes a parameter list into pb's map, or into a fresh map
+// when pb is nil or the list is too long to reuse one.
+func readParams(r *wireReader, pb *paramBuf) (map[string]catalog.Value, error) {
 	n, err := r.count()
 	if err != nil {
 		return nil, err
@@ -580,9 +736,18 @@ func readParams(r *wireReader) (map[string]catalog.Value, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	params := make(map[string]catalog.Value, n)
+	var params map[string]catalog.Value
+	if pb != nil && n <= maxReusedParams {
+		if pb.m == nil {
+			pb.m = make(map[string]catalog.Value, n)
+		}
+		clear(pb.m)
+		params = pb.m
+	} else {
+		params = make(map[string]catalog.Value, n)
+	}
 	for i := 0; i < n; i++ {
-		k, err := r.str()
+		k, err := r.raw()
 		if err != nil {
 			return nil, err
 		}
@@ -590,7 +755,7 @@ func readParams(r *wireReader) (map[string]catalog.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		params[k] = v
+		params[pb.name(k)] = v
 	}
 	return params, nil
 }
@@ -602,8 +767,11 @@ type Rows struct {
 }
 
 // Encode renders the message body.
-func (m Rows) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(m.Columns)))
+func (m Rows) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m Rows) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(m.Columns)))
 	for _, c := range m.Columns {
 		buf = appendString(buf, c)
 	}
@@ -615,20 +783,17 @@ func (m Rows) Encode() []byte {
 }
 
 // DecodeRows parses a MsgRows body.
-func DecodeRows(b []byte) (Rows, error) {
+func DecodeRows(b []byte) (Rows, error) { return DecodeRowsCols(b, nil) }
+
+// DecodeRowsCols is DecodeRows for a caller that expects the column names
+// cols: when the body carries exactly those names, the result's Columns is
+// cols itself rather than a decoded copy.
+func DecodeRowsCols(b []byte, cols []string) (Rows, error) {
 	r := wireReader{b}
 	var m Rows
-	ncols, err := r.count()
-	if err != nil {
+	var err error
+	if m.Columns, err = r.names(cols); err != nil {
 		return m, err
-	}
-	if ncols > 0 {
-		m.Columns = make([]string, ncols)
-		for i := range m.Columns {
-			if m.Columns[i], err = r.str(); err != nil {
-				return m, err
-			}
-		}
 	}
 	nrows, err := r.count()
 	if err != nil {
@@ -656,8 +821,11 @@ type Session struct {
 }
 
 // Encode renders the message body.
-func (m Session) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(m.SID))
+func (m Session) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m Session) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(m.SID))
 	buf = binary.AppendUvarint(buf, m.VN)
 	return binary.AppendUvarint(buf, m.PrimaryVN)
 }
@@ -686,8 +854,11 @@ type EndSession struct {
 }
 
 // Encode renders the message body.
-func (m EndSession) Encode() []byte {
-	return binary.AppendUvarint(nil, uint64(m.SID))
+func (m EndSession) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m EndSession) Append(buf []byte) []byte {
+	return binary.AppendUvarint(buf, uint64(m.SID))
 }
 
 // DecodeEndSession parses a MsgEndSession body.
@@ -706,7 +877,10 @@ type Prepare struct {
 }
 
 // Encode renders the message body.
-func (m Prepare) Encode() []byte { return appendString(nil, m.SQL) }
+func (m Prepare) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m Prepare) Append(buf []byte) []byte { return appendString(buf, m.SQL) }
 
 // DecodePrepare parses a MsgPrepare body.
 func DecodePrepare(b []byte) (Prepare, error) {
@@ -726,8 +900,11 @@ type Prepared struct {
 }
 
 // Encode renders the message body.
-func (m Prepared) Encode() []byte {
-	return binary.AppendUvarint(nil, uint64(m.StmtID))
+func (m Prepared) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m Prepared) Append(buf []byte) []byte {
+	return binary.AppendUvarint(buf, uint64(m.StmtID))
 }
 
 // DecodePrepared parses a MsgPrepared body.
@@ -748,14 +925,21 @@ type ExecStmt struct {
 }
 
 // Encode renders the message body.
-func (m ExecStmt) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(m.SID))
+func (m ExecStmt) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m ExecStmt) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(m.SID))
 	buf = binary.AppendUvarint(buf, uint64(m.StmtID))
 	return appendParams(buf, m.Params)
 }
 
 // DecodeExecStmt parses a MsgExecStmt body.
-func DecodeExecStmt(b []byte) (ExecStmt, error) {
+func DecodeExecStmt(b []byte) (ExecStmt, error) { return decodeExecStmt(b, nil) }
+
+// decodeExecStmt is DecodeExecStmt decoding the parameters into pb (see
+// paramBuf).
+func decodeExecStmt(b []byte, pb *paramBuf) (ExecStmt, error) {
 	r := wireReader{b}
 	var m ExecStmt
 	sid, err := r.uvarint()
@@ -768,7 +952,7 @@ func DecodeExecStmt(b []byte) (ExecStmt, error) {
 		return m, err
 	}
 	m.StmtID = uint32(id)
-	if m.Params, err = readParams(&r); err != nil {
+	if m.Params, err = readParams(&r, pb); err != nil {
 		return m, err
 	}
 	return m, r.done()
@@ -798,8 +982,11 @@ type ApplyBatch struct {
 }
 
 // Encode renders the message body.
-func (m ApplyBatch) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(m.Deltas)))
+func (m ApplyBatch) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m ApplyBatch) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(m.Deltas)))
 	for _, d := range m.Deltas {
 		buf = appendString(buf, d.Table)
 		buf = append(buf, d.Op)
@@ -851,8 +1038,11 @@ type BatchDone struct {
 }
 
 // Encode renders the message body.
-func (m BatchDone) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.VN)
+func (m BatchDone) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m BatchDone) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, m.VN)
 	buf = binary.AppendUvarint(buf, uint64(m.Applied))
 	return binary.AppendUvarint(buf, uint64(m.Missing))
 }
@@ -904,8 +1094,11 @@ type ReplPoll struct {
 }
 
 // Encode renders the message body.
-func (m ReplPoll) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.Epoch)
+func (m ReplPoll) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m ReplPoll) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, m.Epoch)
 	buf = binary.AppendUvarint(buf, m.FromLSN)
 	buf = binary.AppendUvarint(buf, uint64(m.MaxBytes))
 	buf = binary.AppendUvarint(buf, uint64(m.WaitMs))
@@ -956,8 +1149,11 @@ type ReplSegment struct {
 }
 
 // Encode renders the message body.
-func (m ReplSegment) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.Epoch)
+func (m ReplSegment) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m ReplSegment) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, m.Epoch)
 	buf = binary.AppendUvarint(buf, m.FromLSN)
 	buf = binary.AppendUvarint(buf, m.DurableLSN)
 	buf = binary.AppendUvarint(buf, m.PrimaryVN)
@@ -998,8 +1194,11 @@ type ErrMsg struct {
 }
 
 // Encode renders the message body.
-func (m ErrMsg) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(m.Code))
+func (m ErrMsg) Encode() []byte { return m.Append(nil) }
+
+// Append appends the message body to buf.
+func (m ErrMsg) Append(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(m.Code))
 	return appendString(buf, m.Msg)
 }
 

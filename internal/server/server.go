@@ -497,10 +497,14 @@ func (s *Server) applyBatch(deltas []Delta) (BatchDone, error) {
 	}, nil
 }
 
-// outFrame is one response queued to a connection's writer goroutine.
+// outFrame is one response queued to a connection's writer goroutine: an
+// encoded body, or a query result the writer encodes itself.
 type outFrame struct {
 	t    MsgType
 	body []byte
+	// rows, when non-nil, is a MsgRows result: the writer encodes it
+	// straight into its frame buffer, and body is unused.
+	rows *exec.Rows
 }
 
 // conn is one client connection: a reader goroutine that decodes and
@@ -516,6 +520,16 @@ type conn struct {
 	// the reader goroutine; no lock needed.
 	sessions map[uint32]BackendSession
 	nextSID  uint32
+
+	// rbuf and params belong to the reader goroutine: the buffer each
+	// request frame is read into and the map its parameters decode into.
+	// Both are reused request after request, so a request's body and
+	// parameters are valid only until the next request is read. wbuf is the
+	// writer goroutine's encode buffer, reused response after response.
+	// Either buffer is dropped after a frame grew it past MaxRetainedFrame.
+	rbuf   []byte
+	params paramBuf
+	wbuf   []byte
 
 	// nSessions mirrors len(sessions) for Shutdown and the drain check.
 	nSessions atomic.Int64
@@ -552,7 +566,8 @@ func (c *conn) readLoop() {
 		if d := c.srv.cfg.IdleTimeout; d > 0 && !c.draining() {
 			_ = c.nc.SetReadDeadline(time.Now().Add(d))
 		}
-		t, body, err := ReadFrame(br)
+		t, body, buf, err := ReadFrameInto(br, c.rbuf)
+		c.rbuf = RetainFrame(buf)
 		if err != nil {
 			if c.handleReadErr(err) {
 				continue
@@ -560,9 +575,9 @@ func (c *conn) readLoop() {
 			return
 		}
 		c.inflightSince.Store(time.Now().UnixNano())
-		rt, rbody := c.handle(t, body)
+		resp := c.handle(t, body)
 		c.inflightSince.Store(0)
-		c.out <- outFrame{t: rt, body: rbody}
+		c.out <- resp
 		if c.draining() && c.nSessions.Load() == 0 {
 			// Drained: the in-flight request was answered (the writer
 			// flushes the queue before closing) and no sessions remain.
@@ -610,7 +625,15 @@ func (c *conn) writeLoop() {
 		if d := c.srv.cfg.WriteTimeout; d > 0 {
 			_ = c.nc.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := WriteFrame(bw, f.t, f.body); err != nil {
+		frame := StartFrame(c.wbuf)
+		if f.rows != nil {
+			frame = Rows{Columns: f.rows.Columns, Tuples: f.rows.Tuples}.Append(frame)
+		} else {
+			frame = append(frame, f.body...)
+		}
+		err := WriteFrameBuf(bw, f.t, frame)
+		c.wbuf = RetainFrame(frame)
+		if err != nil {
 			dead = true
 			c.forceClose()
 			continue
@@ -666,22 +689,23 @@ func wireCode(err error) ErrCode {
 
 // errResp builds a MsgErr response through the error-code mapping and
 // counts it.
-func (c *conn) errResp(code ErrCode, err error) (MsgType, []byte) {
+func (c *conn) errResp(code ErrCode, err error) outFrame {
 	c.srv.metrics.requestErrs.Inc()
-	return MsgErr, wireErr(code, err)
+	return outFrame{t: MsgErr, body: wireErr(code, err)}
 }
 
 // errRespf is errResp for failures born on the serving path itself (an
 // unknown session id, a wrong-direction message) — there is no internal
 // error to leak, just a message to compose.
-func (c *conn) errRespf(code ErrCode, format string, args ...any) (MsgType, []byte) {
+func (c *conn) errRespf(code ErrCode, format string, args ...any) outFrame {
 	return c.errResp(code, fmt.Errorf(format, args...))
 }
 
 // handle dispatches one request and returns its response frame. It runs on
 // the reader goroutine, so per-connection state needs no locking; queries
-// execute on the store's lock-free reader path.
-func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
+// execute on the store's lock-free reader path. body aliases the reader's
+// frame buffer: handle copies out whatever the response keeps.
+func (c *conn) handle(t MsgType, body []byte) outFrame {
 	s := c.srv
 	s.metrics.requests.Inc()
 	start := time.Now()
@@ -695,17 +719,17 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 		}
 		s.logf("hello from %s (%q)", c.nc.RemoteAddr(), h.ClientName)
 		vn := uint64(s.backend.CurrentVN())
-		return MsgWelcome, Welcome{
+		return outFrame{t: MsgWelcome, body: Welcome{
 			Server:    ServerVersion,
 			N:         uint32(s.backend.N()),
 			VN:        vn,
 			Replica:   s.cfg.Replica != nil,
 			PrimaryVN: s.replVN(vn),
 			Shards:    uint32(s.backend.Shards()),
-		}.Encode()
+		}.Encode()}
 
 	case MsgPing:
-		return MsgOK, nil
+		return outFrame{t: MsgOK}
 
 	case MsgBeginSession:
 		if c.draining() {
@@ -721,7 +745,7 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 		c.nSessions.Add(1)
 		s.metrics.wireSessions.Add(1)
 		vn := uint64(sess.VN())
-		return MsgSession, Session{SID: sid, VN: vn, PrimaryVN: s.replVN(vn)}.Encode()
+		return outFrame{t: MsgSession, body: Session{SID: sid, VN: vn, PrimaryVN: s.replVN(vn)}.Encode()}
 
 	case MsgEndSession:
 		m, err := DecodeEndSession(body)
@@ -736,10 +760,10 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 		delete(c.sessions, m.SID)
 		c.nSessions.Add(-1)
 		s.metrics.wireSessions.Add(-1)
-		return MsgOK, nil
+		return outFrame{t: MsgOK}
 
 	case MsgQuery:
-		q, err := DecodeQuery(body)
+		q, err := decodeQuery(body, &c.params)
 		if err != nil {
 			return c.errResp(CodeBadFrame, err)
 		}
@@ -759,10 +783,10 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 		if err != nil {
 			return c.errResp(CodeParse, err)
 		}
-		return MsgPrepared, Prepared{StmtID: id}.Encode()
+		return outFrame{t: MsgPrepared, body: Prepared{StmtID: id}.Encode()}
 
 	case MsgExecStmt:
-		e, err := DecodeExecStmt(body)
+		e, err := decodeExecStmt(body, &c.params)
 		if err != nil {
 			return c.errResp(CodeBadFrame, err)
 		}
@@ -786,7 +810,7 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 		if err != nil {
 			return c.errResp(CodeBatch, err)
 		}
-		return MsgBatchDone, done.Encode()
+		return outFrame{t: MsgBatchDone, body: done.Encode()}
 
 	case MsgReplPoll:
 		m, err := DecodeReplPoll(body)
@@ -810,7 +834,7 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 		}
 		s.metrics.replPolls.Inc()
 		s.metrics.replBytes.Add(int64(len(seg.Payload)))
-		return MsgReplSegment, seg.Encode()
+		return outFrame{t: MsgReplSegment, body: seg.Encode()}
 
 	case MsgWelcome, MsgOK, MsgRows, MsgSession, MsgPrepared, MsgBatchDone, MsgReplSegment, MsgErr:
 		// Response types arriving at a server are a peer speaking the wrong
@@ -825,7 +849,7 @@ func (c *conn) handle(t MsgType, body []byte) (MsgType, []byte) {
 // runQuery resolves the session (0 = one-shot) and executes fn in it. The
 // paper's reader guarantee carries through unchanged: the session's version
 // pins the snapshot, and neither path takes the §3 latch.
-func (c *conn) runQuery(sid uint32, fn func(BackendSession) (*exec.Rows, error)) (MsgType, []byte) {
+func (c *conn) runQuery(sid uint32, fn func(BackendSession) (*exec.Rows, error)) outFrame {
 	var sess BackendSession
 	if sid == 0 {
 		var err error
@@ -844,7 +868,5 @@ func (c *conn) runQuery(sid uint32, fn func(BackendSession) (*exec.Rows, error))
 	if err != nil {
 		return c.errResp(wireCode(err), err)
 	}
-	resp := Rows{Columns: rows.Columns}
-	resp.Tuples = rows.Tuples
-	return MsgRows, resp.Encode()
+	return outFrame{t: MsgRows, rows: rows}
 }

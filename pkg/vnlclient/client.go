@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -25,7 +26,9 @@ import (
 // Wire types shared with the server package: the protocol structs are the
 // client's vocabulary too.
 type (
-	// Rows is a query result: column names and tuples.
+	// Rows is a query result: column names and tuples. The Columns of a
+	// result of a Stmt may be shared with the statement's other results,
+	// so treat them as read-only.
 	Rows = server.Rows
 	// Delta is one logical maintenance operation of a batch.
 	Delta = server.Delta
@@ -256,75 +259,70 @@ func (c *Client) put(wc *wireConn) {
 	c.mu.Unlock()
 }
 
-// do runs one request/response exchange on a pooled connection. When
+// do runs one request/response exchange on a pooled connection: enc
+// appends the request body (nil for none), and dec decodes the answer
+// before the connection goes back to the pool, whose next borrower reuses
+// its read buffer. A MsgErr answer is returned as an *Error instead. When
 // retryReused is true and the exchange fails on its first I/O against a
 // pooled (previously used) connection, the request is replayed once on a
 // fresh connection — the standard cure for pool members the server closed
 // while idle (e.g. across a drain).
-func (c *Client) do(t server.MsgType, body []byte, retryReused bool) (server.MsgType, []byte, error) {
+func (c *Client) do(t server.MsgType, enc func([]byte) []byte, retryReused bool, dec func(server.MsgType, []byte) error) error {
 	wc, reused, err := c.get()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	rt, rbody, err := wc.roundTrip(t, body)
+	rt, rbody, err := wc.roundTrip(t, enc)
 	if err != nil {
 		wc.close()
 		if !(reused && retryReused) {
-			return 0, nil, err
+			return err
 		}
 		if wc, err = c.dial(); err != nil {
-			return 0, nil, err
+			return err
 		}
-		if rt, rbody, err = wc.roundTrip(t, body); err != nil {
+		if rt, rbody, err = wc.roundTrip(t, enc); err != nil {
 			wc.close()
-			return 0, nil, err
+			return err
 		}
 	}
-	if rt == server.MsgErr {
-		e, derr := server.DecodeErrMsg(rbody)
-		c.put(wc)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &Error{Code: e.Code, Msg: e.Msg}
-	}
+	err = answer(rt, rbody, dec)
 	c.put(wc)
-	return rt, rbody, nil
+	return err
 }
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	rt, _, err := c.do(server.MsgPing, nil, true)
-	if err != nil {
-		return err
-	}
-	if rt != server.MsgOK {
-		return fmt.Errorf("vnlclient: ping answered with %v", rt)
-	}
-	return nil
+	return c.do(server.MsgPing, nil, true, func(rt server.MsgType, _ []byte) error {
+		if rt != server.MsgOK {
+			return fmt.Errorf("vnlclient: ping answered with %v", rt)
+		}
+		return nil
+	})
 }
 
 // Query runs one SELECT in a one-shot server-side session.
-func (c *Client) Query(sqlText string, params Params) (*Rows, error) {
-	body := server.Query{SQL: sqlText, Params: params}.Encode()
-	rt, rbody, err := c.do(server.MsgQuery, body, true)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRows(rt, rbody)
+func (c *Client) Query(sqlText string, params Params) (rows *Rows, err error) {
+	err = c.do(server.MsgQuery, server.Query{SQL: sqlText, Params: params}.Append, true,
+		func(rt server.MsgType, body []byte) (err error) {
+			rows, err = decodeRows(rt, body, nil)
+			return err
+		})
+	return rows, err
 }
 
 // Prepare parses a SELECT into the server's shared statement cache and
 // returns a handle valid on every connection of this client.
 func (c *Client) Prepare(sqlText string) (*Stmt, error) {
-	rt, rbody, err := c.do(server.MsgPrepare, server.Prepare{SQL: sqlText}.Encode(), true)
-	if err != nil {
-		return nil, err
-	}
-	if rt != server.MsgPrepared {
-		return nil, fmt.Errorf("vnlclient: prepare answered with %v", rt)
-	}
-	p, err := server.DecodePrepared(rbody)
+	var p server.Prepared
+	err := c.do(server.MsgPrepare, server.Prepare{SQL: sqlText}.Append, true,
+		func(rt server.MsgType, body []byte) (err error) {
+			if rt != server.MsgPrepared {
+				return fmt.Errorf("vnlclient: prepare answered with %v", rt)
+			}
+			p, err = server.DecodePrepared(body)
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -334,16 +332,16 @@ func (c *Client) Prepare(sqlText string) (*Stmt, error) {
 // ApplyBatch submits one maintenance transaction. It is not retried on
 // connection failure — the server may have committed before the link died;
 // the caller decides how to reconcile.
-func (c *Client) ApplyBatch(deltas []Delta) (BatchResult, error) {
-	body := server.ApplyBatch{Deltas: deltas}.Encode()
-	rt, rbody, err := c.do(server.MsgApplyBatch, body, false)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	if rt != server.MsgBatchDone {
-		return BatchResult{}, fmt.Errorf("vnlclient: batch answered with %v", rt)
-	}
-	return server.DecodeBatchDone(rbody)
+func (c *Client) ApplyBatch(deltas []Delta) (res BatchResult, err error) {
+	err = c.do(server.MsgApplyBatch, server.ApplyBatch{Deltas: deltas}.Append, false,
+		func(rt server.MsgType, body []byte) (err error) {
+			if rt != server.MsgBatchDone {
+				return fmt.Errorf("vnlclient: batch answered with %v", rt)
+			}
+			res, err = server.DecodeBatchDone(body)
+			return err
+		})
+	return res, err
 }
 
 // PollRepl runs one replication poll: it asks the primary for log bytes
@@ -354,7 +352,7 @@ func (c *Client) ApplyBatch(deltas []Delta) (BatchResult, error) {
 // the slowest version its reader sessions still need, 0 for none — which a
 // pin-tracking primary uses to clamp its GC floor. Retrying on a reused
 // pooled connection is safe — a poll is a pure read.
-func (c *Client) PollRepl(epoch, fromLSN, pinned uint64, maxBytes uint32, wait time.Duration) (server.ReplSegment, error) {
+func (c *Client) PollRepl(epoch, fromLSN, pinned uint64, maxBytes uint32, wait time.Duration) (seg server.ReplSegment, err error) {
 	m := server.ReplPoll{Epoch: epoch, FromLSN: fromLSN, MaxBytes: maxBytes, PinnedVN: pinned}
 	if wait > 0 {
 		if ot := c.opts.OpTimeout; ot > 0 && wait > ot/2 {
@@ -364,14 +362,14 @@ func (c *Client) PollRepl(epoch, fromLSN, pinned uint64, maxBytes uint32, wait t
 		}
 		m.WaitMs = uint32(wait.Milliseconds())
 	}
-	rt, rbody, err := c.do(server.MsgReplPoll, m.Encode(), true)
-	if err != nil {
-		return server.ReplSegment{}, err
-	}
-	if rt != server.MsgReplSegment {
-		return server.ReplSegment{}, fmt.Errorf("vnlclient: repl poll answered with %v", rt)
-	}
-	return server.DecodeReplSegment(rbody)
+	err = c.do(server.MsgReplPoll, m.Append, true, func(rt server.MsgType, body []byte) (err error) {
+		if rt != server.MsgReplSegment {
+			return fmt.Errorf("vnlclient: repl poll answered with %v", rt)
+		}
+		seg, err = server.DecodeReplSegment(body)
+		return err
+	})
+	return seg, err
 }
 
 // Stmt is a server-side prepared SELECT.
@@ -379,19 +377,40 @@ type Stmt struct {
 	c   *Client
 	id  uint32
 	sql string
+	// cols holds the column names of the statement's latest result. A
+	// result carrying the same names shares them instead of decoding them
+	// again.
+	cols atomic.Pointer[[]string]
 }
 
 // SQL returns the statement's original text.
 func (st *Stmt) SQL() string { return st.sql }
 
 // Query executes the statement in a one-shot session.
-func (st *Stmt) Query(params Params) (*Rows, error) {
-	body := server.ExecStmt{StmtID: st.id, Params: params}.Encode()
-	rt, rbody, err := st.c.do(server.MsgExecStmt, body, true)
+func (st *Stmt) Query(params Params) (rows *Rows, err error) {
+	err = st.c.do(server.MsgExecStmt, server.ExecStmt{StmtID: st.id, Params: params}.Append, true,
+		func(rt server.MsgType, body []byte) (err error) {
+			rows, err = st.decodeRows(rt, body)
+			return err
+		})
+	return rows, err
+}
+
+// decodeRows decodes one of the statement's results, sharing the column
+// names of the previous one when they are the same.
+func (st *Stmt) decodeRows(rt server.MsgType, body []byte) (*Rows, error) {
+	var prev []string
+	if p := st.cols.Load(); p != nil {
+		prev = *p
+	}
+	rows, err := decodeRows(rt, body, prev)
 	if err != nil {
 		return nil, err
 	}
-	return decodeRows(rt, rbody)
+	if cols := rows.Columns; len(cols) > 0 && (len(prev) == 0 || &cols[0] != &prev[0]) {
+		st.cols.Store(&cols)
+	}
+	return rows, nil
 }
 
 // Session is a reader session pinned to one connection: every query it runs
@@ -433,12 +452,9 @@ func (c *Client) Begin() (*Session, error) {
 		}
 	}
 	if rt == server.MsgErr {
-		e, derr := server.DecodeErrMsg(rbody)
+		err := answer(rt, rbody, nil)
 		c.put(wc)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, &Error{Code: e.Code, Msg: e.Msg}
+		return nil, err
 	}
 	if rt != server.MsgSession {
 		wc.close()
@@ -453,7 +469,7 @@ func (c *Client) Begin() (*Session, error) {
 		// End the just-opened server-side session before refusing it, so
 		// the replica's GC floor does not stay pinned by a session nobody
 		// will read from.
-		if _, _, err := wc.roundTrip(server.MsgEndSession, server.EndSession{SID: sm.SID}.Encode()); err != nil {
+		if _, _, err := wc.roundTrip(server.MsgEndSession, server.EndSession{SID: sm.SID}.Append); err != nil {
 			wc.close()
 		} else {
 			c.put(wc)
@@ -480,50 +496,47 @@ func (s *Session) Lag() uint64 {
 	return 0
 }
 
-// do runs one exchange on the session's pinned connection.
-func (s *Session) do(t server.MsgType, body []byte) (server.MsgType, []byte, error) {
+// do runs one exchange on the session's pinned connection, decoding the
+// answer with dec while it still holds the session, since the answer
+// aliases the connection's read buffer.
+func (s *Session) do(t server.MsgType, enc func([]byte) []byte, dec func(server.MsgType, []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, nil, ErrClosed
+		return ErrClosed
 	}
-	rt, rbody, err := s.wc.roundTrip(t, body)
+	rt, rbody, err := s.wc.roundTrip(t, enc)
 	if err != nil {
 		// The pinned connection is gone and the server-side session with
 		// it; there is nothing to retry onto.
 		s.closed = true
 		s.wc.close()
-		return 0, nil, err
+		return err
 	}
-	if rt == server.MsgErr {
-		e, derr := server.DecodeErrMsg(rbody)
-		if derr != nil {
-			return 0, nil, derr
-		}
-		return 0, nil, &Error{Code: e.Code, Msg: e.Msg}
-	}
-	return rt, rbody, nil
+	return answer(rt, rbody, dec)
 }
 
 // Query runs a SELECT at the session's version.
-func (s *Session) Query(sqlText string, params Params) (*Rows, error) {
-	rt, rbody, err := s.do(server.MsgQuery, server.Query{SID: s.sid, SQL: sqlText, Params: params}.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return decodeRows(rt, rbody)
+func (s *Session) Query(sqlText string, params Params) (rows *Rows, err error) {
+	err = s.do(server.MsgQuery, server.Query{SID: s.sid, SQL: sqlText, Params: params}.Append,
+		func(rt server.MsgType, body []byte) (err error) {
+			rows, err = decodeRows(rt, body, nil)
+			return err
+		})
+	return rows, err
 }
 
 // QueryStmt runs a prepared SELECT at the session's version.
-func (s *Session) QueryStmt(st *Stmt, params Params) (*Rows, error) {
+func (s *Session) QueryStmt(st *Stmt, params Params) (rows *Rows, err error) {
 	if st.c != s.c {
 		return nil, fmt.Errorf("vnlclient: statement prepared on a different client")
 	}
-	rt, rbody, err := s.do(server.MsgExecStmt, server.ExecStmt{SID: s.sid, StmtID: st.id, Params: params}.Encode())
-	if err != nil {
-		return nil, err
-	}
-	return decodeRows(rt, rbody)
+	err = s.do(server.MsgExecStmt, server.ExecStmt{SID: s.sid, StmtID: st.id, Params: params}.Append,
+		func(rt server.MsgType, body []byte) (err error) {
+			rows, err = st.decodeRows(rt, body)
+			return err
+		})
+	return rows, err
 }
 
 // Close ends the session and returns its connection to the pool. Closing a
@@ -535,28 +548,23 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	rt, rbody, err := s.wc.roundTrip(server.MsgEndSession, server.EndSession{SID: s.sid}.Encode())
+	rt, rbody, err := s.wc.roundTrip(server.MsgEndSession, server.EndSession{SID: s.sid}.Append)
 	if err != nil {
 		s.wc.close()
 		return err
 	}
-	if rt == server.MsgErr {
-		s.c.put(s.wc)
-		e, derr := server.DecodeErrMsg(rbody)
-		if derr != nil {
-			return derr
-		}
-		return &Error{Code: e.Code, Msg: e.Msg}
-	}
+	err = answer(rt, rbody, nil)
 	s.c.put(s.wc)
-	return nil
+	return err
 }
 
-func decodeRows(rt server.MsgType, body []byte) (*Rows, error) {
+// decodeRows decodes a MsgRows answer; cols, when not nil, are the column
+// names the caller expects (server.DecodeRowsCols).
+func decodeRows(rt server.MsgType, body []byte, cols []string) (*Rows, error) {
 	if rt != server.MsgRows {
 		return nil, fmt.Errorf("vnlclient: query answered with %v", rt)
 	}
-	r, err := server.DecodeRows(body)
+	r, err := server.DecodeRowsCols(body, cols)
 	if err != nil {
 		return nil, err
 	}
