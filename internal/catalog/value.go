@@ -158,9 +158,9 @@ func (v Value) String() string {
 }
 
 // Compare orders two values. NULL sorts before every non-NULL value; two
-// NULLs compare equal. Numeric values of different kinds (int vs float)
-// compare by numeric value. Comparing incomparable kinds (e.g. string vs
-// int) returns an error.
+// NULLs compare equal. Two INTs compare exactly, as int64; numeric values of
+// different kinds (int vs float) compare by numeric value, as float64.
+// Comparing incomparable kinds (e.g. string vs int) returns an error.
 func Compare(a, b Value) (int, error) {
 	if a.kind == TypeNull || b.kind == TypeNull {
 		switch {
@@ -172,7 +172,7 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	}
-	if a.IsNumeric() && b.IsNumeric() {
+	if a.IsNumeric() && b.IsNumeric() && (a.kind == TypeFloat || b.kind == TypeFloat) {
 		af, bf := a.Float(), b.Float()
 		switch {
 		case af < bf:

@@ -146,3 +146,30 @@ func TestFloatFormatting(t *testing.T) {
 		t.Errorf("pi formats as %q", got)
 	}
 }
+
+// Two INTs compare exactly, past float64's 53-bit mantissa; an INT against a
+// FLOAT still compares as float64, and Equal values still hash alike.
+func TestCompareIntsExactly(t *testing.T) {
+	const big = int64(1) << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(big), NewInt(big + 1), -1},
+		{NewInt(big + 1), NewInt(big), 1},
+		{NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), 1},
+		{NewInt(math.MinInt64), NewInt(math.MinInt64 + 1), -1},
+		{NewInt(big + 1), NewFloat(float64(big)), 0},
+	}
+	for _, c := range cases {
+		if got, err := Compare(c.a, c.b); err != nil || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, err, c.want)
+		}
+		if Equal(c.a, c.b) && c.a.Hash() != c.b.Hash() {
+			t.Errorf("Equal %v and %v hash differently", c.a, c.b)
+		}
+	}
+	if got, _ := CompareTuples(Tuple{NewInt(big)}, Tuple{NewInt(big + 1)}); got != -1 {
+		t.Errorf("CompareTuples over 2^53 and 2^53+1 = %d, want -1", got)
+	}
+}

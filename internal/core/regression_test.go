@@ -288,3 +288,46 @@ func TestAdoptTableFailureLeavesOriginalIntact(t *testing.T) {
 	}
 	assertWatermark(t, s, vt)
 }
+
+// Distinct INT keys above 2^53 stay distinct: float64 cannot tell 2^53 from
+// 2^53+1, so an INT comparison that went through it would refuse the second
+// key as a duplicate, answer a point read with both rows and fold both into
+// one group.
+func TestIntKeysAbove2Pow53StayDistinct(t *testing.T) {
+	s := newStore(t, 2)
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const big = int64(1) << 53
+	m := mustMaint(t, s)
+	for i, k := range []int64{big, big + 1} {
+		if err := m.Insert("kv", kvTuple(k, int64(i))); err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+	}
+	commit(t, m)
+	sess := s.BeginSession()
+	defer sess.Close()
+	for i, k := range []int64{big, big + 1} {
+		params := map[string]catalog.Value{"k": catalog.NewInt(k)}
+		for _, q := range []string{
+			`SELECT k, v FROM kv WHERE k = :k`,
+			`SELECT k, v FROM kv WHERE k = :k ORDER BY v`, // the tree-walker
+		} {
+			rows, err := sess.Query(q, params)
+			if err != nil {
+				t.Fatalf("%s with k = %d: %v", q, k, err)
+			}
+			if len(rows.Tuples) != 1 || rows.Tuples[0][0].Int() != k || rows.Tuples[0][1].Int() != int64(i) {
+				t.Errorf("%s with k = %d: got %v", q, k, rows.Tuples)
+			}
+		}
+	}
+	rows, err := sess.Query(`SELECT k, COUNT(*) FROM kv GROUP BY k`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Tuples) != 2 {
+		t.Errorf("GROUP BY k: %d groups, want 2: %v", len(rows.Tuples), rows.Tuples)
+	}
+}

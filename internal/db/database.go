@@ -70,7 +70,7 @@ func (d *Database) PageSize() int { return d.opts.PageSize }
 
 // CreateTable registers a new table for the given schema.
 func (d *Database) CreateTable(s *catalog.Schema) (*Table, error) {
-	heap, err := storage.NewHeap(s.Name, s.RowBytes(), d.opts.PageSize, d.pool)
+	heap, err := storage.NewHeap(s.Name, len(s.Columns), s.RowBytes(), d.opts.PageSize, d.pool)
 	if err != nil {
 		return nil, err
 	}

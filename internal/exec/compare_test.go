@@ -1,0 +1,197 @@
+package exec
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/sql"
+)
+
+// cmpLayout is the versioned relation the comparison differential runs on.
+// Statements name the base columns (a, b, va, vb, z); a stored tuple is
+// (tvn, a, b, va, vb, pre_va, pre_vb, z). a, b and z sit at one offset in
+// both version slots; va and vb are read from the current or the pre-update
+// copy, whichever the reader's version selects. z is the last stored column,
+// so a stored tuple cut one short reads it out of range.
+func cmpLayout() ([]binding, *CompileOptions) {
+	cols := make([]catalog.Column, 0, 5)
+	for _, name := range []string{"a", "b", "va", "vb", "z"} {
+		cols = append(cols, catalog.Column{Name: name, Type: catalog.TypeInt, Length: 8})
+	}
+	base := catalog.MustSchema("t", cols)
+	opts := &CompileOptions{
+		Slots: [][]int{{1, 2, 3, 4, 7}, {1, 2, 5, 6, 7}},
+		Select: func(row catalog.Tuple, vn int64) (int, bool) {
+			if vn >= row[0].Int() {
+				return 0, true
+			}
+			return 1, true
+		},
+		Param: "vn",
+	}
+	return []binding{{name: "t", schema: base}}, opts
+}
+
+// cmpStored stores x and y at version 2: in a and b, and in the va/vb copy
+// a reader at vn reads. The copy it does not read holds a string, so reading
+// the wrong slot changes the answer.
+func cmpStored(x, y catalog.Value, vn int64) catalog.Tuple {
+	junk := catalog.NewString("wrong slot")
+	row := catalog.Tuple{catalog.NewInt(2), x, y, x, y, junk, junk, catalog.NewInt(7)}
+	if vn < 2 {
+		row[3], row[4], row[5], row[6] = junk, junk, x, y
+	}
+	return row
+}
+
+// cmpBase is the tree-walker's row: the base tuple the reader at vn sees.
+func cmpBase(opts *CompileOptions, stored catalog.Tuple, vn int64) catalog.Tuple {
+	k, _ := opts.Select(stored, vn)
+	var base catalog.Tuple
+	for _, off := range opts.Slots[k] {
+		if off >= len(stored) {
+			break
+		}
+		base = append(base, stored[off])
+	}
+	return base
+}
+
+// sameOutcome evaluates e compiled against the stored tuple and walked
+// against its base tuple, and reports any difference in value or error.
+func sameOutcome(e sql.Expr, stored catalog.Tuple, vn int64, params Params) error {
+	bindings, opts := cmpLayout()
+	want, werr := (&env{bindings: bindings, params: params}).eval(e, cmpBase(opts, stored, vn))
+	comp := newCompiler(bindings, opts)
+	fn, err := comp.compile(e)
+	if err != nil {
+		return fmt.Errorf("compile: %v", err)
+	}
+	ctx, err := comp.newCtx(params, vn, true)
+	if err != nil {
+		return fmt.Errorf("bind: %v", err)
+	}
+	ctx.at(stored)
+	got, gerr := fn(ctx, stored)
+	switch {
+	case (werr == nil) != (gerr == nil):
+		return fmt.Errorf("tree-walker err %v, compiled err %v", werr, gerr)
+	case werr != nil && werr.Error() != gerr.Error():
+		return fmt.Errorf("tree-walker err %q, compiled err %q", werr, gerr)
+	case werr == nil && (want.Kind() != got.Kind() || want.String() != got.String()):
+		return fmt.Errorf("tree-walker %v (%v), compiled %v (%v)", want, want.Kind(), got, got.Kind())
+	}
+	return nil
+}
+
+// Every comparison compiles to one closure that loads its operands in place.
+// It is pinned to the tree-walker, value and error, for every operand kind —
+// column, versioned column at either version slot, parameter, literal,
+// expression — on both sides, under all six operators, over NULL, INT,
+// FLOAT, mixed INT/FLOAT, STRING, DATE against a date string, and INTs
+// beyond 2^53; and for an unbound parameter, taken or in a CASE arm that is
+// not, and a column past the end of the stored tuple.
+func TestCompiledComparisonMatchesTreeWalker(t *testing.T) {
+	const big = int64(1) << 53
+	date, err := catalog.ParseDate("10/14/96")
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []catalog.Value{
+		catalog.Null,
+		catalog.NewInt(3),
+		catalog.NewInt(big),
+		catalog.NewInt(big + 1),
+		catalog.NewFloat(3),
+		catalog.NewFloat(2.5),
+		catalog.NewString("abc"),
+		catalog.NewString("10/14/96"),
+		date,
+		catalog.NewBool(true),
+	}
+	ops := []sql.BinaryOp{sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe}
+	// Each operand kind as it reads x (left side) or y (right side).
+	kinds := []struct {
+		name    string
+		operand func(left bool, v catalog.Value) sql.Expr
+	}{
+		{"column", func(left bool, _ catalog.Value) sql.Expr { return &sql.ColumnRef{Name: pick(left, "a", "b")} }},
+		{"versioned", func(left bool, _ catalog.Value) sql.Expr { return &sql.ColumnRef{Name: pick(left, "va", "vb")} }},
+		{"param", func(left bool, _ catalog.Value) sql.Expr { return &sql.Param{Name: pick(left, "x", "y")} }},
+		{"literal", func(_ bool, v catalog.Value) sql.Expr { return &sql.Literal{Value: v} }},
+		{"expression", func(left bool, _ catalog.Value) sql.Expr {
+			return &sql.FuncCall{Name: "COALESCE", Args: []sql.Expr{&sql.ColumnRef{Name: pick(left, "va", "vb")}}}
+		}},
+	}
+	cases := 0
+	for _, vn := range []int64{1, 2} {
+		for _, x := range values {
+			for _, y := range values {
+				stored := cmpStored(x, y, vn)
+				params := Params{"x": x, "y": y}
+				for _, lk := range kinds {
+					for _, rk := range kinds {
+						for _, op := range ops {
+							e := &sql.BinaryExpr{Op: op, L: lk.operand(true, x), R: rk.operand(false, y)}
+							if err := sameOutcome(e, stored, vn, params); err != nil {
+								t.Fatalf("vn %d: %s %v %s %s over x=%v y=%v: %v", vn, lk.name, x, op, rk.name, x, y, err)
+							}
+							cases++
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// An unbound parameter fails the comparison that reads it, on either
+	// side, and nothing when it sits in an arm that is not taken.
+	unbound := &sql.Param{Name: "u"}
+	a := &sql.ColumnRef{Name: "a"}
+	untaken := func(cmp sql.Expr) sql.Expr {
+		return &sql.CaseExpr{
+			Whens: []sql.WhenClause{{Cond: &sql.Literal{Value: catalog.NewBool(false)}, Result: cmp}},
+			Else:  &sql.BinaryExpr{Op: sql.OpEq, L: a, R: a},
+		}
+	}
+	// A stored tuple one column short reads z out of range.
+	short := cmpStored(catalog.NewInt(1), catalog.NewInt(2), 2)
+	short = short[:len(short)-1]
+	z := &sql.ColumnRef{Name: "z"}
+	for _, op := range ops {
+		for _, e := range []sql.Expr{
+			&sql.BinaryExpr{Op: op, L: unbound, R: a},
+			&sql.BinaryExpr{Op: op, L: a, R: unbound},
+			&sql.BinaryExpr{Op: op, L: &sql.Literal{Value: catalog.Null}, R: unbound},
+			untaken(&sql.BinaryExpr{Op: op, L: unbound, R: a}),
+			untaken(&sql.BinaryExpr{Op: op, L: a, R: unbound}),
+		} {
+			for _, stored := range []catalog.Tuple{cmpStored(catalog.NewInt(1), catalog.Null, 2), short} {
+				if err := sameOutcome(e, stored, 2, Params{}); err != nil {
+					t.Fatalf("%s: %v", sql.PrintExpr(e), err)
+				}
+				cases++
+			}
+		}
+		for _, e := range []sql.Expr{
+			&sql.BinaryExpr{Op: op, L: z, R: a},
+			&sql.BinaryExpr{Op: op, L: a, R: z},
+			&sql.BinaryExpr{Op: op, L: unbound, R: z},
+			&sql.BinaryExpr{Op: op, L: z, R: unbound},
+		} {
+			if err := sameOutcome(e, short, 2, Params{}); err != nil {
+				t.Fatalf("%s over a short tuple: %v", sql.PrintExpr(e), err)
+			}
+			cases++
+		}
+	}
+	t.Logf("%d comparisons agree", cases)
+}
+
+func pick(left bool, l, r string) string {
+	if left {
+		return l
+	}
+	return r
+}

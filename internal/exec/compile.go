@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -145,49 +146,134 @@ func (c *compiler) resolve(ref *sql.ColumnRef) (int, error) {
 	return found, nil
 }
 
+// operand is a leaf of an expression — a column, a parameter or a literal —
+// or, for anything else, the expression's closure. A comparison loads its
+// operands in place (load): a stored column by its address in the row, a
+// parameter by its slot in the context, with no closure call and no copy.
+type operand struct {
+	kind operandKind
+	idx  int           // row offset, versioned base column or parameter slot
+	name string        // column or parameter name, for errors
+	lit  catalog.Value // opLiteral
+	fn   compiledExpr  // opExpr
+}
+
+type operandKind uint8
+
+const (
+	opExpr      operandKind = iota
+	opColumn                // row[idx]
+	opVersioned             // row[ctx.off[idx]]: a column whose offset depends on the version slot
+	opParam                 // ctx.params[idx]
+	opLiteral               // lit
+)
+
+// operand compiles e as a comparison operand.
+func (c *compiler) operand(e sql.Expr) (operand, error) {
+	switch x := e.(type) {
+	case *sql.Literal:
+		return operand{kind: opLiteral, lit: x.Value}, nil
+	case *sql.Param:
+		return operand{kind: opParam, idx: c.slot(x.Name), name: x.Name}, nil
+	case *sql.ColumnRef:
+		idx, err := c.resolve(x)
+		if err != nil {
+			return operand{}, err
+		}
+		if c.ver != nil && c.ver.versioned(idx) {
+			return operand{kind: opVersioned, idx: idx, name: x.Name}, nil
+		}
+		if c.ver != nil {
+			idx = c.ver.Slots[0][idx]
+		}
+		return operand{kind: opColumn, idx: idx, name: x.Name}, nil
+	}
+	fn, err := c.compile(e)
+	return operand{kind: opExpr, fn: fn}, err
+}
+
+// load returns the operand's value: in place for a column, a parameter or a
+// literal, and evaluated into tmp for an expression. The pointer is valid
+// while row and ctx are.
+func (o *operand) load(ctx *evalCtx, row catalog.Tuple, tmp *catalog.Value) (*catalog.Value, error) {
+	switch o.kind {
+	case opColumn:
+		if o.idx < len(row) {
+			return &row[o.idx], nil
+		}
+	case opVersioned:
+		if off := ctx.off[o.idx]; off < len(row) {
+			return &row[off], nil
+		}
+	case opParam:
+		if ctx.bound[o.idx] {
+			return &ctx.params[o.idx], nil
+		}
+	case opLiteral:
+		return &o.lit, nil
+	default:
+		v, err := o.fn(ctx, row)
+		*tmp = v
+		return tmp, err
+	}
+	return nil, o.fail()
+}
+
+// fail is the error of a column operand past the end of the row or of an
+// unbound parameter — raised when read, so a parameter in a CASE arm that is
+// never taken does not fail the query.
+func (o *operand) fail() error {
+	if o.kind == opParam {
+		return fmt.Errorf("%w: :%s", ErrUnboundParam, o.name)
+	}
+	return fmt.Errorf("exec: column %q out of range", o.name)
+}
+
+// closure returns the operand as an expression of its own.
+func (o operand) closure() compiledExpr {
+	idx := o.idx
+	switch o.kind {
+	case opColumn:
+		return func(_ *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+			if idx < len(row) {
+				return row[idx], nil
+			}
+			return catalog.Null, o.fail()
+		}
+	case opVersioned:
+		return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+			if off := ctx.off[idx]; off < len(row) {
+				return row[off], nil
+			}
+			return catalog.Null, o.fail()
+		}
+	case opParam:
+		return func(ctx *evalCtx, _ catalog.Tuple) (catalog.Value, error) {
+			if ctx.bound[idx] {
+				return ctx.params[idx], nil
+			}
+			return catalog.Null, o.fail()
+		}
+	case opLiteral:
+		v := o.lit
+		return func(*evalCtx, catalog.Tuple) (catalog.Value, error) { return v, nil }
+	default: // opExpr
+		return o.fn
+	}
+}
+
 // compile builds the closure for e. A compile error means the expression
 // cannot be resolved against the bindings (or uses an unsupported form);
 // callers fall back to the tree-walking path, which reports the same error
 // at evaluation time.
 func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 	switch x := e.(type) {
-	case *sql.Literal:
-		v := x.Value
-		return func(*evalCtx, catalog.Tuple) (catalog.Value, error) { return v, nil }, nil
-
-	case *sql.Param:
-		slot := c.slot(x.Name)
-		name := x.Name
-		return func(ctx *evalCtx, _ catalog.Tuple) (catalog.Value, error) {
-			if !ctx.bound[slot] {
-				return catalog.Null, fmt.Errorf("%w: :%s", ErrUnboundParam, name)
-			}
-			return ctx.params[slot], nil
-		}, nil
-
-	case *sql.ColumnRef:
-		idx, err := c.resolve(x)
+	case *sql.Literal, *sql.Param, *sql.ColumnRef:
+		o, err := c.operand(e)
 		if err != nil {
 			return nil, err
 		}
-		name := x.Name
-		if c.ver != nil && c.ver.versioned(idx) {
-			return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
-				if off := ctx.off[idx]; off < len(row) {
-					return row[off], nil
-				}
-				return catalog.Null, fmt.Errorf("exec: column %q out of range", name)
-			}, nil
-		}
-		if c.ver != nil {
-			idx = c.ver.Slots[0][idx]
-		}
-		return func(_ *evalCtx, row catalog.Tuple) (catalog.Value, error) {
-			if idx >= len(row) {
-				return catalog.Null, fmt.Errorf("exec: column %q out of range", name)
-			}
-			return row[idx], nil
-		}, nil
+		return o.closure(), nil
 
 	case *sql.UnaryExpr:
 		inner, err := c.compile(x.X)
@@ -395,6 +481,12 @@ func (c *compiler) compileAt(bindings []binding, e sql.Expr) (compiledExpr, erro
 // both sides (no short-circuit on errors) with three-valued logic, exactly
 // as evalBinary does.
 func (c *compiler) compileBinary(x *sql.BinaryExpr) (compiledExpr, error) {
+	switch x.Op {
+	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
+		return c.compileCompare(x)
+	case sql.OpAnd, sql.OpOr, sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv:
+		// Below, over a closure for each side.
+	}
 	l, err := c.compile(x.L)
 	if err != nil {
 		return nil, err
@@ -447,42 +539,6 @@ func (c *compiler) compileBinary(x *sql.BinaryExpr) (compiledExpr, error) {
 			}
 		}, nil
 
-	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-		op := x.Op
-		return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
-			lv, err := l(ctx, row)
-			if err != nil {
-				return catalog.Null, err
-			}
-			rv, err := r(ctx, row)
-			if err != nil {
-				return catalog.Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return catalog.Null, nil
-			}
-			cmp, err := compare(lv, rv)
-			if err != nil {
-				return catalog.Null, err
-			}
-			var res bool
-			switch op {
-			case sql.OpEq:
-				res = cmp == 0
-			case sql.OpNe:
-				res = cmp != 0
-			case sql.OpLt:
-				res = cmp < 0
-			case sql.OpLe:
-				res = cmp <= 0
-			case sql.OpGt:
-				res = cmp > 0
-			default:
-				res = cmp >= 0
-			}
-			return catalog.NewBool(res), nil
-		}, nil
-
 	case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv:
 		op := x.Op
 		return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
@@ -531,8 +587,60 @@ func (c *compiler) compileBinary(x *sql.BinaryExpr) (compiledExpr, error) {
 				return catalog.NewFloat(a / b), nil
 			}
 		}, nil
+	default:
+		return nil, fmt.Errorf("exec: unknown binary operator %v", x.Op)
 	}
-	return nil, fmt.Errorf("exec: unknown binary operator %v", x.Op)
+}
+
+// compileCompare compiles = <> < <= > >=. Both operands are loaded in place
+// (operand.load), left before right, so errors, NULL handling and the
+// date/string coercion are evalBinary's; two INTs compare as int64 inline.
+func (c *compiler) compileCompare(x *sql.BinaryExpr) (compiledExpr, error) {
+	l, err := c.operand(x.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.operand(x.R)
+	if err != nil {
+		return nil, err
+	}
+	op := x.Op
+	return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+		var ltmp, rtmp catalog.Value
+		lv, err := l.load(ctx, row, &ltmp)
+		if err != nil {
+			return catalog.Null, err
+		}
+		rv, err := r.load(ctx, row, &rtmp)
+		if err != nil {
+			return catalog.Null, err
+		}
+		if lv.IsNull() || rv.IsNull() {
+			return catalog.Null, nil
+		}
+		var c int
+		if lv.Kind() == catalog.TypeInt && rv.Kind() == catalog.TypeInt {
+			c = cmp.Compare(lv.Int(), rv.Int())
+		} else if c, err = compare(*lv, *rv); err != nil {
+			return catalog.Null, err
+		}
+		var res bool
+		switch op {
+		case sql.OpEq:
+			res = c == 0
+		case sql.OpNe:
+			res = c != 0
+		case sql.OpLt:
+			res = c < 0
+		case sql.OpLe:
+			res = c <= 0
+		case sql.OpGt:
+			res = c > 0
+		default:
+			res = c >= 0
+		}
+		return catalog.NewBool(res), nil
+	}, nil
 }
 
 // compileFunc compiles scalar function calls. An aggregate is not a function

@@ -11,38 +11,41 @@ import (
 
 // TestPageCodecRoundTrip: encodePage/decodePage must round-trip every
 // value kind plus dead slots, since the mirror file is read back by
-// offline tooling.
+// offline tooling, and must refuse an image whose tuples have another width.
 func TestPageCodecRoundTrip(t *testing.T) {
-	slots := []slot{
-		{live: true, tuple: catalog.Tuple{
-			catalog.NewInt(-42),
-			catalog.NewFloat(3.5),
-			catalog.NewString("hello"),
-			catalog.NewBool(true),
-			catalog.NewDate(19000),
-		}},
-		{live: false},
-		{live: true, tuple: catalog.Tuple{catalog.NewInt(0), catalog.NewBool(false)}},
-		{live: true, tuple: catalog.Tuple{catalog.NewString("")}},
+	tuples := []catalog.Tuple{
+		{catalog.NewInt(-42), catalog.NewFloat(3.5), catalog.NewString("hello"), catalog.NewBool(true), catalog.NewDate(19000)},
+		nil, // dead
+		{catalog.NewInt(0), catalog.NewBool(false), catalog.Null, catalog.Null, catalog.Null},
+		{catalog.NewString(""), catalog.Null, catalog.Null, catalog.Null, catalog.NewInt(1 << 62)},
 	}
-	buf := encodePage(slots)
-	got, err := decodePage(buf)
+	pg := &page{w: 5}
+	for _, tu := range tuples {
+		si := pg.addSlot(len(tuples))
+		if tu != nil {
+			copy(pg.tuple(si), tu)
+			pg.live[si] = true
+			pg.nlive++
+		}
+	}
+	buf := encodePage(pg)
+	got, err := decodePage(buf, 5)
 	if err != nil {
 		t.Fatalf("decodePage: %v", err)
 	}
-	if len(got) != len(slots) {
-		t.Fatalf("decoded %d slots, want %d", len(got), len(slots))
+	if len(got.live) != len(tuples) || got.nlive != pg.nlive {
+		t.Fatalf("decoded %d slots, %d live; want %d, %d", len(got.live), got.nlive, len(tuples), pg.nlive)
 	}
-	for i, s := range slots {
-		if got[i].live != s.live {
-			t.Fatalf("slot %d live = %v, want %v", i, got[i].live, s.live)
+	for si, tu := range tuples {
+		if got.live[si] != (tu != nil) {
+			t.Fatalf("slot %d live = %v", si, got.live[si])
 		}
-		if !s.live {
-			continue
+		if !catalog.TuplesEqual(got.tuple(si), pg.tuple(si)) {
+			t.Fatalf("slot %d decoded %v, want %v", si, got.tuple(si), pg.tuple(si))
 		}
-		if !catalog.TuplesEqual(got[i].tuple, s.tuple) {
-			t.Fatalf("slot %d decoded %v, want %v", i, got[i].tuple, s.tuple)
-		}
+	}
+	if _, err := decodePage(buf, 4); err == nil {
+		t.Fatal("decodePage accepted 5-value tuples into a 4-value page")
 	}
 }
 
@@ -55,7 +58,7 @@ func TestSetBackingMirrorsEvictedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _ := newTestHeap(t, 20, 60, 1) // 3 slots per page
+	h, _ := newTestHeap(t, 2, 20, 60, 1) // 3 slots per page
 	h.SetBacking(f)
 	const n = 9 // three pages
 	for k := int64(0); k < n; k++ {
@@ -81,13 +84,14 @@ func TestSetBackingMirrorsEvictedPages(t *testing.T) {
 		if size == 0 {
 			continue
 		}
-		slots, err := decodePage(img[4 : 4+size])
+		pg, err := decodePage(img[4:4+size], 2)
 		if err != nil {
 			t.Fatalf("page %d: %v", pi, err)
 		}
-		for _, s := range slots {
-			if s.live {
-				seen[s.tuple[0].Int()] = s.tuple[1].Int()
+		for si, live := range pg.live {
+			if live {
+				tu := pg.tuple(si)
+				seen[tu[0].Int()] = tu[1].Int()
 			}
 		}
 	}
@@ -185,7 +189,7 @@ func TestWriteBackBudgetError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _ := newTestHeap(t, 20, 60, 4)
+	h, _ := newTestHeap(t, 1, 20, 60, 4)
 	h.SetBacking(f)
 	// A tuple far larger than the 4*pageBytes+1024 budget: rowBytes is a
 	// capacity hint, not an enforced limit, so this inserts fine but must

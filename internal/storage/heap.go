@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,21 +32,48 @@ var ErrNotFound = errors.New("storage: not found")
 // wraps ErrNotFound, so errors.Is(err, ErrNotFound) matches it.
 var ErrNoSuchTuple = fmt.Errorf("%w: no such tuple", ErrNotFound)
 
-// slot holds one tuple. Dead slots are left in place and reused by later
-// inserts; they still occupy their page's slot array but not its byte
-// budget.
-type slot struct {
-	tuple catalog.Tuple
-	live  bool
-}
-
-// page is a slotted page. Its latch (mu) is the paper's "short-duration
-// lock": held only across a single tuple read or mutation, never until
-// commit.
+// page is a slotted page. All its tuples live in one value arena: slot si
+// holds the w values vals[si*w:(si+1)*w], and live[si] says whether the slot
+// holds a tuple. A scan therefore walks one contiguous array instead of
+// chasing a pointer per tuple. Dead slots are left in place and reused by
+// later inserts; they still occupy the arena but not the page's byte budget.
+// The arena grows by doubling, up to the page's slot count, so a small table
+// does not pay for a full page.
+//
+// Its latch (mu) is the paper's "short-duration lock": held only across a
+// single tuple read or mutation, never until commit. Writers overwrite a
+// slot in place under the write latch, so nothing outside the latch may
+// keep a slice of the arena.
 type page struct {
 	mu    sync.RWMutex
-	slots []slot
-	live  int // live slot count
+	w     int             // values per tuple
+	vals  []catalog.Value // len(vals) == cap(live) * w
+	live  []bool          // one per slot in use; a dead slot's values are zero
+	nlive int             // live slot count
+}
+
+// tuple returns slot si's values in the arena, capped to the slot so an
+// append never reaches the next one. The caller holds the latch, and the
+// slice must not outlive it.
+func (pg *page) tuple(si int) catalog.Tuple {
+	lo, hi := si*pg.w, (si+1)*pg.w
+	return pg.vals[lo:hi:hi]
+}
+
+// addSlot appends one dead slot, doubling the arena, up to limit slots, when
+// it is full. The caller holds the write latch and has checked the limit.
+func (pg *page) addSlot(limit int) int {
+	n := len(pg.live)
+	if n == cap(pg.live) {
+		c := min(max(2*n, 1), limit)
+		live := make([]bool, n, c)
+		copy(live, pg.live)
+		vals := make([]catalog.Value, c*pg.w)
+		copy(vals, pg.vals)
+		pg.live, pg.vals = live, vals
+	}
+	pg.live = append(pg.live, false)
+	return n
 }
 
 // Heap is an unordered collection of tuples stored on slotted pages. Each
@@ -58,6 +86,7 @@ type Heap struct {
 	name        string
 	fileID      int
 	pool        *BufferPool
+	width       int // values per tuple
 	rowBytes    int
 	pageBytes   int
 	slotsPerPag int
@@ -78,12 +107,16 @@ type Heap struct {
 
 var nextFileID atomic.Int64
 
-// NewHeap creates a heap named name whose tuples each occupy rowBytes bytes,
-// attached to the given buffer pool. pageSize 0 selects DefaultPageSize.
-// rowBytes must be positive and at most pageSize.
-func NewHeap(name string, rowBytes, pageSize int, pool *BufferPool) (*Heap, error) {
+// NewHeap creates a heap named name whose tuples each hold width values and
+// occupy rowBytes bytes, attached to the given buffer pool. pageSize 0
+// selects DefaultPageSize. width and rowBytes must be positive, and rowBytes
+// at most pageSize. The heap refuses a tuple of any other width.
+func NewHeap(name string, width, rowBytes, pageSize int, pool *BufferPool) (*Heap, error) {
 	if pageSize == 0 {
 		pageSize = DefaultPageSize
+	}
+	if width <= 0 {
+		return nil, fmt.Errorf("storage: heap %q width must be positive, got %d", name, width)
 	}
 	if rowBytes <= 0 {
 		return nil, fmt.Errorf("storage: heap %q rowBytes must be positive, got %d", name, rowBytes)
@@ -98,6 +131,7 @@ func NewHeap(name string, rowBytes, pageSize int, pool *BufferPool) (*Heap, erro
 		name:        name,
 		fileID:      int(nextFileID.Add(1)),
 		pool:        pool,
+		width:       width,
 		rowBytes:    rowBytes,
 		pageBytes:   pageSize,
 		slotsPerPag: pageSize / rowBytes,
@@ -151,7 +185,7 @@ func (h *Heap) writeBackPage(pi int) error {
 		return nil
 	}
 	pg.mu.RLock()
-	img := encodePage(pg.slots)
+	img := encodePage(pg)
 	pg.mu.RUnlock()
 	capacity := h.pageImageCap()
 	if len(img)+4 > capacity {
@@ -228,34 +262,39 @@ func (h *Heap) getPage(i int) *page {
 	return h.pages[i]
 }
 
-// Insert stores a copy of t and returns its RID. It reuses dead slots before
-// allocating new pages.
+// checkWidth refuses a tuple that does not fit the heap's slots.
+func (h *Heap) checkWidth(t catalog.Tuple) error {
+	if len(t) != h.width {
+		return fmt.Errorf("storage: heap %q stores %d values per tuple, got %d", h.name, h.width, len(t))
+	}
+	return nil
+}
+
+// Insert copies t into a free slot and returns its RID. It reuses dead slots
+// before allocating new pages.
 func (h *Heap) Insert(t catalog.Tuple) (RID, error) {
-	t = t.Clone()
+	if err := h.checkWidth(t); err != nil {
+		return RID{}, err
+	}
 	for {
 		pi, pg := h.pageWithSpace()
 		pg.mu.Lock()
-		// Reuse a dead slot if any.
-		for si := range pg.slots {
-			if !pg.slots[si].live {
-				pg.slots[si] = slot{tuple: t, live: true}
-				pg.live++
-				pg.mu.Unlock()
-				h.liveCount.Add(1)
-				return RID{Page: pi, Slot: si}, h.pool.Touch(PageKey{h.fileID, pi}, true)
-			}
+		si := slices.Index(pg.live, false) // reuse a dead slot if any
+		if si < 0 && len(pg.live) < h.slotsPerPag {
+			si = pg.addSlot(h.slotsPerPag)
 		}
-		if len(pg.slots) < h.slotsPerPag {
-			pg.slots = append(pg.slots, slot{tuple: t, live: true})
-			pg.live++
-			si := len(pg.slots) - 1
+		if si < 0 {
+			// Page filled up between pageWithSpace and the latch; retry.
 			pg.mu.Unlock()
-			h.liveCount.Add(1)
-			return RID{Page: pi, Slot: si}, h.pool.Touch(PageKey{h.fileID, pi}, true)
+			h.dropFree(pi)
+			continue
 		}
-		// Page filled up between pageWithSpace and the latch; retry.
+		copy(pg.tuple(si), t)
+		pg.live[si] = true
+		pg.nlive++
 		pg.mu.Unlock()
-		h.dropFree(pi)
+		h.liveCount.Add(1)
+		return RID{Page: pi, Slot: si}, h.pool.Touch(PageKey{h.fileID, pi}, true)
 	}
 }
 
@@ -268,14 +307,14 @@ func (h *Heap) pageWithSpace() (int, *page) {
 		pi := h.freePages[len(h.freePages)-1]
 		pg := h.pages[pi]
 		pg.mu.RLock()
-		hasSpace := pg.live < h.slotsPerPag
+		hasSpace := pg.nlive < h.slotsPerPag
 		pg.mu.RUnlock()
 		if hasSpace {
 			return pi, pg
 		}
 		h.freePages = h.freePages[:len(h.freePages)-1]
 	}
-	pg := &page{}
+	pg := &page{w: h.width}
 	h.pages = append(h.pages, pg)
 	pi := len(h.pages) - 1
 	h.freePages = append(h.freePages, pi)
@@ -304,6 +343,30 @@ func (h *Heap) noteFree(pi int) {
 	h.freePages = append(h.freePages, pi)
 }
 
+// latched returns rid's page with its latch held — the write latch when
+// write is set — if rid names a live tuple. Otherwise it holds no latch and
+// returns ErrNoSuchTuple.
+func (h *Heap) latched(rid RID, write bool) (*page, error) {
+	pg := h.getPage(rid.Page)
+	if pg == nil {
+		return nil, fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+	}
+	if write {
+		pg.mu.Lock()
+	} else {
+		pg.mu.RLock()
+	}
+	if rid.Slot >= 0 && rid.Slot < len(pg.live) && pg.live[rid.Slot] {
+		return pg, nil
+	}
+	if write {
+		pg.mu.Unlock()
+	} else {
+		pg.mu.RUnlock()
+	}
+	return nil, fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+}
+
 // Get returns a copy of the tuple at rid. The page latch is held only while
 // the tuple is copied out, so callers never see a partly-modified tuple and
 // never block behind a transaction (only behind an in-flight single-tuple
@@ -315,16 +378,11 @@ func (h *Heap) noteFree(pi int) {
 // than silently shrink its result (callers that legitimately race with
 // concurrent frees skip only errors.Is(err, ErrNotFound)).
 func (h *Heap) Get(rid RID) (catalog.Tuple, error) {
-	pg := h.getPage(rid.Page)
-	if pg == nil {
-		return nil, fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+	pg, err := h.latched(rid, false)
+	if err != nil {
+		return nil, err
 	}
-	pg.mu.RLock()
-	if rid.Slot < 0 || rid.Slot >= len(pg.slots) || !pg.slots[rid.Slot].live {
-		pg.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
-	}
-	t := pg.slots[rid.Slot].tuple.Clone()
+	t := pg.tuple(rid.Slot).Clone()
 	pg.mu.RUnlock()
 	// Touch outside the page latch: the pool may write back an evicted
 	// victim, which takes that victim's page latch — never nest the two.
@@ -334,38 +392,33 @@ func (h *Heap) Get(rid RID) (catalog.Tuple, error) {
 	return t, nil
 }
 
-// Update replaces the tuple at rid in place — the same slot on the same
+// Update overwrites the tuple at rid in place — the same slot on the same
 // page — under the page latch. This is the in-place physical update the
 // 2VNL rewrite implementation requires (§4): a scan can never return two
 // physical records for the same logical tuple.
 func (h *Heap) Update(rid RID, t catalog.Tuple) error {
-	pg := h.getPage(rid.Page)
-	if pg == nil {
-		return fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+	if err := h.checkWidth(t); err != nil {
+		return err
 	}
-	pg.mu.Lock()
-	if rid.Slot < 0 || rid.Slot >= len(pg.slots) || !pg.slots[rid.Slot].live {
-		pg.mu.Unlock()
-		return fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+	pg, err := h.latched(rid, true)
+	if err != nil {
+		return err
 	}
-	pg.slots[rid.Slot].tuple = t.Clone()
+	copy(pg.tuple(rid.Slot), t)
 	pg.mu.Unlock()
 	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
 }
 
-// Delete removes the tuple at rid, freeing its slot for reuse.
+// Delete removes the tuple at rid, freeing its slot for reuse. The slot's
+// values are cleared, so a deleted tuple keeps no string reachable.
 func (h *Heap) Delete(rid RID) error {
-	pg := h.getPage(rid.Page)
-	if pg == nil {
-		return fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+	pg, err := h.latched(rid, true)
+	if err != nil {
+		return err
 	}
-	pg.mu.Lock()
-	if rid.Slot < 0 || rid.Slot >= len(pg.slots) || !pg.slots[rid.Slot].live {
-		pg.mu.Unlock()
-		return fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
-	}
-	pg.slots[rid.Slot] = slot{}
-	pg.live--
+	clear(pg.tuple(rid.Slot))
+	pg.live[rid.Slot] = false
+	pg.nlive--
 	pg.mu.Unlock()
 	h.liveCount.Add(-1)
 	h.noteFree(rid.Page)
@@ -398,25 +451,19 @@ func (h *Heap) fill(b *block, pi int, pg *page, pred func(catalog.Tuple) (bool, 
 	b.rids, b.tuples, b.vals = b.rids[:0], b.tuples[:0], b.vals[:0]
 	pg.mu.RLock()
 	defer pg.mu.RUnlock()
-	if pg.live == 0 {
+	if pg.nlive == 0 {
 		return false, nil
 	}
 	if fresh {
-		n := 0
-		for si := range pg.slots {
-			if pg.slots[si].live {
-				n += len(pg.slots[si].tuple)
-			}
-		}
-		b.vals = make([]catalog.Value, 0, n)
+		b.vals = make([]catalog.Value, 0, pg.nlive*pg.w)
 	}
-	for si := range pg.slots {
-		s := &pg.slots[si]
-		if !s.live {
+	for si, live := range pg.live {
+		if !live {
 			continue
 		}
+		t := pg.tuple(si)
 		if pred != nil {
-			keep, err := pred(s.tuple)
+			keep, err := pred(t)
 			if err != nil {
 				return true, err
 			}
@@ -424,7 +471,7 @@ func (h *Heap) fill(b *block, pi int, pg *page, pred func(catalog.Tuple) (bool, 
 				continue
 			}
 		}
-		b.add(RID{pi, si}, s.tuple)
+		b.add(RID{pi, si}, t)
 	}
 	return true, nil
 }
@@ -460,13 +507,15 @@ func (h *Heap) walk(pred func(catalog.Tuple) (bool, error), fresh bool, fn func(
 // receives, and the tuples in them, are overwritten by the next page: it must
 // copy what it keeps. Returning false from fn stops the scan.
 //
-// pred runs against the stored tuple under the page's read latch, so it must
-// not retain or modify the tuple, block, or call back into the heap or its
-// pool, and should allocate only when it fails or — for a predicate that
-// folds an aggregate and keeps nothing — when it admits a new group. An error
-// from pred ends the scan, after the latch is released, and is returned as
-// is; fn is not called for that page. Which slots are observed is as for
-// Scan.
+// pred runs against the stored tuple — a slice of the page's arena — under
+// the page's read latch, so it must not retain or modify the tuple, block, or
+// call back into the heap or its pool. Writers overwrite slots in place, so a
+// tuple kept past the latch would later read another version, or another
+// tuple in a reused slot. pred should allocate only when it fails or — for a
+// predicate that folds an aggregate and keeps nothing — when it admits a new
+// group. An error from pred ends the scan, after the latch is released, and
+// is returned as is; fn is not called for that page. Which slots are
+// observed is as for Scan.
 func (h *Heap) ScanFilter(pred func(catalog.Tuple) (keep bool, err error), fn func([]RID, []catalog.Tuple) bool) error {
 	return h.walk(pred, false, fn)
 }
@@ -493,20 +542,23 @@ func (h *Heap) Scan(fn func(RID, catalog.Tuple) bool) {
 
 // UpdateFunc applies fn to the tuple at rid atomically under the page latch:
 // read-modify-write as one short critical section. fn receives a copy and
-// returns the replacement tuple. This is the primitive the 2VNL maintenance
-// cursor uses so that a reader latching the page sees either the old or the
-// new complete tuple state, never an intermediate one.
+// returns the replacement tuple, which is copied into the slot. This is the
+// primitive the 2VNL maintenance cursor uses so that a reader latching the
+// page sees either the old or the new complete tuple state, never an
+// intermediate one. A replacement of the wrong width leaves the slot as it
+// was.
 func (h *Heap) UpdateFunc(rid RID, fn func(catalog.Tuple) catalog.Tuple) error {
-	pg := h.getPage(rid.Page)
-	if pg == nil {
-		return fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+	pg, err := h.latched(rid, true)
+	if err != nil {
+		return err
 	}
-	pg.mu.Lock()
-	if rid.Slot < 0 || rid.Slot >= len(pg.slots) || !pg.slots[rid.Slot].live {
+	slot := pg.tuple(rid.Slot)
+	t := fn(slot.Clone())
+	if err := h.checkWidth(t); err != nil {
 		pg.mu.Unlock()
-		return fmt.Errorf("%w: %v in %s", ErrNoSuchTuple, rid, h.name)
+		return err
 	}
-	pg.slots[rid.Slot].tuple = fn(pg.slots[rid.Slot].tuple.Clone()).Clone()
+	copy(slot, t)
 	pg.mu.Unlock()
 	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
 }

@@ -96,34 +96,35 @@ func readPageValue(buf []byte) (catalog.Value, []byte, error) {
 	}
 }
 
-// encodePage serializes a page's slot array. The caller holds the page
-// latch (read side suffices).
-func encodePage(slots []slot) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(slots)))
-	for _, s := range slots {
-		if !s.live {
+// encodePage serializes a page's slots from its arena. The caller holds the
+// page latch (read side suffices).
+func encodePage(pg *page) []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(pg.live)))
+	for si, live := range pg.live {
+		if !live {
 			buf = append(buf, 0)
 			continue
 		}
 		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(s.tuple)))
-		for _, v := range s.tuple {
+		buf = binary.AppendUvarint(buf, uint64(pg.w))
+		for _, v := range pg.tuple(si) {
 			buf = appendPageValue(buf, v)
 		}
 	}
 	return buf
 }
 
-// decodePage parses an image produced by encodePage. Used by tests and
-// offline inspection; live recovery replays the WAL instead.
-func decodePage(buf []byte) ([]slot, error) {
+// decodePage parses an image produced by encodePage into a page of w values
+// per tuple, refusing a tuple of any other width. Used by tests and offline
+// inspection; live recovery replays the WAL instead.
+func decodePage(buf []byte, w int) (*page, error) {
 	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > 1<<24 {
+	if sz <= 0 || w <= 0 || n*uint64(w) > 1<<24 {
 		return nil, fmt.Errorf("storage: bad page slot count")
 	}
 	buf = buf[sz:]
-	slots := make([]slot, n)
-	for i := range slots {
+	pg := &page{w: w, vals: make([]catalog.Value, int(n)*w), live: make([]bool, n)}
+	for si := range pg.live {
 		if len(buf) < 1 {
 			return nil, fmt.Errorf("storage: truncated page slot")
 		}
@@ -133,11 +134,11 @@ func decodePage(buf []byte) ([]slot, error) {
 			continue
 		}
 		arity, asz := binary.Uvarint(buf)
-		if asz <= 0 || arity > 1<<20 {
-			return nil, fmt.Errorf("storage: bad page tuple arity")
+		if asz <= 0 || arity != uint64(w) {
+			return nil, fmt.Errorf("storage: page tuple arity %d, want %d", arity, w)
 		}
 		buf = buf[asz:]
-		t := make(catalog.Tuple, arity)
+		t := pg.tuple(si)
 		var err error
 		for j := range t {
 			t[j], buf, err = readPageValue(buf)
@@ -145,7 +146,8 @@ func decodePage(buf []byte) ([]slot, error) {
 				return nil, err
 			}
 		}
-		slots[i] = slot{tuple: t, live: true}
+		pg.live[si] = true
+		pg.nlive++
 	}
-	return slots, nil
+	return pg, nil
 }

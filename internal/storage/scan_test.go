@@ -12,7 +12,7 @@ import (
 // page and returns their RIDs.
 func fillHeap(t *testing.T, rows, perPage int) (*Heap, []RID) {
 	t.Helper()
-	h, _ := newTestHeap(t, 10, 10*perPage, 64)
+	h, _ := newTestHeap(t, 4, 10, 10*perPage, 64)
 	rids := make([]RID, rows)
 	for i := range rids {
 		v := int64(i)

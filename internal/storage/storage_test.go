@@ -10,10 +10,10 @@ import (
 	"repro/internal/catalog"
 )
 
-func newTestHeap(t *testing.T, rowBytes, pageSize, poolPages int) (*Heap, *BufferPool) {
+func newTestHeap(t *testing.T, width, rowBytes, pageSize, poolPages int) (*Heap, *BufferPool) {
 	t.Helper()
 	pool := NewBufferPool(poolPages)
-	h, err := NewHeap("t", rowBytes, pageSize, pool)
+	h, err := NewHeap("t", width, rowBytes, pageSize, pool)
 	if err != nil {
 		t.Fatalf("NewHeap: %v", err)
 	}
@@ -29,7 +29,7 @@ func intTuple(vs ...int64) catalog.Tuple {
 }
 
 func TestHeapInsertGet(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 100, 8)
+	h, _ := newTestHeap(t, 2, 10, 100, 8)
 	rid, err := h.Insert(intTuple(1, 2))
 	if err != nil {
 		t.Fatalf("Insert: %v", err)
@@ -47,7 +47,7 @@ func TestHeapInsertGet(t *testing.T) {
 }
 
 func TestHeapGetReturnsCopy(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 100, 8)
+	h, _ := newTestHeap(t, 1, 10, 100, 8)
 	rid, _ := h.Insert(intTuple(1))
 	got, _ := h.Get(rid)
 	got[0] = catalog.NewInt(99)
@@ -58,7 +58,7 @@ func TestHeapGetReturnsCopy(t *testing.T) {
 }
 
 func TestHeapUpdateInPlace(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 100, 8)
+	h, _ := newTestHeap(t, 1, 10, 100, 8)
 	rid, _ := h.Insert(intTuple(1))
 	if err := h.Update(rid, intTuple(2)); err != nil {
 		t.Fatalf("Update: %v", err)
@@ -85,7 +85,7 @@ func TestHeapUpdateInPlace(t *testing.T) {
 }
 
 func TestHeapDeleteAndSlotReuse(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 30, 8) // 3 slots per page
+	h, _ := newTestHeap(t, 1, 10, 30, 8) // 3 slots per page
 	var rids []RID
 	for i := int64(0); i < 6; i++ {
 		rid, _ := h.Insert(intTuple(i))
@@ -115,26 +115,50 @@ func TestHeapDeleteAndSlotReuse(t *testing.T) {
 
 func TestHeapErrors(t *testing.T) {
 	pool := NewBufferPool(4)
-	if _, err := NewHeap("t", 0, 100, pool); err == nil {
+	if _, err := NewHeap("t", 0, 10, 100, pool); err == nil {
+		t.Error("width 0 accepted")
+	}
+	if _, err := NewHeap("t", 1, 0, 100, pool); err == nil {
 		t.Error("rowBytes 0 accepted")
 	}
-	if _, err := NewHeap("t", 200, 100, pool); err == nil {
+	if _, err := NewHeap("t", 1, 200, 100, pool); err == nil {
 		t.Error("rowBytes > pageSize accepted")
 	}
-	if _, err := NewHeap("t", 10, 100, nil); err == nil {
+	if _, err := NewHeap("t", 1, 10, 100, nil); err == nil {
 		t.Error("nil pool accepted")
 	}
-	h, _ := NewHeap("t", 10, 100, pool)
+	h, _ := NewHeap("t", 1, 10, 100, pool)
 	if _, err := h.Get(RID{5, 0}); !errors.Is(err, ErrNoSuchTuple) {
 		t.Errorf("Get bad page = %v", err)
 	}
 	if err := h.Update(RID{0, 0}, intTuple(1)); !errors.Is(err, ErrNoSuchTuple) {
 		t.Errorf("Update bad rid = %v", err)
 	}
+	// A tuple of another width is refused, and the slot keeps what it held.
+	if _, err := h.Insert(intTuple(1, 2)); err == nil {
+		t.Error("Insert of 2 values into a 1-value heap succeeded")
+	}
+	rid, err := h.Insert(intTuple(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Update(rid, intTuple(1, 2)); err == nil {
+		t.Error("Update with 2 values succeeded")
+	}
+	if err := h.UpdateFunc(rid, func(catalog.Tuple) catalog.Tuple { return nil }); err == nil {
+		t.Error("UpdateFunc returning 0 values succeeded")
+	}
+	if got, _ := h.Get(rid); !catalog.TuplesEqual(got, intTuple(1)) || h.Len() != 1 {
+		t.Errorf("refused writes left %v, Len %d", got, h.Len())
+	}
+	// The refused UpdateFunc released the latch.
+	if err := h.Update(rid, intTuple(2)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestHeapScanEarlyStop(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 100, 8)
+	h, _ := newTestHeap(t, 1, 10, 100, 8)
 	for i := int64(0); i < 20; i++ {
 		h.Insert(intTuple(i))
 	}
@@ -146,7 +170,7 @@ func TestHeapScanEarlyStop(t *testing.T) {
 }
 
 func TestHeapUpdateFunc(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 100, 8)
+	h, _ := newTestHeap(t, 1, 10, 100, 8)
 	rid, _ := h.Insert(intTuple(10))
 	err := h.UpdateFunc(rid, func(old catalog.Tuple) catalog.Tuple {
 		return intTuple(old[0].Int() + 5)
@@ -165,8 +189,8 @@ func TestSlotsPerPageAccounting(t *testing.T) {
 	// tuples; the 51-byte extended schema fits 160. Fewer tuples per page
 	// is the §6 scan-I/O effect.
 	pool := NewBufferPool(4)
-	base, _ := NewHeap("base", 42, 8192, pool)
-	ext, _ := NewHeap("ext", 51, 8192, pool)
+	base, _ := NewHeap("base", 4, 42, 8192, pool)
+	ext, _ := NewHeap("ext", 7, 51, 8192, pool)
 	if base.SlotsPerPage() != 195 || ext.SlotsPerPage() != 160 {
 		t.Errorf("slots per page = %d, %d; want 195, 160", base.SlotsPerPage(), ext.SlotsPerPage())
 	}
@@ -239,7 +263,7 @@ func TestIOStatsSub(t *testing.T) {
 // internally consistent (both fields always equal); any observed mismatch
 // means a reader saw a half-applied update.
 func TestHeapConcurrentReadersWriter(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 100, 64)
+	h, _ := newTestHeap(t, 2, 10, 100, 64)
 	var rids []RID
 	for i := int64(0); i < 50; i++ {
 		rid, _ := h.Insert(intTuple(i, i))
@@ -292,7 +316,7 @@ func TestHeapConcurrentReadersWriter(t *testing.T) {
 }
 
 func TestHeapConcurrentInserts(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 50, 64) // 5 slots per page
+	h, _ := newTestHeap(t, 2, 10, 50, 64) // 5 slots per page
 	const goroutines, per = 8, 200
 	var wg sync.WaitGroup
 	ridCh := make(chan RID, goroutines*per)
@@ -328,7 +352,7 @@ func TestHeapConcurrentInserts(t *testing.T) {
 // matches the live set and Scan visits exactly the live tuples.
 func TestHeapLiveSetProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		h, _ := NewHeap("p", 8, 64, NewBufferPool(16))
+		h, _ := NewHeap("p", 1, 8, 64, NewBufferPool(16))
 		live := make(map[RID]int64)
 		var next int64
 		var order []RID
@@ -371,7 +395,7 @@ func TestHeapLiveSetProperty(t *testing.T) {
 }
 
 func TestHeapBytesGrowth(t *testing.T) {
-	h, _ := newTestHeap(t, 10, 100, 8)
+	h, _ := newTestHeap(t, 1, 10, 100, 8)
 	if h.Bytes() != 0 {
 		t.Errorf("empty heap Bytes = %d", h.Bytes())
 	}
@@ -384,7 +408,7 @@ func TestHeapBytesGrowth(t *testing.T) {
 }
 
 func BenchmarkHeapInsert(b *testing.B) {
-	h, _ := NewHeap("b", 51, 8192, NewBufferPool(1024))
+	h, _ := NewHeap("b", 3, 51, 8192, NewBufferPool(1024))
 	tu := intTuple(1, 2, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -395,7 +419,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 }
 
 func BenchmarkHeapScan(b *testing.B) {
-	h, _ := NewHeap("b", 51, 8192, NewBufferPool(1024))
+	h, _ := NewHeap("b", 1, 51, 8192, NewBufferPool(1024))
 	for i := int64(0); i < 10000; i++ {
 		h.Insert(intTuple(i))
 	}
@@ -411,7 +435,7 @@ func BenchmarkHeapScan(b *testing.B) {
 
 func ExampleHeap() {
 	pool := NewBufferPool(16)
-	h, _ := NewHeap("demo", 16, 64, pool)
+	h, _ := NewHeap("demo", 1, 16, 64, pool)
 	rid, _ := h.Insert(catalog.Tuple{catalog.NewString("hello")})
 	tu, _ := h.Get(rid)
 	fmt.Println(tu)

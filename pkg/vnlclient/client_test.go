@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,22 +174,35 @@ func TestPoolCheckoutUnderConcurrency(t *testing.T) {
 	}
 }
 
-// scriptedPeer is a hand-written server for one client: it answers Hello
-// and BeginSession (pinning VN 5), and drops the connection on any other
-// request. It counts the sessions it grants.
+// scriptedPeer is a hand-written server for one client at a time: it
+// answers Hello, BeginSession (pinning VN 5 against the script's primary VN)
+// and EndSession, and on any other request either drops the connection or,
+// when the script stalls, never answers and waits for the client to hang up.
+// It counts the sessions it grants and ends.
 type scriptedPeer struct {
 	ln     net.Listener
+	script peerScript
 	begins atomic.Int32
+	ends   atomic.Int32
 	done   chan struct{}
 }
 
-func newScriptedPeer(t *testing.T) *scriptedPeer {
+// peerScript is what a scriptedPeer does beyond the handshake.
+type peerScript struct {
+	primaryVN uint64 // reported beside session VN 5; 0 means 5, no lag
+	stall     bool   // leave other requests unanswered instead of dropping
+}
+
+func newScriptedPeer(t *testing.T, script peerScript) *scriptedPeer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &scriptedPeer{ln: ln, done: make(chan struct{})}
+	if script.primaryVN == 0 {
+		script.primaryVN = 5
+	}
+	p := &scriptedPeer{ln: ln, script: script, done: make(chan struct{})}
 	go p.serve()
 	t.Cleanup(func() {
 		_ = ln.Close()
@@ -220,11 +234,17 @@ func (p *scriptedPeer) conn(nc net.Conn) {
 		var resp []byte
 		switch t {
 		case server.MsgHello:
-			t, resp = server.MsgWelcome, server.Welcome{Server: "scripted", N: 2, VN: 5, PrimaryVN: 5}.Encode()
+			t, resp = server.MsgWelcome, server.Welcome{Server: "scripted", N: 2, VN: 5, PrimaryVN: p.script.primaryVN}.Encode()
 		case server.MsgBeginSession:
 			p.begins.Add(1)
-			t, resp = server.MsgSession, server.Session{SID: 1, VN: 5, PrimaryVN: 5}.Encode()
+			t, resp = server.MsgSession, server.Session{SID: 1, VN: 5, PrimaryVN: p.script.primaryVN}.Encode()
+		case server.MsgEndSession:
+			p.ends.Add(1)
+			t = server.MsgOK
 		default:
+			if p.script.stall {
+				_, _, _ = server.ReadFrame(br) // returns when the client hangs up
+			}
 			return // drop the connection mid-session
 		}
 		if err := server.WriteFrame(nc, t, resp); err != nil {
@@ -237,7 +257,7 @@ func (p *scriptedPeer) conn(nc net.Conn) {
 // failed: it never silently opens a new server-side session, which would
 // read a different sessionVN than the one Begin pinned.
 func TestDroppedConnectionFailsSessionWithoutRepinning(t *testing.T) {
-	p := newScriptedPeer(t)
+	p := newScriptedPeer(t, peerScript{})
 	c, err := Dial(p.ln.Addr().String(), Options{DialAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -270,6 +290,93 @@ func TestDroppedConnectionFailsSessionWithoutRepinning(t *testing.T) {
 	}
 	if n := p.begins.Load(); n != 1 {
 		t.Fatalf("peer granted %d sessions, want 1: the client re-pinned", n)
+	}
+}
+
+// A server that stops answering costs a caller OpTimeout, not forever: the
+// session's query and a one-shot query each fail with a deadline error once
+// the timeout passes, and the stalled session stays failed.
+func TestOpTimeoutAgainstAStalledPeer(t *testing.T) {
+	p := newScriptedPeer(t, peerScript{stall: true})
+	const timeout = 150 * time.Millisecond
+	c, err := Dial(p.ln.Addr().String(), Options{DialAttempts: 1, OpTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := func(what string, query func() error) {
+		t.Helper()
+		start := time.Now()
+		err := query()
+		took := time.Since(start)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s against a stalled peer: %v, want a deadline error", what, err)
+		}
+		// The peer itself gives up after 5 s; well before that, the
+		// client's own deadline must have fired.
+		if took < timeout || took > 10*timeout {
+			t.Fatalf("%s failed after %v, want about the %v OpTimeout", what, took, timeout)
+		}
+	}
+	stalled("session query", func() error {
+		_, err := sess.Query("SELECT k FROM kv", nil)
+		return err
+	})
+	if _, err := sess.Query("SELECT k FROM kv", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("query after the timeout: %v, want ErrClosed", err)
+	}
+	stalled("one-shot query", func() error {
+		_, err := c.Query("SELECT k FROM kv", nil)
+		return err
+	})
+	if n := p.begins.Load(); n != 1 {
+		t.Fatalf("peer granted %d sessions, want 1", n)
+	}
+}
+
+// MaxStalenessVNs refuses a session that lags its primary by more than the
+// bound with ErrTooStale, and ends it server-side first, so a replica's GC
+// floor is not pinned by a session nobody reads. A lag at the bound, or no
+// bound, is accepted.
+func TestMaxStalenessVNsRefusesALaggingSession(t *testing.T) {
+	p := newScriptedPeer(t, peerScript{primaryVN: 9}) // sessions lag by 4
+	begin := func(bound uint64) (*Session, error) {
+		t.Helper()
+		c, err := Dial(p.ln.Addr().String(), Options{DialAttempts: 1, MaxStalenessVNs: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		sess, err := c.Begin()
+		if sess != nil {
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The peer serves one connection at a time: hang up for the next.
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sess, err
+	}
+	if _, err := begin(3); !errors.Is(err, ErrTooStale) {
+		t.Fatalf("lag 4 over bound 3: %v, want ErrTooStale", err)
+	}
+	if b, e := p.begins.Load(), p.ends.Load(); b != 1 || e != 1 {
+		t.Fatalf("after the refusal the peer granted %d sessions and ended %d, want 1 and 1", b, e)
+	}
+	for _, bound := range []uint64{4, 0} {
+		sess, err := begin(bound)
+		if err != nil {
+			t.Fatalf("lag 4 under bound %d: %v", bound, err)
+		}
+		if sess.VN() != 5 || sess.PrimaryVN() != 9 || sess.Lag() != 4 {
+			t.Fatalf("bound %d: session VN %d, primary %d, lag %d; want 5, 9, 4", bound, sess.VN(), sess.PrimaryVN(), sess.Lag())
+		}
 	}
 }
 
