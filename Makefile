@@ -18,8 +18,10 @@ race:
 
 # stress runs the multi-goroutine concurrency tests (readers racing
 # maintenance, shared sessions, mid-query expiry, buffer-pool hits racing
-# evictions and flushes) under the race detector, with a generous timeout
-# so slow CI machines finish the full matrix.
+# evictions and flushes, scans at a fixed version racing the writers that
+# fold each heap page's version summary: TestStressHeapSummary) under the
+# race detector, with a generous timeout so slow CI machines finish the
+# full matrix.
 stress:
 	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance' -count=2 ./internal/core/ ./internal/storage/
 

@@ -91,10 +91,10 @@ func (s *Store) GCWithFloor(floor VN) GCStats {
 		// The victim test runs against the stored tuples in place; only
 		// victims are copied out, and only their RIDs kept.
 		var victims []storage.RID
-		_ = vt.tbl.ScanFilter(func(t catalog.Tuple) (bool, error) {
+		_ = vt.tbl.ScanFilter(storage.Filter{Pred: func(t catalog.Tuple) (bool, error) {
 			stats.Scanned++
 			return e.OpAt(t, 1) == OpDelete && e.TupleVN(t, 1) <= floor, nil
-		}, func(rids []storage.RID, _ []catalog.Tuple) bool {
+		}}, func(rids []storage.RID, _ []catalog.Tuple) bool {
 			victims = append(victims, rids...)
 			return true
 		})
@@ -139,12 +139,12 @@ func (s *Store) DeadTuples() map[string]int {
 		e := vt.ext
 		n := 0
 		// Counted in place: the predicate keeps nothing, so nothing is copied.
-		_ = vt.tbl.ScanFilter(func(t catalog.Tuple) (bool, error) {
+		_ = vt.tbl.ScanFilter(storage.Filter{Pred: func(t catalog.Tuple) (bool, error) {
 			if e.OpAt(t, 1) == OpDelete {
 				n++
 			}
 			return false, nil
-		}, func([]storage.RID, []catalog.Tuple) bool { return true })
+		}}, func([]storage.RID, []catalog.Tuple) bool { return true })
 		out[e.Base.Name] = n
 	}
 	return out

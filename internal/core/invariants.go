@@ -22,6 +22,8 @@ import (
 //   - The table's oldest-slot high-water mark equals the scan maximum,
 //     and the O(1) expiration probe agrees with its scan oracle for every
 //     version through currentVN+2.
+//   - Every heap page's version summary (ExtTable.summary) counts its
+//     deleted tuples exactly and bounds every live tupleVN1 from above.
 //
 // The first violation is returned as a descriptive error; nil means every
 // table passed.
@@ -74,6 +76,9 @@ func (vt *VTable) checkInvariants(maxVN, currentVN VN) error {
 	})
 	if firstErr != nil {
 		return firstErr
+	}
+	if err := vt.tbl.Heap().CheckSummary(); err != nil {
+		return fmt.Errorf("core: %s: %w", name, err)
 	}
 	if got := vt.oldestHW.Load(); got != scanMax {
 		return fmt.Errorf("core: %s: oldestHW %d diverges from scan maximum %d", name, got, scanMax)

@@ -277,7 +277,7 @@ func (s *Store) CreateTable(base *catalog.Schema) (*VTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl, err := s.d.CreateTable(ext.Ext)
+	tbl, err := s.d.CreateSummarisedTable(ext.Ext, ext.summary)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +342,7 @@ func (s *Store) AdoptTable(name string) (*VTable, error) {
 	}
 	tmpSchema := ext.Ext.Clone()
 	tmpSchema.Name = base.Name + "__adopting"
-	tbl, err := s.d.CreateTable(tmpSchema)
+	tbl, err := s.d.CreateSummarisedTable(tmpSchema, ext.summary)
 	if err != nil {
 		return nil, fmt.Errorf("core: adopting %s: %w", name, err)
 	}

@@ -59,10 +59,10 @@ func (t *Table) Len() int { return t.heap.Len() }
 // Scan implements exec.Table.
 func (t *Table) Scan(fn func(storage.RID, catalog.Tuple) bool) { t.heap.Scan(fn) }
 
-// ScanFilter implements exec.Table; see storage.Heap.ScanFilter for what pred
-// may do under the page latch.
-func (t *Table) ScanFilter(pred func(catalog.Tuple) (bool, error), fn func([]storage.RID, []catalog.Tuple) bool) error {
-	return t.heap.ScanFilter(pred, fn)
+// ScanFilter implements exec.Table; see storage.Heap.ScanFilter for what f's
+// predicates may do under the page latch.
+func (t *Table) ScanFilter(f storage.Filter, fn func([]storage.RID, []catalog.Tuple) bool) error {
+	return t.heap.ScanFilter(f, fn)
 }
 
 // Get implements exec.Table.

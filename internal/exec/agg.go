@@ -28,7 +28,7 @@ import (
 // (nil when absent), the GROUP BY key and each aggregate call's argument (nil
 // for COUNT(*)) per stored tuple; HAVING and the select list run per group.
 type aggPlan struct {
-	filter compiledExpr
+	filter compiledPred
 	keys   []compiledExpr
 	args   []compiledExpr
 	fns    []string // the aggregate function of each result slot
@@ -70,7 +70,7 @@ func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.Sele
 	a := &aggPlan{}
 	g := &groupRow{keys: make(map[string]int, len(stmt.GroupBy))}
 	if stmt.Where != nil {
-		if a.filter, err = comp.compile(stmt.Where); err != nil {
+		if a.filter, err = comp.compilePred(stmt.Where); err != nil {
 			return err
 		}
 	}
@@ -241,7 +241,8 @@ func (r *aggRun) foldTable(tbl Table) error {
 		}
 		return nil
 	}
-	return tbl.ScanFilter(r.fold, func([]storage.RID, []catalog.Tuple) bool { return true })
+	f := storage.Filter{Pred: r.fold, Clean: r.foldClean, VN: r.ctx.vn}
+	return tbl.ScanFilter(f, func([]storage.RID, []catalog.Tuple) bool { return true })
 }
 
 // fold adds t to its group when t exists at the reader's version and passes
@@ -253,10 +254,22 @@ func (r *aggRun) fold(t catalog.Tuple) (bool, error) {
 	if !r.ctx.at(t) {
 		return false, nil
 	}
+	return r.add(t)
+}
+
+// foldClean is fold for a tuple of a page that is clean at the reader's
+// version (Table.ScanFilter's clean-page contract): t exists, in its current
+// values.
+func (r *aggRun) foldClean(t catalog.Tuple) (bool, error) {
+	r.ctx.current()
+	return r.add(t)
+}
+
+// add is fold once t is known to exist: filter, then add t to its group.
+func (r *aggRun) add(t catalog.Tuple) (bool, error) {
 	in := r.p.agg
 	if in.filter != nil {
-		v, err := in.filter(r.ctx, t)
-		if err != nil || !truthy(v) {
+		if ok, err := in.filter(r.ctx, t); !ok || err != nil {
 			return false, err
 		}
 	}

@@ -59,7 +59,10 @@ func cmpBase(opts *CompileOptions, stored catalog.Tuple, vn int64) catalog.Tuple
 }
 
 // sameOutcome evaluates e compiled against the stored tuple and walked
-// against its base tuple, and reports any difference in value or error.
+// against its base tuple, and reports any difference in value or error. It
+// also runs e in WHERE position, as the bool predicate compilePred builds,
+// which must pass exactly when the walked value is TRUE and fail with the
+// same error.
 func sameOutcome(e sql.Expr, stored catalog.Tuple, vn int64, params Params) error {
 	bindings, opts := cmpLayout()
 	want, werr := (&env{bindings: bindings, params: params}).eval(e, cmpBase(opts, stored, vn))
@@ -68,19 +71,38 @@ func sameOutcome(e sql.Expr, stored catalog.Tuple, vn int64, params Params) erro
 	if err != nil {
 		return fmt.Errorf("compile: %v", err)
 	}
+	pred, err := comp.compilePred(e)
+	if err != nil {
+		return fmt.Errorf("compile predicate: %v", err)
+	}
 	ctx, err := comp.newCtx(params, vn, true)
 	if err != nil {
 		return fmt.Errorf("bind: %v", err)
 	}
 	ctx.at(stored)
 	got, gerr := fn(ctx, stored)
-	switch {
-	case (werr == nil) != (gerr == nil):
-		return fmt.Errorf("tree-walker err %v, compiled err %v", werr, gerr)
-	case werr != nil && werr.Error() != gerr.Error():
-		return fmt.Errorf("tree-walker err %q, compiled err %q", werr, gerr)
-	case werr == nil && (want.Kind() != got.Kind() || want.String() != got.String()):
+	if err := sameError(werr, gerr); err != nil {
+		return err
+	}
+	if werr == nil && (want.Kind() != got.Kind() || want.String() != got.String()) {
 		return fmt.Errorf("tree-walker %v (%v), compiled %v (%v)", want, want.Kind(), got, got.Kind())
+	}
+	ok, perr := pred(ctx, stored)
+	if err := sameError(werr, perr); err != nil {
+		return fmt.Errorf("as a WHERE: %w", err)
+	}
+	if werr == nil && ok != truthy(want) {
+		return fmt.Errorf("as a WHERE: tree-walker %v, predicate %v", want, ok)
+	}
+	return nil
+}
+
+func sameError(want, got error) error {
+	switch {
+	case (want == nil) != (got == nil):
+		return fmt.Errorf("tree-walker err %v, compiled err %v", want, got)
+	case want != nil && want.Error() != got.Error():
+		return fmt.Errorf("tree-walker err %q, compiled err %q", want, got)
 	}
 	return nil
 }
@@ -187,6 +209,77 @@ func TestCompiledComparisonMatchesTreeWalker(t *testing.T) {
 		}
 	}
 	t.Logf("%d comparisons agree", cases)
+}
+
+// Every condition compilePred tests directly — comparison, AND, OR, IS
+// [NOT] NULL, BETWEEN, IN — and NOT and CASE, which it wraps, answer in
+// WHERE position exactly when the tree-walker's value is TRUE, and fail with
+// its error (sameOutcome). The operands cover NULL, TRUE, FALSE, values that
+// are not bools, bound and unbound parameters, comparisons over columns and
+// over the versioned copy at either slot, and an error on either side of an
+// AND or OR: AND and OR must still evaluate their right side when the left
+// already decides the row.
+func TestCompiledPredicateMatchesTreeWalker(t *testing.T) {
+	lit := func(v catalog.Value) sql.Expr { return &sql.Literal{Value: v} }
+	col := func(name string) sql.Expr { return &sql.ColumnRef{Name: name} }
+	leaves := []sql.Expr{
+		lit(catalog.Null),
+		lit(catalog.NewBool(true)),
+		lit(catalog.NewBool(false)),
+		lit(catalog.NewInt(3)),
+		lit(catalog.NewString("abc")),
+		col("a"),
+		&sql.Param{Name: "x"},
+		&sql.Param{Name: "u"}, // never bound
+		&sql.BinaryExpr{Op: sql.OpLt, L: col("va"), R: col("vb")},
+		&sql.BinaryExpr{Op: sql.OpEq, L: col("a"), R: &sql.Param{Name: "u"}},
+		&sql.BinaryExpr{Op: sql.OpAdd, L: col("a"), R: col("b")},
+	}
+	var conds []sql.Expr
+	for _, l := range leaves {
+		conds = append(conds,
+			l,
+			&sql.UnaryExpr{Op: "NOT", X: l},
+			&sql.IsNullExpr{X: l},
+			&sql.IsNullExpr{X: l, Not: true},
+			&sql.BetweenExpr{X: col("a"), Lo: l, Hi: col("b")},
+			&sql.BetweenExpr{X: l, Lo: col("a"), Hi: col("b"), Not: true},
+			&sql.InExpr{X: col("va"), List: []sql.Expr{l, col("b")}},
+			&sql.InExpr{X: l, List: []sql.Expr{col("a"), lit(catalog.Null)}, Not: true},
+			&sql.CaseExpr{Whens: []sql.WhenClause{{Cond: l, Result: lit(catalog.NewBool(true))}}, Else: l},
+		)
+		for _, r := range leaves {
+			for _, op := range []sql.BinaryOp{sql.OpAnd, sql.OpOr} {
+				c := &sql.BinaryExpr{Op: op, L: l, R: r}
+				conds = append(conds, c, &sql.UnaryExpr{Op: "NOT", X: c})
+			}
+		}
+	}
+	// Conditions over conditions: each AND/OR above with another on its
+	// right.
+	n := len(conds)
+	for i := 0; i < n; i += 7 {
+		for _, op := range []sql.BinaryOp{sql.OpAnd, sql.OpOr} {
+			conds = append(conds, &sql.BinaryExpr{Op: op, L: conds[i], R: conds[(i*13+5)%n]})
+		}
+	}
+	values := []catalog.Value{catalog.Null, catalog.NewInt(3), catalog.NewInt(5), catalog.NewBool(true), catalog.NewBool(false)}
+	cases := 0
+	for _, vn := range []int64{1, 2} {
+		for _, x := range values {
+			for _, y := range values {
+				stored := cmpStored(x, y, vn)
+				params := Params{"x": x}
+				for _, e := range conds {
+					if err := sameOutcome(e, stored, vn, params); err != nil {
+						t.Fatalf("vn %d, x=%v y=%v: %s: %v", vn, x, y, sql.PrintExpr(e), err)
+					}
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("%d conditions agree", cases)
 }
 
 func pick(left bool, l, r string) string {

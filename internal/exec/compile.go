@@ -28,6 +28,33 @@ import (
 // context (parameter bindings).
 type compiledExpr func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error)
 
+// compiledPred evaluates a condition over a row to whether it is TRUE — all
+// a WHERE or a CASE arm asks of it. NULL, FALSE and a value that is
+// not a bool are all not TRUE, so a predicate never builds a Value.
+type compiledPred func(ctx *evalCtx, row catalog.Tuple) (bool, error)
+
+// compiledTest evaluates a comparison, BETWEEN or IN in SQL's three values:
+// ok is TRUE; null is NULL, with ok false. Its value closure (valueOf) and
+// its predicate (predOf) share it.
+type compiledTest func(ctx *evalCtx, row catalog.Tuple) (ok, null bool, err error)
+
+func valueOf(test compiledTest) compiledExpr {
+	return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+		ok, null, err := test(ctx, row)
+		if err != nil || null {
+			return catalog.Null, err
+		}
+		return catalog.NewBool(ok), nil
+	}
+}
+
+func predOf(test compiledTest) compiledPred {
+	return func(ctx *evalCtx, row catalog.Tuple) (bool, error) {
+		ok, _, err := test(ctx, row)
+		return ok, err
+	}
+}
+
 // evalCtx is the per-execution state shared by every compiled closure of
 // one plan: the parameter values, bound into slots assigned at compile
 // time; for a versioned relation the reader's version and where the current
@@ -61,8 +88,27 @@ func (ctx *evalCtx) at(t catalog.Tuple) bool {
 		return true
 	}
 	k, visible := ctx.ver.Select(t, ctx.vn)
-	ctx.off = ctx.ver.Slots[k]
+	ctx.read(k)
 	return visible
+}
+
+// current points the context's column reads at the current values: the
+// version slot every tuple of a page clean at the reader's version is read
+// in (Table.ScanFilter). Without a versioned relation every tuple is read as
+// stored.
+func (ctx *evalCtx) current() {
+	if ctx.ver != nil {
+		ctx.read(0)
+	}
+}
+
+// read points the context's column reads at version slot k. Most tuples are
+// read in the slot the previous one was, so the offsets are stored only on a
+// change (every slot's offsets are a distinct, non-empty slice).
+func (ctx *evalCtx) read(k int) {
+	if off := ctx.ver.Slots[k]; &off[0] != &ctx.off[0] {
+		ctx.off = off
+	}
 }
 
 // compiler compiles expressions against a fixed set of range-variable
@@ -100,6 +146,9 @@ func (c *compiler) slot(name string) int {
 // the statement names it; otherwise it is read from params.
 func (c *compiler) newCtx(params Params, vn int64, at bool) (*evalCtx, error) {
 	ctx := &evalCtx{ver: c.ver, vn: vn}
+	if c.ver != nil {
+		ctx.off = c.ver.Slots[0]
+	}
 	if n := len(c.paramNames); n <= ctxInline {
 		ctx.params, ctx.bound = ctx.paramArr[:n], ctx.boundArr[:n]
 	} else {
@@ -320,10 +369,13 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 		return c.compileBinary(x)
 
 	case *sql.CaseExpr:
-		type arm struct{ cond, result compiledExpr }
+		type arm struct {
+			cond   compiledPred
+			result compiledExpr
+		}
 		arms := make([]arm, len(x.Whens))
 		for i, w := range x.Whens {
-			cond, err := c.compile(w.Cond)
+			cond, err := c.compilePred(w.Cond)
 			if err != nil {
 				return nil, err
 			}
@@ -343,11 +395,11 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 		}
 		return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
 			for _, a := range arms {
-				cv, err := a.cond(ctx, row)
+				ok, err := a.cond(ctx, row)
 				if err != nil {
 					return catalog.Null, err
 				}
-				if !cv.IsNull() && cv.Kind() == catalog.TypeBool && cv.Bool() {
+				if ok {
 					return a.result(ctx, row)
 				}
 			}
@@ -371,6 +423,29 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 			return catalog.NewBool(v.IsNull() != not), nil
 		}, nil
 
+	case *sql.InExpr, *sql.BetweenExpr:
+		test, err := c.compileTest(e)
+		if err != nil {
+			return nil, err
+		}
+		return valueOf(test), nil
+
+	case *sql.FuncCall:
+		return c.compileFunc(x)
+
+	default:
+		return nil, fmt.Errorf("exec: cannot compile %T", e)
+	}
+}
+
+// compileTest compiles a comparison, IN or BETWEEN into its three-valued
+// test. Operands are evaluated in the tree-walker's order, and it stops
+// where the tree-walker stops, so both fail with the same error.
+func (c *compiler) compileTest(e sql.Expr) (compiledTest, error) {
+	switch x := e.(type) {
+	case *sql.BinaryExpr:
+		return c.compileCompare(x)
+
 	case *sql.InExpr:
 		inner, err := c.compile(x.X)
 		if err != nil {
@@ -385,19 +460,19 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 			items[i] = ci
 		}
 		not := x.Not
-		return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+		return func(ctx *evalCtx, row catalog.Tuple) (ok, null bool, err error) {
 			v, err := inner(ctx, row)
 			if err != nil {
-				return catalog.Null, err
+				return false, false, err
 			}
 			if v.IsNull() {
-				return catalog.Null, nil
+				return false, true, nil
 			}
 			sawNull := false
 			for _, item := range items {
 				iv, err := item(ctx, row)
 				if err != nil {
-					return catalog.Null, err
+					return false, false, err
 				}
 				if iv.IsNull() {
 					sawNull = true
@@ -405,16 +480,16 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 				}
 				cmp, err := compare(v, iv)
 				if err != nil {
-					return catalog.Null, err
+					return false, false, err
 				}
 				if cmp == 0 {
-					return catalog.NewBool(!not), nil
+					return !not, false, nil
 				}
 			}
 			if sawNull {
-				return catalog.Null, nil
+				return false, true, nil
 			}
-			return catalog.NewBool(not), nil
+			return not, false, nil
 		}, nil
 
 	case *sql.BetweenExpr:
@@ -431,40 +506,108 @@ func (c *compiler) compile(e sql.Expr) (compiledExpr, error) {
 			return nil, err
 		}
 		not := x.Not
-		return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+		return func(ctx *evalCtx, row catalog.Tuple) (ok, null bool, err error) {
 			v, err := inner(ctx, row)
 			if err != nil {
-				return catalog.Null, err
+				return false, false, err
 			}
 			lv, err := lo(ctx, row)
 			if err != nil {
-				return catalog.Null, err
+				return false, false, err
 			}
 			hv, err := hi(ctx, row)
 			if err != nil {
-				return catalog.Null, err
+				return false, false, err
 			}
 			if v.IsNull() || lv.IsNull() || hv.IsNull() {
-				return catalog.Null, nil
+				return false, true, nil
 			}
 			c1, err := compare(v, lv)
 			if err != nil {
-				return catalog.Null, err
+				return false, false, err
 			}
 			c2, err := compare(v, hv)
 			if err != nil {
-				return catalog.Null, err
+				return false, false, err
 			}
-			in := c1 >= 0 && c2 <= 0
-			return catalog.NewBool(in != not), nil
+			return (c1 >= 0 && c2 <= 0) != not, false, nil
 		}, nil
-
-	case *sql.FuncCall:
-		return c.compileFunc(x)
-
-	default:
-		return nil, fmt.Errorf("exec: cannot compile %T", e)
 	}
+	return nil, fmt.Errorf("exec: %T is not a comparison", e)
+}
+
+// compilePred compiles e as a condition. Comparisons, IN, BETWEEN, IS [NOT]
+// NULL, AND and OR answer TRUE or not directly. AND and OR still evaluate
+// both sides, left first, so an error on either side fails the row as it
+// does in the tree-walker; and since AND is TRUE only when both sides are,
+// and OR when either is, they combine their sides' predicates. NOT is TRUE
+// only when its operand is FALSE, which a predicate cannot tell from NULL,
+// so NOT — like every other form — is its value closure tested with truthy.
+func (c *compiler) compilePred(e sql.Expr) (compiledPred, error) {
+	switch x := e.(type) {
+	case *sql.BinaryExpr:
+		switch x.Op {
+		case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
+			test, err := c.compileTest(x)
+			if err != nil {
+				return nil, err
+			}
+			return predOf(test), nil
+		case sql.OpAnd, sql.OpOr:
+			l, err := c.compilePred(x.L)
+			if err != nil {
+				return nil, err
+			}
+			r, err := c.compilePred(x.R)
+			if err != nil {
+				return nil, err
+			}
+			if x.Op == sql.OpAnd {
+				return func(ctx *evalCtx, row catalog.Tuple) (bool, error) {
+					lok, err := l(ctx, row)
+					if err != nil {
+						return false, err
+					}
+					rok, err := r(ctx, row)
+					return lok && rok, err
+				}, nil
+			}
+			return func(ctx *evalCtx, row catalog.Tuple) (bool, error) {
+				lok, err := l(ctx, row)
+				if err != nil {
+					return false, err
+				}
+				rok, err := r(ctx, row)
+				return (lok || rok) && err == nil, err
+			}, nil
+		case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv:
+			// Not a condition: its value is tested below.
+		}
+	case *sql.InExpr, *sql.BetweenExpr:
+		test, err := c.compileTest(e)
+		if err != nil {
+			return nil, err
+		}
+		return predOf(test), nil
+	case *sql.IsNullExpr:
+		inner, err := c.compile(x.X)
+		if err != nil {
+			return nil, err
+		}
+		not := x.Not
+		return func(ctx *evalCtx, row catalog.Tuple) (bool, error) {
+			v, err := inner(ctx, row)
+			return err == nil && v.IsNull() != not, err
+		}, nil
+	}
+	fn, err := c.compile(e)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx *evalCtx, row catalog.Tuple) (bool, error) {
+		v, err := fn(ctx, row)
+		return err == nil && truthy(v), err
+	}, nil
 }
 
 // compileAt compiles e against other, unversioned bindings — the
@@ -483,7 +626,11 @@ func (c *compiler) compileAt(bindings []binding, e sql.Expr) (compiledExpr, erro
 func (c *compiler) compileBinary(x *sql.BinaryExpr) (compiledExpr, error) {
 	switch x.Op {
 	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-		return c.compileCompare(x)
+		test, err := c.compileCompare(x)
+		if err != nil {
+			return nil, err
+		}
+		return valueOf(test), nil
 	case sql.OpAnd, sql.OpOr, sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv:
 		// Below, over a closure for each side.
 	}
@@ -592,10 +739,11 @@ func (c *compiler) compileBinary(x *sql.BinaryExpr) (compiledExpr, error) {
 	}
 }
 
-// compileCompare compiles = <> < <= > >=. Both operands are loaded in place
-// (operand.load), left before right, so errors, NULL handling and the
-// date/string coercion are evalBinary's; two INTs compare as int64 inline.
-func (c *compiler) compileCompare(x *sql.BinaryExpr) (compiledExpr, error) {
+// compileCompare compiles = <> < <= > >= into a test. Both operands are
+// loaded in place (operand.load), left before right, so errors, NULL handling
+// and the date/string coercion are evalBinary's; two INTs compare as int64
+// inline.
+func (c *compiler) compileCompare(x *sql.BinaryExpr) (compiledTest, error) {
 	l, err := c.operand(x.L)
 	if err != nil {
 		return nil, err
@@ -605,41 +753,39 @@ func (c *compiler) compileCompare(x *sql.BinaryExpr) (compiledExpr, error) {
 		return nil, err
 	}
 	op := x.Op
-	return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
+	return func(ctx *evalCtx, row catalog.Tuple) (ok, null bool, err error) {
 		var ltmp, rtmp catalog.Value
 		lv, err := l.load(ctx, row, &ltmp)
 		if err != nil {
-			return catalog.Null, err
+			return false, false, err
 		}
 		rv, err := r.load(ctx, row, &rtmp)
 		if err != nil {
-			return catalog.Null, err
+			return false, false, err
 		}
 		if lv.IsNull() || rv.IsNull() {
-			return catalog.Null, nil
+			return false, true, nil
 		}
 		var c int
 		if lv.Kind() == catalog.TypeInt && rv.Kind() == catalog.TypeInt {
 			c = cmp.Compare(lv.Int(), rv.Int())
 		} else if c, err = compare(*lv, *rv); err != nil {
-			return catalog.Null, err
+			return false, false, err
 		}
-		var res bool
 		switch op {
 		case sql.OpEq:
-			res = c == 0
+			return c == 0, false, nil
 		case sql.OpNe:
-			res = c != 0
+			return c != 0, false, nil
 		case sql.OpLt:
-			res = c < 0
+			return c < 0, false, nil
 		case sql.OpLe:
-			res = c <= 0
+			return c <= 0, false, nil
 		case sql.OpGt:
-			res = c > 0
+			return c > 0, false, nil
 		default:
-			res = c >= 0
+			return c >= 0, false, nil
 		}
-		return catalog.NewBool(res), nil
 	}, nil
 }
 
@@ -660,17 +806,6 @@ func (c *compiler) compileFunc(x *sql.FuncCall) (compiledExpr, error) {
 			return nil, err
 		}
 		args[i] = ca
-	}
-	evalArgs := func(ctx *evalCtx, row catalog.Tuple) ([]catalog.Value, error) {
-		out := make([]catalog.Value, len(args))
-		for i, a := range args {
-			v, err := a(ctx, row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
 	}
 	switch x.Name {
 	case "ABS":
@@ -699,17 +834,21 @@ func (c *compiler) compileFunc(x *sql.FuncCall) (compiledExpr, error) {
 			}
 		}, nil
 	case "COALESCE":
+		// Every argument is evaluated, as the tree-walker does, so a later
+		// argument's error still fails the row; nothing is collected, so
+		// the call allocates nothing under the page latch.
 		return func(ctx *evalCtx, row catalog.Tuple) (catalog.Value, error) {
-			vs, err := evalArgs(ctx, row)
-			if err != nil {
-				return catalog.Null, err
-			}
-			for _, v := range vs {
-				if !v.IsNull() {
-					return v, nil
+			first := catalog.Null
+			for _, a := range args {
+				v, err := a(ctx, row)
+				if err != nil {
+					return catalog.Null, err
+				}
+				if first.IsNull() {
+					first = v
 				}
 			}
-			return catalog.Null, nil
+			return first, nil
 		}, nil
 	case "LENGTH":
 		if len(args) != 1 {

@@ -237,8 +237,9 @@ func (m *memTable) Scan(fn func(rid storageRID, t catalog.Tuple) bool) {
 const memPage = 100
 
 // ScanFilter mimics the heap's page walker: survivors are delivered a page
-// at a time in slices the next page overwrites.
-func (m *memTable) ScanFilter(pred func(catalog.Tuple) (bool, error), fn func([]storageRID, []catalog.Tuple) bool) error {
+// at a time in slices the next page overwrites. It keeps no version
+// summary, so it calls no page clean and f.Pred decides every row.
+func (m *memTable) ScanFilter(f storage.Filter, fn func([]storageRID, []catalog.Tuple) bool) error {
 	var rids []storageRID
 	var tuples []catalog.Tuple
 	for start := 0; start < len(m.rows); start += memPage {
@@ -248,9 +249,12 @@ func (m *memTable) ScanFilter(pred func(catalog.Tuple) (bool, error), fn func([]
 			if r == nil {
 				continue
 			}
-			keep, err := pred(r)
-			if err != nil {
-				return err
+			keep := true
+			if f.Pred != nil {
+				var err error
+				if keep, err = f.Pred(r); err != nil {
+					return err
+				}
 			}
 			if keep {
 				rids = append(rids, storageRID{Slot: i})

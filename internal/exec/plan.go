@@ -87,7 +87,7 @@ type Plan struct {
 	schema     *catalog.Schema // compile-time schema identity, checked at Execute
 
 	comp    *compiler
-	filter  compiledExpr // nil when the statement has no WHERE
+	filter  compiledPred // nil when the statement has no WHERE
 	project []compiledExpr
 	agg     *aggPlan // non-nil: the statement aggregates; filter and project are unused
 	columns []string
@@ -154,7 +154,7 @@ func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Pl
 // column, unsupported form); the statement then falls back.
 func (p *Plan) compileScan(comp *compiler, where sql.Expr, items []sql.SelectItem) (err error) {
 	if where != nil {
-		if p.filter, err = comp.compile(where); err != nil {
+		if p.filter, err = comp.compilePred(where); err != nil {
 			return err
 		}
 	}
@@ -245,6 +245,7 @@ type planRun struct {
 	ctx  *evalCtx
 	out  *Rows
 	free []catalog.Value // unused rest of the current row chunk
+	err  error           // a projection's error, which ends a scan
 }
 
 // keep reports whether t exists at the reader's version and passes the
@@ -255,14 +256,23 @@ func (r *planRun) keep(t catalog.Tuple) (bool, error) {
 	if !r.ctx.at(t) {
 		return false, nil
 	}
+	return r.where(t)
+}
+
+// keepClean is keep for a tuple of a page that is clean at the reader's
+// version (Table.ScanFilter's clean-page contract): t exists, in its current
+// values, so only the WHERE runs.
+func (r *planRun) keepClean(t catalog.Tuple) (bool, error) {
+	r.ctx.current()
+	return r.where(t)
+}
+
+// where runs the WHERE over t as the context reads it.
+func (r *planRun) where(t catalog.Tuple) (bool, error) {
 	if r.p.filter == nil {
 		return true, nil
 	}
-	v, err := r.p.filter(r.ctx, t)
-	if err != nil {
-		return false, err
-	}
-	return truthy(v), nil
+	return r.p.filter(r.ctx, t)
 }
 
 // emit projects t, which keep accepted, into the next result row; done
@@ -314,29 +324,33 @@ func (r *planRun) fetch(tbl Table, rids []storage.RID) (*Rows, error) {
 }
 
 // scan is the heap access path. It takes r by value so that only a scan, not
-// an indexed read, pays for moving it to the heap with the closures.
+// an indexed read, pays for moving it to the heap with its method values:
+// the two predicates and deliver.
 func (r planRun) scan(tbl Table) (*Rows, error) {
-	var emitErr error
-	err := tbl.ScanFilter(r.keep, func(_ []storage.RID, survivors []catalog.Tuple) bool {
-		for _, t := range survivors {
-			done, err := r.emit(t)
-			if err != nil {
-				emitErr = err
-				return false
-			}
-			if done {
-				return false
-			}
-		}
-		return true
-	})
+	err := tbl.ScanFilter(storage.Filter{Pred: r.keep, Clean: r.keepClean, VN: r.ctx.vn}, r.deliver)
 	if err == nil {
-		err = emitErr
+		err = r.err
 	}
 	if err != nil {
 		return nil, err
 	}
 	return r.out, nil
+}
+
+// deliver projects one page's survivors; it stops the scan at the LIMIT or
+// at a projection's error, which it keeps in r.err.
+func (r *planRun) deliver(_ []storage.RID, survivors []catalog.Tuple) bool {
+	for _, t := range survivors {
+		done, err := r.emit(t)
+		if err != nil {
+			r.err = err
+			return false
+		}
+		if done {
+			return false
+		}
+	}
+	return true
 }
 
 // lookupRIDs attempts the index access path with the compiled conjuncts,

@@ -79,7 +79,7 @@ func TestHeapArenaAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return testing.AllocsPerRun(100, func() { _ = h.ScanFilter(reject, deliver) })
+		return testing.AllocsPerRun(100, func() { _ = h.ScanFilter(Filter{Pred: reject}, deliver) })
 	}
 	if one, ten := scanAllocs(1), scanAllocs(10); ten != one {
 		t.Errorf("rejecting ScanFilter allocates %.1f times over one page, %.1f over ten: want no per-page allocation", one, ten)
@@ -193,7 +193,7 @@ func TestStressHeapArena(t *testing.T) {
 				floors := snapshot()
 				var seen []RID
 				err := h.ScanFilter(
-					func(tu catalog.Tuple) (bool, error) { return true, check(tu, floors) },
+					Filter{Pred: func(tu catalog.Tuple) (bool, error) { return true, check(tu, floors) }},
 					func(rids []RID, tuples []catalog.Tuple) bool {
 						for j, tu := range tuples {
 							if err := check(tu, floors); err != nil {

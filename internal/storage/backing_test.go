@@ -11,7 +11,8 @@ import (
 
 // TestPageCodecRoundTrip: encodePage/decodePage must round-trip every
 // value kind plus dead slots, since the mirror file is read back by
-// offline tooling, and must refuse an image whose tuples have another width.
+// offline tooling, must rebuild the version summary the image does not
+// carry, and must refuse an image whose tuples have another width.
 func TestPageCodecRoundTrip(t *testing.T) {
 	tuples := []catalog.Tuple{
 		{catalog.NewInt(-42), catalog.NewFloat(3.5), catalog.NewString("hello"), catalog.NewBool(true), catalog.NewDate(19000)},
@@ -29,9 +30,21 @@ func TestPageCodecRoundTrip(t *testing.T) {
 		}
 	}
 	buf := encodePage(pg)
-	got, err := decodePage(buf, 5)
+	// The version is column 0 when it is an INT; column 3 TRUE marks a
+	// deletion.
+	sum := func(t catalog.Tuple) (int64, bool) {
+		var vn int64
+		if t[0].Kind() == catalog.TypeInt {
+			vn = t[0].Int()
+		}
+		return vn, t[3].Kind() == catalog.TypeBool && t[3].Bool()
+	}
+	got, err := decodePage(buf, 5, sum)
 	if err != nil {
 		t.Fatalf("decodePage: %v", err)
+	}
+	if got.maxVN != 0 || got.ndel != 1 {
+		t.Fatalf("decoded summary: bound %d, %d deleted; want 0, 1", got.maxVN, got.ndel)
 	}
 	if len(got.live) != len(tuples) || got.nlive != pg.nlive {
 		t.Fatalf("decoded %d slots, %d live; want %d, %d", len(got.live), got.nlive, len(tuples), pg.nlive)
@@ -44,7 +57,7 @@ func TestPageCodecRoundTrip(t *testing.T) {
 			t.Fatalf("slot %d decoded %v, want %v", si, got.tuple(si), pg.tuple(si))
 		}
 	}
-	if _, err := decodePage(buf, 4); err == nil {
+	if _, err := decodePage(buf, 4, nil); err == nil {
 		t.Fatal("decodePage accepted 5-value tuples into a 4-value page")
 	}
 }
@@ -84,7 +97,7 @@ func TestSetBackingMirrorsEvictedPages(t *testing.T) {
 		if size == 0 {
 			continue
 		}
-		pg, err := decodePage(img[4:4+size], 2)
+		pg, err := decodePage(img[4:4+size], 2, nil)
 		if err != nil {
 			t.Fatalf("page %d: %v", pi, err)
 		}

@@ -44,12 +44,58 @@ var ErrNoSuchTuple = fmt.Errorf("%w: no such tuple", ErrNotFound)
 // single tuple read or mutation, never until commit. Writers overwrite a
 // slot in place under the write latch, so nothing outside the latch may
 // keep a slice of the arena.
+//
+// With a Summariser the page also keeps a version summary, folded in by
+// every writer under the same write latch: maxVN, the largest version any
+// tuple written here has carried, and ndel, the exact number of live slots
+// holding a deleted tuple. maxVN is an upper bound that is never lowered: a
+// rollback or a physical delete can leave it above every live tuple, which
+// only keeps the page off the clean path (cleanAt) until readers reach it.
 type page struct {
 	mu    sync.RWMutex
 	w     int             // values per tuple
 	vals  []catalog.Value // len(vals) == cap(live) * w
 	live  []bool          // one per slot in use; a dead slot's values are zero
 	nlive int             // live slot count
+	maxVN int64           // summary: largest version written, never lowered
+	ndel  int             // summary: live slots whose tuple is deleted
+}
+
+// Summariser reads what a page's version summary keeps of a stored tuple:
+// the version that wrote it and whether it is a deletion that readers must
+// still skip. A versioned relation supplies one when its heap is created
+// (SetSummariser); storage never interprets a tuple itself. It runs under the
+// page's write latch on every write, so it must be cheap, must not allocate
+// and must not retain t.
+type Summariser func(t catalog.Tuple) (vn int64, deleted bool)
+
+// enter folds t, just written to a live slot, into the summary.
+func (pg *page) enter(sum Summariser, t catalog.Tuple) {
+	if sum == nil {
+		return
+	}
+	vn, deleted := sum(t)
+	pg.maxVN = max(pg.maxVN, vn)
+	if deleted {
+		pg.ndel++
+	}
+}
+
+// leave takes t, about to be overwritten or freed, out of the summary. The
+// version bound stays: lowering it would need a pass over the page.
+func (pg *page) leave(sum Summariser, t catalog.Tuple) {
+	if sum == nil {
+		return
+	}
+	if _, deleted := sum(t); deleted {
+		pg.ndel--
+	}
+}
+
+// cleanAt reports whether the summary shows every live tuple written at or
+// before vn and none of them deleted. The caller holds the latch.
+func (pg *page) cleanAt(sum Summariser, vn int64) bool {
+	return sum != nil && pg.ndel == 0 && pg.maxVN <= vn
 }
 
 // tuple returns slot si's values in the arena, capped to the slot so an
@@ -86,7 +132,8 @@ type Heap struct {
 	name        string
 	fileID      int
 	pool        *BufferPool
-	width       int // values per tuple
+	width       int        // values per tuple
+	sum         Summariser // nil: pages keep no summary and are never clean
 	rowBytes    int
 	pageBytes   int
 	slotsPerPag int
@@ -136,6 +183,20 @@ func NewHeap(name string, width, rowBytes, pageSize int, pool *BufferPool) (*Hea
 		pageBytes:   pageSize,
 		slotsPerPag: pageSize / rowBytes,
 	}, nil
+}
+
+// SetSummariser makes every page of the heap keep a version summary through
+// sum (see page). It must be called before the heap holds a tuple or sees
+// concurrent use, so that every tuple it ever stores is folded in; it refuses
+// a heap that already has a page.
+func (h *Heap) SetSummariser(sum Summariser) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.pages) > 0 {
+		return fmt.Errorf("storage: heap %q already holds pages; a summariser must be set before the first insert", h.name)
+	}
+	h.sum = sum
+	return nil
 }
 
 // SetBacking attaches f as the heap's page mirror and registers the
@@ -292,6 +353,7 @@ func (h *Heap) Insert(t catalog.Tuple) (RID, error) {
 		copy(pg.tuple(si), t)
 		pg.live[si] = true
 		pg.nlive++
+		pg.enter(h.sum, t)
 		pg.mu.Unlock()
 		h.liveCount.Add(1)
 		return RID{Page: pi, Slot: si}, h.pool.Touch(PageKey{h.fileID, pi}, true)
@@ -404,7 +466,10 @@ func (h *Heap) Update(rid RID, t catalog.Tuple) error {
 	if err != nil {
 		return err
 	}
-	copy(pg.tuple(rid.Slot), t)
+	slot := pg.tuple(rid.Slot)
+	pg.leave(h.sum, slot)
+	copy(slot, t)
+	pg.enter(h.sum, slot)
 	pg.mu.Unlock()
 	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
 }
@@ -416,7 +481,9 @@ func (h *Heap) Delete(rid RID) error {
 	if err != nil {
 		return err
 	}
-	clear(pg.tuple(rid.Slot))
+	slot := pg.tuple(rid.Slot)
+	pg.leave(h.sum, slot)
+	clear(slot)
 	pg.live[rid.Slot] = false
 	pg.nlive--
 	pg.mu.Unlock()
@@ -443,11 +510,25 @@ func (b *block) add(rid RID, t catalog.Tuple) {
 	b.rids = append(b.rids, rid)
 }
 
-// fill copies page pi's live tuples that pred accepts (all of them when pred
-// is nil) into b, under the page's read latch. With fresh set the tuples get
-// a backing array of their own, sized exactly, so the caller may keep them;
-// otherwise b's previous array is overwritten.
-func (h *Heap) fill(b *block, pi int, pg *page, pred func(catalog.Tuple) (bool, error), fresh bool) (touched bool, err error) {
+// Filter is what the page walker runs against each live tuple under the
+// page's read latch (see ScanFilter).
+type Filter struct {
+	// Pred decides each live tuple; nil keeps every one.
+	Pred func(catalog.Tuple) (keep bool, err error)
+	// Clean, when set, decides the tuples of a page that is clean at VN in
+	// Pred's place: a page whose summary shows every live tuple written at
+	// or before VN and none deleted (see Summariser). A heap without a
+	// summariser has no clean page.
+	Clean func(catalog.Tuple) (keep bool, err error)
+	// VN is the reader's version, against which Clean is chosen.
+	VN int64
+}
+
+// fill copies page pi's live tuples that the filter accepts into b, under
+// the page's read latch. With fresh set the tuples get a backing array of
+// their own, sized exactly, so the caller may keep them; otherwise b's
+// previous array is overwritten.
+func (h *Heap) fill(b *block, pi int, pg *page, f Filter, fresh bool) (touched bool, err error) {
 	b.rids, b.tuples, b.vals = b.rids[:0], b.tuples[:0], b.vals[:0]
 	pg.mu.RLock()
 	defer pg.mu.RUnlock()
@@ -456,6 +537,10 @@ func (h *Heap) fill(b *block, pi int, pg *page, pred func(catalog.Tuple) (bool, 
 	}
 	if fresh {
 		b.vals = make([]catalog.Value, 0, pg.nlive*pg.w)
+	}
+	pred := f.Pred
+	if f.Clean != nil && pg.cleanAt(h.sum, f.VN) {
+		pred = f.Clean
 	}
 	for si, live := range pg.live {
 		if !live {
@@ -479,7 +564,7 @@ func (h *Heap) fill(b *block, pi int, pg *page, pred func(catalog.Tuple) (bool, 
 // walk is the one page walker behind Scan and ScanFilter: page by page, fill
 // a block under the read latch, release the latch, record the read, and hand
 // the block to fn.
-func (h *Heap) walk(pred func(catalog.Tuple) (bool, error), fresh bool, fn func([]RID, []catalog.Tuple) bool) error {
+func (h *Heap) walk(f Filter, fresh bool, fn func([]RID, []catalog.Tuple) bool) error {
 	n := h.NumPages()
 	var b block
 	for pi := 0; pi < n; pi++ {
@@ -487,7 +572,7 @@ func (h *Heap) walk(pred func(catalog.Tuple) (bool, error), fresh bool, fn func(
 		if pg == nil {
 			return nil
 		}
-		touched, err := h.fill(&b, pi, pg, pred, fresh)
+		touched, err := h.fill(&b, pi, pg, f, fresh)
 		if err != nil {
 			return err
 		}
@@ -501,23 +586,26 @@ func (h *Heap) walk(pred func(catalog.Tuple) (bool, error), fresh bool, fn func(
 	return nil
 }
 
-// ScanFilter calls fn once per page with copies of the live tuples pred
-// accepts, and their RIDs; pages with no accepted tuple are skipped. fn runs
-// without any latch held and may read or write the heap, but the slices it
-// receives, and the tuples in them, are overwritten by the next page: it must
-// copy what it keeps. Returning false from fn stops the scan.
+// ScanFilter calls fn once per page with copies of the live tuples f accepts,
+// and their RIDs; pages with no accepted tuple are skipped. fn runs without
+// any latch held and may read or write the heap, but the slices it receives,
+// and the tuples in them, are overwritten by the next page: it must copy what
+// it keeps. Returning false from fn stops the scan.
 //
-// pred runs against the stored tuple — a slice of the page's arena — under
-// the page's read latch, so it must not retain or modify the tuple, block, or
-// call back into the heap or its pool. Writers overwrite slots in place, so a
-// tuple kept past the latch would later read another version, or another
-// tuple in a reused slot. pred should allocate only when it fails or — for a
-// predicate that folds an aggregate and keeps nothing — when it admits a new
-// group. An error from pred ends the scan, after the latch is released, and
-// is returned as is; fn is not called for that page. Which slots are
-// observed is as for Scan.
-func (h *Heap) ScanFilter(pred func(catalog.Tuple) (keep bool, err error), fn func([]RID, []catalog.Tuple) bool) error {
-	return h.walk(pred, false, fn)
+// f's predicates run against the stored tuple — a slice of the page's arena
+// — under the page's read latch, so they must not retain or modify the
+// tuple, block, or call back into the heap or its pool. Writers overwrite
+// slots in place, so a tuple kept past the latch would later read another
+// version, or another tuple in a reused slot. A predicate should allocate
+// only when it fails or — for one that folds an aggregate and keeps nothing —
+// when it admits a new group. Which of f.Pred and f.Clean decides a page is
+// settled once per page, under the latch its tuples are read under, so a
+// page the summary calls clean at f.VN stays clean for every tuple f.Clean
+// sees. An error from a predicate ends the scan, after the latch is
+// released, and is returned as is; fn is not called for that page. Which
+// slots are observed is as for Scan.
+func (h *Heap) ScanFilter(f Filter, fn func([]RID, []catalog.Tuple) bool) error {
+	return h.walk(f, false, fn)
 }
 
 // Scan calls fn for every live tuple. Each page's latch is held only while
@@ -529,8 +617,8 @@ func (h *Heap) ScanFilter(pred func(catalog.Tuple) (keep bool, err error), fn fu
 // already-visited pages during the scan are not observed (standard heap-scan
 // semantics). Returning false from fn stops the scan early.
 func (h *Heap) Scan(fn func(RID, catalog.Tuple) bool) {
-	// walk returns only pred's error, and there is no pred.
-	_ = h.walk(nil, true, func(rids []RID, tuples []catalog.Tuple) bool {
+	// walk returns only a predicate's error, and there is none.
+	_ = h.walk(Filter{}, true, func(rids []RID, tuples []catalog.Tuple) bool {
 		for i, t := range tuples {
 			if !fn(rids[i], t) {
 				return false
@@ -538,6 +626,45 @@ func (h *Heap) Scan(fn func(RID, catalog.Tuple) bool) {
 		}
 		return true
 	})
+}
+
+// CheckSummary verifies every page's version summary against its live
+// tuples: the deleted count is exact and the version bound is at least every
+// live tuple's version. It takes each page's read latch in turn, so it is
+// exact only on a heap no writer is changing. Without a summariser there is
+// nothing to check.
+func (h *Heap) CheckSummary() error {
+	if h.sum == nil {
+		return nil
+	}
+	for pi := 0; pi < h.NumPages(); pi++ {
+		if err := h.checkPageSummary(pi, h.getPage(pi)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (h *Heap) checkPageSummary(pi int, pg *page) error {
+	pg.mu.RLock()
+	defer pg.mu.RUnlock()
+	ndel := 0
+	for si, live := range pg.live {
+		if !live {
+			continue
+		}
+		vn, deleted := h.sum(pg.tuple(si))
+		if vn > pg.maxVN {
+			return fmt.Errorf("storage: heap %q page %d: slot %d has version %d above the summary's bound %d", h.name, pi, si, vn, pg.maxVN)
+		}
+		if deleted {
+			ndel++
+		}
+	}
+	if ndel != pg.ndel {
+		return fmt.Errorf("storage: heap %q page %d: summary counts %d deleted tuples, the page holds %d", h.name, pi, pg.ndel, ndel)
+	}
+	return nil
 }
 
 // UpdateFunc applies fn to the tuple at rid atomically under the page latch:
@@ -558,7 +685,9 @@ func (h *Heap) UpdateFunc(rid RID, fn func(catalog.Tuple) catalog.Tuple) error {
 		pg.mu.Unlock()
 		return err
 	}
+	pg.leave(h.sum, slot)
 	copy(slot, t)
+	pg.enter(h.sum, slot)
 	pg.mu.Unlock()
 	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
 }

@@ -115,9 +115,10 @@ func encodePage(pg *page) []byte {
 }
 
 // decodePage parses an image produced by encodePage into a page of w values
-// per tuple, refusing a tuple of any other width. Used by tests and offline
-// inspection; live recovery replays the WAL instead.
-func decodePage(buf []byte, w int) (*page, error) {
+// per tuple, refusing a tuple of any other width, and rebuilds its version
+// summary through sum (the image does not carry it). Used by tests and
+// offline inspection; live recovery replays the WAL instead.
+func decodePage(buf []byte, w int, sum Summariser) (*page, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 || w <= 0 || n*uint64(w) > 1<<24 {
 		return nil, fmt.Errorf("storage: bad page slot count")
@@ -148,6 +149,7 @@ func decodePage(buf []byte, w int) (*page, error) {
 		}
 		pg.live[si] = true
 		pg.nlive++
+		pg.enter(sum, t)
 	}
 	return pg, nil
 }

@@ -31,7 +31,7 @@ func TestScanFilterSurvivors(t *testing.T) {
 	h, rids := fillHeap(t, 100, 8)
 	seen, calls := 0, 0
 	err := h.ScanFilter(
-		func(tu catalog.Tuple) (bool, error) { seen++; return tu[0].Int()%16 == 3, nil },
+		Filter{Pred: func(tu catalog.Tuple) (bool, error) { seen++; return tu[0].Int()%16 == 3, nil }},
 		func(got []RID, tuples []catalog.Tuple) bool {
 			calls++
 			if len(got) != len(tuples) {
@@ -54,7 +54,7 @@ func TestScanFilterSurvivors(t *testing.T) {
 	}
 	// Early stop.
 	calls = 0
-	_ = h.ScanFilter(func(catalog.Tuple) (bool, error) { return true, nil },
+	_ = h.ScanFilter(Filter{Pred: func(catalog.Tuple) (bool, error) { return true, nil }},
 		func([]RID, []catalog.Tuple) bool { calls++; return calls < 2 })
 	if calls != 2 {
 		t.Errorf("fn ran %d times after returning false on the second", calls)
@@ -69,12 +69,12 @@ func TestScanFilterPredicateError(t *testing.T) {
 	bad := rids[21] // page 2
 	delivered := 0
 	err := h.ScanFilter(
-		func(tu catalog.Tuple) (bool, error) {
+		Filter{Pred: func(tu catalog.Tuple) (bool, error) {
 			if tu[0].Int() == 21 {
 				return false, boom
 			}
 			return true, nil
-		},
+		}},
 		func(got []RID, _ []catalog.Tuple) bool {
 			for _, rid := range got {
 				if rid.Page >= bad.Page {
@@ -162,12 +162,12 @@ func TestScanNeverSeesATornTuple(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 2000; i++ {
 				err := h.ScanFilter(
-					func(tu catalog.Tuple) (bool, error) {
+					Filter{Pred: func(tu catalog.Tuple) (bool, error) {
 						if !whole(tu) {
 							t.Errorf("predicate saw torn tuple %v", tu)
 						}
 						return true, nil
-					},
+					}},
 					func(_ []RID, tuples []catalog.Tuple) bool {
 						for _, tu := range tuples {
 							if !whole(tu) {
