@@ -257,7 +257,7 @@ func RunE7(cfg Config) ([]*Table, error) {
 
 // RunE8 exercises the §7 future-work features implemented here: garbage
 // collection of logically-deleted tuples and rollback without before-image
-// logging, compared against the undo-log mode.
+// logging.
 func RunE8(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	// GC part: churn groups so deletes accumulate.
@@ -310,66 +310,59 @@ func RunE8(cfg Config) ([]*Table, error) {
 	gcT.AddRow("scan+reclaim time", gcDur.Round(time.Microsecond).String())
 	gcT.AddRow("tuples/sec", fmt.Sprintf("%.0f", float64(st.Scanned)/gcDur.Seconds()))
 
-	// Rollback part: identical batches aborted under each mode.
+	// Rollback part: a batch of updates aborted by the §7 logless revert.
 	rbT := &Table{ID: "E8b", Title: fmt.Sprintf("Rollback of a %d-update batch", rows/2),
 		Columns: []string{"mode", "abort time", "sessions expired", "state restored"}}
-	for _, mode := range []core.RollbackMode{core.RollbackUndoLog, core.RollbackLogless} {
-		d2 := db.Open(db.Options{})
-		s2, err := core.Open(d2, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s2.CreateTable(schema); err != nil {
-			return nil, err
-		}
-		m, _ := s2.BeginMaintenance()
-		for k := 0; k < rows; k++ {
-			if err := m.Insert("kv", catalog.Tuple{catalog.NewInt(int64(k)), catalog.NewInt(7)}); err != nil {
-				return nil, err
-			}
-		}
-		m.Commit()
-		oldSess := s2.BeginSession()
-		mb, err := s2.BeginMaintenanceMode(mode, true)
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < rows/2; k++ {
-			if _, err := mb.UpdateKey("kv", catalog.Tuple{catalog.NewInt(int64(k))},
-				func(c catalog.Tuple) catalog.Tuple { c[1] = catalog.NewInt(9); return c }); err != nil {
-				return nil, err
-			}
-		}
-		start := time.Now()
-		if err := mb.Rollback(); err != nil {
-			return nil, err
-		}
-		abortDur := time.Since(start)
-		// Verify restoration via a fresh session.
-		fresh := s2.BeginSession()
-		var sum int64
-		if err := fresh.Scan("kv", func(t catalog.Tuple) bool { sum += t[1].Int(); return true }); err != nil {
-			return nil, err
-		}
-		fresh.Close()
-		restored := "yes"
-		if sum != int64(rows)*7 {
-			restored = fmt.Sprintf("NO (sum %d)", sum)
-		}
-		expired := 0
-		if oldSess.Expired() {
-			expired = 1
-		}
-		oldSess.Close()
-		name := "undo-log"
-		if mode == core.RollbackLogless {
-			name = "logless (§7)"
-		}
-		rbT.AddRow(name, abortDur.Round(time.Microsecond).String(), expired, restored)
+	d2 := db.Open(db.Options{})
+	s2, err := core.Open(d2, core.Options{})
+	if err != nil {
+		return nil, err
 	}
+	if _, err := s2.CreateTable(schema); err != nil {
+		return nil, err
+	}
+	m, _ = s2.BeginMaintenance()
+	for k := 0; k < rows; k++ {
+		if err := m.Insert("kv", catalog.Tuple{catalog.NewInt(int64(k)), catalog.NewInt(7)}); err != nil {
+			return nil, err
+		}
+	}
+	m.Commit()
+	oldSess := s2.BeginSession()
+	mb, err := s2.BeginMaintenance()
+	if err != nil {
+		return nil, err
+	}
+	for k := 0; k < rows/2; k++ {
+		if _, err := mb.UpdateKey("kv", catalog.Tuple{catalog.NewInt(int64(k))},
+			func(c catalog.Tuple) catalog.Tuple { c[1] = catalog.NewInt(9); return c }); err != nil {
+			return nil, err
+		}
+	}
+	start = time.Now()
+	if err := mb.Rollback(); err != nil {
+		return nil, err
+	}
+	abortDur := time.Since(start)
+	// Verify restoration via a fresh session.
+	fresh := s2.BeginSession()
+	var sum int64
+	if err := fresh.Scan("kv", func(t catalog.Tuple) bool { sum += t[1].Int(); return true }); err != nil {
+		return nil, err
+	}
+	fresh.Close()
+	restored := "yes"
+	if sum != int64(rows)*7 {
+		restored = fmt.Sprintf("NO (sum %d)", sum)
+	}
+	expired := 0
+	if oldSess.Expired() {
+		expired = 1
+	}
+	oldSess.Close()
+	rbT.AddRow("logless (§7)", abortDur.Round(time.Microsecond).String(), expired, restored)
 	rbT.Notes = append(rbT.Notes,
 		"logless rollback reverts from in-tuple pre-update versions (no before-image log) at the cost of",
-		"expiring sessions older than currentVN; the undo-log mode restores exactly and expires nobody.",
-		"(The open session here is AT currentVN, so neither mode expires it.)")
+		"expiring sessions older than currentVN. (The open session here is AT currentVN, so it survives.)")
 	return []*Table{gcT, rbT}, nil
 }

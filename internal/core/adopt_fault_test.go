@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,5 +113,82 @@ func TestAdoptTableHeapFaultMidLoad(t *testing.T) {
 	}
 	if vt.Base().Name != "plain" {
 		t.Fatalf("adopted table named %q, want plain", vt.Base().Name)
+	}
+}
+
+// TestRollbackFaultLeavesItRetryable injects write-back failures into a
+// rollback's revert, on a one-page pool where every tuple read evicts and
+// writes back a dirty page. A revert that skipped the tuple it could not
+// read would leave it with tupleVN1 = maintenanceVN, and the next
+// transaction, which reuses that VN, would publish the aborted values when
+// it committed. So the failed Rollback must report the fault and keep the
+// transaction active, Commit must refuse it, and a retry on healed hardware
+// must restore the pre-transaction state.
+func TestRollbackFaultLeavesItRetryable(t *testing.T) {
+	fs := vfs.NewFaultFS(nil)
+	d := db.Open(db.Options{DataFS: fs, DataDir: "data", PoolPages: 1, PageSize: 256})
+	s, err := Open(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const keys = 30
+	m := mustMaint(t, s)
+	for k := int64(1); k <= keys; k++ {
+		if err := m.Insert("kv", kvTuple(k, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+	vn := s.CurrentVN()
+
+	m = mustMaint(t, s)
+	if _, err := m.Exec(`UPDATE kv SET v = v + 1000`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DeleteKey("kv", catalog.Tuple{catalog.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Insert("kv", kvTuple(keys+1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	next := fs.PersistOps() + 1
+	fs.SetScript(vfs.NewScript().AddFaultRange(next, next+1000, vfs.FaultErr))
+	if err := m.Rollback(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Rollback under write-back faults = %v, want the injected fault", err)
+	}
+	if fs.PersistOps() < next {
+		t.Fatal("the revert performed no write-back; the fault proves nothing")
+	}
+	if !s.MaintenanceActive() {
+		t.Fatal("a failed Rollback ended the transaction")
+	}
+	if err := m.Commit(); err == nil {
+		t.Fatal("Commit accepted a half-reverted transaction")
+	}
+
+	fs.SetScript(nil)
+	if err := m.Rollback(); err != nil {
+		t.Fatalf("retried Rollback: %v", err)
+	}
+	if s.CurrentVN() != vn || s.MaintenanceActive() {
+		t.Fatalf("globals after the retry: VN=%d active=%v, want VN=%d idle", s.CurrentVN(), s.MaintenanceActive(), vn)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The next transaction takes the aborted one's VN; committing it must
+	// publish nothing of the aborted one.
+	commit(t, mustMaint(t, s))
+	sess := s.BeginSession()
+	defer sess.Close()
+	rows, err := sess.Query(`SELECT COUNT(*), SUM(v) FROM kv`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rows.Tuples), fmt.Sprintf("[(%d, %d)]", keys, keys*(keys+1)/2); got != want {
+		t.Fatalf("after the retried rollback and a commit: %s, want %s", got, want)
 	}
 }

@@ -68,62 +68,11 @@ func sameSnapshot(a, b map[string]string) bool {
 	return true
 }
 
-// TestRollbackUndoLogExactRestore verifies the undo-log rollback restores
-// the physical state byte for byte and leaves sessions untouched.
-func TestRollbackUndoLogExactRestore(t *testing.T) {
-	s := newStore(t, 2)
-	setupFigure4(t, s).Close()
-	before := snapshotAll(t, s, "DailySales")
-	sess := s.BeginSession() // VN 4
-	defer sess.Close()
-
-	m, err := s.BeginMaintenanceMode(RollbackUndoLog, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Touch everything: update, delete, insert, insert-over-delete, and a
-	// repeated update.
-	if _, err := m.Exec(`UPDATE DailySales SET total_sales = total_sales + 7 WHERE state = 'CA'`, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Exec(`DELETE FROM DailySales WHERE city = 'Berkeley'`, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Insert("DailySales", salesTuple(t, "Fresno", "skis", "10/16/96", 123)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Insert("DailySales", salesTuple(t, "Novato", "rollerblades", "10/13/96", 50)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Exec(`UPDATE DailySales SET total_sales = 1 WHERE city = 'San Jose'`, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	after := snapshotAll(t, s, "DailySales")
-	if !sameSnapshot(before, after) {
-		t.Errorf("undo-log rollback did not restore state:\nbefore: %v\nafter:  %v", before, after)
-	}
-	if s.CurrentVN() != 4 || s.MaintenanceActive() {
-		t.Errorf("globals after rollback: VN=%d active=%v", s.CurrentVN(), s.MaintenanceActive())
-	}
-	if err := sess.Check(); err != nil {
-		t.Errorf("session affected by undo-log rollback: %v", err)
-	}
-	// The store is immediately usable for the next transaction.
-	m2 := mustMaint(t, s)
-	if m2.VN() != 5 {
-		t.Errorf("next VN = %d", m2.VN())
-	}
-	commit(t, m2)
-}
-
 // In 2VNL, re-inserting over an earlier delete and deleting again in one
 // transaction nets to nothing: the tuple goes back to the delete it was, so
-// an undo-log rollback can restore it and a commit leaves what a session
-// already saw. (It used to be deleted physically, and Rollback then failed
-// updating a tuple that no longer existed.)
+// a rollback or a commit leaves what a session already saw. (It used to be
+// deleted physically, losing the pre-delete values a session one version
+// back still reads.)
 func TestReinsertThenDeleteRestoresTombstone(t *testing.T) {
 	s := newStore(t, 2)
 	if _, err := s.CreateTable(kvSchema()); err != nil {
@@ -163,18 +112,14 @@ func TestReinsertThenDeleteRestoresTombstone(t *testing.T) {
 
 // TestRollbackLogless verifies the §7-style logless rollback: the current
 // version is restored using only in-tuple information, new sessions read
-// correct data, and sessions older than currentVN are expired.
+// correct data, sessions older than currentVN are expired, and the store is
+// ready for the next transaction at the version the aborted one would have
+// taken.
 func TestRollbackLogless(t *testing.T) {
 	s := newStore(t, 2)
 	setupFigure4(t, s).Close()
 	oldSess := s.BeginSession() // VN 4 — current, should survive
 	defer oldSess.Close()
-
-	// Re-create an older session by noting VN 3 readers: after the VN-4
-	// commit in setupFigure4, a VN-3 session is still valid.
-	// (setupFigure4's own session was closed; make the state: currentVN=4,
-	// so a session opened now is VN 4. To get a VN-3-like older session we
-	// instead verify via the expireFloor that older sessions die.)
 
 	currentView := func(sess *Session) map[string]int64 {
 		out := map[string]int64{}
@@ -189,10 +134,9 @@ func TestRollbackLogless(t *testing.T) {
 	}
 	want := currentView(oldSess)
 
-	m, err := s.BeginMaintenanceMode(RollbackLogless, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustMaint(t, s)
+	// Touch everything: update, delete, insert, insert-over-delete, and a
+	// repeated update.
 	if _, err := m.Exec(`UPDATE DailySales SET total_sales = total_sales * 2 WHERE state = 'CA'`, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +146,11 @@ func TestRollbackLogless(t *testing.T) {
 	if err := m.Insert("DailySales", salesTuple(t, "Fresno", "skis", "10/16/96", 9)); err != nil {
 		t.Fatal(err)
 	}
-	// Resurrect the logically-deleted Novato tuple, then roll back.
+	// Resurrect the logically-deleted Novato tuple.
 	if err := m.Insert("DailySales", salesTuple(t, "Novato", "rollerblades", "10/13/96", 777)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Exec(`UPDATE DailySales SET total_sales = 1 WHERE city = 'San Jose'`, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Rollback(); err != nil {
@@ -224,18 +171,36 @@ func TestRollbackLogless(t *testing.T) {
 			t.Errorf("logless rollback: %s = %d, want %d", k, got[k], v)
 		}
 	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	// The VN-4 session (equal to currentVN) survives...
 	if err := oldSess.Check(); err != nil {
 		t.Errorf("currentVN session expired by logless rollback: %v", err)
 	}
-	// ...but the rollback raised the expire floor: a hypothetical older
-	// session is now expired. Simulate one.
+	// ...but the rollback raised the expire floor: an older session (n = 2
+	// has no room for a real one, so simulate it) is now expired.
 	older := &Session{store: s, vn: 3}
 	s.sessions.add(older)
 	if err := older.Check(); !errors.Is(err, ErrSessionExpired) {
 		t.Errorf("pre-currentVN session after logless rollback: %v, want expired", err)
 	}
 	older.Close()
+	// The aborted transaction consumed no version number, and the store is
+	// immediately usable for the next one.
+	m2 := mustMaint(t, s)
+	if m2.VN() != 5 {
+		t.Errorf("next VN = %d, want 5", m2.VN())
+	}
+	if _, err := m2.Exec(`UPDATE DailySales SET total_sales = total_sales + 1 WHERE state = 'CA'`, nil); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, m2)
+	after := s.BeginSession()
+	defer after.Close()
+	if n := len(currentView(after)); n != len(want) {
+		t.Errorf("after the next commit: %d visible tuples, want %d", n, len(want))
+	}
 }
 
 // TestNetEffectAblation shows why §3.3's net-effect rule matters: with the
@@ -247,7 +212,7 @@ func TestNetEffectAblation(t *testing.T) {
 		if _, err := s.CreateTable(kvSchema()); err != nil {
 			t.Fatal(err)
 		}
-		m, err := s.BeginMaintenanceMode(RollbackUndoLog, netEffect)
+		m, err := s.beginMaintenance(netEffect)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func newStoreMetrics(reg *obs.Registry, tracer obs.Tracer) *storeMetrics {
 		commitRetries:  c("core_commit_retries_total", "transient version-install failures retried during Commit"),
 		maintRollbacks: c("core_maint_rollbacks_total", "maintenance transactions rolled back"),
 		commitNS:       h("core_maint_commit_ns", "latency of Commit (journal force + version install)"),
-		rollbackNS:     h("core_maint_rollback_ns", "latency of Rollback (undo or logless revert)"),
+		rollbackNS:     h("core_maint_rollback_ns", "latency of Rollback (the logless revert)"),
 		txnNS:          h("core_maint_txn_ns", "maintenance transaction duration, begin to finish"),
 
 		logicalIns: c("core_maint_logical_inserts_total", "logical insert operations (§3.3)"),

@@ -47,6 +47,20 @@ func touchKey1(t *testing.T, s *Store, v int64) {
 	commit(t, m)
 }
 
+// abortKey1 begins a maintenance transaction that updates kv's key 1, and
+// rolls it back.
+func abortKey1(t *testing.T, s *Store) {
+	t.Helper()
+	m := mustMaint(t, s)
+	if _, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(1)},
+		func(catalog.Tuple) catalog.Tuple { return kvTuple(1, 99) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // sessionStates arrange a session over prepStore's kv (keys 0..9 at VN 2)
 // into each state the expiration discipline distinguishes; want is what a
 // runnable statement must then report (nil: the rows as of the pinned VN).
@@ -74,22 +88,21 @@ var sessionStates = []struct {
 		}
 		return sess
 	}, ErrSessionExpired},
-	// A session one version back (simulated, as n = 2 has no room for a
-	// real one) when a logless rollback raises the expire floor.
+	// A commit, then a transaction that updates the same key and rolls back
+	// before the query: the revert consumed the pre-update version the
+	// session would read, so the rollback's expiry floor refuses it.
 	{"below the logless-rollback floor", func(t *testing.T, s *Store, perTuple bool) *Session {
-		sess := &Session{store: s, vn: 1, perTuple: perTuple}
-		s.sessions.add(sess)
-		m, err := s.BeginMaintenanceMode(RollbackLogless, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(1)},
-			func(catalog.Tuple) catalog.Tuple { return kvTuple(1, 99) }); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Rollback(); err != nil {
-			t.Fatal(err)
-		}
+		sess := s.beginSession(perTuple)
+		touchKey1(t, s, 9999)
+		abortKey1(t, s)
+		return sess
+	}, ErrSessionExpired},
+	// The same abort while the query runs: the query read a tuple the
+	// revert then rewrote, so only the post-execution check can notice.
+	{"rolled back mid-query", func(t *testing.T, s *Store, perTuple bool) *Session {
+		sess := s.beginSession(perTuple)
+		touchKey1(t, s, 9999)
+		sess.midQueryHook = func() { abortKey1(t, s) }
 		return sess
 	}, ErrSessionExpired},
 	{"closed", func(t *testing.T, s *Store, perTuple bool) *Session {

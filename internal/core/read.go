@@ -60,12 +60,13 @@ func (e *ExtTable) ReadAsOf(t catalog.Tuple, s VN) (base catalog.Tuple, visible 
 // reads every tuple on it in slot 0 (s ≥ tupleVN1), visible (operation1 is
 // not a delete), so the compiled plans skip Slot there.
 //
-// Nothing recomputes the bound downwards. An undo-log rollback restores
-// images with lower slot VNs, and a physical delete (GC, a net-effect fold)
-// removes the tuple that may have set it; either can leave the bound above
-// every live tupleVN1. That is safe — a stale-high bound only keeps the page
-// on the per-tuple path until readers' VNs reach it, and the next commit's
-// sessions do — so no rollback or restore pass is needed. The delete count
+// Nothing recomputes the bound downwards. A rollback lowers each tuple it
+// reverts from tupleVN1 = maintenanceVN to currentVN, and a physical delete
+// (GC, a net-effect fold) removes the tuple that may have set it; either can
+// leave the bound above every live tupleVN1. That is safe — a stale-high
+// bound only keeps the page on the per-tuple path until readers' VNs reach
+// it, and the next commit's sessions do — so no rollback or restore pass is
+// needed. The delete count
 // is kept exact by every writer, a restored tombstone included.
 func (e *ExtTable) summary(t catalog.Tuple) (vn int64, deleted bool) {
 	return int64(e.TupleVN(t, 1)), e.OpAt(t, 1) == OpDelete

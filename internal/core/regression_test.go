@@ -37,7 +37,7 @@ func assertWatermark(t *testing.T, s *Store, vt *VTable) {
 }
 
 // TestOldestHWMatchesScan drives every path that can move a table's
-// watermark — inserts, updates, deletes, both rollback modes, recovery's
+// watermark — inserts, updates, deletes, rollback, recovery's
 // SetCurrentVN, and GC — asserting the maintained mark never diverges from
 // the scan oracle.
 func TestOldestHWMatchesScan(t *testing.T) {
@@ -74,8 +74,8 @@ func TestOldestHWMatchesScan(t *testing.T) {
 	commit(t, m)
 	step("update/delete commit")
 
-	// Undo-log rollback restores bookkeeping images exactly; the watermark
-	// must fall back with them.
+	// Rollback deletes the inserted tuple and rewrites slot 1 as
+	// (currentVN, ·); the recompute keeps the mark exact.
 	m = mustMaint(t, s)
 	if _, err := m.Exec(`UPDATE kv SET v = v + 100 WHERE k < 4`, nil); err != nil {
 		t.Fatal(err)
@@ -86,21 +86,7 @@ func TestOldestHWMatchesScan(t *testing.T) {
 	if err := m.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	step("undo-log rollback")
-
-	// Logless rollback rewrites slot 1 as (currentVN, ·); recompute keeps
-	// the mark exact.
-	m2, err := s.BeginMaintenanceMode(RollbackLogless, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Exec(`UPDATE kv SET v = v + 100 WHERE k < 2`, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	step("logless rollback")
+	step("rollback")
 
 	// GC physically removes dead tuples, possibly the ones carrying the
 	// mark.

@@ -15,8 +15,7 @@ import (
 
 // A heap page's version summary lets a compiled plan skip ExtTable.Slot on
 // the pages it calls clean at the reader's version. The proof, at n ∈ {2, 3,
-// 4}: random schedules of committed and rolled-back transactions (undo-log
-// and logless), GC passes and inserts that reuse the slots GC freed, over
+// 4}: random schedules of committed and rolled-back transactions, GC passes and inserts that reuse the slots GC freed, over
 // pages of eight or fewer tuples. After every step, and after every
 // operation inside a transaction:
 //
@@ -85,14 +84,8 @@ func summarySchedule(t *testing.T, n int, seed int64) (clean, dirty int) {
 		clean, dirty = clean+c, dirty+d
 	}
 	for step := 0; step < 40; step++ {
-		mode := RollbackUndoLog
-		if rng.Intn(2) == 0 {
-			mode = RollbackLogless
-		}
-		m, err := s.BeginMaintenanceMode(mode, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := mustMaint(t, s)
+		var err error
 		live := make(map[int64]bool, len(present))
 		for k, ok := range present {
 			live[k] = ok
@@ -121,7 +114,7 @@ func summarySchedule(t *testing.T, n int, seed int64) (clean, dirty int) {
 			if err := m.Rollback(); err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("step %d rollback (mode %d)", step, mode))
+			check(fmt.Sprintf("step %d rollback", step))
 		default:
 			commit(t, m)
 			present = live

@@ -22,8 +22,7 @@ const HelpText = `statements:
 commands:
   \session          begin a reader session (captures sessionVN)
   \end              close the session
-  \maint            begin the maintenance transaction (logless rollback)
-  \maintlog         begin maintenance with undo-log rollback
+  \maint            begin the maintenance transaction
   \commit           commit it
   \rollback         abort it
   \rewrite <query>  print the rewritten form of a reader query
@@ -108,12 +107,8 @@ func (sh *Shell) command(line string) (quit bool) {
 			sh.sess = nil
 			sh.printf("session closed\n")
 		}
-	case "\\maint", "\\maintlog":
-		mode := core.RollbackLogless
-		if parts[0] == "\\maintlog" {
-			mode = core.RollbackUndoLog
-		}
-		m, err := sh.store.BeginMaintenanceMode(mode, true)
+	case "\\maint":
+		m, err := sh.store.BeginMaintenance()
 		if err != nil {
 			sh.printf("error: %v\n", err)
 			return false

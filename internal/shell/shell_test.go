@@ -163,14 +163,15 @@ func TestShellTables(t *testing.T) {
 	}
 }
 
-func TestShellMaintLogMode(t *testing.T) {
+// TestShellMaintRollbackOfInsert: a rolled-back insert leaves no row.
+func TestShellMaintRollbackOfInsert(t *testing.T) {
 	sh, out := newShell(t)
 	got := run(t, sh, out,
 		`CREATE TABLE kv (k INT(8), v INT(8) UPDATABLE, UNIQUE KEY(k))`,
-		`\maintlog`, `INSERT INTO kv VALUES (1, 1)`, `\rollback`,
+		`\maint`, `INSERT INTO kv VALUES (1, 1)`, `\rollback`,
 		`\session`, `SELECT COUNT(*) FROM kv`)
 	if !strings.Contains(got, "rolled back") || !strings.Contains(got, "0") {
-		t.Errorf("maintlog rollback:\n%s", got)
+		t.Errorf("rollback of an insert:\n%s", got)
 	}
 }
 
