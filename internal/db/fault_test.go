@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -74,5 +75,94 @@ func TestRenameTableBackingFaultLeavesCatalogIntact(t *testing.T) {
 	}
 	if _, err := fs.ReadFile("data/kv.heap"); err == nil {
 		t.Fatal("backing file still at the old path")
+	}
+}
+
+// TestWriteBackFaultKeepsIndexesInStep: a heap write whose buffer-pool touch
+// fails to write back an evicted page has still made its change, so the
+// table must bring its key and secondary indexes in step before it reports
+// the failure. A delete that returned first left a dangling key entry, and a
+// later insert of the key was refused as a duplicate.
+func TestWriteBackFaultKeepsIndexesInStep(t *testing.T) {
+	d := Open(Options{PoolPages: 1})
+	// The fault is a page of a file no heap owns, whose write-back fails.
+	// When armed, the summariser (which runs inside each heap write) caches
+	// it dirty, evicting the heap's page; the write's own touch then evicts
+	// it in turn and reports the failure.
+	errDisk := errors.New("disk full")
+	fake := storage.PageKey{File: 1 << 30}
+	d.pool.RegisterWriter(fake.File, func(int) error { return errDisk })
+	armed := false
+	tbl, err := d.CreateSummarisedTable(faultKVSchema(), func(catalog.Tuple) (int64, bool) {
+		if armed {
+			armed = false
+			_ = d.pool.Touch(fake, true)
+		}
+		return 0, false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("kv_v", "hash", "v"); err != nil {
+		t.Fatal(err)
+	}
+	kv := func(k, v int64) catalog.Tuple { return catalog.Tuple{catalog.NewInt(k), catalog.NewInt(v)} }
+	key := func(k int64) catalog.Tuple { return catalog.Tuple{catalog.NewInt(k)} }
+	rids := map[int64]storage.RID{}
+	for k := int64(1); k <= 3; k++ {
+		if rids[k], err = tbl.Insert(kv(k, k*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faulted := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, storage.ErrWriteBack) || !errors.Is(err, errDisk) {
+			t.Fatalf("%s under a write-back fault = %v, want ErrWriteBack wrapping the fault", op, err)
+		}
+	}
+	secondary := func(v int64) []storage.RID {
+		t.Helper()
+		got, err := tbl.IndexLookup("kv_v", catalog.Tuple{catalog.NewInt(v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	armed = true
+	faulted("Delete", tbl.Delete(rids[2]))
+	if _, ok := tbl.SearchKey(key(2)); ok {
+		t.Fatal("the key index still names the deleted tuple")
+	}
+	if got := secondary(20); len(got) != 0 {
+		t.Fatalf("the secondary index still names the deleted tuple: %v", got)
+	}
+	if err := tbl.Delete(rids[2]); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("deleting again = %v, want ErrNotFound", err)
+	}
+	if _, err := tbl.Insert(kv(2, 21)); err != nil {
+		t.Fatalf("re-inserting the deleted key: %v", err)
+	}
+
+	armed = true
+	faulted("Update", tbl.Update(rids[1], kv(1, 11)))
+	if got := secondary(10); len(got) != 0 {
+		t.Fatalf("the secondary index still names the old value: %v", got)
+	}
+	if got := secondary(11); len(got) != 1 || got[0] != rids[1] {
+		t.Fatalf("secondary index on the new value = %v, want [%v]", got, rids[1])
+	}
+
+	armed = true
+	rid, err := tbl.Insert(kv(4, 40))
+	faulted("Insert", err)
+	if got, ok := tbl.SearchKey(key(4)); !ok || got != rid {
+		t.Fatalf("key index for the inserted tuple = %v, %v; want %v", got, ok, rid)
+	}
+	if got := secondary(40); len(got) != 1 || got[0] != rid {
+		t.Fatalf("secondary index for the inserted tuple = %v, want [%v]", got, rid)
+	}
+	if armed {
+		t.Fatal("the summariser never ran; no fault was injected")
 	}
 }

@@ -77,8 +77,10 @@ func (t *Table) Insert(tuple catalog.Tuple) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
+	// A write-back failure comes after the tuple is stored: index it, then
+	// report the failure.
 	rid, err := t.heap.Insert(tuple)
-	if err != nil {
+	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return storage.RID{}, err
 	}
 	if t.keyIdx != nil {
@@ -95,10 +97,12 @@ func (t *Table) Insert(tuple catalog.Tuple) (storage.RID, error) {
 		}
 	}
 	t.insertSecondary(tuple, rid)
-	return rid, nil
+	return rid, err
 }
 
-// Update replaces the tuple at rid in place and keeps indexes consistent.
+// Update replaces the tuple at rid in place and keeps indexes consistent,
+// also when the heap reports a write-back failure (storage.ErrWriteBack)
+// after making the change; Insert and Delete do the same.
 func (t *Table) Update(rid storage.RID, tuple catalog.Tuple) error {
 	tuple, err := t.schema.Validate(tuple)
 	if err != nil {
@@ -122,11 +126,11 @@ func (t *Table) Update(rid storage.RID, tuple catalog.Tuple) error {
 			t.keyIdx.Delete(oldKey, rid)
 		}
 	}
-	if err := t.heap.Update(rid, tuple); err != nil {
+	if err = t.heap.Update(rid, tuple); err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return err
 	}
 	t.updateSecondary(old, tuple, rid)
-	return nil
+	return err
 }
 
 // Delete removes the tuple at rid and its index entries.
@@ -135,14 +139,14 @@ func (t *Table) Delete(rid storage.RID) error {
 	if err != nil {
 		return err
 	}
-	if err := t.heap.Delete(rid); err != nil {
+	if err = t.heap.Delete(rid); err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return err
 	}
 	if t.keyIdx != nil {
 		t.keyIdx.Delete(t.schema.KeyOf(old), rid)
 	}
 	t.deleteSecondary(old, rid)
-	return nil
+	return err
 }
 
 // LookupEqual implements exec.IndexedTable: it serves equality predicates

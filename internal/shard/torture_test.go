@@ -370,3 +370,77 @@ func TestEpochFreezeBeforeFlip(t *testing.T) {
 		t.Fatalf("epoch %d after release, want 3", got)
 	}
 }
+
+// TestAbortedPublishExpiresPinnedScan: a session pinned one epoch back
+// reads every shard's pre-update copies. When a publish aborts while the
+// session is scanning, each shard's rollback reverts its tuples in place and
+// overwrites those copies with the current values, so a shard read after
+// its revert must report ErrSessionExpired rather than the newer epoch's
+// values. The abort runs from the scan callback, on the first row the last
+// shard delivers; that shard has already passed its pre-scan check, and
+// small pages leave most of its rows to be read after the revert.
+func TestAbortedPublishExpiresPinnedScan(t *testing.T) {
+	const shards, keys = 2, 64
+	r, err := Open(Options{Shards: shards, N: 2, PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	schema := tortureSchema()
+	if err := r.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	stamp := func(v int64) []core.Delta {
+		var ds []core.Delta
+		for k := int64(0); k < keys; k++ {
+			row := catalog.Tuple{catalog.NewInt(k), catalog.NewInt(v)}
+			if v == 100 {
+				ds = append(ds, core.Delta{Table: "dim", Op: core.DeltaInsert, Row: row})
+			} else {
+				ds = append(ds, core.Delta{Table: "dim", Op: core.DeltaUpdate, Row: row, Key: catalog.Tuple{catalog.NewInt(k)}})
+			}
+		}
+		return ds
+	}
+	if _, _, err := r.ApplyBatch(stamp(100)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := r.BeginSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, _, err := r.ApplyBatch(stamp(200)); err != nil {
+		t.Fatal(err)
+	}
+	// The aborting publish updates every row, then fails on a duplicate
+	// insert, so every shard rolls back.
+	abort := append(stamp(300), core.Delta{Table: "dim", Op: core.DeltaInsert,
+		Row: catalog.Tuple{catalog.NewInt(0), catalog.NewInt(0)}})
+	owner := func(k int64) int {
+		i, err := core.PartitionDelta(schema, core.Delta{Table: "dim", Op: core.DeltaDelete, Key: catalog.Tuple{catalog.NewInt(k)}}, 0, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return i
+	}
+	aborted, wrong := false, 0
+	err = sess.Scan("dim", func(row catalog.Tuple) bool {
+		if !aborted && owner(row[0].Int()) == shards-1 {
+			aborted = true
+			if _, _, err := r.ApplyBatch(abort); err == nil {
+				t.Fatal("the aborting publish committed")
+			}
+		}
+		if row[1].Int() != 100 {
+			wrong++
+		}
+		return true
+	})
+	if !aborted {
+		t.Fatal("the last shard delivered no row; the abort never ran")
+	}
+	if !errors.Is(err, core.ErrSessionExpired) {
+		t.Fatalf("scan at epoch %d across an aborted publish = %v with %d rows not at 100; want ErrSessionExpired", sess.VN(), err, wrong)
+	}
+}

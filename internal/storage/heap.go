@@ -32,6 +32,13 @@ var ErrNotFound = errors.New("storage: not found")
 // wraps ErrNotFound, so errors.Is(err, ErrNotFound) matches it.
 var ErrNoSuchTuple = fmt.Errorf("%w: no such tuple", ErrNotFound)
 
+// ErrWriteBack marks the error Insert, Update, UpdateFunc or Delete returns
+// after making its change, when the buffer pool failed to write back a page
+// it evicted to make room (BufferPool.Touch). The change stands, so a caller
+// keeping other structures in step with the heap (an index) must update them
+// before it passes the error on.
+var ErrWriteBack = errors.New("storage: write-back failed")
+
 // page is a slotted page. All its tuples live in one value arena: slot si
 // holds the w values vals[si*w:(si+1)*w], and live[si] says whether the slot
 // holds a tuple. A scan therefore walks one contiguous array instead of
@@ -356,7 +363,7 @@ func (h *Heap) Insert(t catalog.Tuple) (RID, error) {
 		pg.enter(h.sum, t)
 		pg.mu.Unlock()
 		h.liveCount.Add(1)
-		return RID{Page: pi, Slot: si}, h.pool.Touch(PageKey{h.fileID, pi}, true)
+		return RID{Page: pi, Slot: si}, h.written(pi)
 	}
 }
 
@@ -471,7 +478,7 @@ func (h *Heap) Update(rid RID, t catalog.Tuple) error {
 	copy(slot, t)
 	pg.enter(h.sum, slot)
 	pg.mu.Unlock()
-	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
+	return h.written(rid.Page)
 }
 
 // Delete removes the tuple at rid, freeing its slot for reuse. The slot's
@@ -489,7 +496,16 @@ func (h *Heap) Delete(rid RID) error {
 	pg.mu.Unlock()
 	h.liveCount.Add(-1)
 	h.noteFree(rid.Page)
-	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
+	return h.written(rid.Page)
+}
+
+// written records a write to page pi, which the caller has just changed,
+// with the buffer pool; a write-back failure is marked ErrWriteBack.
+func (h *Heap) written(pi int) error {
+	if err := h.pool.Touch(PageKey{h.fileID, pi}, true); err != nil {
+		return fmt.Errorf("%w: heap %q page %d: %w", ErrWriteBack, h.name, pi, err)
+	}
+	return nil
 }
 
 // block holds the tuples one page contributed to a scan: copies of the
@@ -689,5 +705,5 @@ func (h *Heap) UpdateFunc(rid RID, fn func(catalog.Tuple) catalog.Tuple) error {
 	copy(slot, t)
 	pg.enter(h.sum, slot)
 	pg.mu.Unlock()
-	return h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
+	return h.written(rid.Page)
 }
