@@ -13,10 +13,13 @@ import (
 // COUNT/SUM/AVG/MIN/MAX with optional WHERE, GROUP BY, HAVING and LIMIT. The
 // fold is itself the Table.ScanFilter predicate, so it runs against each
 // stored tuple under the page latch and keeps nothing: per tuple it reads the
-// tuple at the reader's version (skipping an invisible one), filters,
-// evaluates the group key into a scratch tuple, finds the group and adds the
-// aggregate inputs, then answers false, so the page walker copies no tuple.
-// It allocates only when a new group appears.
+// tuple at the reader's version (skipping an invisible one), filters, finds
+// the group and adds the aggregate inputs, then answers false, so the page
+// walker copies no tuple. It allocates only when a new group appears. Keys
+// and inputs that are columns or parameters are read in place (operand.load).
+// One key that is a column declared INT, DATE or BOOL groups by its int64
+// payload; any other key tuple groups by catalog.HashTuple. Each aggregate's
+// function is resolved when the statement compiles.
 //
 // After the walk, HAVING and the select list run once per group against the
 // group row [key₀ … keyₖ₋₁, result₀ … resultₘ₋₁]: a subtree that prints like
@@ -25,13 +28,18 @@ import (
 // semantics — does not compile, and the statement falls back.
 
 // aggPlan is the compiled aggregate of a Plan. The fold evaluates the WHERE
-// (nil when absent), the GROUP BY key and each aggregate call's argument (nil
-// for COUNT(*)) per stored tuple; HAVING and the select list run per group.
+// (nil when absent), the GROUP BY key and each aggregate call's argument
+// (unused for COUNT(*)) per stored tuple; HAVING and the select list run per
+// group.
 type aggPlan struct {
 	filter compiledPred
-	keys   []compiledExpr
-	args   []compiledExpr
-	fns    []string // the aggregate function of each result slot
+	keys   []operand
+	// intKey is the declared type of the one GROUP BY key when that key is a
+	// column of type INT, DATE or BOOL, which groups by its int64 payload;
+	// TypeNull when the keys group by hash.
+	intKey catalog.Type
+	args   []operand
+	fns    []aggFn // the aggregate function of each result slot
 	having compiledExpr
 	out    []compiledExpr // the select list, over the group row
 }
@@ -75,13 +83,14 @@ func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.Sele
 		}
 	}
 	for i, ge := range stmt.GroupBy {
-		fn, err := comp.compile(ge)
+		k, err := comp.operand(ge)
 		if err != nil {
 			return err
 		}
-		a.keys = append(a.keys, fn)
+		a.keys = append(a.keys, k)
 		g.keys[sql.PrintExpr(ge)] = i // a repeated key: either slot holds its value
 	}
+	a.intKey = intKeyType(comp, stmt.GroupBy)
 	for _, it := range items {
 		g.out = append(g.out, g.bind(it.Expr))
 	}
@@ -91,17 +100,17 @@ func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.Sele
 		cols[i].Name = slotName('k', i)
 	}
 	for i, fc := range g.calls {
-		var arg compiledExpr
+		arg := operand{kind: opLiteral, lit: starArg}
 		if !fc.Star {
 			if len(fc.Args) == 0 {
 				return fmt.Errorf("exec: %s needs an argument", fc.Name)
 			}
-			if arg, err = comp.compile(fc.Args[0]); err != nil {
+			if arg, err = comp.operand(fc.Args[0]); err != nil {
 				return err
 			}
 		}
 		a.args = append(a.args, arg)
-		a.fns = append(a.fns, fc.Name)
+		a.fns = append(a.fns, aggFnOf(fc))
 		cols = append(cols, catalog.Column{Name: slotName('a', i)})
 	}
 	row := []binding{{schema: &catalog.Schema{Columns: cols}}}
@@ -122,25 +131,53 @@ func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.Sele
 	return nil
 }
 
+// intKeyType returns the declared type of a GROUP BY that is one column of
+// type INT, DATE or BOOL — a key that groups by its int64 payload — and
+// TypeNull for any other GROUP BY.
+func intKeyType(comp *compiler, keys []sql.Expr) catalog.Type {
+	if len(keys) != 1 {
+		return catalog.TypeNull
+	}
+	col, ok := keys[0].(*sql.ColumnRef)
+	if !ok {
+		return catalog.TypeNull
+	}
+	i, err := comp.resolve(col)
+	if err != nil {
+		return catalog.TypeNull
+	}
+	switch t := comp.bindings[0].schema.Columns[i].Type; t {
+	case catalog.TypeInt, catalog.TypeDate, catalog.TypeBool:
+		return t
+	default:
+		return catalog.TypeNull
+	}
+}
+
 // aggPartial is the group table of one fold: groups in discovery order, each
 // a key and one aggState per aggregate call. It is a partial aggregate —
 // merge combines the tables of two folds over disjoint tuples into the one a
 // single fold over both would build — so folds over parts of a relation can
 // run apart and combine.
 type aggPartial struct {
-	fns    []string
-	width  int            // key values per group
-	first  map[uint64]int // key hash → newest group with that hash
-	next   []int          // per group: an older group with the same hash, or -1
+	fns    []aggFn
+	width  int          // key values per group
+	intKey catalog.Type // aggPlan.intKey
+	n      int          // groups
+	// first maps an int key's payload to its group, or a hashed key tuple's
+	// hash to the newest group with that hash.
+	first  map[uint64]int
+	next   []int // hashed keys, per group: an older group with the same hash, or -1
+	null   int   // an int key: the NULL key's group, or -1
 	keys   []catalog.Value
 	states []aggState
 }
 
-func newAggPartial(fns []string, width int) aggPartial {
-	return aggPartial{fns: fns, width: width, first: make(map[uint64]int)}
+func newAggPartial(a *aggPlan) aggPartial {
+	return aggPartial{fns: a.fns, width: len(a.keys), intKey: a.intKey, first: make(map[uint64]int), null: -1}
 }
 
-func (p *aggPartial) len() int { return len(p.next) }
+func (p *aggPartial) len() int { return p.n }
 
 func (p *aggPartial) key(g int) catalog.Tuple {
 	return p.keys[g*p.width : (g+1)*p.width : (g+1)*p.width]
@@ -154,7 +191,10 @@ func (p *aggPartial) statesOf(g int) []aggState {
 // group returns the aggregate states of key's group, adding the group — and
 // copying key — if it is new. Keys group by catalog.TuplesEqual, so NULL keys
 // share one group.
-func (p *aggPartial) group(key catalog.Tuple) []aggState {
+func (p *aggPartial) group(key catalog.Tuple) ([]aggState, error) {
+	if p.intKey != catalog.TypeNull {
+		return p.groupInt(&key[0])
+	}
 	h := catalog.HashTuple(key)
 	head, seen := p.first[h]
 	if !seen {
@@ -162,23 +202,55 @@ func (p *aggPartial) group(key catalog.Tuple) []aggState {
 	}
 	for g := head; g >= 0; g = p.next[g] {
 		if catalog.TuplesEqual(p.key(g), key) {
-			return p.statesOf(g)
+			return p.statesOf(g), nil
 		}
 	}
-	g := p.len()
-	p.first[h] = g
+	p.first[h] = p.n
 	p.next = append(p.next, head)
 	p.keys = append(p.keys, key...)
+	return p.newGroup(), nil
+}
+
+// groupInt is group for an int key, whose value v is read in place: the
+// payload of a non-NULL v is its own hash, exactly, so v is copied only into a
+// new group.
+func (p *aggPartial) groupInt(v *catalog.Value) ([]aggState, error) {
+	g, seen := p.null, p.null >= 0
+	if !v.IsNull() {
+		if v.Kind() != p.intKey {
+			return nil, fmt.Errorf("exec: %v value in a GROUP BY column of type %v", v.Kind(), p.intKey)
+		}
+		g, seen = p.first[uint64(v.Int())]
+	}
+	if seen {
+		return p.statesOf(g), nil
+	}
+	if v.IsNull() {
+		p.null = p.n
+	} else {
+		p.first[uint64(v.Int())] = p.n
+	}
+	p.keys = append(p.keys, *v)
+	return p.newGroup(), nil
+}
+
+// newGroup adds a group, whose key the caller has appended to p.keys.
+func (p *aggPartial) newGroup() []aggState {
+	p.n++
 	for _, fn := range p.fns {
 		p.states = append(p.states, aggState{fn: fn})
 	}
-	return p.statesOf(g)
+	return p.statesOf(p.n - 1)
 }
 
 // merge adds q's groups to p; groups new to p follow p's own, in q's order.
 func (p *aggPartial) merge(q *aggPartial) error {
 	for g := 0; g < q.len(); g++ {
-		dst, src := p.group(q.key(g)), q.statesOf(g)
+		dst, err := p.group(q.key(g))
+		if err != nil {
+			return err
+		}
+		src := q.statesOf(g)
 		for i := range dst {
 			if err := dst[i].merge(&src[i]); err != nil {
 				return err
@@ -192,7 +264,7 @@ func (p *aggPartial) merge(q *aggPartial) error {
 type aggRun struct {
 	p    *Plan
 	ctx  *evalCtx
-	key  catalog.Tuple // the current tuple's group key (scratch)
+	key  catalog.Tuple // the current tuple's hashed group key (scratch)
 	part aggPartial
 }
 
@@ -201,8 +273,11 @@ func (p *Plan) newAggRun(params Params, vn int64, at bool) (*aggRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	width := len(p.agg.keys)
-	return &aggRun{p: p, ctx: ctx, key: make(catalog.Tuple, width), part: newAggPartial(p.agg.fns, width)}, nil
+	r := &aggRun{p: p, ctx: ctx, part: newAggPartial(p.agg)}
+	if p.agg.intKey == catalog.TypeNull {
+		r.key = make(catalog.Tuple, len(p.agg.keys))
+	}
+	return r, nil
 }
 
 // executeAgg runs an aggregate plan: fold the table, then evaluate HAVING and
@@ -273,27 +348,47 @@ func (r *aggRun) add(t catalog.Tuple) (bool, error) {
 			return false, err
 		}
 	}
-	for i, k := range in.keys {
-		v, err := k(r.ctx, t)
+	states, err := r.group(t)
+	if err != nil {
+		return false, err
+	}
+	var tmp catalog.Value
+	for i := range states {
+		s := &states[i]
+		if s.fn == fnCountStar {
+			s.count++
+			continue
+		}
+		v, err := in.args[i].load(r.ctx, t, &tmp)
 		if err != nil {
 			return false, err
 		}
-		r.key[i] = v
-	}
-	states := r.part.group(r.key)
-	for i, arg := range in.args {
-		v := catalog.NewInt(1) // non-null sentinel: COUNT(*) counts rows
-		if arg != nil {
-			var err error
-			if v, err = arg(r.ctx, t); err != nil {
-				return false, err
-			}
-		}
-		if err := states[i].add(v); err != nil {
+		if err := s.add(v); err != nil {
 			return false, err
 		}
 	}
 	return false, nil
+}
+
+// group returns the aggregate states of t's group.
+func (r *aggRun) group(t catalog.Tuple) ([]aggState, error) {
+	in := r.p.agg
+	var tmp catalog.Value
+	if in.intKey != catalog.TypeNull {
+		v, err := in.keys[0].load(r.ctx, t, &tmp)
+		if err != nil {
+			return nil, err
+		}
+		return r.part.groupInt(v)
+	}
+	for i := range in.keys {
+		v, err := in.keys[i].load(r.ctx, t, &tmp)
+		if err != nil {
+			return nil, err
+		}
+		r.key[i] = *v
+	}
+	return r.part.group(r.key)
 }
 
 // finish evaluates HAVING and the select list over each group row, in
@@ -302,7 +397,7 @@ func (r *aggRun) add(t catalog.Tuple) (bool, error) {
 func (r *aggRun) finish(out *Rows) (*Rows, error) {
 	a, part := r.p.agg, &r.part
 	if part.len() == 0 && part.width == 0 {
-		part.group(r.key)
+		part.newGroup()
 	}
 	n, w := part.len(), len(a.out)
 	if r.p.limit != nil {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -452,13 +453,7 @@ func truthy(v catalog.Value) bool {
 
 // IsAggregate reports whether the (upper-cased) function name is one of the
 // supported aggregates.
-func IsAggregate(name string) bool {
-	switch name {
-	case "SUM", "COUNT", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
+func IsAggregate(name string) bool { return slices.Contains(aggFnNames[:], name) }
 
 // EvalConst evaluates an expression that references no columns (literals,
 // parameters, arithmetic), as INSERT VALUES rows do.

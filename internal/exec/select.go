@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -272,62 +274,106 @@ func project(items []sql.SelectItem, rows []catalog.Tuple, ev *env) (*Rows, erro
 	return out, nil
 }
 
-// aggState accumulates one aggregate function over one group.
-type aggState struct {
-	fn     string
-	count  int64
-	sumI   int64
-	sumF   float64
-	isFlt  bool
-	min    catalog.Value
-	max    catalog.Value
-	sawAny bool
+// aggFn is an aggregate function, resolved from its name once, when the
+// statement is compiled or its aggregate calls are bound.
+type aggFn uint8
+
+const (
+	fnCount     aggFn = iota // COUNT(x): rows with x non-NULL
+	fnCountStar              // COUNT(*): rows
+	fnSum
+	fnAvg
+	fnMin
+	fnMax
+)
+
+var aggFnNames = [...]string{fnCount: "COUNT", fnCountStar: "COUNT", fnSum: "SUM", fnAvg: "AVG", fnMin: "MIN", fnMax: "MAX"}
+
+func (f aggFn) String() string { return aggFnNames[f] }
+
+// aggFnOf resolves an aggregate call (IsAggregate) to its function. COUNT
+// names fnCount first, so only COUNT(*) is fnCountStar.
+func aggFnOf(fc *sql.FuncCall) aggFn {
+	if fc.Star && fc.Name == "COUNT" {
+		return fnCountStar
+	}
+	return aggFn(slices.Index(aggFnNames[:], fc.Name))
 }
 
-func (a *aggState) add(v catalog.Value) error {
-	if a.fn == "COUNT" {
-		// COUNT(*) counts rows (v is a sentinel non-null); COUNT(x) counts
-		// non-null x.
-		if !v.IsNull() {
-			a.count++
-		}
+// starArg is what any starred aggregate call but COUNT(*) — SUM(*), MIN(*)
+// and the like — folds per row.
+var starArg = catalog.NewInt(1)
+
+// errSumOverflow fails a SUM whose INT total leaves the int64 range, rather
+// than answering a wrapped sum.
+var errSumOverflow = errors.New("exec: SUM of INT values overflows int64")
+
+// addInt returns a + b, or false when the sum overflows.
+func addInt(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s > a) == (b > 0)
+}
+
+// aggState accumulates one aggregate function over one group. count is the
+// rows it counted (COUNT) or the non-NULL values it took (the others); SUM
+// keeps an exact INT total beside the float one until a FLOAT arrives; MIN
+// and MAX keep the extreme value in ext.
+type aggState struct {
+	fn    aggFn
+	isFlt bool
+	count int64
+	sumI  int64
+	sumF  float64
+	ext   catalog.Value
+}
+
+// add folds one value of the aggregate's argument into a. COUNT(*) takes no
+// value and ignores v.
+func (a *aggState) add(v *catalog.Value) error {
+	if a.fn == fnCountStar {
+		a.count++
 		return nil
 	}
 	if v.IsNull() {
 		return nil
 	}
-	a.sawAny = true
 	switch a.fn {
-	case "SUM", "AVG":
+	case fnSum, fnAvg:
 		if !v.IsNumeric() {
-			return fmt.Errorf("exec: %s over non-numeric %v", a.fn, v.Kind())
+			return fmt.Errorf("exec: %v over non-numeric %v", a.fn, v.Kind())
 		}
 		if v.Kind() == catalog.TypeFloat {
 			a.isFlt = true
+		} else if a.fn == fnSum {
+			var ok bool
+			if a.sumI, ok = addInt(a.sumI, v.Int()); !ok {
+				return errSumOverflow
+			}
 		}
-		a.sumI += v.Int()
 		a.sumF += v.Float()
-		a.count++
-	case "MIN", "MAX":
-		if !a.min.IsNull() || a.count > 0 {
-			cmin, err := compare(v, a.min)
-			if err != nil {
-				return err
-			}
-			if cmin < 0 {
-				a.min = v
-			}
-			cmax, err := compare(v, a.max)
-			if err != nil {
-				return err
-			}
-			if cmax > 0 {
-				a.max = v
-			}
-		} else {
-			a.min, a.max = v, v
+	case fnMin, fnMax:
+		if err := a.extreme(v); err != nil {
+			return err
 		}
-		a.count++
+	case fnCount, fnCountStar: // counted below
+	}
+	a.count++
+	return nil
+}
+
+// extreme keeps v in ext if it is the first value, or a new minimum (MIN) or
+// maximum (MAX).
+func (a *aggState) extreme(v *catalog.Value) error {
+	if a.count == 0 {
+		a.ext = *v
+		return nil
+	}
+	c, err := compare(*v, a.ext)
+	if err != nil {
+		return err
+	}
+	if a.fn == fnMin && c < 0 || a.fn == fnMax && c > 0 {
+		a.ext = *v
 	}
 	return nil
 }
@@ -335,63 +381,41 @@ func (a *aggState) add(v catalog.Value) error {
 // merge adds what b accumulated to a, as if a had seen b's rows itself: the
 // combine step of a partial aggregate. a and b aggregate the same function.
 func (a *aggState) merge(b *aggState) error {
-	if (a.fn == "MIN" || a.fn == "MAX") && b.count > 0 {
-		if a.count == 0 {
-			a.min, a.max = b.min, b.max
-		} else {
-			cmin, err := compare(b.min, a.min)
-			if err != nil {
-				return err
-			}
-			if cmin < 0 {
-				a.min = b.min
-			}
-			cmax, err := compare(b.max, a.max)
-			if err != nil {
-				return err
-			}
-			if cmax > 0 {
-				a.max = b.max
-			}
+	if b.count == 0 {
+		return nil
+	}
+	switch a.fn {
+	case fnMin, fnMax:
+		if err := a.extreme(&b.ext); err != nil {
+			return err
 		}
+	case fnSum:
+		var ok bool
+		if a.sumI, ok = addInt(a.sumI, b.sumI); !ok {
+			return errSumOverflow
+		}
+	case fnCount, fnCountStar, fnAvg: // counts and float sums merge below
 	}
 	a.count += b.count
-	a.sumI += b.sumI
 	a.sumF += b.sumF
 	a.isFlt = a.isFlt || b.isFlt
-	a.sawAny = a.sawAny || b.sawAny
 	return nil
 }
 
 func (a *aggState) result() catalog.Value {
-	switch a.fn {
-	case "COUNT":
+	switch {
+	case a.fn == fnCount || a.fn == fnCountStar:
 		return catalog.NewInt(a.count)
-	case "SUM":
-		if !a.sawAny {
-			return catalog.Null
-		}
-		if a.isFlt {
-			return catalog.NewFloat(a.sumF)
-		}
-		return catalog.NewInt(a.sumI)
-	case "AVG":
-		if a.count == 0 {
-			return catalog.Null
-		}
+	case a.count == 0:
+		return catalog.Null
+	case a.fn == fnMin || a.fn == fnMax:
+		return a.ext
+	case a.fn == fnAvg:
 		return catalog.NewFloat(a.sumF / float64(a.count))
-	case "MIN":
-		if a.count == 0 {
-			return catalog.Null
-		}
-		return a.min
-	case "MAX":
-		if a.count == 0 {
-			return catalog.Null
-		}
-		return a.max
+	case a.isFlt:
+		return catalog.NewFloat(a.sumF)
 	}
-	return catalog.Null
+	return catalog.NewInt(a.sumI)
 }
 
 // group is one GROUP BY bucket: its key values, a representative source
@@ -458,7 +482,7 @@ func aggregate(stmt *sql.SelectStmt, items []sql.SelectItem, rows []catalog.Tupl
 	newGroup := func(key, rep catalog.Tuple) *group {
 		g := &group{key: key, rep: rep}
 		for _, fc := range aggCalls {
-			g.states = append(g.states, &aggState{fn: fc.Name})
+			g.states = append(g.states, &aggState{fn: aggFnOf(fc)})
 		}
 		return g
 	}
@@ -486,17 +510,14 @@ func aggregate(stmt *sql.SelectStmt, items []sql.SelectItem, rows []catalog.Tupl
 			order = append(order, g)
 		}
 		for i, fc := range aggCalls {
-			var v catalog.Value
-			if fc.Star {
-				v = catalog.NewInt(1) // non-null sentinel: COUNT(*) counts rows
-			} else {
+			v := starArg
+			if !fc.Star {
 				var err error
-				v, err = ev.eval(fc.Args[0], row)
-				if err != nil {
+				if v, err = ev.eval(fc.Args[0], row); err != nil {
 					return nil, err
 				}
 			}
-			if err := g.states[i].add(v); err != nil {
+			if err := g.states[i].add(&v); err != nil {
 				return nil, err
 			}
 		}
