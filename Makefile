@@ -19,11 +19,12 @@ race:
 # stress runs the multi-goroutine concurrency tests (readers racing
 # maintenance, shared sessions, mid-query expiry, buffer-pool hits racing
 # evictions and flushes, scans at a fixed version racing the writers that
-# fold each heap page's version summary: TestStressHeapSummary) under the
-# race detector, with a generous timeout so slow CI machines finish the
-# full matrix.
+# fold each heap page's version summary: TestStressHeapSummary), and the
+# oldest-slot watermark tests, whose 2-worker batches mark it stale from
+# several goroutines, under the race detector, with a generous timeout so
+# slow CI machines finish the full matrix.
 stress:
-	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance' -count=2 ./internal/core/ ./internal/storage/
+	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance|TestOldestHWMatchesScan|TestOldestHWRecomputesOncePerBatch' -count=2 ./internal/core/ ./internal/storage/
 
 # soak repeats the two differential tests that race readers against
 # maintenance with rollbacks, 200 times each on two CPUs and without the race

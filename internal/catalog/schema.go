@@ -139,24 +139,31 @@ func (s *Schema) KeyOf(t Tuple) []Value {
 }
 
 // Validate checks a tuple against the schema: correct arity and, for each
-// non-NULL value, a type matching (or coercible to) the column type. It
-// returns the possibly-coerced tuple.
+// non-NULL value, a type matching (or coercible to) the column type. When no
+// value needs coercion it returns t itself and allocates nothing; otherwise
+// it returns a coerced copy. It never modifies t, so a caller that keeps the
+// result past t's next change must copy it.
 func (s *Schema) Validate(t Tuple) (Tuple, error) {
 	if len(t) != len(s.Columns) {
 		return nil, fmt.Errorf("catalog: tuple arity %d does not match schema %q arity %d",
 			len(t), s.Name, len(s.Columns))
 	}
-	out := make(Tuple, len(t))
+	var out Tuple // the coerced copy, made at the first coercion
 	for i, v := range t {
-		if v.IsNull() {
-			out[i] = v
+		if v.kind == TypeNull || v.kind == s.Columns[i].Type {
 			continue
 		}
 		cv, err := Coerce(v, s.Columns[i].Type)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: column %q of %q: %w", s.Columns[i].Name, s.Name, err)
 		}
+		if out == nil {
+			out = t.Clone()
+		}
 		out[i] = cv
+	}
+	if out == nil {
+		return t, nil
 	}
 	return out, nil
 }

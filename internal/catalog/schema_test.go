@@ -146,3 +146,38 @@ func TestTupleHelpers(t *testing.T) {
 		t.Error("equal tuples must hash identically")
 	}
 }
+
+// TestValidateCopiesOnlyToCoerce: a tuple that needs no coercion comes back
+// as itself, with nothing allocated; one that does comes back as a fresh
+// coerced copy, and the input keeps its values.
+func TestValidateCopiesOnlyToCoerce(t *testing.T) {
+	s := dailySales(t)
+	d, _ := ParseDate("10/14/96")
+	tup := Tuple{NewString("San Jose"), NewString("CA"), Null, d, NewInt(10000)}
+	v, err := s.Validate(tup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &v[0] != &tup[0] {
+		t.Error("Validate copied a tuple that needed no coercion")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = s.Validate(tup) }); n != 0 {
+		t.Errorf("Validate of a well-typed tuple allocates %v times, want 0", n)
+	}
+
+	in := Tuple{NewString("x"), NewString("CA"), NewString("y"), NewString("10/15/96"), NewFloat(3)}
+	orig := in.Clone()
+	v, err = s.Validate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &v[0] == &in[0] {
+		t.Error("Validate coerced into its input's backing array")
+	}
+	if !TuplesEqual(in, orig) || in[3].Kind() != TypeString || in[4].Kind() != TypeFloat {
+		t.Errorf("Validate modified its input: %v, was %v", in, orig)
+	}
+	if v[3].Kind() != TypeDate || v[4].Kind() != TypeInt {
+		t.Errorf("coercions not applied: %v", v)
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // applier is one goroutine's sink for the Tables 2–4 physical rewrite: it
-// owns the per-goroutine transaction state — operation counters,
-// overwritten tombstones, deferred watermark recomputes — while
+// owns the per-goroutine transaction state — operation counters and
+// overwritten tombstones — while
 // sharing the Maintenance identity (VN, net-effect switch). The sequential
 // write path runs on the transaction's root applier; ApplyBatch gives each
 // worker pool goroutine a private applier and merges them after the join,
@@ -21,9 +21,8 @@ type applier struct {
 	// par marks a parallel-batch worker. Parallel appliers journal
 	// physical deletes *before* freeing the heap slot (a concurrent
 	// worker's insert may reuse the RID, and recovery replays records in
-	// log order, so the delete record must precede the reusing insert's)
-	// and defer oldest-slot watermark recomputes to the post-join merge
-	// (recomputeOldestHW's scan-and-store is only safe single-writer).
+	// log order, so the delete record must precede the reusing insert's),
+	// and leave poisoning the transaction to the post-join merge.
 	par bool
 	// j is the journal captured once at batch start for parallel workers,
 	// so the pool does not hammer the store latch once per operation. The
@@ -37,9 +36,6 @@ type applier struct {
 	// so that a delete of the re-inserted tuple can restore it, and so
 	// that Rollback can tell the re-insert from a fresh one.
 	tombstones map[tupleRef]catalog.Tuple
-	// hwDeferred collects tables whose oldestHW needs a recompute after
-	// the worker join (parallel physical deletes only).
-	hwDeferred map[*VTable]struct{}
 }
 
 // met returns the store's metrics (never nil).
@@ -68,24 +64,26 @@ func (a *applier) tombstone(ref tupleRef) catalog.Tuple {
 	return a.m.ap.tombstones[ref]
 }
 
-// noteTupleLowered maintains the oldest-slot watermark after a rewrite
-// that lowered a tuple's slots (the Table 4 row-2 pop cell): sequentially
-// it recomputes at once if the pre-image may have carried the mark;
-// parallel workers defer to the post-join merge, where recomputeOldestHW's
-// scan-and-store is single-writer again.
-func (a *applier) noteTupleLowered(vt *VTable, before catalog.Tuple) {
-	if a.par {
-		a.hwDeferred[vt] = struct{}{}
-		return
+// heapFault returns err, a physical write's error or nil, having poisoned the
+// transaction if it is a heap fault: the heap may have made the change
+// (storage.ErrWriteBack) or left it half made, so Commit must refuse and the
+// caller must Rollback. A duplicate key is no heap fault; the table undid its
+// insert. Parallel workers leave poisoning to applyParallel, which poisons on
+// any worker error after the join.
+func (a *applier) heapFault(err error) error {
+	if err != nil && !a.par && !errors.Is(err, db.ErrDuplicateKey) && a.m.broken == nil {
+		a.m.broken = err
 	}
-	vt.noteTupleRemoved(before)
+	return err
 }
 
-// physInsert performs and journals a physical tuple insert.
+// physInsert performs and journals a physical tuple insert. A write-back
+// failure comes after the heap made its change, so this, physUpdate and
+// physDelete journal and note the change before they report the failure.
 func (a *applier) physInsert(vt *VTable, ext catalog.Tuple) error {
 	rid, err := vt.tbl.Insert(ext)
-	if err != nil {
-		return err
+	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
+		return a.heapFault(err)
 	}
 	if j := a.journal(); j != nil {
 		j.LogInsert(vt.ext.Base.Name, rid, ext)
@@ -93,13 +91,14 @@ func (a *applier) physInsert(vt *VTable, ext catalog.Tuple) error {
 	vt.noteTupleWrite(ext)
 	a.stats.PhysicalInserts++
 	a.met().physIns.Inc()
-	return nil
+	return a.heapFault(err)
 }
 
 // physUpdate performs and journals an in-place physical update.
 func (a *applier) physUpdate(vt *VTable, rid storage.RID, before, after catalog.Tuple) error {
-	if err := vt.tbl.Update(rid, after); err != nil {
-		return err
+	err := vt.tbl.Update(rid, after)
+	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
+		return a.heapFault(err)
 	}
 	if j := a.journal(); j != nil {
 		j.LogUpdate(vt.ext.Base.Name, rid, before, after)
@@ -107,7 +106,7 @@ func (a *applier) physUpdate(vt *VTable, rid storage.RID, before, after catalog.
 	vt.noteTupleWrite(after)
 	a.stats.PhysicalUpdates++
 	a.met().physUpd.Inc()
-	return nil
+	return a.heapFault(err)
 }
 
 // physDelete performs and journals a physical delete.
@@ -121,26 +120,21 @@ func (a *applier) physUpdate(vt *VTable, rid storage.RID, before, after catalog.
 // any worker error, forcing a Rollback whose abort record makes recovery
 // skip the transaction wholesale.
 func (a *applier) physDelete(vt *VTable, rid storage.RID, before catalog.Tuple) error {
-	if a.par {
-		if j := a.journal(); j != nil {
-			j.LogDelete(vt.ext.Base.Name, rid, before)
-		}
-		if err := vt.tbl.Delete(rid); err != nil {
-			return err
-		}
-		a.hwDeferred[vt] = struct{}{}
-	} else {
-		if err := vt.tbl.Delete(rid); err != nil {
-			return err
-		}
-		if j := a.journal(); j != nil {
-			j.LogDelete(vt.ext.Base.Name, rid, before)
-		}
-		vt.noteTupleRemoved(before)
+	j := a.journal()
+	if a.par && j != nil {
+		j.LogDelete(vt.ext.Base.Name, rid, before)
 	}
+	err := vt.tbl.Delete(rid)
+	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
+		return a.heapFault(err)
+	}
+	if !a.par && j != nil {
+		j.LogDelete(vt.ext.Base.Name, rid, before)
+	}
+	vt.noteTupleRemoved(before)
 	a.stats.PhysicalDeletes++
 	a.met().physDel.Inc()
-	return nil
+	return a.heapFault(err)
 }
 
 // insert performs a logical insert of a base-schema tuple, implementing
@@ -314,9 +308,9 @@ func (a *applier) applyDelete(vt *VTable, rid storage.RID, ext catalog.Tuple) er
 				return err
 			}
 			// Popping lowered this tuple's oldest slot; if it carried the
-			// high-water mark, the mark is now stale-high and would falsely
-			// expire sessions. (physUpdate's noteTupleWrite only raises.)
-			a.noteTupleLowered(vt, ext)
+			// high-water mark, the mark is now stale-high and must be
+			// recomputed. (physUpdate's noteTupleWrite only raises.)
+			vt.noteTupleRemoved(ext)
 			a.stats.NetEffectFolds++
 			a.met().netFolds.Inc()
 			a.met().cellT4R2InsPop.Inc()
@@ -330,7 +324,7 @@ func (a *applier) applyDelete(vt *VTable, rid storage.RID, ext catalog.Tuple) er
 			if err := a.physUpdate(vt, rid, ext, img.Clone()); err != nil {
 				return err
 			}
-			a.noteTupleLowered(vt, ext)
+			vt.noteTupleRemoved(ext)
 			a.stats.NetEffectFolds++
 			a.met().netFolds.Inc()
 			a.met().cellT4R2InsPop.Inc()

@@ -113,7 +113,7 @@ func (m *Maintenance) ApplyBatchWorkers(deltas []Delta, workers int) (BatchStats
 		return BatchStats{}, err
 	}
 	if m.broken != nil {
-		return BatchStats{}, fmt.Errorf("core: batch refused after failed parallel batch: %w", m.broken)
+		return BatchStats{}, fmt.Errorf("core: batch refused after a failed write: %w", m.broken)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -129,6 +129,9 @@ func (m *Maintenance) ApplyBatchWorkers(deltas []Delta, workers int) (BatchStats
 	mm.batchApplies.Inc()
 	mm.batchDeltas.Add(int64(len(deltas)))
 	defer mm.batchNS.ObserveSince(start)
+	// One watermark recompute per batch, after the last write, on either
+	// path: by then this goroutine is the single writer again.
+	defer m.store.settleOldestHW()
 	if workers == 1 {
 		for _, rd := range parts[0] {
 			ok, err := m.ap.applyDelta(rd.vt, rd.d)
@@ -167,7 +170,7 @@ func (m *Maintenance) applyParallel(parts [][]routedDelta, stats BatchStats) (Ba
 	// latch discipline vnlvet enforces).
 	j := m.store.journalOrNil()
 	for w := range parts {
-		a := &applier{m: m, par: true, j: j, hwDeferred: make(map[*VTable]struct{})}
+		a := &applier{m: m, par: true, j: j}
 		appliers[w] = a
 		wg.Add(1)
 		go func(w int, a *applier) {
@@ -216,7 +219,6 @@ func (m *Maintenance) applyParallel(parts [][]routedDelta, stats BatchStats) (Ba
 	// tombstone even when the batch failed, and Stats/Commit read the
 	// root's counters. Same-key operations share a partition, so merge
 	// order does not matter.
-	hw := make(map[*VTable]struct{})
 	for w, a := range appliers {
 		m.ap.stats.add(a.stats)
 		for ref, img := range a.tombstones {
@@ -225,16 +227,8 @@ func (m *Maintenance) applyParallel(parts [][]routedDelta, stats BatchStats) (Ba
 			}
 			m.ap.tombstones[ref] = img
 		}
-		for vt := range a.hwDeferred {
-			hw[vt] = struct{}{}
-		}
 		stats.Applied += applied[w]
 		stats.Missing += missing[w]
-	}
-	// Deferred watermark recomputes, now that the pool has joined and this
-	// goroutine is the single writer again.
-	for vt := range hw {
-		vt.recomputeOldestHW()
 	}
 	if panicked != nil {
 		// A worker panicked — in the fault-injection harness this is an

@@ -116,6 +116,7 @@ func (s *Store) GCWithFloor(floor VN) GCStats {
 				}
 			}
 		}
+		vt.settleOldestHW()
 	}
 	if journalOpen {
 		if err := j.LogCommit(0); err != nil {

@@ -44,10 +44,10 @@ type Maintenance struct {
 	// ApplyBatch merges its workers' counters and records into it, so
 	// Stats, Commit, and Rollback always see the whole transaction here.
 	ap *applier
-	// broken poisons the transaction after a failed parallel batch left
-	// the journal and the heap potentially divergent, or a failed Rollback
-	// left it half reverted: Commit refuses and the caller must Rollback
-	// (whose abort record makes recovery skip the transaction).
+	// broken poisons the transaction after a failed heap write or parallel
+	// batch left the journal and the heap potentially divergent, or a failed
+	// Rollback left it half reverted: Commit refuses and the caller must
+	// Rollback (whose abort record makes recovery skip the transaction).
 	broken error
 	// batchPartStart/batchPartDone, when non-nil, run on the worker
 	// goroutine around each partition of a parallel batch (test seam for
@@ -436,10 +436,12 @@ func (m *Maintenance) Commit() error {
 		return err
 	}
 	if m.broken != nil {
-		return fmt.Errorf("core: commit refused after failed parallel batch: %w", m.broken)
+		return fmt.Errorf("core: commit refused after a failed write: %w", m.broken)
 	}
 	start := time.Now()
 	s := m.store
+	// A single-operation call leaves a stale watermark to here.
+	s.settleOldestHW()
 	if j := s.journalOrNil(); j != nil {
 		// Write-ahead rule: the commit record is durable before the new
 		// version becomes visible.

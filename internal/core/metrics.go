@@ -82,6 +82,10 @@ type storeMetrics struct {
 	gcScanned *obs.Counter
 	gcRemoved *obs.Counter
 	gcBytes   *obs.Counter
+
+	// hwRecomputes counts in-place walks that recompute a table's
+	// oldest-slot high-water mark.
+	hwRecomputes *obs.Counter
 }
 
 func newStoreMetrics(reg *obs.Registry, tracer obs.Tracer) *storeMetrics {
@@ -140,6 +144,8 @@ func newStoreMetrics(reg *obs.Registry, tracer obs.Tracer) *storeMetrics {
 		gcScanned: c("core_gc_scanned_total", "physical tuples examined by GC"),
 		gcRemoved: c("core_gc_removed_total", "logically-deleted tuples physically reclaimed"),
 		gcBytes:   c("core_gc_bytes_reclaimed_total", "bytes reclaimed by GC"),
+
+		hwRecomputes: c("core_oldest_hw_recomputes_total", "table walks that recompute the oldest-slot high-water mark"),
 	}
 }
 

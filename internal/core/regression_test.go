@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/db"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -104,6 +106,176 @@ func TestOldestHWMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("recovery SetCurrentVN")
+
+	for _, n := range []int{2, 3} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("batch/n=%d/workers=%d", n, workers), func(t *testing.T) {
+				watermarkBatches(t, n, workers)
+			})
+		}
+	}
+}
+
+// watermarkBatches is TestOldestHWMatchesScan's batch half: each batch ends
+// with the mark settled, so it is pinned exact after the batch, while the
+// transaction is still open, and again after Commit. The batches carry fresh
+// insert/delete pairs, a Table 4 row-2 pop of a re-insert, and deletes whose
+// tuples GC then removes; a replayed removal of the carrier ends it.
+func watermarkBatches(t *testing.T, n, workers int) {
+	s := newStore(t, n)
+	vt, err := s.CreateTable(kvSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(k int64) catalog.Tuple { return catalog.Tuple{catalog.NewInt(k)} }
+	batch := func(name string, deltas ...Delta) {
+		t.Helper()
+		m := mustMaint(t, s)
+		if _, err := m.ApplyBatchWorkers(deltas, workers); err != nil {
+			t.Fatal(err)
+		}
+		if assertWatermark(t, s, vt); t.Failed() {
+			t.Fatalf("watermark diverged after %s, before its commit", name)
+		}
+		commit(t, m)
+		if assertWatermark(t, s, vt); t.Failed() {
+			t.Fatalf("watermark diverged after %s", name)
+		}
+	}
+	var ds []Delta
+	for k := int64(0); k < 10; k++ {
+		ds = append(ds, Delta{Table: "kv", Op: DeltaInsert, Row: kvTuple(k, k)})
+	}
+	batch("load", ds...)
+
+	// Updates give tuples history; deletes of 5 and 6 mark them for GC;
+	// fresh pairs 100–103 net to nothing.
+	ds = ds[:0]
+	for k := int64(0); k < 5; k++ {
+		ds = append(ds, Delta{Table: "kv", Op: DeltaUpdate, Row: kvTuple(k, k+1), Key: key(k)})
+	}
+	ds = append(ds, Delta{Table: "kv", Op: DeltaDelete, Key: key(5)}, Delta{Table: "kv", Op: DeltaDelete, Key: key(6)})
+	for k := int64(100); k < 104; k++ {
+		ds = append(ds, Delta{Table: "kv", Op: DeltaInsert, Row: kvTuple(k, k)}, Delta{Table: "kv", Op: DeltaDelete, Key: key(k)})
+	}
+	batch("updates, deletes and fresh pairs", ds...)
+
+	// Re-insert over the earlier delete of 5, then delete it: Table 4 row
+	// 2 pops the slots the re-insert pushed (nVNL) or restores the delete
+	// it overwrote (2VNL), lowering the tuple the re-insert made the
+	// carrier.
+	before := s.metrics.cellT4R2InsPop.Value()
+	batch("re-insert and delete", Delta{Table: "kv", Op: DeltaInsert, Row: kvTuple(5, 50)}, Delta{Table: "kv", Op: DeltaDelete, Key: key(5)})
+	if s.metrics.cellT4R2InsPop.Value() == before {
+		t.Fatal("the batch never reached Table 4 row 2's pop")
+	}
+
+	// GC removes the deleted tuples 5 and 6; in 2VNL they carry the mark.
+	if st := s.GC(); st.Removed != 2 {
+		t.Fatalf("GC removed %d tuples, want 2", st.Removed)
+	}
+	if assertWatermark(t, s, vt); t.Failed() {
+		t.Fatal("watermark diverged after GC")
+	}
+
+	// n−1 updates of key 7 in batches of their own make it the only
+	// carrier. A replica then replays its physical delete: the removal only
+	// marks the mark stale, and SettleReplayed recomputes it.
+	for i := 1; i < n; i++ {
+		batch("update the carrier", Delta{Table: "kv", Op: DeltaUpdate, Row: kvTuple(7, int64(70+i)), Key: key(7)})
+	}
+	var rid storage.RID
+	var carrier catalog.Tuple
+	vt.tbl.Scan(func(r storage.RID, tu catalog.Tuple) bool {
+		if carrier == nil || vt.ext.TupleVN(tu, n-1) > vt.ext.TupleVN(carrier, n-1) {
+			rid, carrier = r, tu
+		}
+		return true
+	})
+	if err := vt.Storage().Delete(rid); err != nil {
+		t.Fatal(err)
+	}
+	vt.NoteReplayedRemove(carrier)
+	if !vt.hwStale.Load() {
+		t.Fatal("removing the carrier did not mark the mark stale")
+	}
+	s.SettleReplayed()
+	if assertWatermark(t, s, vt); t.Failed() {
+		t.Fatal("watermark diverged after a replayed removal")
+	}
+}
+
+// TestOldestHWRecomputesOncePerBatch counts the in-place walks that
+// recompute the watermark (core_oldest_hw_recomputes_total). A fresh
+// insert/delete pair removes a tuple that carries the mark only in 2VNL,
+// where its one version slot is the oldest: there a batch of k pairs
+// recomputes once, not k times; in 3VNL its oldest slot is empty and a batch
+// recomputes nothing. Single operations recompute once, at Commit.
+func TestOldestHWRecomputesOncePerBatch(t *testing.T) {
+	const k = 16
+	for _, tc := range []struct {
+		n, workers int // workers 0: single operations
+		want       int64
+	}{
+		{2, 1, 1}, {2, 2, 1}, {2, 0, 1},
+		{3, 1, 0}, {3, 2, 0}, {3, 0, 0},
+	} {
+		t.Run(fmt.Sprintf("n=%d/workers=%d", tc.n, tc.workers), func(t *testing.T) {
+			s := newStore(t, tc.n, func(o *Options) { o.Metrics = obs.NewRegistry() })
+			if _, err := s.CreateTable(kvSchema()); err != nil {
+				t.Fatal(err)
+			}
+			// History first, so that the mark is above zero.
+			m := mustMaint(t, s)
+			for i := int64(0); i < 4; i++ {
+				if err := m.Insert("kv", kvTuple(i, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(t, m)
+			m = mustMaint(t, s)
+			if _, err := m.Exec(`UPDATE kv SET v = v + 1`, nil); err != nil {
+				t.Fatal(err)
+			}
+			commit(t, m)
+
+			walks := s.metrics.hwRecomputes.Value()
+			m = mustMaint(t, s)
+			var ds []Delta
+			for i := int64(100); i < 100+k; i++ {
+				ds = append(ds, Delta{Table: "kv", Op: DeltaInsert, Row: kvTuple(i, i)},
+					Delta{Table: "kv", Op: DeltaDelete, Key: catalog.Tuple{catalog.NewInt(i)}})
+			}
+			if tc.workers > 0 {
+				if _, err := m.ApplyBatchWorkers(ds, tc.workers); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, d := range ds {
+					var err error
+					if d.Op == DeltaInsert {
+						err = m.Insert("kv", d.Row)
+					} else {
+						_, err = m.DeleteKey("kv", d.Key)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Before Commit the mark may still be stale-high.
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(t, m)
+			if got := s.metrics.hwRecomputes.Value() - walks; got != tc.want {
+				t.Fatalf("%d fresh pairs recomputed the watermark %d times, want %d", k, got, tc.want)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestSessionGetSurfacesHeapError is the regression test for the swallowed

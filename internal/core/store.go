@@ -133,10 +133,12 @@ type VTable struct {
 	// oldestHW is a high-water mark of the oldest version slot: the
 	// maximum tupleVN(n−1) over the table's physical tuples. The
 	// per-tuple expiration probe (§3.2's optimistic alternative) reads it
-	// instead of scanning; maintenance writes raise it, and the rare
-	// paths that can lower a tuple's slots (rollback, physical deletes,
-	// recovery) recompute it by scan.
+	// instead of scanning. Maintenance writes raise it. A removal or slot
+	// pop that may have carried it sets hwStale, and the writer recomputes
+	// it once, by an in-place walk, when its batch, Commit, GC pass or
+	// replayed transaction ends; rollback and recovery recompute it too.
 	oldestHW atomic.Int64
+	hwStale  atomic.Bool
 }
 
 // Open attaches a 2VNL/nVNL store to a database. currentVN starts at 1
@@ -455,28 +457,55 @@ func (v *VTable) noteTupleWrite(ext catalog.Tuple) {
 	}
 }
 
-// noteTupleRemoved recomputes the high-water mark if the physically removed
-// tuple may have carried it.
+// noteTupleRemoved marks the high-water mark stale if a tuple the caller
+// just removed, or whose slots it lowered, may have carried it: its oldest
+// slot is set and at least the mark. Nothing is recomputed here. The mark
+// stays stale-high until settleOldestHW, which can only expire a per-tuple
+// session early, never late. Any writer may call it, parallel workers
+// included.
 func (v *VTable) noteTupleRemoved(ext catalog.Tuple) {
-	if int64(v.ext.TupleVN(ext, v.ext.L.N-1)) >= v.oldestHW.Load() {
+	if ovn := int64(v.ext.TupleVN(ext, v.ext.L.N-1)); ovn > 0 && ovn >= v.oldestHW.Load() {
+		v.hwStale.Store(true)
+	}
+}
+
+// settleOldestHW recomputes the high-water mark if a removal marked it
+// stale. It runs where the store has a single writer again: at the end of a
+// batch, at Commit, at the end of a GC pass and of a replayed transaction.
+func (v *VTable) settleOldestHW() {
+	if v.hwStale.Load() {
 		v.recomputeOldestHW()
 	}
 }
 
-// recomputeOldestHW rescans the table for the true maximum oldest-slot
-// tupleVN. It runs only on single-writer paths (rollback, GC, recovery),
-// where no concurrent maintenance write can race the scan.
+// settleOldestHW settles every table's high-water mark (see
+// VTable.settleOldestHW).
+func (s *Store) settleOldestHW() {
+	for _, vt := range *s.tables.Load() {
+		vt.settleOldestHW()
+	}
+}
+
+// recomputeOldestHW walks the table in place for the true maximum
+// oldest-slot tupleVN: the predicate keeps nothing, so nothing is copied. It
+// runs where the store has a single writer. Should a write still race it (a
+// maintenance transaction that began during a GC pass), the store is a
+// compare-and-swap against the mark the walk started from: a raise made
+// during the walk wins and leaves the mark stale, so it errs high, never low.
 func (v *VTable) recomputeOldestHW() {
 	e := v.ext
 	oldest := e.L.N - 1
-	var max int64
-	v.tbl.Scan(func(_ storage.RID, t catalog.Tuple) bool {
-		if vn := int64(e.TupleVN(t, oldest)); vn > max {
-			max = vn
-		}
-		return true
-	})
-	v.oldestHW.Store(max)
+	v.hwStale.Store(false)
+	from := v.oldestHW.Load()
+	var hw int64
+	_ = v.tbl.ScanFilter(storage.Filter{Pred: func(t catalog.Tuple) (bool, error) {
+		hw = max(hw, int64(e.TupleVN(t, oldest)))
+		return false, nil
+	}}, func([]storage.RID, []catalog.Tuple) bool { return true })
+	if !v.oldestHW.CompareAndSwap(from, hw) {
+		v.hwStale.Store(true)
+	}
+	v.store.metrics.hwRecomputes.Inc()
 }
 
 // activeSessionFloor returns the smallest sessionVN among live sessions and

@@ -108,45 +108,84 @@ func (t *Table) Update(rid storage.RID, tuple catalog.Tuple) error {
 	if err != nil {
 		return err
 	}
-	old, err := t.heap.Get(rid)
+	old, oldKey, err := t.prior(rid, func(cur catalog.Tuple) bool { return !t.sameKey(cur, tuple) })
 	if err != nil {
 		return err
 	}
-	if t.keyIdx != nil {
-		oldKey := t.schema.KeyOf(old)
-		newKey := t.schema.KeyOf(tuple)
-		if !catalog.TuplesEqual(oldKey, newKey) {
-			if err := t.keyIdx.Insert(newKey, rid); err != nil {
-				var dup *index.ErrDuplicateKey
-				if errors.As(err, &dup) {
-					return fmt.Errorf("%w: %s%v", ErrDuplicateKey, t.schema.Name, dup.Key)
-				}
-				return err
+	if oldKey != nil {
+		if err := t.keyIdx.Insert(t.schema.KeyOf(tuple), rid); err != nil {
+			var dup *index.ErrDuplicateKey
+			if errors.As(err, &dup) {
+				return fmt.Errorf("%w: %s%v", ErrDuplicateKey, t.schema.Name, dup.Key)
 			}
-			t.keyIdx.Delete(oldKey, rid)
+			return err
 		}
+		t.keyIdx.Delete(oldKey, rid)
 	}
 	if err = t.heap.Update(rid, tuple); err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return err
 	}
-	t.updateSecondary(old, tuple, rid)
+	if old != nil {
+		t.updateSecondary(old, tuple, rid)
+	}
 	return err
 }
 
 // Delete removes the tuple at rid and its index entries.
 func (t *Table) Delete(rid storage.RID) error {
-	old, err := t.heap.Get(rid)
+	old, oldKey, err := t.prior(rid, func(catalog.Tuple) bool { return true })
 	if err != nil {
 		return err
 	}
 	if err = t.heap.Delete(rid); err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return err
 	}
-	if t.keyIdx != nil {
-		t.keyIdx.Delete(t.schema.KeyOf(old), rid)
+	if oldKey != nil {
+		t.keyIdx.Delete(oldKey, rid)
 	}
-	t.deleteSecondary(old, rid)
+	if old != nil {
+		t.deleteSecondary(old, rid)
+	}
 	return err
+}
+
+// prior reads what Update and Delete need of the tuple at rid before they
+// change it. old is a copy of the whole tuple, made only when the table has
+// secondary indexes to keep in step. oldKey is the stored key, copied only
+// when the table has a key index and needKey, which sees the stored tuple,
+// asks for it; without secondary indexes the tuple is read in place, under
+// the page's read latch.
+func (t *Table) prior(rid storage.RID, needKey func(catalog.Tuple) bool) (old, oldKey catalog.Tuple, err error) {
+	read := func(cur catalog.Tuple) {
+		if t.keyIdx != nil && needKey(cur) {
+			oldKey = t.schema.KeyOf(cur)
+		}
+	}
+	if t.hasSecondary() {
+		if old, err = t.heap.Get(rid); err == nil {
+			read(old)
+		}
+		return old, oldKey, err
+	}
+	err = t.heap.Peek(rid, read)
+	return nil, oldKey, err
+}
+
+// sameKey reports whether a and b hold equal values in every key column.
+func (t *Table) sameKey(a, b catalog.Tuple) bool {
+	for _, i := range t.schema.Key {
+		if !catalog.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hasSecondary reports whether the table has a secondary index.
+func (t *Table) hasSecondary() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.secondary) > 0
 }
 
 // LookupEqual implements exec.IndexedTable: it serves equality predicates

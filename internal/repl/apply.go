@@ -108,6 +108,9 @@ func (a *applier) apply(r *wal.Record) (committed bool, vn core.VN, err error) {
 // addresses drift from the primary's (aborted transactions' inserts never
 // happen here), and the remap table is the shared dictionary.
 func (a *applier) commit() error {
+	// One watermark recompute per replayed transaction, after its last
+	// write, as on the primary.
+	defer a.store.SettleReplayed()
 	for _, r := range a.pending {
 		switch r.Kind {
 		case wal.KindBegin:

@@ -461,6 +461,21 @@ func (h *Heap) Get(rid RID) (catalog.Tuple, error) {
 	return t, nil
 }
 
+// Peek calls fn with the stored tuple at rid under the page's read latch, so
+// fn reads it in place: it must not retain or modify the tuple, nor call back
+// into the heap or its pool. Unlike Get it copies nothing and records no
+// access with the buffer pool; it serves a writer about to change the tuple,
+// whose write records the access.
+func (h *Heap) Peek(rid RID, fn func(catalog.Tuple)) error {
+	pg, err := h.latched(rid, false)
+	if err != nil {
+		return err
+	}
+	fn(pg.tuple(rid.Slot))
+	pg.mu.RUnlock()
+	return nil
+}
+
 // Update overwrites the tuple at rid in place — the same slot on the same
 // page — under the page latch. This is the in-place physical update the
 // 2VNL rewrite implementation requires (§4): a scan can never return two
