@@ -20,9 +20,9 @@ race:
 # maintenance, shared sessions, mid-query expiry, buffer-pool hits racing
 # evictions and flushes, scans at a fixed version racing the writers that
 # fold each heap page's version summary: TestStressHeapSummary), and the
-# oldest-slot watermark tests, whose 2-worker batches mark it stale from
-# several goroutines, under the race detector, with a generous timeout so
-# slow CI machines finish the full matrix.
+# oldest-slot watermark tests (a mark readers load while the writer raises,
+# marks stale and settles it), under the race detector, with a generous
+# timeout so slow CI machines finish the full matrix.
 stress:
 	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance|TestOldestHWMatchesScan|TestOldestHWRecomputesOncePerBatch' -count=2 ./internal/core/ ./internal/storage/
 

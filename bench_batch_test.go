@@ -1,10 +1,8 @@
 package repro
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -95,55 +93,38 @@ func batchBenchChecksum(b *testing.B, s *core.Store) uint64 {
 }
 
 // BenchmarkMaintainBatch measures one maintenance transaction applying a
-// 10k-delta batch, sequentially (workers=1, the oracle) and on a worker
-// pool, and pins that every configuration commits the identical final
-// state. The experiment behind ARCHITECTURE.md's "Parallel maintenance &
-// group commit" section; numbers in EXPERIMENTS.md (E13).
+// 10k-delta batch through ApplyBatch, and pins that repeating it commits the
+// state one application on a fresh store commits. ARCHITECTURE.md's "Batch
+// apply & group commit" section describes the path.
 func BenchmarkMaintainBatch(b *testing.B) {
 	deltas := batchBenchDeltas()
-
-	// The reference state: the batch applied once through the sequential
-	// oracle on a fresh store.
+	apply := func(s *core.Store) {
+		m, err := s.BeginMaintenance()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.ApplyBatch(deltas); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	ref := batchBenchStore(b)
-	refM, err := ref.BeginMaintenance()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := refM.ApplyBatchSeq(deltas); err != nil {
-		b.Fatal(err)
-	}
-	if err := refM.Commit(); err != nil {
-		b.Fatal(err)
-	}
+	apply(ref)
 	want := batchBenchChecksum(b, ref)
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if workers > runtime.NumCPU() {
-				b.Skipf("only %d CPU(s) available", runtime.NumCPU())
-			}
-			s := batchBenchStore(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := s.BeginMaintenance()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.ApplyBatchWorkers(deltas, workers); err != nil {
-					b.Fatal(err)
-				}
-				if err := m.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N)*float64(len(deltas))/secs, "deltas/s")
-			}
-			if got := batchBenchChecksum(b, s); got != want {
-				b.Fatalf("workers=%d final state checksum %x, sequential oracle %x", workers, got, want)
-			}
-		})
+	s := batchBenchStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(s)
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)*float64(len(deltas))/secs, "deltas/s")
+	}
+	if got := batchBenchChecksum(b, s); got != want {
+		b.Fatalf("final state checksum %x after %d batches, %x after one", got, b.N, want)
 	}
 }

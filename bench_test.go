@@ -61,7 +61,6 @@ func BenchmarkE8_GCAndRollback(b *testing.B)       { runExperiment(b, "E8") }
 func BenchmarkE9_IndexingUnder2VNL(b *testing.B)   { runExperiment(b, "E9") }
 func BenchmarkE10_WALVolume(b *testing.B)          { runExperiment(b, "E10") }
 func BenchmarkE11_ExpiryDetection(b *testing.B)    { runExperiment(b, "E11") }
-func BenchmarkE13_ParallelBatchApply(b *testing.B) { runExperiment(b, "E13") }
 
 // --- Micro-benchmarks -------------------------------------------------
 

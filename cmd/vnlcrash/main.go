@@ -9,7 +9,7 @@
 //
 //	vnlcrash                     # fixed-seed sweep
 //	vnlcrash -seed 42 -n 3       # different workload tail, 3VNL
-//	vnlcrash -parallel           # batched tail on a worker pool + group commit
+//	vnlcrash -parallel           # batched tail transaction + WAL group commit
 //	vnlcrash -faults 5           # add 5 random-fault sweeps on top
 //	vnlcrash -script plan.txt    # replay a recorded fault script
 //	vnlcrash -artifact fail.txt  # write the failing script here on error
@@ -50,14 +50,13 @@ func main() {
 		faultSrc = flag.Int64("faultseed", 7, "seed for the random fault scripts")
 		script   = flag.String("script", "", "fault script file to replay (see internal/vfs ParseScript)")
 		artifact = flag.String("artifact", "", "write the failing fault script to this file")
-		parallel = flag.Bool("parallel", false, "batched tail transaction on a worker pool with WAL group commit")
-		workers  = flag.Int("workers", 0, "parallel batch fan-out (0 = 4); only with -parallel")
+		parallel = flag.Bool("parallel", false, "append a batched tail transaction and enable WAL group commit")
 		replica  = flag.Bool("replica", false, "sweep a WAL-shipping replica's replay path instead of the primary")
 		shards   = flag.Int("shards", 0, "sweep a hash-sharded router of this width instead of a single store")
 	)
 	flag.Parse()
 
-	cfg := crashtest.Config{Seed: *seed, N: *n, PoolPages: *pool, Parallel: *parallel, Workers: *workers, Shards: *shards}
+	cfg := crashtest.Config{Seed: *seed, N: *n, PoolPages: *pool, Parallel: *parallel, Shards: *shards}
 	if *shards > 0 {
 		if *script != "" || *faults > 0 || *replica {
 			fmt.Fprintln(os.Stderr, "vnlcrash: -shards injects its own crash points; -script, -faults, and -replica do not combine with it")

@@ -3,7 +3,7 @@
 // sidecar (/metrics, /healthz, /readyz). Reader sessions opened over the
 // wire run on the store's lock-free snapshot path, so on-line maintenance
 // never blocks them; maintenance delta batches arrive over the same wire
-// and route into the parallel ApplyBatch pipeline.
+// and each one runs as one maintenance transaction (core's ApplyBatch).
 //
 //	vnlserver -addr :7432 -http :7433 -kv
 //	vnlserver -n 3 -wal server.wal -group-commit
@@ -62,7 +62,7 @@ import (
 // fifteen-argument run signature.
 type flags struct {
 	addr, httpAddr                  string
-	n, workers, shards              int
+	n, shards                       int
 	walPath                         string
 	group                           bool
 	groupDelay, gcEvery             time.Duration
@@ -79,7 +79,6 @@ func main() {
 	flag.StringVar(&f.addr, "addr", "127.0.0.1:7432", "TCP listen address for the binary protocol")
 	flag.StringVar(&f.httpAddr, "http", "", "HTTP sidecar listen address for /metrics, /healthz, /readyz (empty = off)")
 	flag.IntVar(&f.n, "n", 2, "versions (2 = 2VNL); a replica must match its primary")
-	flag.IntVar(&f.workers, "apply-workers", 0, "worker count for batch apply (0 = GOMAXPROCS)")
 	flag.IntVar(&f.shards, "shards", 1, "hash-shard across N independent stores behind one atomic cross-shard epoch (1 = single store)")
 	flag.StringVar(&f.walPath, "wal", "", "journal maintenance to this write-ahead log (also enables the replication feed); with -shards > 1, a directory for the per-shard WALs and the epoch log")
 	flag.DurationVar(&f.gcEvery, "gc-interval", 0, "run a garbage-collection pass this often (0 = never)")
@@ -145,7 +144,7 @@ func main() {
 
 func run(f flags) error {
 	d := db.Open(db.Options{})
-	store, err := core.Open(d, core.Options{N: f.n, ApplyWorkers: f.workers})
+	store, err := core.Open(d, core.Options{N: f.n})
 	if err != nil {
 		return err
 	}
@@ -223,7 +222,7 @@ func run(f flags) error {
 // WALs plus the epoch log under the directory — and reopen at one
 // all-or-nothing epoch after a crash.
 func runShards(f flags) error {
-	opts := shard.Options{Shards: f.shards, N: f.n, Workers: f.workers}
+	opts := shard.Options{Shards: f.shards, N: f.n}
 	if f.walPath != "" {
 		if err := os.MkdirAll(f.walPath, 0o755); err != nil {
 			return err

@@ -196,7 +196,7 @@ func TestE3E9IOCountsPinned(t *testing.T) {
 }
 
 func TestFindAndAll(t *testing.T) {
-	if len(All()) != 23 {
+	if len(All()) != 22 {
 		t.Errorf("experiment count = %d", len(All()))
 	}
 	if _, ok := Find("e3"); !ok {

@@ -153,7 +153,6 @@ func All() []Experiment {
 		{"E9", "Indexing under 2VNL (§4.3)", RunE9},
 		{"E10", "WAL volume and recovery: redo-only vs full-images (§7)", RunE10},
 		{"E11", "Expiration detection ablation: global check vs per-tuple probe (§3.2)", RunE11},
-		{"E13", "Parallel batch apply: maintenance window, sequential vs worker pool", RunE13},
 	}
 }
 

@@ -9,27 +9,13 @@ import (
 	"repro/internal/storage"
 )
 
-// applier is one goroutine's sink for the Tables 2–4 physical rewrite: it
-// owns the per-goroutine transaction state — operation counters and
-// overwritten tombstones — while
-// sharing the Maintenance identity (VN, net-effect switch). The sequential
-// write path runs on the transaction's root applier; ApplyBatch gives each
-// worker pool goroutine a private applier and merges them after the join,
-// so an applier is never shared between goroutines.
+// applier is the transaction's sink for the Tables 2–4 physical rewrite:
+// it owns the transaction's operation counters and overwritten tombstones,
+// while sharing the Maintenance identity (VN, net-effect switch, journal).
+// Every write path, single operations and ApplyBatch alike, runs on it, on
+// the caller's goroutine.
 type applier struct {
-	m *Maintenance
-	// par marks a parallel-batch worker. Parallel appliers journal
-	// physical deletes *before* freeing the heap slot (a concurrent
-	// worker's insert may reuse the RID, and recovery replays records in
-	// log order, so the delete record must precede the reusing insert's),
-	// and leave poisoning the transaction to the post-join merge.
-	par bool
-	// j is the journal captured once at batch start for parallel workers,
-	// so the pool does not hammer the store latch once per operation. The
-	// sequential root resolves the store's journal per operation, keeping
-	// the seed behavior that a journal installed mid-transaction takes
-	// effect immediately.
-	j     Journal
+	m     *Maintenance
 	stats MaintStats
 	// tombstones holds each 2VNL delete that a Table 2 row-1 re-insert by
 	// this transaction overwrote (2VNL has no back slot to push it into),
@@ -41,51 +27,35 @@ type applier struct {
 // met returns the store's metrics (never nil).
 func (a *applier) met() *storeMetrics { return a.m.store.metrics }
 
-func (a *applier) journal() Journal {
-	if a.par {
-		return a.j
-	}
-	return a.m.store.journalOrNil()
-}
-
 // tupleRef names one stored tuple of a versioned relation.
 type tupleRef struct {
 	vt  *VTable
 	rid storage.RID
 }
 
-// tombstone returns the delete a re-insert by this transaction overwrote at
-// ref, or nil. A parallel worker also reads the root applier's records,
-// which earlier batches merged and nothing writes while a batch runs.
-func (a *applier) tombstone(ref tupleRef) catalog.Tuple {
-	if img, ok := a.tombstones[ref]; ok {
-		return img
-	}
-	return a.m.ap.tombstones[ref]
-}
-
 // heapFault returns err, a physical write's error or nil, having poisoned the
 // transaction if it is a heap fault: the heap may have made the change
 // (storage.ErrWriteBack) or left it half made, so Commit must refuse and the
 // caller must Rollback. A duplicate key is no heap fault; the table undid its
-// insert. Parallel workers leave poisoning to applyParallel, which poisons on
-// any worker error after the join.
+// insert.
 func (a *applier) heapFault(err error) error {
-	if err != nil && !a.par && !errors.Is(err, db.ErrDuplicateKey) && a.m.broken == nil {
+	if err != nil && !errors.Is(err, db.ErrDuplicateKey) && a.m.broken == nil {
 		a.m.broken = err
 	}
 	return err
 }
 
-// physInsert performs and journals a physical tuple insert. A write-back
-// failure comes after the heap made its change, so this, physUpdate and
-// physDelete journal and note the change before they report the failure.
+// physInsert performs and journals a physical tuple insert. The journal
+// record follows the heap change, because an insert learns its RID only from
+// the heap. A write-back failure comes after the heap made its change, so
+// this, physUpdate and physDelete journal and note the change before they
+// report the failure.
 func (a *applier) physInsert(vt *VTable, ext catalog.Tuple) error {
 	rid, err := vt.tbl.Insert(ext)
 	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return a.heapFault(err)
 	}
-	if j := a.journal(); j != nil {
+	if j := a.m.journal; j != nil {
 		j.LogInsert(vt.ext.Base.Name, rid, ext)
 	}
 	vt.noteTupleWrite(ext)
@@ -100,7 +70,7 @@ func (a *applier) physUpdate(vt *VTable, rid storage.RID, before, after catalog.
 	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return a.heapFault(err)
 	}
-	if j := a.journal(); j != nil {
+	if j := a.m.journal; j != nil {
 		j.LogUpdate(vt.ext.Base.Name, rid, before, after)
 	}
 	vt.noteTupleWrite(after)
@@ -110,25 +80,12 @@ func (a *applier) physUpdate(vt *VTable, rid storage.RID, before, after catalog.
 }
 
 // physDelete performs and journals a physical delete.
-//
-// The parallel path journals before freeing the slot: once the heap slot
-// is free, a concurrent worker's insert may reuse the RID and append its
-// insert record, and recovery's (table, RID) remap requires the delete
-// record of the old tuple to precede the insert record of the new one. If
-// the physical delete then fails, the journal carries a record for an
-// operation that never happened — ApplyBatch poisons the transaction on
-// any worker error, forcing a Rollback whose abort record makes recovery
-// skip the transaction wholesale.
 func (a *applier) physDelete(vt *VTable, rid storage.RID, before catalog.Tuple) error {
-	j := a.journal()
-	if a.par && j != nil {
-		j.LogDelete(vt.ext.Base.Name, rid, before)
-	}
 	err := vt.tbl.Delete(rid)
 	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
 		return a.heapFault(err)
 	}
-	if !a.par && j != nil {
+	if j := a.m.journal; j != nil {
 		j.LogDelete(vt.ext.Base.Name, rid, before)
 	}
 	vt.noteTupleRemoved(before)
@@ -316,7 +273,7 @@ func (a *applier) applyDelete(vt *VTable, rid storage.RID, ext catalog.Tuple) er
 			a.met().cellT4R2InsPop.Inc()
 			return nil
 		}
-		if img := a.tombstone(tupleRef{vt, rid}); img != nil {
+		if img := a.tombstones[tupleRef{vt, rid}]; img != nil {
 			// A re-insert over an earlier delete in 2VNL, which has no
 			// back slot to pop. Insert+delete nets to nothing, so restore
 			// the delete: a session one version back still reads the

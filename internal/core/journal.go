@@ -31,8 +31,9 @@ type Journal interface {
 	LogAbort(vn VN)
 }
 
-// SetJournal installs a journal. It must be called before any table is
-// created or maintenance begun; passing nil disables journaling.
+// SetJournal installs a journal; passing nil disables journaling. Call it
+// between maintenance transactions: a transaction writes every record to
+// the journal installed when it began.
 func (s *Store) SetJournal(j Journal) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

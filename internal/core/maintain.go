@@ -40,20 +40,17 @@ type Maintenance struct {
 	// an ablation switch used to demonstrate why the folding matters.
 	netEffect bool
 	began     time.Time
-	// ap is the root applier: the sequential write path runs on it, and
-	// ApplyBatch merges its workers' counters and records into it, so
-	// Stats, Commit, and Rollback always see the whole transaction here.
+	// ap is the applier every write path of the transaction runs on.
 	ap *applier
-	// broken poisons the transaction after a failed heap write or parallel
-	// batch left the journal and the heap potentially divergent, or a failed
+	// journal is the store's journal as BeginMaintenance read it; the
+	// transaction writes every record to it. SetJournal swaps journals only
+	// between transactions.
+	journal Journal
+	// broken poisons the transaction after a failed heap write or batch
+	// left the journal and the heap potentially divergent, or a failed
 	// Rollback left it half reverted: Commit refuses and the caller must
 	// Rollback (whose abort record makes recovery skip the transaction).
 	broken error
-	// batchPartStart/batchPartDone, when non-nil, run on the worker
-	// goroutine around each partition of a parallel batch (test seam for
-	// forcing deterministic worker interleavings).
-	batchPartStart func(part int)
-	batchPartDone  func(part int)
 }
 
 // met returns the store's metrics (never nil).
@@ -77,9 +74,8 @@ func (s *Store) beginMaintenance(netEffect bool) (*Maintenance, error) {
 		s.latchRelease(acquired)
 		return nil, ErrMaintenanceActive
 	}
-	m := &Maintenance{store: s, vn: cur + 1, netEffect: netEffect, began: time.Now()}
+	m := &Maintenance{store: s, vn: cur + 1, netEffect: netEffect, began: time.Now(), journal: s.journal}
 	m.ap = &applier{m: m}
-	j := s.journal
 	if err := s.setGlobalsLocked(cur, true); err != nil {
 		s.latchRelease(acquired)
 		return nil, fmt.Errorf("core: raising maintenanceActive: %w", err)
@@ -91,8 +87,8 @@ func (s *Store) beginMaintenance(netEffect bool) (*Maintenance, error) {
 	// preserved — no tuple record can be emitted before this call returns
 	// the Maintenance handle, and the active flag set above excludes a
 	// competing begin.
-	if j != nil {
-		j.LogBegin(m.vn)
+	if m.journal != nil {
+		m.journal.LogBegin(m.vn)
 	}
 	mm := s.metrics
 	mm.maintBegun.Inc()
@@ -124,8 +120,7 @@ func (m *Maintenance) table(name string) (*VTable, error) {
 // logically-deleted tuple converts the insert into a physical update (rows
 // one and two); a conflict with a live tuple is impossible in a valid
 // transaction and returns ErrInvalidMaintenanceOp. The Tables 2–4 folding
-// itself lives on the applier (apply.go), shared with the parallel batch
-// path.
+// itself lives on the applier (apply.go), shared with ApplyBatch.
 func (m *Maintenance) Insert(tableName string, base catalog.Tuple) error {
 	if err := m.checkActive(); err != nil {
 		return err
@@ -442,7 +437,7 @@ func (m *Maintenance) Commit() error {
 	s := m.store
 	// A single-operation call leaves a stale watermark to here.
 	s.settleOldestHW()
-	if j := s.journalOrNil(); j != nil {
+	if j := m.journal; j != nil {
 		// Write-ahead rule: the commit record is durable before the new
 		// version becomes visible.
 		if err := j.LogCommit(m.vn); err != nil {
@@ -515,8 +510,8 @@ func (m *Maintenance) Rollback() error {
 	}
 	start := time.Now()
 	s := m.store
-	if j := s.journalOrNil(); j != nil {
-		j.LogAbort(m.vn)
+	if m.journal != nil {
+		m.journal.LogAbort(m.vn)
 	}
 	if err := m.revert(); err != nil {
 		if m.broken == nil {

@@ -69,7 +69,7 @@ type storeMetrics struct {
 	cellT4R2InsDelete *obs.Counter // delete after same-txn fresh insert → physical delete
 	cellT4R2InsPop    *obs.Counter // delete after same-txn re-insert → pop restored history (nVNL)
 
-	// Parallel batch apply (ApplyBatch).
+	// Batch apply (ApplyBatch).
 	batchApplies *obs.Counter
 	batchDeltas  *obs.Counter
 	batchNS      *obs.Histogram
@@ -133,9 +133,9 @@ func newStoreMetrics(reg *obs.Registry, tracer obs.Tracer) *storeMetrics {
 		cellT4R2InsDelete: c("core_maint_table4_row2_insert_total", "delete after same-txn insert: physical delete"),
 		cellT4R2InsPop:    c("core_maint_table4_row2_insert_pop_total", "delete after same-txn re-insert: history popped (nVNL)"),
 
-		batchApplies: c("core_maint_batches_total", "ApplyBatch calls (parallel Tables 2–4 apply)"),
+		batchApplies: c("core_maint_batches_total", "ApplyBatch calls (one batch folded through Tables 2–4)"),
 		batchDeltas:  c("core_maint_batch_deltas_total", "logical deltas applied through ApplyBatch"),
-		batchNS:      h("core_maint_batch_apply_ns", "latency of one ApplyBatch call, partition to join"),
+		batchNS:      h("core_maint_batch_apply_ns", "latency of one ApplyBatch call, from its checks to its last write"),
 
 		planHits:   c("core_plan_cache_hits_total", "queries (ad hoc and prepared) served from the cached compiled plan"),
 		planMisses: c("core_plan_cache_misses_total", "queries that rewrote and compiled a fresh plan"),

@@ -116,11 +116,42 @@ func TestOldestHWMatchesScan(t *testing.T) {
 	}
 }
 
+// applySplit applies ds as the given number of shard writers would receive
+// it: split into key partitions by PartitionDelta, each partition keeping
+// submission order, and applied as consecutive ApplyBatch calls of one
+// transaction. after runs once each call has returned. It reports the
+// number of calls made; an empty partition makes none.
+func applySplit(t *testing.T, m *Maintenance, ds []Delta, workers int, after func()) int {
+	t.Helper()
+	parts := make([][]Delta, workers)
+	for i, d := range ds {
+		p, err := PartitionDelta(kvSchema(), d, i, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[p] = append(parts[p], d)
+	}
+	calls := 0
+	for _, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		if _, err := m.ApplyBatch(part); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+		after()
+	}
+	return calls
+}
+
 // watermarkBatches is TestOldestHWMatchesScan's batch half: each batch ends
 // with the mark settled, so it is pinned exact after the batch, while the
 // transaction is still open, and again after Commit. The batches carry fresh
 // insert/delete pairs, a Table 4 row-2 pop of a re-insert, and deletes whose
-// tuples GC then removes; a replayed removal of the carrier ends it.
+// tuples GC then removes; a replayed removal of the carrier ends it. With
+// workers > 1 each batch is split by key (applySplit), and the mark is also
+// pinned after every partition.
 func watermarkBatches(t *testing.T, n, workers int) {
 	s := newStore(t, n)
 	vt, err := s.CreateTable(kvSchema())
@@ -131,12 +162,11 @@ func watermarkBatches(t *testing.T, n, workers int) {
 	batch := func(name string, deltas ...Delta) {
 		t.Helper()
 		m := mustMaint(t, s)
-		if _, err := m.ApplyBatchWorkers(deltas, workers); err != nil {
-			t.Fatal(err)
-		}
-		if assertWatermark(t, s, vt); t.Failed() {
-			t.Fatalf("watermark diverged after %s, before its commit", name)
-		}
+		applySplit(t, m, deltas, workers, func() {
+			if assertWatermark(t, s, vt); t.Failed() {
+				t.Fatalf("watermark diverged after %s, before its commit", name)
+			}
+		})
 		commit(t, m)
 		if assertWatermark(t, s, vt); t.Failed() {
 			t.Fatalf("watermark diverged after %s", name)
@@ -210,17 +240,23 @@ func watermarkBatches(t *testing.T, n, workers int) {
 // insert/delete pair removes a tuple that carries the mark only in 2VNL,
 // where its one version slot is the oldest: there a batch of k pairs
 // recomputes once, not k times; in 3VNL its oldest slot is empty and a batch
-// recomputes nothing. Single operations recompute once, at Commit.
+// recomputes nothing. Single operations recompute once, at Commit. With
+// workers > 1 the batch is split by key into that many ApplyBatch calls
+// (applySplit), and each call recomputes at most once.
 func TestOldestHWRecomputesOncePerBatch(t *testing.T) {
 	const k = 16
 	for _, tc := range []struct {
-		n, workers int // workers 0: single operations
-		want       int64
+		n, workers int   // workers 0: single operations
+		want       int64 // per ApplyBatch call, or per Commit
 	}{
 		{2, 1, 1}, {2, 2, 1}, {2, 0, 1},
 		{3, 1, 0}, {3, 2, 0}, {3, 0, 0},
 	} {
-		t.Run(fmt.Sprintf("n=%d/workers=%d", tc.n, tc.workers), func(t *testing.T) {
+		name := fmt.Sprintf("n=%d/single", tc.n)
+		if tc.workers > 0 {
+			name = fmt.Sprintf("n=%d/workers=%d", tc.n, tc.workers)
+		}
+		t.Run(name, func(t *testing.T) {
 			s := newStore(t, tc.n, func(o *Options) { o.Metrics = obs.NewRegistry() })
 			if _, err := s.CreateTable(kvSchema()); err != nil {
 				t.Fatal(err)
@@ -246,10 +282,13 @@ func TestOldestHWRecomputesOncePerBatch(t *testing.T) {
 				ds = append(ds, Delta{Table: "kv", Op: DeltaInsert, Row: kvTuple(i, i)},
 					Delta{Table: "kv", Op: DeltaDelete, Key: catalog.Tuple{catalog.NewInt(i)}})
 			}
+			want := tc.want
 			if tc.workers > 0 {
-				if _, err := m.ApplyBatchWorkers(ds, tc.workers); err != nil {
-					t.Fatal(err)
+				calls := applySplit(t, m, ds, tc.workers, func() {})
+				if calls != tc.workers {
+					t.Fatalf("%d fresh pairs split into %d partitions, want %d", k, calls, tc.workers)
 				}
+				want *= int64(calls)
 			} else {
 				for _, d := range ds {
 					var err error
@@ -268,8 +307,8 @@ func TestOldestHWRecomputesOncePerBatch(t *testing.T) {
 				}
 			}
 			commit(t, m)
-			if got := s.metrics.hwRecomputes.Value() - walks; got != tc.want {
-				t.Fatalf("%d fresh pairs recomputed the watermark %d times, want %d", k, got, tc.want)
+			if got := s.metrics.hwRecomputes.Value() - walks; got != want {
+				t.Fatalf("%d fresh pairs recomputed the watermark %d times, want %d", k, got, want)
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatal(err)

@@ -46,11 +46,6 @@ type Options struct {
 	// per the error-surfacing contract, so the caller can still retry or
 	// roll back.
 	CommitRetry vfs.RetryPolicy
-	// ApplyWorkers is the default worker count for Maintenance.ApplyBatch:
-	// the number of goroutines that apply hash-partitioned logical
-	// operations concurrently. 0 selects GOMAXPROCS at batch time; 1 forces
-	// the sequential path. Per-call override: ApplyBatchWorkers.
-	ApplyWorkers int
 }
 
 // Store is the 2VNL/nVNL controller for one database: it owns the global
@@ -121,8 +116,6 @@ type Store struct {
 
 	// commitRetry is Options.CommitRetry, normalized at Open.
 	commitRetry vfs.RetryPolicy
-	// applyWorkers is Options.ApplyWorkers (see there).
-	applyWorkers int
 }
 
 // VTable is a versioned relation managed by the store.
@@ -160,15 +153,14 @@ func Open(d *db.Database, opts Options) (*Store, error) {
 		tracer = obs.DefaultTracer()
 	}
 	s := &Store{
-		d:            d,
-		n:            n,
-		opts:         opts,
-		currentVN:    1,
-		reg:          reg,
-		metrics:      newStoreMetrics(reg, tracer),
-		commitRetry:  opts.CommitRetry.Normalize(),
-		applyWorkers: opts.ApplyWorkers,
-		plans:        &planCache{m: make(map[string]*planEntry)},
+		d:           d,
+		n:           n,
+		opts:        opts,
+		currentVN:   1,
+		reg:         reg,
+		metrics:     newStoreMetrics(reg, tracer),
+		commitRetry: opts.CommitRetry.Normalize(),
+		plans:       &planCache{m: make(map[string]*planEntry)},
 	}
 	// The store is not shared until Open returns, but the publish
 	// discipline is cheap enough to follow even here.
@@ -461,8 +453,7 @@ func (v *VTable) noteTupleWrite(ext catalog.Tuple) {
 // just removed, or whose slots it lowered, may have carried it: its oldest
 // slot is set and at least the mark. Nothing is recomputed here. The mark
 // stays stale-high until settleOldestHW, which can only expire a per-tuple
-// session early, never late. Any writer may call it, parallel workers
-// included.
+// session early, never late.
 func (v *VTable) noteTupleRemoved(ext catalog.Tuple) {
 	if ovn := int64(v.ext.TupleVN(ext, v.ext.L.N-1)); ovn > 0 && ovn >= v.oldestHW.Load() {
 		v.hwStale.Store(true)
@@ -470,8 +461,8 @@ func (v *VTable) noteTupleRemoved(ext catalog.Tuple) {
 }
 
 // settleOldestHW recomputes the high-water mark if a removal marked it
-// stale. It runs where the store has a single writer again: at the end of a
-// batch, at Commit, at the end of a GC pass and of a replayed transaction.
+// stale. It runs when a write burst ends: at the end of a batch, at Commit,
+// at the end of a GC pass and of a replayed transaction.
 func (v *VTable) settleOldestHW() {
 	if v.hwStale.Load() {
 		v.recomputeOldestHW()

@@ -50,16 +50,8 @@ type Config struct {
 	// the crash point). Nil means fault-free.
 	Script *vfs.Script
 	// Parallel appends a batched tail transaction applied through
-	// Maintenance.ApplyBatchWorkers on a worker pool, with WAL group commit
-	// enabled on the journal. Worker scheduling makes the I/O *order*
-	// nondeterministic across runs, but every run is internally consistent:
-	// the sweep crashes run k at its own k-th persisting op and validates
-	// that run against its own oracle, so the durability invariants bind
-	// exactly as in the sequential workload.
+	// Maintenance.ApplyBatch, and enables WAL group commit on the journal.
 	Parallel bool
-	// Workers is the parallel batch fan-out. 0 selects 4. Only meaningful
-	// with Parallel.
-	Workers int
 	// Shards, when the config drives ShardSweep, is the shard-router fan-out
 	// width. 0 selects 4. The single-store sweeps ignore it.
 	Shards int
@@ -87,9 +79,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Script == nil {
 		c.Script = vfs.NewScript()
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
 	}
 	return c
 }
@@ -478,12 +467,12 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 		return err
 	}
 
-	// VN 6 (Parallel only): a batched tail applied on a worker pool through
-	// the same journal — parallel heap writes, concurrently journaled
-	// records, and a group-committed WAL tail all become faultable
-	// boundaries. The batch is built against the pending model so it is
-	// legal in submission order (no insert of a live key); updates and
-	// deletes of missing keys are deliberate legal skips.
+	// VN 6 (Parallel only): a batched tail applied through ApplyBatch on
+	// the same journal — its heap writes, its records and a group-committed
+	// WAL tail all become faultable boundaries. The batch is built against
+	// the pending model so it is legal in submission order (no insert of a
+	// live key); updates and deletes of missing keys are deliberate legal
+	// skips.
 	if cfg.Parallel {
 		if err := w.txn(func(m *core.Maintenance, pend model) error {
 			var deltas []core.Delta
@@ -512,7 +501,7 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 				pend.put("fact", row)
 			}
 			deltas = append(deltas, core.Delta{Table: "fact", Op: core.DeltaDelete, Key: intKey(999)})
-			_, err := m.ApplyBatchWorkers(deltas, cfg.Workers)
+			_, err := m.ApplyBatch(deltas)
 			return err
 		}); err != nil {
 			return err
@@ -542,33 +531,8 @@ func validate(cfg Config, fs *vfs.FaultFS, st *runState, synclie bool) error {
 	if !synclie && recVN < st.acked {
 		return fmt.Errorf("recovered currentVN %d lost acknowledged commit %d", recVN, st.acked)
 	}
-	if err := recStore.CheckInvariants(); err != nil {
-		return fmt.Errorf("post-recovery invariants: %w", err)
-	}
-	sess := recStore.BeginSession()
-	defer sess.Close()
-	for table, want := range snap {
-		if _, terr := recStore.Table(table); terr != nil {
-			if len(want) == 0 {
-				continue // table's Create record was not yet durable
-			}
-			return fmt.Errorf("table %s with %d oracle rows missing after recovery: %v", table, len(want), terr)
-		}
-		got := map[int64]string{}
-		if scanErr := sess.Scan(table, func(b catalog.Tuple) bool {
-			got[b[0].Int()] = b.String()
-			return true
-		}); scanErr != nil {
-			return fmt.Errorf("post-recovery scan of %s: %w", table, scanErr)
-		}
-		if len(got) != len(want) {
-			return fmt.Errorf("%s at VN %d: recovered %d rows, oracle has %d", table, recVN, len(got), len(want))
-		}
-		for k, t := range want {
-			if got[k] != t.String() {
-				return fmt.Errorf("%s key %d at VN %d: recovered %q, oracle %q", table, k, recVN, got[k], t.String())
-			}
-		}
+	if err := checkOracle(recStore, snap, recVN); err != nil {
+		return fmt.Errorf("after recovery: %w", err)
 	}
 	// The recovered store must accept new work: run a journal-free probe
 	// transaction end to end.
@@ -589,6 +553,41 @@ func validate(cfg Config, fs *vfs.FaultFS, st *runState, synclie bool) error {
 	}
 	if got := recStore.CurrentVN(); got != recVN+1 {
 		return fmt.Errorf("post-recovery commit left currentVN at %d, want %d", got, recVN+1)
+	}
+	return nil
+}
+
+// checkOracle checks store's structural invariants (Table 1's slot
+// bookkeeping) and that a session at its current VN scans exactly snap, the
+// oracle's state at version vn.
+func checkOracle(store *core.Store, snap model, vn core.VN) error {
+	if err := store.CheckInvariants(); err != nil {
+		return fmt.Errorf("invariants: %w", err)
+	}
+	sess := store.BeginSession()
+	defer sess.Close()
+	for table, want := range snap {
+		if _, terr := store.Table(table); terr != nil {
+			if len(want) == 0 {
+				continue // table's Create record was not yet durable
+			}
+			return fmt.Errorf("table %s with %d oracle rows missing: %v", table, len(want), terr)
+		}
+		got := map[int64]string{}
+		if scanErr := sess.Scan(table, func(b catalog.Tuple) bool {
+			got[b[0].Int()] = b.String()
+			return true
+		}); scanErr != nil {
+			return fmt.Errorf("scan of %s: %w", table, scanErr)
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("%s at VN %d: %d rows, oracle has %d", table, vn, len(got), len(want))
+		}
+		for k, t := range want {
+			if got[k] != t.String() {
+				return fmt.Errorf("%s key %d at VN %d: read %q, oracle %q", table, k, vn, got[k], t.String())
+			}
+		}
 	}
 	return nil
 }

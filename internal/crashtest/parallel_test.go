@@ -7,22 +7,17 @@ import (
 	"repro/internal/vfs"
 )
 
-// The parallel-workload sweeps: the batched tail transaction applies its
-// deltas on a worker pool (concurrent heap writes, concurrently journaled
-// WAL records) through a group-committed log, and every persisting-I/O
-// boundary is still crashed and validated. The I/O *order* of a parallel
-// run is scheduler-dependent, so each swept run is validated against its
-// own oracle; the invariants — recovery lands on a commit point, no
-// acknowledged commit is lost absent a lying fsync — are
-// schedule-independent.
+// The Parallel-workload sweeps: the workload gains a batched tail
+// transaction applied through ApplyBatch on a group-committed log, and
+// every persisting-I/O boundary is still crashed and validated.
 
-// TestParallelCrashSweep crashes the parallel workload at every persisting
+// TestParallelCrashSweep crashes the Parallel workload at every persisting
 // op and validates recovery after each.
 func TestParallelCrashSweep(t *testing.T) {
 	runSweep(t, Config{Seed: 1, Parallel: true})
 }
 
-// TestParallelWorkloadCommitsBatch pins that the parallel configuration
+// TestParallelWorkloadCommitsBatch pins that the Parallel configuration
 // really runs the batched tail: one more acknowledged commit than the
 // sequential workload (VN 6), fault-free.
 func TestParallelWorkloadCommitsBatch(t *testing.T) {
@@ -40,7 +35,7 @@ func TestParallelWorkloadCommitsBatch(t *testing.T) {
 	}
 }
 
-// TestParallelTornGroupTail layers cutkeep scripts under the parallel
+// TestParallelTornGroupTail layers cutkeep scripts under the Parallel
 // sweep: after each crash the power cut preserves K unsynced bytes of the
 // WAL — so a crash between the final group's flush and its fsync leaves a
 // torn group tail on disk. Recovery must treat the tear as end-of-log and
@@ -61,7 +56,7 @@ func TestParallelTornGroupTail(t *testing.T) {
 }
 
 // TestParallelSweepWithRandomFaults layers a seeded fault script under the
-// parallel sweep, mirroring the sequential TestCrashSweepWithRandomFaults.
+// Parallel sweep, mirroring the sequential TestCrashSweepWithRandomFaults.
 func TestParallelSweepWithRandomFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-script sweep skipped in -short mode")
@@ -75,12 +70,10 @@ func TestParallelSweepWithRandomFaults(t *testing.T) {
 }
 
 // TestParallelBatchSurfacesReadFault pins a script the random sweep found:
-// the write-back fault at op 37 surfaces from the point read of fact key 2
+// the write-back fault at op 37 surfaces from a point read of a dim key
 // inside the batched tail. The batch must fail on it — the run stops, and
 // recovery lands on a commit point — rather than take the failed read for a
-// missing key, skip the update, and acknowledge a commit that lacks it. The
-// op numbers are those of the schedule the race detector produces; on another
-// schedule the script is one more fault run that must validate.
+// missing key, skip the update, and acknowledge a commit that lacks it.
 func TestParallelBatchSurfacesReadFault(t *testing.T) {
 	script, err := vfs.ParseScript("fault 15 torn 5\nfault 23 short 2\nfault 37 err")
 	if err != nil {

@@ -102,7 +102,6 @@ func runShards(cfg Config, fs *vfs.FaultFS, st *runState) error {
 	r, err := shard.Open(shard.Options{
 		Shards:    cfg.Shards,
 		N:         cfg.N,
-		Workers:   cfg.Workers,
 		PoolPages: cfg.PoolPages,
 		PageSize:  256,
 		FS:        fs,
@@ -235,7 +234,6 @@ func validateShards(cfg Config, fs *vfs.FaultFS, st *runState) error {
 	r, err := shard.Open(shard.Options{
 		Shards:    cfg.Shards,
 		N:         cfg.N,
-		Workers:   cfg.Workers,
 		PoolPages: cfg.PoolPages,
 		PageSize:  256,
 		FS:        fs,

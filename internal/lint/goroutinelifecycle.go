@@ -6,8 +6,8 @@ import (
 )
 
 // GoroutineLifecycle enforces the serving stack's goroutine ownership rule:
-// every `go` statement in internal/server, internal/core (the parallel
-// maintenance pool), internal/wal (group commit), internal/repl (the
+// every `go` statement in internal/server, internal/core (which spawns
+// none today), internal/wal (group commit), internal/repl (the
 // replication tail loop), and pkg/vnlclient must
 // have a reachable join recorded where it is spawned, so Shutdown/Close
 // can prove the process quiesced. A connection handler or worker that

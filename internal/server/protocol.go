@@ -975,7 +975,7 @@ type Delta struct {
 }
 
 // ApplyBatch submits one maintenance transaction: the deltas are applied
-// through core's parallel batch pipeline and committed atomically; on any
+// through core's ApplyBatch and committed atomically; on any
 // failure the whole transaction rolls back and MsgErr{CodeBatch} reports it.
 type ApplyBatch struct {
 	Deltas []Delta

@@ -1,8 +1,7 @@
 // Package shard scales the 2VNL/nVNL store horizontally: a Router owns N
-// independent core.Store shards — each with its own WAL, garbage collector,
-// and parallel-maintenance pipeline — and fans queries and maintenance
-// batches out by the same (table, primary key) hash the in-store batch
-// applier uses (core.PartitionDelta), merging the results.
+// independent core.Store shards — each with its own WAL and garbage
+// collector — and fans queries and maintenance batches out by the
+// (table, primary key) hash of core.PartitionDelta, merging the results.
 //
 // The research-grade piece is cross-shard session consistency. A reader
 // must observe one coherent VN across every shard, so maintenance publishes
@@ -52,8 +51,6 @@ type Options struct {
 	Shards int
 	// N is each shard's version count (0 or 2 = 2VNL, larger = nVNL).
 	N int
-	// Workers is each shard's ApplyBatch fan-out (core.Options.ApplyWorkers).
-	Workers int
 	// PageSize and PoolPages configure each shard's engine (db.Options).
 	PageSize  int
 	PoolPages int
@@ -173,11 +170,7 @@ func Open(opts Options) (*Router, error) {
 
 	var recs []epochRecord
 	for i := 0; i < opts.Shards; i++ {
-		storeOpts := core.Options{
-			N:            opts.N,
-			Metrics:      obs.NewRegistry(),
-			ApplyWorkers: opts.Workers,
-		}
+		storeOpts := core.Options{N: opts.N, Metrics: obs.NewRegistry()}
 		dbOpts := db.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages}
 		if opts.FS == nil {
 			engine := db.Open(dbOpts)
@@ -426,8 +419,8 @@ func (r *Router) CreateTableSQL(text string) error {
 }
 
 // partition routes a batch: every delta lands on the shard its
-// (table, unique key) hash picks — the same hash core's in-store worker
-// fan-out uses, so the sharded fold is the single-store fold re-bucketed.
+// (table, unique key) hash picks, in submission order, so the sharded fold
+// is the single-store fold re-bucketed.
 func (r *Router) partition(deltas []core.Delta) ([][]core.Delta, error) {
 	parts := make([][]core.Delta, len(r.shards))
 	for i, d := range deltas {
@@ -448,10 +441,10 @@ func (r *Router) partition(deltas []core.Delta) ([][]core.Delta, error) {
 // two-phase version publish:
 //
 //  1. Partition the batch and force a prepare record (durable mode).
-//  2. Apply every partition on its shard — in parallel, each shard using
-//     its own worker pool — without committing. Any failure here rolls
-//     every shard back, resolves the prepare with an abort record, and
-//     leaves the epoch untouched.
+//  2. Apply every partition on its shard — one goroutine per shard —
+//     without committing. Any failure here rolls every shard back,
+//     resolves the prepare with an abort record, and leaves the epoch
+//     untouched.
 //  3. Commit every shard. Each commit moves that shard's currentVN to the
 //     target, but readers keep resolving the old epoch out of the shards'
 //     back-versions until…
@@ -604,8 +597,6 @@ func (r *Router) ApplyBatch(deltas []core.Delta) (core.VN, core.BatchStats, erro
 		stats.Deltas += shardStats[i].Deltas
 		stats.Applied += shardStats[i].Applied
 		stats.Missing += shardStats[i].Missing
-		stats.Partitions += shardStats[i].Partitions
-		stats.Workers += shardStats[i].Workers
 		r.metrics.shardDeltas[i].Add(int64(shardStats[i].Deltas))
 	}
 	r.metrics.flips.Inc()

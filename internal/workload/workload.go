@@ -134,7 +134,7 @@ func (g *Generator) Sold() []warehouse.Fact {
 	return append([]warehouse.Fact(nil), g.sold...)
 }
 
-// DeltaBatch generates one batch for the parallel maintenance pipeline
+// DeltaBatch generates one batch for the batched maintenance path
 // (core.Maintenance.ApplyBatch): updates skewed onto hot keys in [0, live),
 // deletes over the same range, and inserts of fresh never-used keys, shuffled
 // into one submission sequence. The batch is legal in any interleaving the
