@@ -641,6 +641,38 @@ func TestBenchmarkGroupByCompiles(t *testing.T) {
 	}
 }
 
+// The benchmark's scan runs its WHERE as the clean-page kernel, not as the
+// closure page loop: a refactor that loses the kernel for this shape fails
+// here before it shows as a slower benchmark. A WHERE the kernel does not
+// cover compiles without one.
+func TestBenchmarkScanUsesKernel(t *testing.T) {
+	s := newStore(t, 4)
+	if _, err := s.CreateTable(catalog.MustSchema("fact", []catalog.Column{
+		{Name: "id", Type: catalog.TypeInt, Length: 8},
+		{Name: "grp", Type: catalog.TypeInt, Length: 8},
+		{Name: "qty", Type: catalog.TypeInt, Length: 8, Updatable: true},
+		{Name: "amount", Type: catalog.TypeInt, Length: 8, Updatable: true},
+	}, "id")); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]bool{
+		`SELECT id, qty, amount FROM fact WHERE grp = :g`:              true,
+		`SELECT id, qty, amount FROM fact WHERE COALESCE(grp, 0) = :g`: false,
+	} {
+		sel, err := sql.ParseSelect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.selectPlan(sel, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.plan.Vectorized() || e.plan.Kernel() != want {
+			t.Fatalf("%q: compiled %v, kernel %v; want a compiled plan, kernel %v", q, e.plan.Vectorized(), e.plan.Kernel(), want)
+		}
+	}
+}
+
 // The cache stays bounded: filling it past the limit evicts rather than
 // growing without bound.
 func TestPlanCacheBounded(t *testing.T) {

@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/db"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sql"
+	"repro/internal/storage"
 )
 
 // stressTuples and stressSum define the invariant the stress harness
@@ -348,12 +351,16 @@ func readConserved(s *Store, rows, total int64) error {
 }
 
 // TestCompiledMatchesOracleUnderMaintenance races compiled plans — scan,
-// index and aggregate — against a live writer whose batches update, delete,
-// re-insert over deletes, and fold update→delete and insert→delete within a
-// batch, so the tuples a reader meets are the ones being rewritten. Each
-// answer is checked against the §4.1 rewrite run through the tree-walker at
-// the same session version; a session that expires meanwhile is replaced,
-// since neither answer then binds. Run it under -race (make stress does).
+// index and aggregate, with WHEREs the clean-page kernel runs and ones it
+// does not — against a live writer whose batches update, delete, re-insert
+// over deletes, and fold update→delete and insert→delete within a batch, so
+// the tuples a reader meets are the ones being rewritten. Small pages spread
+// the table over many, so a session's scan meets pages clean at its version
+// beside ones the writer has dirtied, and a page can turn dirty between two
+// scans of one session; the run fails if no session saw both. Each answer is
+// checked against the §4.1 rewrite run through the tree-walker at the same
+// session version; a session that expires meanwhile is replaced, since
+// neither answer then binds. Run it under -race (make stress does).
 func TestCompiledMatchesOracleUnderMaintenance(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -365,8 +372,12 @@ func TestCompiledMatchesOracleUnderMaintenance(t *testing.T) {
 
 func runOracleRace(t *testing.T, n int) {
 	const keys = 128
-	s := newStore(t, n)
-	if _, err := s.CreateTable(kvSchema()); err != nil {
+	s, err := Open(db.Open(db.Options{PageSize: 128}), Options{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vt, err := s.CreateTable(kvSchema())
+	if err != nil {
 		t.Fatal(err)
 	}
 	live := make(map[int64]int64, keys) // the writer's model of the committed state
@@ -380,9 +391,10 @@ func runOracleRace(t *testing.T, n int) {
 	commit(t, m)
 
 	// The writer runs at least batches batches, then goes on until the
-	// readers have compared minChecked answers, so that no run passes
-	// having checked next to nothing; maxBatches bounds a run whose readers
-	// cannot keep up, which then fails.
+	// readers have compared minChecked answers and some session has met
+	// clean and dirty pages, so that no run passes having checked next to
+	// nothing; maxBatches bounds a run whose readers cannot keep up, which
+	// then fails.
 	batches := 30
 	if testing.Short() {
 		batches = 8
@@ -394,10 +406,13 @@ func runOracleRace(t *testing.T, n int) {
 		mustParse(t, `SELECT v FROM kv WHERE k = 40`),
 		mustParse(t, `SELECT k / 16, COUNT(*), SUM(v), MAX(v) FROM kv GROUP BY k / 16`),
 		mustParse(t, `SELECT k, v FROM kv WHERE v > 150 ORDER BY v, k LIMIT 10`),
+		mustParse(t, `SELECT k, v FROM kv WHERE v >= :lo AND k <> 7`),
+		mustParse(t, `SELECT COUNT(*), SUM(v), MIN(k) FROM kv WHERE v < :hi AND 20 <= k`),
 	}
 	const readers = 2
 	var wg sync.WaitGroup
 	var checked atomic.Int64 // answers compared while their session was live
+	var mixed atomic.Int64   // sessions that met clean and dirty pages
 	stop := make(chan struct{})
 	errCh := make(chan error, readers+1) // one send at most per goroutine
 
@@ -405,7 +420,7 @@ func runOracleRace(t *testing.T, n int) {
 	go func() {
 		defer wg.Done()
 		defer close(stop)
-		for i := 0; i < batches || checked.Load() < minChecked && i < maxBatches; i++ {
+		for i := 0; i < batches || (checked.Load() < minChecked || mixed.Load() == 0) && i < maxBatches; i++ {
 			next := make(map[int64]int64, len(live))
 			for k, v := range live {
 				next[k] = v
@@ -466,7 +481,7 @@ func runOracleRace(t *testing.T, n int) {
 					return
 				default:
 				}
-				if err := readAgainstOracle(s, queries, &checked); err != nil {
+				if err := readAgainstOracle(s, vt, queries, &checked, &mixed); err != nil {
 					errCh <- err
 					return
 				}
@@ -481,17 +496,35 @@ func runOracleRace(t *testing.T, n int) {
 	if c := checked.Load(); c < minChecked {
 		t.Fatalf("%d answers compared in %d batches; want at least %d", c, maxBatches, minChecked)
 	}
-	t.Logf("%d answers compared", checked.Load())
+	if mixed.Load() == 0 {
+		t.Fatal("no session met clean and dirty pages: the clean-page path was not raced")
+	}
+	t.Logf("%d answers compared, %d sessions met clean and dirty pages", checked.Load(), mixed.Load())
 }
 
 // readAgainstOracle runs one session's queries through the cached plans and
-// through legacyAt; while the session is live the two must agree.
-func readAgainstOracle(s *Store, queries []*sql.SelectStmt, checked *atomic.Int64) error {
+// through legacyAt; while the session is live the two must agree. It counts
+// the session in mixed when, at its version, vt has both clean and dirty
+// pages.
+func readAgainstOracle(s *Store, vt *VTable, queries []*sql.SelectStmt, checked, mixed *atomic.Int64) error {
 	sess := s.BeginSession()
 	defer sess.Close()
+	params := exec.Params{"lo": catalog.NewInt(110), "hi": catalog.NewInt(150)}
+	var clean, dirty int
+	err := vt.Storage().ScanFilter(storage.Filter{
+		Pred:      func(catalog.Tuple) (bool, error) { dirty++; return false, nil },
+		CleanPage: func(_ storage.PageView, sel []int32) ([]int32, error) { clean++; return sel, nil },
+		VN:        int64(sess.VN()),
+	}, func([]storage.RID, []catalog.Tuple) bool { return true })
+	if err != nil {
+		return err
+	}
+	if clean > 0 && dirty > 0 {
+		mixed.Add(1)
+	}
 	for _, q := range queries {
-		got, gerr := sess.QueryStmt(q, nil)
-		want, werr := legacyAt(s, sess.VN(), q, nil)
+		got, gerr := sess.QueryStmt(q, params)
+		want, werr := legacyAt(s, sess.VN(), q, params)
 		if sess.Check() != nil {
 			return nil // expired: neither answer binds
 		}

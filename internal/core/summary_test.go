@@ -153,12 +153,17 @@ func checkSummary(t *testing.T, s *Store, vt *VTable, n int, where string) (clea
 	for vn := lo; vn <= hi; vn++ {
 		err := vt.Storage().ScanFilter(storage.Filter{
 			Pred: func(catalog.Tuple) (bool, error) { dirty++; return false, nil },
-			Clean: func(tu catalog.Tuple) (bool, error) {
-				clean++
-				if j, visible := e.Slot(tu, vn); j != 0 || !visible {
-					return false, fmt.Errorf("tuple %v on a page clean at %d reads slot %d, visible %v", tu, vn, j, visible)
+			CleanPage: func(v storage.PageView, sel []int32) ([]int32, error) {
+				for si := 0; si < v.Slots(); si++ {
+					if !v.Live(si) {
+						continue
+					}
+					clean++
+					if j, visible := e.Slot(v.Tuple(si), vn); j != 0 || !visible {
+						return sel, fmt.Errorf("tuple %v on a page clean at %d reads slot %d, visible %v", v.Tuple(si), vn, j, visible)
+					}
 				}
-				return false, nil
+				return sel, nil
 			},
 			VN: int64(vn),
 		}, func([]storage.RID, []catalog.Tuple) bool { return true })

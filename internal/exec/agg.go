@@ -15,7 +15,10 @@ import (
 // stored tuple under the page latch and keeps nothing: per tuple it reads the
 // tuple at the reader's version (skipping an invisible one), filters, finds
 // the group and adds the aggregate inputs, then answers false, so the page
-// walker copies no tuple. It allocates only when a new group appears. Keys
+// walker copies no tuple. On a page clean at the reader's version the WHERE
+// selects the page's slots first (Plan.selectClean, with the kernel when the
+// WHERE has one), and the fold adds the selected ones and keeps none. It
+// allocates only when a new group appears. Keys
 // and inputs that are columns or parameters are read in place (operand.load).
 // One key that is a column declared INT, DATE or BOOL groups by its int64
 // payload; any other key tuple groups by catalog.HashTuple. Each aggregate's
@@ -27,13 +30,11 @@ import (
 // slot. Any other column reference — the tree-walker's representative-row
 // semantics — does not compile, and the statement falls back.
 
-// aggPlan is the compiled aggregate of a Plan. The fold evaluates the WHERE
-// (nil when absent), the GROUP BY key and each aggregate call's argument
-// (unused for COUNT(*)) per stored tuple; HAVING and the select list run per
-// group.
+// aggPlan is the compiled aggregate of a Plan. The fold evaluates the Plan's
+// WHERE, the GROUP BY key and each aggregate call's argument (unused for
+// COUNT(*)) per stored tuple; HAVING and the select list run per group.
 type aggPlan struct {
-	filter compiledPred
-	keys   []operand
+	keys []operand
 	// intKey is the declared type of the one GROUP BY key when that key is a
 	// column of type INT, DATE or BOOL, which groups by its int64 payload;
 	// TypeNull when the keys group by hash.
@@ -77,10 +78,8 @@ func (g *groupRow) bind(e sql.Expr) sql.Expr {
 func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.SelectItem) (err error) {
 	a := &aggPlan{}
 	g := &groupRow{keys: make(map[string]int, len(stmt.GroupBy))}
-	if stmt.Where != nil {
-		if a.filter, err = comp.compilePred(stmt.Where); err != nil {
-			return err
-		}
+	if err := p.compileWhere(comp, stmt.Where); err != nil {
+		return err
 	}
 	for i, ge := range stmt.GroupBy {
 		k, err := comp.operand(ge)
@@ -264,6 +263,7 @@ func (p *aggPartial) merge(q *aggPartial) error {
 type aggRun struct {
 	p    *Plan
 	ctx  *evalCtx
+	kern bounds        // the kernel bound for the fold
 	key  catalog.Tuple // the current tuple's hashed group key (scratch)
 	part aggPartial
 }
@@ -316,7 +316,8 @@ func (r *aggRun) foldTable(tbl Table) error {
 		}
 		return nil
 	}
-	f := storage.Filter{Pred: r.fold, Clean: r.foldClean, VN: r.ctx.vn}
+	r.kern = r.p.kernel.bind(r.ctx)
+	f := storage.Filter{Pred: r.fold, CleanPage: r.foldPage, VN: r.ctx.vn}
 	return tbl.ScanFilter(f, func([]storage.RID, []catalog.Tuple) bool { return true })
 }
 
@@ -329,28 +330,48 @@ func (r *aggRun) fold(t catalog.Tuple) (bool, error) {
 	if !r.ctx.at(t) {
 		return false, nil
 	}
-	return r.add(t)
-}
-
-// foldClean is fold for a tuple of a page that is clean at the reader's
-// version (Table.ScanFilter's clean-page contract): t exists, in its current
-// values.
-func (r *aggRun) foldClean(t catalog.Tuple) (bool, error) {
-	r.ctx.current()
-	return r.add(t)
-}
-
-// add is fold once t is known to exist: filter, then add t to its group.
-func (r *aggRun) add(t catalog.Tuple) (bool, error) {
-	in := r.p.agg
-	if in.filter != nil {
-		if ok, err := in.filter(r.ctx, t); !ok || err != nil {
+	if r.p.filter != nil {
+		if ok, err := r.p.filter(r.ctx, t); !ok || err != nil {
 			return false, err
 		}
 	}
+	return false, r.add(t)
+}
+
+// foldPage is fold for a page that is clean at the reader's version
+// (Table.ScanFilter's clean-page contract): every tuple on it exists, in its
+// current values, so the WHERE selects the slots to add (selectClean), and
+// none is kept. The slots selected lie before any slot whose WHERE failed,
+// so the first error in slot order is the one returned. Without a WHERE it
+// adds every live slot and selects nothing.
+func (r *aggRun) foldPage(v storage.PageView, sel []int32) ([]int32, error) {
+	if r.p.filter == nil {
+		r.ctx.current()
+		for si := 0; si < v.Slots(); si++ {
+			if !v.Live(si) {
+				continue
+			}
+			if err := r.add(v.Tuple(si)); err != nil {
+				return sel, err
+			}
+		}
+		return sel, nil
+	}
+	sel, err := r.p.selectClean(r.ctx, &r.kern, v, sel)
+	for _, si := range sel {
+		if aerr := r.add(v.Tuple(int(si))); aerr != nil {
+			return sel[:0], aerr
+		}
+	}
+	return sel[:0], err
+}
+
+// add adds t, which exists and passes the WHERE, to its group.
+func (r *aggRun) add(t catalog.Tuple) error {
+	args := r.p.agg.args
 	states, err := r.group(t)
 	if err != nil {
-		return false, err
+		return err
 	}
 	var tmp catalog.Value
 	for i := range states {
@@ -359,15 +380,15 @@ func (r *aggRun) add(t catalog.Tuple) (bool, error) {
 			s.count++
 			continue
 		}
-		v, err := in.args[i].load(r.ctx, t, &tmp)
+		v, err := args[i].load(r.ctx, t, &tmp)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if err := s.add(v); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return false, nil
+	return nil
 }
 
 // group returns the aggregate states of t's group.

@@ -29,21 +29,27 @@ type Table interface {
 	// Scan calls fn for every live tuple; returning false stops early.
 	Scan(fn func(storage.RID, catalog.Tuple) bool)
 	// ScanFilter calls fn page by page with copies of the live tuples f
-	// accepts. f's predicates see the stored tuple under the page latch:
-	// they must not retain or modify it, block, or call back into the
-	// table. The slices fn receives are overwritten by the next page. An
-	// error from a predicate ends the scan and is returned. A predicate
-	// that accepts nothing — the aggregate's fold — makes the scan copy
-	// nothing.
+	// accepts. f.Pred sees the stored tuple under the page latch: it must
+	// not retain or modify it, block, or call back into the table. The
+	// slices fn receives are overwritten by the next page. An error from f
+	// ends the scan and is returned. A filter that accepts nothing — the
+	// aggregate's fold — makes the scan copy nothing.
 	//
-	// The clean-page contract: f.Clean, when set, replaces f.Pred for every
-	// tuple of a page that the table calls clean at f.VN. For a versioned
-	// relation that is a page on which every live tuple was written at or
-	// before f.VN and none is a deletion, so a reader at f.VN sees each of
-	// them, in its current values (Table 1's first row), and f.Clean can
-	// skip the per-tuple version decision. The choice is made once per page
-	// under its latch. A table may call no page clean (an unversioned one
-	// never does); f.Pred must then decide everything alone.
+	// The clean-page contract: f.CleanPage, when set, replaces f.Pred for a
+	// page that the table calls clean at f.VN. For a versioned relation that
+	// is a page on which every live tuple was written at or before f.VN and
+	// none is a deletion, so a reader at f.VN sees each of them, in its
+	// current values (Table 1's first row), and the hook can skip the
+	// per-tuple version decision. The choice is made once per page under its
+	// read latch, and the hook runs under that latch: once per page, with a
+	// read-only view of the page and an empty selection the table reuses
+	// from page to page. It decides every live slot, returns the accepted
+	// ones in slot order, and, when a slot fails, the error of the first
+	// failing slot in slot order; the table then copies exactly the accepted
+	// slots. It should allocate only to grow the selection or to build an
+	// error, and must not retain the view or anything read through it past
+	// its return. A table may call no page clean (an
+	// unversioned one never does); f.Pred must then decide everything alone.
 	ScanFilter(f storage.Filter, fn func([]storage.RID, []catalog.Tuple) bool) error
 	// Get returns the tuple at rid.
 	Get(rid storage.RID) (catalog.Tuple, error)

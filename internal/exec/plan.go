@@ -36,8 +36,9 @@ type CompileOptions struct {
 	Slots [][]int
 	// Select returns the slot a reader at version vn reads row in, and
 	// whether row exists in that version at all. It runs under the page
-	// latch (see Table.ScanFilter), once per tuple scanned: it must be
-	// cheap, must not allocate and must not retain row.
+	// latch (see Table.ScanFilter), once per tuple scanned on a page that
+	// is not clean at vn: it must be cheap, must not allocate and must not
+	// retain row.
 	Select func(row catalog.Tuple, vn int64) (slot int, visible bool)
 	// Param names the parameter that binds the reader's version.
 	Param string
@@ -88,8 +89,9 @@ type Plan struct {
 
 	comp    *compiler
 	filter  compiledPred // nil when the statement has no WHERE
+	kernel  kernel       // the WHERE's typed form on clean pages, or nil
 	project []compiledExpr
-	agg     *aggPlan // non-nil: the statement aggregates; filter and project are unused
+	agg     *aggPlan // non-nil: the statement aggregates; project is unused
 	columns []string
 	limit   *int64
 
@@ -103,6 +105,10 @@ type Plan struct {
 // pipeline or the hash aggregate (false means Execute falls back to the
 // tree-walking executor).
 func (p *Plan) Vectorized() bool { return p.vectorized }
+
+// Kernel reports whether the plan's WHERE decides a clean page's tuples with
+// the typed kernel (kernel.go) rather than its closure alone.
+func (p *Plan) Kernel() bool { return p.kernel != nil }
 
 // Statement returns the statement the plan was compiled from.
 func (p *Plan) Statement() *sql.SelectStmt { return p.stmt }
@@ -152,11 +158,9 @@ func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Pl
 // compileScan compiles the WHERE and the select list of a scan/filter/project
 // statement into p. An error means some expression does not compile (unknown
 // column, unsupported form); the statement then falls back.
-func (p *Plan) compileScan(comp *compiler, where sql.Expr, items []sql.SelectItem) (err error) {
-	if where != nil {
-		if p.filter, err = comp.compilePred(where); err != nil {
-			return err
-		}
+func (p *Plan) compileScan(comp *compiler, where sql.Expr, items []sql.SelectItem) error {
+	if err := p.compileWhere(comp, where); err != nil {
+		return err
 	}
 	for i, it := range items {
 		fn, err := comp.compile(it.Expr)
@@ -166,6 +170,19 @@ func (p *Plan) compileScan(comp *compiler, where sql.Expr, items []sql.SelectIte
 		p.project = append(p.project, fn)
 		p.columns = append(p.columns, itemName(it, i))
 	}
+	return nil
+}
+
+// compileWhere compiles the WHERE, if any, into p's filter and, when it has
+// that shape, its kernel.
+func (p *Plan) compileWhere(comp *compiler, where sql.Expr) (err error) {
+	if where == nil {
+		return nil
+	}
+	if p.filter, err = comp.compilePred(where); err != nil {
+		return err
+	}
+	p.kernel = comp.compileKernel(where)
 	return nil
 }
 
@@ -243,6 +260,7 @@ func (p *Plan) execute(cat Catalog, params Params, vn int64, at bool) (*Rows, er
 type planRun struct {
 	p    *Plan
 	ctx  *evalCtx
+	kern bounds // the kernel bound for the scan
 	out  *Rows
 	free []catalog.Value // unused rest of the current row chunk
 	err  error           // a projection's error, which ends a scan
@@ -256,23 +274,17 @@ func (r *planRun) keep(t catalog.Tuple) (bool, error) {
 	if !r.ctx.at(t) {
 		return false, nil
 	}
-	return r.where(t)
-}
-
-// keepClean is keep for a tuple of a page that is clean at the reader's
-// version (Table.ScanFilter's clean-page contract): t exists, in its current
-// values, so only the WHERE runs.
-func (r *planRun) keepClean(t catalog.Tuple) (bool, error) {
-	r.ctx.current()
-	return r.where(t)
-}
-
-// where runs the WHERE over t as the context reads it.
-func (r *planRun) where(t catalog.Tuple) (bool, error) {
 	if r.p.filter == nil {
 		return true, nil
 	}
 	return r.p.filter(r.ctx, t)
+}
+
+// keepPage is keep for a page that is clean at the reader's version
+// (Table.ScanFilter's clean-page contract): every tuple on it exists, in its
+// current values, so only the WHERE runs (selectClean).
+func (r *planRun) keepPage(v storage.PageView, sel []int32) ([]int32, error) {
+	return r.p.selectClean(r.ctx, &r.kern, v, sel)
 }
 
 // emit projects t, which keep accepted, into the next result row; done
@@ -327,7 +339,8 @@ func (r *planRun) fetch(tbl Table, rids []storage.RID) (*Rows, error) {
 // an indexed read, pays for moving it to the heap with its method values:
 // the two predicates and deliver.
 func (r planRun) scan(tbl Table) (*Rows, error) {
-	err := tbl.ScanFilter(storage.Filter{Pred: r.keep, Clean: r.keepClean, VN: r.ctx.vn}, r.deliver)
+	r.kern = r.p.kernel.bind(r.ctx)
+	err := tbl.ScanFilter(storage.Filter{Pred: r.keep, CleanPage: r.keepPage, VN: r.ctx.vn}, r.deliver)
 	if err == nil {
 		err = r.err
 	}

@@ -525,11 +525,12 @@ func (h *Heap) written(pi int) error {
 
 // block holds the tuples one page contributed to a scan: copies of the
 // accepted tuples, cut as 3-index slices out of one shared backing array, and
-// their RIDs.
+// their RIDs; and the selection a clean-page hook fills, reused page to page.
 type block struct {
 	rids   []RID
 	tuples []catalog.Tuple
 	vals   []catalog.Value
+	sel    []int32
 }
 
 func (b *block) add(rid RID, t catalog.Tuple) {
@@ -541,17 +542,46 @@ func (b *block) add(rid RID, t catalog.Tuple) {
 	b.rids = append(b.rids, rid)
 }
 
-// Filter is what the page walker runs against each live tuple under the
-// page's read latch (see ScanFilter).
+// PageView is a read-only view of one page's slots, handed to a
+// Filter.CleanPage hook under the page's read latch. Values and tuples are
+// read in place in the page: the hook must not modify them, and neither the
+// view nor anything read through it may outlive the hook's call.
+type PageView struct {
+	w    int
+	vals []catalog.Value
+	live []bool
+}
+
+// Slots returns how many slots the page has in use, live or dead: the slots
+// are 0 … Slots()-1.
+func (v PageView) Slots() int { return len(v.live) }
+
+// Live reports whether slot si holds a tuple.
+func (v PageView) Live(si int) bool { return v.live[si] }
+
+// Value returns the value at offset off of slot si's tuple, in place.
+func (v PageView) Value(si, off int) *catalog.Value { return &v.vals[si*v.w+off] }
+
+// Tuple returns slot si's tuple in place, capped to the slot.
+func (v PageView) Tuple(si int) catalog.Tuple {
+	lo, hi := si*v.w, (si+1)*v.w
+	return v.vals[lo:hi:hi]
+}
+
+// Filter is what the page walker runs against each page under its read
+// latch (see ScanFilter).
 type Filter struct {
 	// Pred decides each live tuple; nil keeps every one.
 	Pred func(catalog.Tuple) (keep bool, err error)
-	// Clean, when set, decides the tuples of a page that is clean at VN in
-	// Pred's place: a page whose summary shows every live tuple written at
-	// or before VN and none deleted (see Summariser). A heap without a
+	// CleanPage, when set, decides a page that is clean at VN in Pred's
+	// place: a page whose summary shows every live tuple written at or
+	// before VN and none deleted (see Summariser). It is called once for
+	// such a page with a view of it and sel, an empty selection whose
+	// capacity is what the previous call returned, and returns sel with the
+	// live slots it accepts appended in ascending order. A heap without a
 	// summariser has no clean page.
-	Clean func(catalog.Tuple) (keep bool, err error)
-	// VN is the reader's version, against which Clean is chosen.
+	CleanPage func(v PageView, sel []int32) ([]int32, error)
+	// VN is the reader's version, against which CleanPage is chosen.
 	VN int64
 }
 
@@ -569,17 +599,22 @@ func (h *Heap) fill(b *block, pi int, pg *page, f Filter, fresh bool) (touched b
 	if fresh {
 		b.vals = make([]catalog.Value, 0, pg.nlive*pg.w)
 	}
-	pred := f.Pred
-	if f.Clean != nil && pg.cleanAt(h.sum, f.VN) {
-		pred = f.Clean
+	if f.CleanPage != nil && pg.cleanAt(h.sum, f.VN) {
+		if b.sel, err = f.CleanPage(PageView{pg.w, pg.vals, pg.live}, b.sel[:0]); err != nil {
+			return true, err
+		}
+		for _, si := range b.sel {
+			b.add(RID{pi, int(si)}, pg.tuple(int(si)))
+		}
+		return true, nil
 	}
 	for si, live := range pg.live {
 		if !live {
 			continue
 		}
 		t := pg.tuple(si)
-		if pred != nil {
-			keep, err := pred(t)
+		if f.Pred != nil {
+			keep, err := f.Pred(t)
 			if err != nil {
 				return true, err
 			}
@@ -623,18 +658,21 @@ func (h *Heap) walk(f Filter, fresh bool, fn func([]RID, []catalog.Tuple) bool) 
 // and the tuples in them, are overwritten by the next page: it must copy what
 // it keeps. Returning false from fn stops the scan.
 //
-// f's predicates run against the stored tuple — a slice of the page's arena
-// — under the page's read latch, so they must not retain or modify the
-// tuple, block, or call back into the heap or its pool. Writers overwrite
-// slots in place, so a tuple kept past the latch would later read another
-// version, or another tuple in a reused slot. A predicate should allocate
-// only when it fails or — for one that folds an aggregate and keeps nothing —
-// when it admits a new group. Which of f.Pred and f.Clean decides a page is
-// settled once per page, under the latch its tuples are read under, so a
-// page the summary calls clean at f.VN stays clean for every tuple f.Clean
-// sees. An error from a predicate ends the scan, after the latch is
-// released, and is returned as is; fn is not called for that page. Which
-// slots are observed is as for Scan.
+// f.Pred runs against the stored tuple — a slice of the page's arena — and
+// f.CleanPage against a view of the page, both under the page's read latch,
+// so they must not retain or modify what they read, block, or call back into
+// the heap or its pool. Writers overwrite slots in place, so a tuple kept past
+// the latch would later read another version, or another tuple in a reused
+// slot. Either should allocate only when it fails or — for one that folds an
+// aggregate and keeps nothing — when it admits a new group; the selection
+// CleanPage fills is the walker's, so growing it once serves the whole scan.
+// Which of the two decides a page is settled once per page, under the latch
+// its tuples are read under, so a page the summary calls clean at f.VN stays
+// clean for the whole CleanPage call. CleanPage decides every live slot of its page, and
+// when it fails, it returns the error of the first failing slot in slot
+// order, as Pred run slot by slot would. An error ends the scan, after the
+// latch is released, and is returned as is; fn is not called for that page.
+// Which slots are observed is as for Scan.
 func (h *Heap) ScanFilter(f Filter, fn func([]RID, []catalog.Tuple) bool) error {
 	return h.walk(f, false, fn)
 }

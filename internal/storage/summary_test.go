@@ -28,13 +28,20 @@ func summaryHeap(t *testing.T, pageSize int) *Heap {
 	return h
 }
 
-// cleanAt scans h at vn and returns which tuples the clean predicate saw.
+// cleanAt scans h at vn and returns which tuples the clean-page hook saw.
 func cleanAt(t *testing.T, h *Heap, vn int64) (clean, other []int64) {
 	t.Helper()
 	err := h.ScanFilter(Filter{
-		Pred:  func(tu catalog.Tuple) (bool, error) { other = append(other, tu[2].Int()); return false, nil },
-		Clean: func(tu catalog.Tuple) (bool, error) { clean = append(clean, tu[2].Int()); return false, nil },
-		VN:    vn,
+		Pred: func(tu catalog.Tuple) (bool, error) { other = append(other, tu[2].Int()); return false, nil },
+		CleanPage: func(v PageView, sel []int32) ([]int32, error) {
+			for si := 0; si < v.Slots(); si++ {
+				if v.Live(si) {
+					clean = append(clean, v.Value(si, 2).Int())
+				}
+			}
+			return sel, nil
+		},
+		VN: vn,
 	}, func([]RID, []catalog.Tuple) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +148,7 @@ func TestPageSummaryChecks(t *testing.T) {
 
 // TestStressHeapSummary races writers that update, mark deleted, delete and
 // re-insert tuples into reused slots against scans at a fixed version. Every
-// tuple the clean predicate sees must honour the clean-page contract —
+// tuple the clean-page hook sees must honour the clean-page contract —
 // written at or before the reader's version and not deleted — and no tuple
 // may be torn. The summary is folded under the page's write latch, so a
 // reader holding the read latch never sees a tuple the summary does not yet
@@ -227,8 +234,18 @@ func TestStressHeapSummary(t *testing.T) {
 						}
 						return false, nil
 					},
-					Clean: func(tu catalog.Tuple) (bool, error) { return false, contract(tu) },
-					VN:    vn,
+					CleanPage: func(v PageView, sel []int32) ([]int32, error) {
+						for si := 0; si < v.Slots(); si++ {
+							if !v.Live(si) {
+								continue
+							}
+							if err := contract(v.Tuple(si)); err != nil {
+								return sel, err
+							}
+						}
+						return sel, nil
+					},
+					VN: vn,
 				}, func([]RID, []catalog.Tuple) bool { return true })
 				if err != nil {
 					t.Error(err)
