@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress soak lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-e2e-smoke bench-snapshot clean all
+.PHONY: build test race examples stress soak lint crash crash-replica crash-shards fuzz fuzz-proto server-smoke replica-smoke shard-smoke bench-smoke bench-e2e-smoke bench-snapshot clean all
 
 all: build lint test
 
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# examples runs every program under examples/ to completion; each exits
+# non-zero when a step fails. quickstart and durability drive maintenance
+# through SQL statements (Maintenance.Exec), which no other target runs.
+examples:
+	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 
 # stress runs the multi-goroutine concurrency tests (readers racing
 # maintenance, shared sessions, mid-query expiry, buffer-pool hits racing

@@ -181,16 +181,9 @@ func (a *applier) applyUpdate(vt *VTable, rid storage.RID, ext catalog.Tuple, ne
 	if e.OpAt(ext, 1) == OpDelete {
 		return fmt.Errorf("%w: update of logically-deleted tuple in %s", ErrInvalidMaintenanceOp, e.Base.Name)
 	}
-	newBase, err := e.Base.Validate(newBase)
+	newBase, err := e.checkUpdate(ext, newBase)
 	if err != nil {
 		return err
-	}
-	cur := e.BaseValues(ext)
-	for i := range cur {
-		if _, upd := e.IsUpdatable(i); !upd && !catalog.Equal(cur[i], newBase[i]) {
-			return fmt.Errorf("core: update changes non-updatable column %q of %s",
-				e.Base.Columns[i].Name, e.Base.Name)
-		}
 	}
 	a.stats.LogicalUpdates++
 	a.met().logicalUpd.Inc()
@@ -222,6 +215,24 @@ func (a *applier) applyUpdate(vt *VTable, rid storage.RID, ext catalog.Tuple, ne
 		a.met().cellT3R2.Inc()
 	}
 	return nil
+}
+
+// checkUpdate validates newBase as the new values of the stored tuple ext:
+// they must fit the base schema and keep every non-updatable column's
+// current value.
+func (e *ExtTable) checkUpdate(ext, newBase catalog.Tuple) (catalog.Tuple, error) {
+	newBase, err := e.Base.Validate(newBase)
+	if err != nil {
+		return nil, err
+	}
+	cur := e.BaseValues(ext)
+	for i := range cur {
+		if _, upd := e.IsUpdatable(i); !upd && !catalog.Equal(cur[i], newBase[i]) {
+			return nil, fmt.Errorf("core: update changes non-updatable column %q of %s",
+				e.Base.Columns[i].Name, e.Base.Name)
+		}
+	}
+	return newBase, nil
 }
 
 // applyDelete folds a logical delete of one tuple (Table 4).

@@ -119,7 +119,7 @@ func checkDelta(base *catalog.Schema, d Delta) error {
 		return nil
 	case DeltaUpdate, DeltaDelete:
 		if !base.HasKey() {
-			return fmt.Errorf("core: batch %s of keyless table %s needs UpdateWhere/DeleteWhere", d.Op, base.Name)
+			return fmt.Errorf("core: batch %s of keyless table %s has no key; use an UPDATE or DELETE statement through Exec", d.Op, base.Name)
 		}
 		return nil
 	default:

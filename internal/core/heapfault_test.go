@@ -13,11 +13,12 @@ import (
 
 // faultyKV creates the kv table as CreateTable does, except that its heap's
 // summariser, which runs inside every heap write, dirties a page of a file no
-// heap owns when *armed is set. The pool holds one page, so the write's own
-// touch evicts that page, whose write-back fails: the write reports
+// heap owns when it meets the tuple whose key is *armed, and then disarms
+// (sets *armed to -1). The pool holds one page, so the write's own touch
+// evicts that page, whose write-back fails: the write of that key reports
 // storage.ErrWriteBack after it has made its change (the seam of db's
 // TestWriteBackFaultKeepsIndexesInStep).
-func faultyKV(t *testing.T, s *Store, armed *bool) *VTable {
+func faultyKV(t *testing.T, s *Store, armed *int64) *VTable {
 	t.Helper()
 	fake := storage.PageKey{File: 1 << 30}
 	pool := s.d.Pool()
@@ -27,8 +28,8 @@ func faultyKV(t *testing.T, s *Store, armed *bool) *VTable {
 		t.Fatal(err)
 	}
 	tbl, err := s.d.CreateSummarisedTable(ext.Ext, func(tu catalog.Tuple) (int64, bool) {
-		if *armed {
-			*armed = false
+		if *armed >= 0 && ext.BaseValues(tu)[0].Int() == *armed {
+			*armed = -1
 			_ = pool.Touch(fake, true)
 		}
 		return ext.summary(tu)
@@ -43,13 +44,13 @@ func faultyKV(t *testing.T, s *Store, armed *bool) *VTable {
 	return vt
 }
 
-// sessionRows is a session scan of kv at currentVN, sorted.
-func sessionRows(t *testing.T, s *Store) []string {
+// sessionRows is a session scan of table at currentVN, sorted.
+func sessionRows(t *testing.T, s *Store, table string) []string {
 	t.Helper()
 	sess := s.BeginSession()
 	defer sess.Close()
 	var rows []string
-	if err := sess.Scan("kv", func(tu catalog.Tuple) bool {
+	if err := sess.Scan(table, func(tu catalog.Tuple) bool {
 		rows = append(rows, tu.String())
 		return true
 	}); err != nil {
@@ -61,27 +62,29 @@ func sessionRows(t *testing.T, s *Store) []string {
 
 // TestHeapFaultPoisonsTransaction: a heap write that fails inside the
 // applier's physical insert, update or delete has made its change (a
-// write-back failure comes after it), so the transaction is poisoned on the
-// sequential path as on the parallel one. Commit refuses, and Rollback
-// brings the store back to the state before the transaction.
+// write-back failure comes after it), so the transaction is poisoned. So is
+// an Exec statement whose write of a later row fails, after it wrote the
+// rows before it. Commit refuses, and Rollback brings the store back to the
+// state before the transaction.
 func TestHeapFaultPoisonsTransaction(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		for _, tc := range []struct {
 			name string
-			// setup runs before the fault is armed; fault hits one
-			// physical write.
+			// setup runs before the fault is armed; fault hits the
+			// physical write of key.
 			setup, fault func(m *Maintenance) error
+			key          int64
 		}{
 			{"physInsert", nil, func(m *Maintenance) error {
 				return m.Insert("kv", kvTuple(10, 100))
-			}},
+			}, 10},
 			{"physUpdate", nil, func(m *Maintenance) error {
 				_, err := m.UpdateKey("kv", catalog.Tuple{catalog.NewInt(1)}, func(c catalog.Tuple) catalog.Tuple {
 					c[1] = catalog.NewInt(77)
 					return c
 				})
 				return err
-			}},
+			}, 1},
 			{"physDelete", func(m *Maintenance) error {
 				// A fresh insert: deleting it is Table 4 row 2's physical
 				// delete.
@@ -89,14 +92,22 @@ func TestHeapFaultPoisonsTransaction(t *testing.T) {
 			}, func(m *Maintenance) error {
 				_, err := m.DeleteKey("kv", catalog.Tuple{catalog.NewInt(10)})
 				return err
-			}},
+			}, 10},
+			{"Exec-UPDATE", nil, func(m *Maintenance) error {
+				_, err := m.Exec(`UPDATE kv SET v = v + 1`, nil)
+				return err
+			}, 2},
+			{"Exec-INSERT", nil, func(m *Maintenance) error {
+				_, err := m.Exec(`INSERT INTO kv VALUES (10, 1), (11, 2), (12, 3)`, nil)
+				return err
+			}, 11},
 		} {
 			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
 				s, err := Open(db.Open(db.Options{PoolPages: 1}), Options{N: n})
 				if err != nil {
 					t.Fatal(err)
 				}
-				armed := false
+				armed := int64(-1)
 				faultyKV(t, s, &armed)
 				m := mustMaint(t, s)
 				for k := int64(0); k < 4; k++ {
@@ -110,7 +121,7 @@ func TestHeapFaultPoisonsTransaction(t *testing.T) {
 					t.Fatal(err)
 				}
 				commit(t, m)
-				want := sessionRows(t, s)
+				want := sessionRows(t, s, "kv")
 
 				m = mustMaint(t, s)
 				if tc.setup != nil {
@@ -118,11 +129,11 @@ func TestHeapFaultPoisonsTransaction(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				armed = true
+				armed = tc.key
 				if err := tc.fault(m); !errors.Is(err, storage.ErrWriteBack) {
 					t.Fatalf("%s under a write-back fault = %v, want ErrWriteBack", tc.name, err)
 				}
-				if armed {
+				if armed >= 0 {
 					t.Fatal("the fault never fired")
 				}
 				if err := m.Commit(); !errors.Is(err, storage.ErrWriteBack) {
@@ -134,7 +145,7 @@ func TestHeapFaultPoisonsTransaction(t *testing.T) {
 				if err := s.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				if got := sessionRows(t, s); !slices.Equal(got, want) {
+				if got := sessionRows(t, s, "kv"); !slices.Equal(got, want) {
 					t.Fatalf("after Rollback the store reads %v, want %v", got, want)
 				}
 			})
@@ -143,7 +154,8 @@ func TestHeapFaultPoisonsTransaction(t *testing.T) {
 }
 
 // TestInvalidOpDoesNotPoison: a refused logical operation changes no tuple,
-// so the transaction stays committable.
+// so the transaction stays committable. So does a statement refused while
+// Exec evaluates it, before its first write.
 func TestInvalidOpDoesNotPoison(t *testing.T) {
 	s := newStore(t, 2)
 	if _, err := s.CreateTable(kvSchema()); err != nil {
@@ -153,11 +165,31 @@ func TestInvalidOpDoesNotPoison(t *testing.T) {
 	if err := m.Insert("kv", kvTuple(1, 1)); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Insert("kv", kvTuple(2, 0)); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Insert("kv", kvTuple(1, 2)); !errors.Is(err, ErrInvalidMaintenanceOp) {
 		t.Fatalf("insert of a live key = %v, want ErrInvalidMaintenanceOp", err)
 	}
 	if err := m.Insert("kv", catalog.Tuple{catalog.NewString("x"), catalog.NewInt(1)}); err == nil {
 		t.Fatal("insert of a string into an INT key was accepted")
 	}
+	before := m.Stats()
+	for _, stmt := range []string{
+		`DELETE FROM kv WHERE 10 / v > 1`,
+		`UPDATE kv SET v = 10 / v`,
+		`INSERT INTO kv VALUES (3, 3), (4, 1 / 0)`,
+		`UPDATE kv SET k = 1`,
+	} {
+		if n, err := m.Exec(stmt, nil); err == nil || n != 0 {
+			t.Fatalf("%s = (%d, %v), want a refusal", stmt, n, err)
+		}
+	}
+	if after := m.Stats(); after != before {
+		t.Fatalf("refused statements changed the counters from %+v to %+v", before, after)
+	}
 	commit(t, m)
+	if got, want := sessionRows(t, s, "kv"), []string{kvTuple(1, 1).String(), kvTuple(2, 0).String()}; !slices.Equal(got, want) {
+		t.Fatalf("the store reads %v, want %v", got, want)
+	}
 }

@@ -51,21 +51,15 @@ func (s *Store) journalOrNil() Journal {
 // for crash recovery (the wal package), which replays committed
 // maintenance transactions and then advances the store to the highest
 // committed VN; calling it with an active maintenance transaction or live
-// sessions is invalid. In relation-backed mode a failed Version-relation
-// write surfaces here rather than leaving the relation diverged from
-// memory.
-func (s *Store) SetCurrentVN(vn VN) error {
+// sessions is invalid.
+func (s *Store) SetCurrentVN(vn VN) {
 	s.mu.Lock()
-	err := s.setGlobalsLocked(vn, false)
+	s.setGlobalsLocked(vn, false)
 	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	// Recovery replays tuples straight into the engine, bypassing the
 	// maintenance write path that maintains the per-table oldest-slot
 	// watermarks — rebuild them from the recovered heaps.
 	for _, vt := range s.Tables() {
 		vt.recomputeOldestHW()
 	}
-	return nil
 }

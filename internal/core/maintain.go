@@ -76,10 +76,7 @@ func (s *Store) beginMaintenance(netEffect bool) (*Maintenance, error) {
 	}
 	m := &Maintenance{store: s, vn: cur + 1, netEffect: netEffect, began: time.Now(), journal: s.journal}
 	m.ap = &applier{m: m}
-	if err := s.setGlobalsLocked(cur, true); err != nil {
-		s.latchRelease(acquired)
-		return nil, fmt.Errorf("core: raising maintenanceActive: %w", err)
-	}
+	s.setGlobalsLocked(cur, true)
 	s.maint = m
 	s.latchRelease(acquired)
 	// Journal the begin record outside the latch: the append may block on
@@ -130,66 +127,6 @@ func (m *Maintenance) Insert(tableName string, base catalog.Tuple) error {
 		return err
 	}
 	return m.ap.insert(vt, base)
-}
-
-// UpdateWhere applies a logical update to every current-version tuple
-// satisfying pred, cursor-style (§4.2.2): matching RIDs are collected
-// first, then each tuple is re-read and folded individually. set receives
-// the current base tuple and returns the new one.
-func (m *Maintenance) UpdateWhere(tableName string, pred func(catalog.Tuple) bool, set func(catalog.Tuple) catalog.Tuple) (int, error) {
-	if err := m.checkActive(); err != nil {
-		return 0, err
-	}
-	vt, err := m.table(tableName)
-	if err != nil {
-		return 0, err
-	}
-	rids := m.cursorSelect(vt, pred)
-	n := 0
-	for _, rid := range rids {
-		ext, err := vt.tbl.Get(rid)
-		if err != nil {
-			continue
-		}
-		cur, visible := vt.ext.CurrentVersion(ext)
-		if !visible || (pred != nil && !pred(cur)) {
-			continue
-		}
-		if err := m.ap.applyUpdate(vt, rid, ext, set(cur.Clone())); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// DeleteWhere applies a logical delete to every current-version tuple
-// satisfying pred, cursor-style (§4.2.3).
-func (m *Maintenance) DeleteWhere(tableName string, pred func(catalog.Tuple) bool) (int, error) {
-	if err := m.checkActive(); err != nil {
-		return 0, err
-	}
-	vt, err := m.table(tableName)
-	if err != nil {
-		return 0, err
-	}
-	rids := m.cursorSelect(vt, pred)
-	n := 0
-	for _, rid := range rids {
-		ext, err := vt.tbl.Get(rid)
-		if err != nil {
-			continue
-		}
-		cur, visible := vt.ext.CurrentVersion(ext)
-		if !visible || (pred != nil && !pred(cur)) {
-			continue
-		}
-		if err := m.ap.applyDelete(vt, rid, ext); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
 }
 
 // lookupKey reads the stored tuple with the given unique key. found is false
@@ -265,23 +202,6 @@ func (m *Maintenance) GetCurrent(tableName string, key catalog.Tuple) (catalog.T
 	return cur, visible, nil
 }
 
-// cursorSelect collects the RIDs of current-version-visible tuples
-// matching pred, without holding any latch across the whole scan.
-func (m *Maintenance) cursorSelect(vt *VTable, pred func(catalog.Tuple) bool) []storage.RID {
-	var rids []storage.RID
-	vt.tbl.Scan(func(rid storage.RID, t catalog.Tuple) bool {
-		cur, visible := vt.ext.CurrentVersion(t)
-		if !visible {
-			return true
-		}
-		if pred == nil || pred(cur) {
-			rids = append(rids, rid)
-		}
-		return true
-	})
-	return rids
-}
-
 // Query runs a SELECT as the maintenance transaction: the readers' plan
 // with sessionVN bound to maintenanceVN, so the transaction reads the first
 // row of Table 1 — the latest version of every tuple, its own uncommitted
@@ -297,33 +217,78 @@ func (m *Maintenance) Query(text string, params exec.Params) (*exec.Rows, error)
 	return m.store.executePlan(e, params, m.vn)
 }
 
-// Exec parses and applies a maintenance DML statement — INSERT, UPDATE, or
-// DELETE over a base schema — by rewriting it into the cursor loops of
-// §4.2. Returns the number of logical rows affected.
+// Exec parses and applies a maintenance DML statement (INSERT, UPDATE or
+// DELETE over a base schema) and returns the number of logical rows it
+// affected. §4.2 writes such a statement as a cursor loop and leaves its
+// atomicity to the DBMS underneath; this engine is that DBMS, so the
+// statement runs in two phases. It is first evaluated whole: every VALUES
+// row, or the WHERE over every current version (Table 1's first row) and the
+// SET of each match, checked as the applier checks them. An error there
+// returns with nothing written, and the transaction stays committable. The
+// targets are then folded through Tables 2–4 under ApplyBatch's rule: an
+// error after the first write poisons the transaction, so Commit refuses and
+// the caller must Rollback.
 func (m *Maintenance) Exec(text string, params exec.Params) (int, error) {
 	if err := m.checkActive(); err != nil {
 		return 0, err
+	}
+	if m.broken != nil {
+		return 0, fmt.Errorf("core: statement refused after a failed write: %w", m.broken)
 	}
 	stmt, err := sql.Parse(text)
 	if err != nil {
 		return 0, err
 	}
+	var vt *VTable
+	var targets []target
 	switch st := stmt.(type) {
 	case *sql.InsertStmt:
-		return m.execInsert(st, params)
+		vt, targets, err = m.evalInsert(st, params)
 	case *sql.UpdateStmt:
-		return m.execUpdate(st, params)
+		vt, targets, err = m.evalWhere(st.Table, st.Where, st.Sets, params)
 	case *sql.DeleteStmt:
-		return m.execDelete(st, params)
+		vt, targets, err = m.evalWhere(st.Table, st.Where, nil, params)
 	default:
-		return 0, fmt.Errorf("core: maintenance cannot execute %T", stmt)
+		err = fmt.Errorf("core: maintenance cannot execute %T", stmt)
 	}
-}
-
-func (m *Maintenance) execInsert(st *sql.InsertStmt, params exec.Params) (int, error) {
-	vt, err := m.table(st.Table)
 	if err != nil {
 		return 0, err
+	}
+	defer m.store.settleOldestHW()
+	for i, tg := range targets {
+		switch {
+		case tg.ext == nil:
+			err = m.ap.insert(vt, tg.base)
+		case tg.base == nil:
+			err = m.ap.applyDelete(vt, tg.rid, tg.ext)
+		default:
+			err = m.ap.applyUpdate(vt, tg.rid, tg.ext, tg.base)
+		}
+		if err != nil {
+			// A heap fault has poisoned the transaction already; any
+			// other error of the first target comes before its write.
+			if i > 0 && m.broken == nil {
+				m.broken = err
+			}
+			return i, err
+		}
+	}
+	return len(targets), nil
+}
+
+// target is one row of an evaluated statement: an insert carries the new
+// base tuple, a delete the stored tuple and its RID, an update all three.
+type target struct {
+	rid  storage.RID
+	ext  catalog.Tuple // the stored tuple; nil for an insert
+	base catalog.Tuple // the new base values; nil for a delete
+}
+
+// evalInsert evaluates and validates every VALUES row of an INSERT.
+func (m *Maintenance) evalInsert(st *sql.InsertStmt, params exec.Params) (*VTable, []target, error) {
+	vt, err := m.table(st.Table)
+	if err != nil {
+		return nil, nil, err
 	}
 	base := vt.ext.Base
 	colIdx := make([]int, 0, len(st.Columns))
@@ -335,97 +300,86 @@ func (m *Maintenance) execInsert(st *sql.InsertStmt, params exec.Params) (int, e
 		for _, name := range st.Columns {
 			idx := base.ColIndex(name)
 			if idx < 0 {
-				return 0, fmt.Errorf("core: table %q has no column %q", st.Table, name)
+				return nil, nil, fmt.Errorf("core: table %q has no column %q", st.Table, name)
 			}
 			colIdx = append(colIdx, idx)
 		}
 	}
-	n := 0
-	for _, row := range st.Rows {
+	targets := make([]target, len(st.Rows))
+	for r, row := range st.Rows {
 		if len(row) != len(colIdx) {
-			return n, fmt.Errorf("core: INSERT row has %d values for %d columns", len(row), len(colIdx))
+			return nil, nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(row), len(colIdx))
 		}
 		t := make(catalog.Tuple, len(base.Columns))
 		for i := range t {
 			t[i] = catalog.Null
 		}
 		for i, e := range row {
-			v, err := exec.EvalConst(e, params)
-			if err != nil {
-				return n, err
+			if t[colIdx[i]], err = exec.EvalConst(e, params); err != nil {
+				return nil, nil, err
 			}
-			t[colIdx[i]] = v
 		}
-		if err := m.Insert(st.Table, t); err != nil {
-			return n, err
+		if targets[r].base, err = base.Validate(t); err != nil {
+			return nil, nil, err
 		}
-		n++
 	}
-	return n, nil
+	return vt, targets, nil
 }
 
-func (m *Maintenance) execUpdate(st *sql.UpdateStmt, params exec.Params) (int, error) {
-	vt, err := m.table(st.Table)
+// evalWhere evaluates the WHERE of an UPDATE or a DELETE over every current
+// version in one in-place walk of the table, and collects the matches. For
+// an UPDATE (sets non-nil) it evaluates each match's SET over its current
+// values and checks the new values as applyUpdate does.
+func (m *Maintenance) evalWhere(table string, where sql.Expr, sets []sql.SetClause, params exec.Params) (*VTable, []target, error) {
+	vt, err := m.table(table)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	base := vt.ext.Base
-	setIdx := make([]int, len(st.Sets))
-	for i, set := range st.Sets {
-		idx := base.ColIndex(set.Column)
-		if idx < 0 {
-			return 0, fmt.Errorf("core: table %q has no column %q", st.Table, set.Column)
+	e := vt.ext
+	setIdx := make([]int, len(sets))
+	for i, set := range sets {
+		if setIdx[i] = e.Base.ColIndex(set.Column); setIdx[i] < 0 {
+			return nil, nil, fmt.Errorf("core: table %q has no column %q", table, set.Column)
 		}
-		setIdx[i] = idx
 	}
-	ev := exec.NewRowEval(st.Table, base, params)
-	pred := func(cur catalog.Tuple) bool {
-		if st.Where == nil {
-			return true
+	ev := exec.NewRowEval(table, e.Base, params)
+	var targets []target
+	var setErr error
+	err = vt.tbl.ScanFilter(storage.Filter{Pred: func(t catalog.Tuple) (bool, error) {
+		cur, visible := e.CurrentVersion(t)
+		if !visible || where == nil {
+			return visible, nil
 		}
-		ok, err := ev.Truthy(st.Where, cur)
-		return err == nil && ok
-	}
-	var evalErr error
-	n, err := m.UpdateWhere(st.Table, pred, func(cur catalog.Tuple) catalog.Tuple {
-		out := cur.Clone()
-		for i, set := range st.Sets {
-			v, err := ev.Value(set.Expr, cur)
-			if err != nil {
-				evalErr = err
-				return out
+		return ev.Truthy(where, cur)
+	}}, func(rids []storage.RID, tuples []catalog.Tuple) bool {
+		for i, t := range tuples {
+			tg := target{rid: rids[i], ext: t.Clone()}
+			if sets != nil {
+				cur := e.BaseValues(tg.ext)
+				next := cur.Clone()
+				for j, set := range sets {
+					if next[setIdx[j]], setErr = ev.Value(set.Expr, cur); setErr != nil {
+						return false
+					}
+				}
+				if tg.base, setErr = e.checkUpdate(tg.ext, next); setErr != nil {
+					return false
+				}
 			}
-			out[setIdx[i]] = v
+			targets = append(targets, tg)
 		}
-		return out
+		return true
 	})
-	if evalErr != nil {
-		return n, evalErr
+	if err == nil {
+		err = setErr
 	}
-	return n, err
-}
-
-func (m *Maintenance) execDelete(st *sql.DeleteStmt, params exec.Params) (int, error) {
-	vt, err := m.table(st.Table)
-	if err != nil {
-		return 0, err
-	}
-	ev := exec.NewRowEval(st.Table, vt.ext.Base, params)
-	return m.DeleteWhere(st.Table, func(cur catalog.Tuple) bool {
-		if st.Where == nil {
-			return true
-		}
-		ok, err := ev.Truthy(st.Where, cur)
-		return err == nil && ok
-	})
+	return vt, targets, err
 }
 
 // Commit installs the transaction's version: currentVN ← maintenanceVN and
-// maintenanceActive ← false, under the global latch (§3). (The paper notes
-// that in a pure SQL deployment the Version-relation update should run as
-// its own tiny transaction immediately after the maintenance commit so an
-// abort never exposes a half-installed version; with the latched update
-// here the installation is atomic.)
+// maintenanceActive ← false, under the global latch (§3), after the commit
+// record is durable. The installation is one latched snapshot swap, so no
+// reader ever sees a half-installed version.
 func (m *Maintenance) Commit() error {
 	if err := m.checkActive(); err != nil {
 		return err
@@ -444,29 +398,10 @@ func (m *Maintenance) Commit() error {
 			return fmt.Errorf("core: commit journal: %w", err)
 		}
 	}
-	// Install under the latch, retrying transient failures per the
-	// store's policy. The latch is released for every backoff — readers
-	// and the Version relation stay available while the install waits —
-	// and reacquired for the next attempt.
-	for attempt := 0; ; attempt++ {
-		acquired := s.latchAcquire()
-		err := s.setGlobalsLocked(m.vn, false)
-		if err == nil {
-			s.finishLocked(m)
-			s.latchRelease(acquired)
-			break
-		}
-		s.latchRelease(acquired)
-		if attempt+1 >= s.commitRetry.Attempts {
-			// Nothing was installed: the transaction stays active, so
-			// the caller can retry Commit or fall back to Rollback
-			// rather than run against a version state diverged from the
-			// relation.
-			return fmt.Errorf("core: installing version %d: %w", m.vn, err)
-		}
-		s.metrics.commitRetries.Inc()
-		s.commitRetry.Wait(attempt)
-	}
+	acquired := s.latchAcquire()
+	s.setGlobalsLocked(m.vn, false)
+	s.finishLocked(m)
+	s.latchRelease(acquired)
 	mm := s.metrics
 	mm.commitNS.ObserveSince(start)
 	mm.txnNS.ObserveSince(m.began)
@@ -521,10 +456,7 @@ func (m *Maintenance) Rollback() error {
 	}
 	acquired := s.latchAcquire()
 	curVN, _ := s.globalsLocked()
-	if err := s.setGlobalsLocked(curVN, false); err != nil {
-		s.latchRelease(acquired)
-		return fmt.Errorf("core: clearing maintenanceActive: %w", err)
-	}
+	s.setGlobalsLocked(curVN, false)
 	s.finishLocked(m)
 	s.latchRelease(acquired)
 	mm := s.metrics

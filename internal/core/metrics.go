@@ -41,7 +41,6 @@ type storeMetrics struct {
 
 	maintBegun     *obs.Counter
 	maintCommits   *obs.Counter
-	commitRetries  *obs.Counter
 	maintRollbacks *obs.Counter
 	commitNS       *obs.Histogram
 	rollbackNS     *obs.Histogram
@@ -109,7 +108,6 @@ func newStoreMetrics(reg *obs.Registry, tracer obs.Tracer) *storeMetrics {
 
 		maintBegun:     c("core_maint_begun_total", "maintenance transactions begun"),
 		maintCommits:   c("core_maint_commits_total", "maintenance transactions committed"),
-		commitRetries:  c("core_commit_retries_total", "transient version-install failures retried during Commit"),
 		maintRollbacks: c("core_maint_rollbacks_total", "maintenance transactions rolled back"),
 		commitNS:       h("core_maint_commit_ns", "latency of Commit (journal force + version install)"),
 		rollbackNS:     h("core_maint_rollback_ns", "latency of Rollback (the logless revert)"),

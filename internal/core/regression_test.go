@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/db"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -102,9 +101,7 @@ func TestOldestHWMatchesScan(t *testing.T) {
 
 	// Recovery installs a version without running the maintenance write
 	// path; SetCurrentVN rebuilds the marks by scan.
-	if err := s.SetCurrentVN(s.CurrentVN() + 3); err != nil {
-		t.Fatal(err)
-	}
+	s.SetCurrentVN(s.CurrentVN() + 3)
 	step("recovery SetCurrentVN")
 
 	for _, n := range []int{2, 3} {
@@ -356,68 +353,6 @@ func TestSessionGetSurfacesHeapError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "kv") {
 		t.Errorf("Get error does not name the table: %v", err)
-	}
-}
-
-// TestCommitSurfacesVersionRelationError covers the setGlobalsLocked fix
-// in relation-backed mode: a failed Version-relation write surfaces from
-// Commit, nothing is installed, and the transaction stays active so the
-// caller can repair and retry.
-func TestCommitSurfacesVersionRelationError(t *testing.T) {
-	d := db.Open(db.Options{})
-	s, err := Open(d, Options{VersionRelation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CreateTable(kvSchema()); err != nil {
-		t.Fatal(err)
-	}
-	m := mustMaint(t, s)
-	if err := m.Insert("kv", kvTuple(1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	// Break the global state's backing: delete the single Version tuple.
-	var rid storage.RID
-	s.versionTbl.Scan(func(r storage.RID, _ catalog.Tuple) bool { rid = r; return false })
-	if err := s.versionTbl.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	err = m.Commit()
-	if err == nil {
-		t.Fatal("Commit with a broken Version relation succeeded")
-	}
-	if !strings.Contains(err.Error(), "installing version") {
-		t.Errorf("Commit error = %v", err)
-	}
-	// Repair the relation; nothing was installed, so the transaction is
-	// still the active one (the restored tuple carries active = true).
-	if _, err := s.versionTbl.Insert(catalog.Tuple{catalog.NewInt(1), catalog.NewBool(true)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.BeginMaintenance(); !errors.Is(err, ErrMaintenanceActive) {
-		t.Fatalf("BeginMaintenance after failed commit = %v, want ErrMaintenanceActive", err)
-	}
-	// Retry the same transaction.
-	commit(t, m)
-	if got := s.CurrentVN(); got != 2 {
-		t.Errorf("CurrentVN after retried commit = %d, want 2", got)
-	}
-
-	// The begin path surfaces the same failure class.
-	s.versionTbl.Scan(func(r storage.RID, _ catalog.Tuple) bool { rid = r; return false })
-	if err := s.versionTbl.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.BeginMaintenance(); err == nil || !strings.Contains(err.Error(), "raising maintenanceActive") {
-		t.Fatalf("BeginMaintenance with a broken Version relation = %v", err)
-	}
-	if _, err := s.versionTbl.Insert(catalog.Tuple{catalog.NewInt(2), catalog.NewBool(false)}); err != nil {
-		t.Fatal(err)
-	}
-	m = mustMaint(t, s)
-	commit(t, m)
-	if got := s.CurrentVN(); got != 3 {
-		t.Errorf("CurrentVN after repair = %d, want 3", got)
 	}
 }
 

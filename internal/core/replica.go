@@ -17,18 +17,14 @@ import "repro/internal/catalog"
 // path does, so publish stays O(1) per replayed transaction. The snapshot swap
 // inside setGlobalsLocked is the release barrier: every physical write the
 // transaction made happens-before a reader session observing the new VN.
-func (s *Store) InstallReplayedVN(vn VN) error {
+func (s *Store) InstallReplayedVN(vn VN) {
 	s.mu.Lock()
-	err := s.setGlobalsLocked(vn, false)
+	s.setGlobalsLocked(vn, false)
 	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	m := s.metrics
 	m.vnAdvances.Inc()
 	m.currentVN.Set(int64(vn))
 	m.trace(TraceVNAdvance, vn, 0)
-	return nil
 }
 
 // NoteReplayedWrite raises the oldest-slot high-water mark for a tuple the

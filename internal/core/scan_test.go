@@ -157,10 +157,7 @@ func TestRejectingScanAllocatesNothingPerPage(t *testing.T) {
 		defer sess.Close()
 		if rewrite {
 			m := mustMaint(t, s)
-			if _, err := m.UpdateWhere("fact", func(catalog.Tuple) bool { return true }, func(old catalog.Tuple) catalog.Tuple {
-				old[2] = catalog.NewInt(old[2].Int() + 1)
-				return old
-			}); err != nil {
+			if _, err := m.Exec(`UPDATE fact SET qty = qty + 1`, nil); err != nil {
 				t.Fatal(err)
 			}
 			commit(t, m)
@@ -204,10 +201,7 @@ func TestCleanPageKernelAllocatesNothingPerPage(t *testing.T) {
 		defer sess.Close()
 		if rewrite {
 			m := mustMaint(t, s)
-			if _, err := m.UpdateWhere("fact", func(catalog.Tuple) bool { return true }, func(old catalog.Tuple) catalog.Tuple {
-				old[2] = catalog.NewInt(old[2].Int() + 1)
-				return old
-			}); err != nil {
+			if _, err := m.Exec(`UPDATE fact SET qty = qty + 1`, nil); err != nil {
 				t.Fatal(err)
 			}
 			commit(t, m)

@@ -38,10 +38,8 @@ type Session struct {
 	preReadHook, midQueryHook func()
 }
 
-// BeginSession starts a reader session at the current database version. In
-// relation-backed mode this reads the Version relation, as the paper's
-// deployment does (§4). Expiration uses the global pessimistic check of
-// §4.1.
+// BeginSession starts a reader session at the current database version.
+// Expiration uses the global pessimistic check of §4.1.
 func (s *Store) BeginSession() *Session {
 	return s.beginSession(false)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/db"
 )
 
 // TestSessionExpirationTimeline walks the 2VNL lifecycle of §2.1: a session
@@ -239,48 +238,6 @@ func TestConcurrentReadersDuringMaintenance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestVersionRelationMode runs the store with the single-tuple Version
-// relation of §4 and checks the globals round-trip through the engine.
-func TestVersionRelationMode(t *testing.T) {
-	d := db.Open(db.Options{})
-	s, err := Open(d, Options{VersionRelation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CreateTable(kvSchema()); err != nil {
-		t.Fatal(err)
-	}
-	readVersionRel := func() (int64, bool) {
-		rows, err := d.Query(`SELECT currentVN, maintenanceActive FROM Version`, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows.Tuples[0][0].Int(), rows.Tuples[0][1].Bool()
-	}
-	if vn, active := readVersionRel(); vn != 1 || active {
-		t.Fatalf("initial Version relation = (%d, %v)", vn, active)
-	}
-	m := mustMaint(t, s)
-	if vn, active := readVersionRel(); vn != 1 || !active {
-		t.Fatalf("Version relation during maintenance = (%d, %v)", vn, active)
-	}
-	if err := m.Insert("kv", kvTuple(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	commit(t, m)
-	if vn, active := readVersionRel(); vn != 2 || active {
-		t.Fatalf("Version relation after commit = (%d, %v)", vn, active)
-	}
-	if s.CurrentVN() != 2 {
-		t.Errorf("CurrentVN = %d", s.CurrentVN())
-	}
-	sess := s.BeginSession()
-	defer sess.Close()
-	if sess.VN() != 2 {
-		t.Errorf("sessionVN = %d", sess.VN())
 	}
 }
 

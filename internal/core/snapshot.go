@@ -35,18 +35,10 @@ func (s *Store) publishLocked() {
 	})
 }
 
-// readGlobals returns (currentVN, maintenanceActive, expireFloor) without
-// taking the latch. In relation-backed mode the version pair is read from
-// the Version relation through the engine — paying the buffer-pool traffic
-// the §4 experiments measure — while the expiration floor still comes from
-// the snapshot (the paper's deployment keeps only the two §3 globals in the
-// relation).
+// readGlobals returns (currentVN, maintenanceActive, expireFloor) from the
+// published snapshot, without taking the latch.
 func (s *Store) readGlobals() (VN, bool, VN) {
 	snap := s.snap.Load()
-	if s.versionTbl != nil {
-		vn, active := s.scanVersionRelation()
-		return vn, active, snap.expireFloor
-	}
 	return snap.currentVN, snap.maintActive, snap.expireFloor
 }
 

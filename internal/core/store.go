@@ -12,24 +12,13 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/vfs"
 )
-
-// versionRelation is the name of the single-tuple relation that holds the
-// global variables when the store runs in relation-backed mode (§4).
-const versionRelation = "Version"
 
 // Options configures a Store.
 type Options struct {
 	// N is the number of simultaneously available database versions;
 	// 0 or 2 selects the paper's 2VNL, larger values select nVNL (§5).
 	N int
-	// VersionRelation stores currentVN and maintenanceActive in a
-	// single-tuple Version relation read through the engine (as §4
-	// prescribes for a pure query-rewrite deployment) instead of in
-	// latched process memory. Reads of the global state then cost buffer
-	// pool traffic, which the experiments can observe.
-	VersionRelation bool
 	// Metrics receives the store's instrumentation (sessions, version
 	// advances, Tables 2–4 outcome cells, GC). Nil selects obs.Default(),
 	// which is what the binaries render; tests pass a private registry to
@@ -38,14 +27,6 @@ type Options struct {
 	// Tracer receives the store's state-transition events. Nil selects
 	// obs.DefaultTracer(), a ring buffer of recent events.
 	Tracer obs.Tracer
-	// CommitRetry bounds how Commit retries a transiently failing
-	// version-installation (the Version-relation update under the latch).
-	// The zero value selects the defaults (3 attempts, 1 ms backoff);
-	// vfs.NoRetry makes the first failure final. The latch is released
-	// between attempts, and on exhaustion the transaction stays active
-	// per the error-surfacing contract, so the caller can still retry or
-	// roll back.
-	CommitRetry vfs.RetryPolicy
 }
 
 // Store is the 2VNL/nVNL controller for one database: it owns the global
@@ -56,9 +37,8 @@ type Options struct {
 // execution) performs no mutex acquisition at all — see ARCHITECTURE.md's
 // read-path memory model.
 type Store struct {
-	d    *db.Database
-	n    int
-	opts Options
+	d *db.Database
+	n int
 
 	// mu is the latch guarding the global variables (§3: "we assume a
 	// simple latching mechanism is used to read and update these global
@@ -102,8 +82,6 @@ type Store struct {
 	// invalidate by table-registry pointer (plancache.go).
 	plans *planCache
 
-	versionTbl *db.Table // non-nil in relation-backed mode
-
 	// adoptLoadHook, when non-nil, runs before each tuple is loaded into
 	// the extended table during AdoptTable (test seam for mid-load
 	// failure injection).
@@ -113,9 +91,6 @@ type Store struct {
 	// see Options.Metrics).
 	reg     *obs.Registry
 	metrics *storeMetrics
-
-	// commitRetry is Options.CommitRetry, normalized at Open.
-	commitRetry vfs.RetryPolicy
 }
 
 // VTable is a versioned relation managed by the store.
@@ -153,14 +128,12 @@ func Open(d *db.Database, opts Options) (*Store, error) {
 		tracer = obs.DefaultTracer()
 	}
 	s := &Store{
-		d:           d,
-		n:           n,
-		opts:        opts,
-		currentVN:   1,
-		reg:         reg,
-		metrics:     newStoreMetrics(reg, tracer),
-		commitRetry: opts.CommitRetry.Normalize(),
-		plans:       &planCache{m: make(map[string]*planEntry)},
+		d:         d,
+		n:         n,
+		currentVN: 1,
+		reg:       reg,
+		metrics:   newStoreMetrics(reg, tracer),
+		plans:     &planCache{m: make(map[string]*planEntry)},
 	}
 	// The store is not shared until Open returns, but the publish
 	// discipline is cheap enough to follow even here.
@@ -171,20 +144,6 @@ func Open(d *db.Database, opts Options) (*Store, error) {
 	s.latchRelease(acquired)
 	s.metrics.currentVN.Set(1)
 	d.Pool().Instrument(reg, "storage_pool")
-	if opts.VersionRelation {
-		schema := catalog.MustSchema(versionRelation, []catalog.Column{
-			{Name: "currentVN", Type: catalog.TypeInt, Length: 4, Updatable: true},
-			{Name: "maintenanceActive", Type: catalog.TypeBool, Length: 1, Updatable: true},
-		})
-		vt, err := d.CreateTable(schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: creating Version relation: %w", err)
-		}
-		if _, err := vt.Insert(catalog.Tuple{catalog.NewInt(1), catalog.NewBool(false)}); err != nil {
-			return nil, err
-		}
-		s.versionTbl = vt
-	}
 	return s, nil
 }
 
@@ -194,59 +153,22 @@ func (s *Store) N() int { return s.n }
 // DB returns the underlying database.
 func (s *Store) DB() *db.Database { return s.d }
 
-// globals reads (currentVN, maintenanceActive) without the latch. In
-// relation-backed mode it reads the Version relation through the engine,
-// paying buffer-pool traffic; otherwise it reads the published snapshot.
+// globals reads (currentVN, maintenanceActive) from the published snapshot,
+// without the latch.
 func (s *Store) globals() (VN, bool) {
 	vn, active, _ := s.readGlobals()
 	return vn, active
 }
 
 func (s *Store) globalsLocked() (VN, bool) {
-	if s.versionTbl != nil {
-		return s.scanVersionRelation()
-	}
 	return s.currentVN, s.maintActive
 }
 
-// scanVersionRelation reads the single Version tuple. Page latches inside
-// the engine make the read safe without the store latch.
-func (s *Store) scanVersionRelation() (VN, bool) {
-	var vn VN
-	var active bool
-	s.versionTbl.Scan(func(_ storage.RID, t catalog.Tuple) bool {
-		vn = VN(t[0].Int())
-		active = t[1].Bool()
-		return false
-	})
-	return vn, active
-}
-
 // setGlobalsLocked installs (currentVN, maintenanceActive) and publishes
-// the new snapshot. In relation-backed mode the Version relation is
-// updated first: if that write fails nothing is installed, so latched
-// memory, the snapshot, and the relation never diverge — the caller
-// (commit, rollback, begin) sees the error with the transaction still in
-// its prior state.
-func (s *Store) setGlobalsLocked(vn VN, active bool) error {
-	if s.versionTbl != nil {
-		var rid storage.RID
-		found := false
-		s.versionTbl.Scan(func(r storage.RID, _ catalog.Tuple) bool {
-			rid = r
-			found = true
-			return false
-		})
-		if !found {
-			return fmt.Errorf("core: Version relation holds no tuple")
-		}
-		if err := s.versionTbl.Update(rid, catalog.Tuple{catalog.NewInt(int64(vn)), catalog.NewBool(active)}); err != nil {
-			return fmt.Errorf("core: updating Version relation: %w", err)
-		}
-	}
+// the new snapshot.
+func (s *Store) setGlobalsLocked(vn VN, active bool) {
 	s.currentVN, s.maintActive = vn, active
 	s.publishLocked()
-	return nil
 }
 
 // CurrentVN returns the committed database version number.

@@ -26,32 +26,15 @@ const (
 // TestStressReadersDuringMaintenance is the concurrency proof for the
 // lock-free read path: many reader goroutines hammer pre-parsed queries
 // while one maintenance loop commits and rolls back (logless, §7)
-// transactions, under both global-variable backings. Run it under -race
-// (the CI stress job does); the invariant checks catch logical races, the
-// race detector catches memory ones.
+// transactions. Run it under -race (the CI stress job does); the invariant
+// checks catch logical races, the race detector catches memory ones.
 func TestStressReadersDuringMaintenance(t *testing.T) {
-	cases := []struct {
-		name     string
-		relation bool
-	}{
-		{"logless-memory", false},
-		{"logless-relation", true},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			runStress(t, tc.relation)
-		})
-	}
+	t.Run("logless-memory", runStress)
 }
 
-func runStress(t *testing.T, relation bool) {
+func runStress(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newStore(t, 2, func(o *Options) {
-		o.VersionRelation = relation
-		o.Metrics = reg
-	})
+	s := newStore(t, 2, func(o *Options) { o.Metrics = reg })
 	if _, err := s.CreateTable(kvSchema()); err != nil {
 		t.Fatal(err)
 	}

@@ -287,9 +287,9 @@ func TestTable3And4Cells(t *testing.T) {
 	if tvn, op, pre, v := slot1(); tvn != 3 || op != OpDelete || pre != "11" || v != 31 {
 		t.Errorf("delete of same-txn update: (%d, %s, %s, %d), want (3, delete, 11, 31)", tvn, op, pre, v)
 	}
-	// Impossible: update or delete of a deleted tuple. The cursor APIs
-	// skip invisible tuples (that is how SQL statements behave), so probe
-	// the low-level error path directly.
+	// Impossible: update or delete of a deleted tuple. Exec's UPDATE and
+	// DELETE skip invisible tuples (that is how SQL statements behave), so
+	// probe the low-level error path directly.
 	rid, _ := vt.Storage().SearchKey(key)
 	ext, _ := vt.Storage().Get(rid)
 	if err := m.ap.applyUpdate(vt, rid, ext, kvTuple(1, 99)); !errors.Is(err, ErrInvalidMaintenanceOp) {

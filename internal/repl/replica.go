@@ -305,9 +305,7 @@ func (r *Replica) Ingest(seg server.ReplSegment) error {
 	r.met.durable.Set(next)
 	r.met.commits.Add(int64(commits))
 	if maxVN > 1 && uint64(maxVN) > r.replayedVN.Load() {
-		if err := r.store.InstallReplayedVN(maxVN); err != nil {
-			return r.failLocked(fmt.Errorf("repl: publishing VN %d: %w", maxVN, err))
-		}
+		r.store.InstallReplayedVN(maxVN)
 		r.replayedVN.Store(uint64(maxVN))
 		r.met.replayedVN.Set(int64(maxVN))
 	}

@@ -219,3 +219,28 @@ func TestShellMetricsShowsPlanCache(t *testing.T) {
 		t.Fatalf("repeated shell query did not hit the plan cache: %v", snap.Counters)
 	}
 }
+
+// TestShellFailedStatementChangesNothing: an UPDATE that fails on one of its
+// rows prints the error and writes none of them, so the transaction commits
+// with no logical update and the table reads as before.
+func TestShellFailedStatementChangesNothing(t *testing.T) {
+	sh, out := newShell(t)
+	run(t, sh, out,
+		`CREATE TABLE kv (k INT(8), v INT(8) UPDATABLE, UNIQUE KEY(k))`,
+		`\maint`, `INSERT INTO kv VALUES (1, 10), (2, 0)`, `\commit`,
+	)
+	const sel = `SELECT k, v FROM kv ORDER BY k`
+	before := run(t, sh, out, sel)
+	if got := run(t, sh, out, `\maint`, `UPDATE kv SET v = 10 / v`); !strings.Contains(got, "error: exec: division by zero") {
+		t.Fatalf("failing update:\n%s", got)
+	}
+	if got := run(t, sh, out, sel); got != before {
+		t.Errorf("after the failed update the table reads\n%s\nwant\n%s", got, before)
+	}
+	if got := run(t, sh, out, `\commit`); !strings.Contains(got, "committed: currentVN now 3 (0 ins, 0 upd, 0 del logical)") {
+		t.Fatalf("commit after the failed update:\n%s", got)
+	}
+	if got := run(t, sh, out, sel); got != before {
+		t.Errorf("after the commit the table reads\n%s\nwant\n%s", got, before)
+	}
+}

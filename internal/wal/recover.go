@@ -195,9 +195,7 @@ func RecoverStreamFS(fsys vfs.FS, path string, dbOpts db.Options, storeOpts core
 	// resume tail.
 	resume.Tail = open
 	if stats.HighestVN > 1 {
-		if err := store.SetCurrentVN(stats.HighestVN); err != nil {
-			return nil, nil, stats, nil, fmt.Errorf("wal: installing recovered version %d: %w", stats.HighestVN, err)
-		}
+		store.SetCurrentVN(stats.HighestVN)
 	}
 	mRecoverRecords.Add(int64(stats.RecordsScanned))
 	mRecoverReplayed.Add(int64(stats.TuplesReplayed))
