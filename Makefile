@@ -24,7 +24,7 @@ examples:
 
 # stress runs the multi-goroutine concurrency tests (readers racing
 # maintenance, shared sessions, mid-query expiry, buffer-pool hits racing
-# evictions and flushes, scans at a fixed version racing the writers that
+# evictions, scans at a fixed version racing the writers that
 # fold each heap page's version summary: TestStressHeapSummary), compiled
 # plans checked against the oracle while batches commit, on pages small
 # enough that a session meets clean pages, where the WHERE runs as the typed

@@ -1,7 +1,7 @@
 // Command vnlcrash runs the deterministic crash & fault-injection sweep
 // from internal/crashtest outside the test harness: a scripted 2VNL
 // maintenance workload is crashed before every persisting I/O boundary
-// (WAL append, fsync, heap write-back, checkpoint create/rename), recovered,
+// (WAL append, fsync, checkpoint create/rename), recovered,
 // and checked against the scan oracle and the store's structural
 // invariants.
 //
@@ -45,7 +45,6 @@ func main() {
 	var (
 		seed     = flag.Int64("seed", 1, "workload seed (tail transactions)")
 		n        = flag.Int("n", 2, "version count (2 = 2VNL)")
-		pool     = flag.Int("pool", 2, "buffer-pool pages (small = frequent write-backs)")
 		faults   = flag.Int("faults", 0, "extra sweeps under random fault scripts")
 		faultSrc = flag.Int64("faultseed", 7, "seed for the random fault scripts")
 		script   = flag.String("script", "", "fault script file to replay (see internal/vfs ParseScript)")
@@ -56,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := crashtest.Config{Seed: *seed, N: *n, PoolPages: *pool, Parallel: *parallel, Shards: *shards}
+	cfg := crashtest.Config{Seed: *seed, N: *n, Parallel: *parallel, Shards: *shards}
 	if *shards > 0 {
 		if *script != "" || *faults > 0 || *replica {
 			fmt.Fprintln(os.Stderr, "vnlcrash: -shards injects its own crash points; -script, -faults, and -replica do not combine with it")

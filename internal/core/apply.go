@@ -34,10 +34,9 @@ type tupleRef struct {
 }
 
 // heapFault returns err, a physical write's error or nil, having poisoned the
-// transaction if it is a heap fault: the heap may have made the change
-// (storage.ErrWriteBack) or left it half made, so Commit must refuse and the
-// caller must Rollback. A duplicate key is no heap fault; the table undid its
-// insert.
+// transaction if it is a heap fault: the engine is corrupt, and the
+// transaction's earlier writes stand, so Commit must refuse and the caller
+// must Rollback. A duplicate key is no heap fault; the table undid its insert.
 func (a *applier) heapFault(err error) error {
 	if err != nil && !errors.Is(err, db.ErrDuplicateKey) && a.m.broken == nil {
 		a.m.broken = err
@@ -45,14 +44,23 @@ func (a *applier) heapFault(err error) error {
 	return err
 }
 
+// injected returns the store's writeFault seam's error for a write of t to vt.
+func (s *Store) injected(vt *VTable, t catalog.Tuple) error {
+	if s.writeFault == nil {
+		return nil
+	}
+	return s.writeFault(vt, t)
+}
+
 // physInsert performs and journals a physical tuple insert. The journal
 // record follows the heap change, because an insert learns its RID only from
-// the heap. A write-back failure comes after the heap made its change, so
-// this, physUpdate and physDelete journal and note the change before they
-// report the failure.
+// the heap.
 func (a *applier) physInsert(vt *VTable, ext catalog.Tuple) error {
+	if err := a.m.store.injected(vt, ext); err != nil {
+		return a.heapFault(err)
+	}
 	rid, err := vt.tbl.Insert(ext)
-	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
+	if err != nil {
 		return a.heapFault(err)
 	}
 	if j := a.m.journal; j != nil {
@@ -61,13 +69,15 @@ func (a *applier) physInsert(vt *VTable, ext catalog.Tuple) error {
 	vt.noteTupleWrite(ext)
 	a.stats.PhysicalInserts++
 	a.met().physIns.Inc()
-	return a.heapFault(err)
+	return nil
 }
 
 // physUpdate performs and journals an in-place physical update.
 func (a *applier) physUpdate(vt *VTable, rid storage.RID, before, after catalog.Tuple) error {
-	err := vt.tbl.Update(rid, after)
-	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
+	if err := a.m.store.injected(vt, after); err != nil {
+		return a.heapFault(err)
+	}
+	if err := vt.tbl.Update(rid, after); err != nil {
 		return a.heapFault(err)
 	}
 	if j := a.m.journal; j != nil {
@@ -76,13 +86,15 @@ func (a *applier) physUpdate(vt *VTable, rid storage.RID, before, after catalog.
 	vt.noteTupleWrite(after)
 	a.stats.PhysicalUpdates++
 	a.met().physUpd.Inc()
-	return a.heapFault(err)
+	return nil
 }
 
 // physDelete performs and journals a physical delete.
 func (a *applier) physDelete(vt *VTable, rid storage.RID, before catalog.Tuple) error {
-	err := vt.tbl.Delete(rid)
-	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
+	if err := a.m.store.injected(vt, before); err != nil {
+		return a.heapFault(err)
+	}
+	if err := vt.tbl.Delete(rid); err != nil {
 		return a.heapFault(err)
 	}
 	if j := a.m.journal; j != nil {
@@ -91,7 +103,7 @@ func (a *applier) physDelete(vt *VTable, rid storage.RID, before catalog.Tuple) 
 	vt.noteTupleRemoved(before)
 	a.stats.PhysicalDeletes++
 	a.met().physDel.Inc()
-	return a.heapFault(err)
+	return nil
 }
 
 // insert performs a logical insert of a base-schema tuple, implementing
@@ -105,12 +117,8 @@ func (a *applier) insert(vt *VTable, base catalog.Tuple) error {
 	a.met().logicalIns.Inc()
 	e := vt.ext
 	if e.Base.HasKey() {
-		key := e.KeyOfBase(base)
-		if rid, ok := vt.tbl.SearchKey(key); ok {
-			ext, err := vt.tbl.Get(rid)
-			if err == nil {
-				return a.insertOnConflict(vt, rid, ext, base)
-			}
+		if rid, ext, found, _ := vt.lookupKey(e.KeyOfBase(base)); found {
+			return a.insertOnConflict(vt, rid, ext, base)
 		}
 	}
 	// Table 2, row 3: no conflicting tuple.

@@ -21,7 +21,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 )
 
 // VN is a database version number. currentVN starts at 1 and each committed
@@ -65,13 +64,3 @@ var (
 	// version store.
 	ErrNotRegistered = errors.New("core: table not registered with the version store")
 )
-
-func (o Op) valid() bool { return o == OpInsert || o == OpUpdate || o == OpDelete }
-
-func opOf(s string) (Op, error) {
-	o := Op(s)
-	if !o.valid() && o != OpNone {
-		return OpNone, fmt.Errorf("core: unknown operation %q", s)
-	}
-	return o, nil
-}

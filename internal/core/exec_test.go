@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -61,24 +62,19 @@ func txnView(t *testing.T, m *Maintenance) []string {
 }
 
 // TestExecStatementIsAtomic: a statement that fails on one of its rows
-// writes none of them. Each of the first four fails while it is evaluated,
-// so the transaction's stored tuples stay exactly as they were and the
-// transaction commits with nothing changed. The fifth fails on a live key
-// only when its second row is applied: the transaction is poisoned, and
-// Rollback restores the store.
+// writes none of them. Each fails while it is evaluated, so the
+// transaction's stored tuples stay exactly as they were and the transaction
+// commits with nothing changed: also an INSERT whose later row carries a live
+// key, or a key an earlier row of the statement inserts.
 func TestExecStatementIsAtomic(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		for _, tc := range []struct {
-			name, stmt string
-			// applied: the statement fails only when it is applied, so it
-			// may have written.
-			applied bool
-		}{
-			{"where-div0", `DELETE FROM t WHERE 10 / b > 1`, false},
-			{"set-div0", `UPDATE t SET a = 99, b = 10 / b`, false},
-			{"values-div0", `INSERT INTO t VALUES (3, 1, 1), (4, 1 / 0, 1)`, false},
-			{"set-key", `UPDATE t SET a = a + 1, k = 1`, false},
-			{"live-key", `INSERT INTO t VALUES (3, 1, 1), (1, 1, 1)`, true},
+		for _, tc := range []struct{ name, stmt string }{
+			{"where-div0", `DELETE FROM t WHERE 10 / b > 1`},
+			{"set-div0", `UPDATE t SET a = 99, b = 10 / b`},
+			{"values-div0", `INSERT INTO t VALUES (3, 1, 1), (4, 1 / 0, 1)`},
+			{"set-key", `UPDATE t SET a = a + 1, k = 1`},
+			{"live-key", `INSERT INTO t VALUES (3, 1, 1), (1, 1, 1)`},
+			{"repeated-key", `INSERT INTO t VALUES (3, 1, 1), (3, 2, 2)`},
 		} {
 			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
 				s := abStore(t, n, [3]int64{1, 10, 0}, [3]int64{2, 20, 5})
@@ -88,25 +84,13 @@ func TestExecStatementIsAtomic(t *testing.T) {
 				if _, err := m.Exec(tc.stmt, nil); err == nil {
 					t.Fatal("the statement succeeded")
 				}
-				if slices.Equal(heapImage(t, s), heap) {
-					if got := txnView(t, m); !slices.Equal(got, view) {
-						t.Fatalf("the transaction reads %v after the failed statement, want %v", got, view)
-					}
-					commit(t, m)
-				} else {
-					if !tc.applied {
-						t.Fatal("the statement wrote before it failed")
-					}
-					if err := m.Commit(); err == nil {
-						t.Fatal("Commit accepted a statement that failed after a write")
-					}
-					if _, err := m.Exec(`DELETE FROM t`, nil); err == nil {
-						t.Fatal("a statement ran in the poisoned transaction")
-					}
-					if err := m.Rollback(); err != nil {
-						t.Fatal(err)
-					}
+				if !slices.Equal(heapImage(t, s), heap) {
+					t.Fatal("the statement wrote before it failed")
 				}
+				if got := txnView(t, m); !slices.Equal(got, view) {
+					t.Fatalf("the transaction reads %v after the failed statement, want %v", got, view)
+				}
+				commit(t, m)
 				if got := sessionRows(t, s, "t"); !slices.Equal(got, want) {
 					t.Fatalf("the store reads %v, want %v", got, want)
 				}
@@ -238,8 +222,9 @@ func genExec(rng *rand.Rand, md execModel) execCase {
 // against a map model, in transactions that each run several of them. A
 // statement that succeeds must leave the transaction reading the model's
 // rows. One that fails must leave every stored tuple as it was and the
-// transaction committable, or else Commit must refuse and Rollback restore
-// the last committed state.
+// transaction committable. One whose second write the writeFault seam fails
+// has written, so Commit must refuse and Rollback restore the last committed
+// state.
 func TestExecDifferential(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -252,6 +237,15 @@ func TestExecDifferential(t *testing.T) {
 		for seed := 0; seed < seeds; seed++ {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			s := abStore(t, n)
+			// failAt is the write of the next statement the seam fails; 0
+			// fails none.
+			var writes, failAt int
+			s.writeFault = func(*VTable, catalog.Tuple) error {
+				if writes++; writes == failAt {
+					return errCorrupt
+				}
+				return nil
+			}
 			committed := execModel{}
 			for txn := 0; txn < 4; txn++ {
 				m := mustMaint(t, s)
@@ -260,8 +254,21 @@ func TestExecDifferential(t *testing.T) {
 				for i := 0; i < 6 && !poisoned; i++ {
 					c := genExec(rng, md)
 					heap := heapImage(t, s)
+					if writes, failAt = 0, 0; rng.Intn(6) == 0 {
+						failAt = 2
+					}
 					_, err := m.Exec(c.sql, nil)
+					failAt = 0
 					switch {
+					case errors.Is(err, errCorrupt):
+						if c.next == nil {
+							t.Fatalf("n=%d seed=%d: %s reached its writes, the model expects it to fail before them", n, seed, c.sql)
+						}
+						if cerr := m.Commit(); cerr == nil {
+							t.Fatalf("n=%d seed=%d: %s failed after a write (%v) and Commit accepted it", n, seed, c.sql, err)
+						}
+						poisoned = true
+						outcomes[2]++
 					case err == nil && c.next == nil:
 						t.Fatalf("n=%d seed=%d: %s succeeded, the model expects a failure", n, seed, c.sql)
 					case err != nil && c.next != nil:
@@ -272,11 +279,7 @@ func TestExecDifferential(t *testing.T) {
 					case slices.Equal(heapImage(t, s), heap):
 						outcomes[1]++
 					default:
-						if cerr := m.Commit(); cerr == nil {
-							t.Fatalf("n=%d seed=%d: %s failed after a write (%v) and Commit accepted it", n, seed, c.sql, err)
-						}
-						poisoned = true
-						outcomes[2]++
+						t.Fatalf("n=%d seed=%d: %s wrote before it failed: %v", n, seed, c.sql, err)
 					}
 					if got := txnView(t, m); !poisoned && !slices.Equal(got, md.rows()) {
 						t.Fatalf("n=%d seed=%d: after %s the transaction reads %v, want %v", n, seed, c.sql, got, md.rows())

@@ -7,41 +7,21 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/db"
-	"repro/internal/storage"
 )
 
-// faultyKV creates the kv table as CreateTable does, except that its heap's
-// summariser, which runs inside every heap write, dirties a page of a file no
-// heap owns when it meets the tuple whose key is *armed, and then disarms
-// (sets *armed to -1). The pool holds one page, so the write's own touch
-// evicts that page, whose write-back fails: the write of that key reports
-// storage.ErrWriteBack after it has made its change (the seam of db's
-// TestWriteBackFaultKeepsIndexesInStep).
-func faultyKV(t *testing.T, s *Store, armed *int64) *VTable {
-	t.Helper()
-	fake := storage.PageKey{File: 1 << 30}
-	pool := s.d.Pool()
-	pool.RegisterWriter(fake.File, func(int) error { return errors.New("disk full") })
-	ext, err := ExtendSchema(kvSchema(), s.n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := s.d.CreateSummarisedTable(ext.Ext, func(tu catalog.Tuple) (int64, bool) {
-		if *armed >= 0 && ext.BaseValues(tu)[0].Int() == *armed {
+// errCorrupt is the error the writeFault seam injects.
+var errCorrupt = errors.New("heap corrupt")
+
+// failKey makes the store's writeFault seam fail the next write of the tuple
+// of table kv whose key is *armed, and then disarm (set *armed to -1).
+func failKey(s *Store, armed *int64) {
+	s.writeFault = func(vt *VTable, tu catalog.Tuple) error {
+		if *armed >= 0 && vt.ext.BaseValues(tu)[0].Int() == *armed {
 			*armed = -1
-			_ = pool.Touch(fake, true)
+			return errCorrupt
 		}
-		return ext.summary(tu)
-	})
-	if err != nil {
-		t.Fatal(err)
+		return nil
 	}
-	vt := &VTable{store: s, ext: ext, tbl: tbl}
-	s.mu.Lock()
-	s.registerTableLocked("kv", vt)
-	s.mu.Unlock()
-	return vt
 }
 
 // sessionRows is a session scan of table at currentVN, sorted.
@@ -61,11 +41,10 @@ func sessionRows(t *testing.T, s *Store, table string) []string {
 }
 
 // TestHeapFaultPoisonsTransaction: a heap write that fails inside the
-// applier's physical insert, update or delete has made its change (a
-// write-back failure comes after it), so the transaction is poisoned. So is
-// an Exec statement whose write of a later row fails, after it wrote the
-// rows before it. Commit refuses, and Rollback brings the store back to the
-// state before the transaction.
+// applier's physical insert, update or delete means the engine is corrupt,
+// so the transaction is poisoned. So is an Exec statement whose write of a
+// later row fails, after it wrote the rows before it. Commit refuses, and
+// Rollback brings the store back to the state before the transaction.
 func TestHeapFaultPoisonsTransaction(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		for _, tc := range []struct {
@@ -103,12 +82,12 @@ func TestHeapFaultPoisonsTransaction(t *testing.T) {
 			}, 11},
 		} {
 			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
-				s, err := Open(db.Open(db.Options{PoolPages: 1}), Options{N: n})
-				if err != nil {
+				s := newStore(t, n)
+				if _, err := s.CreateTable(kvSchema()); err != nil {
 					t.Fatal(err)
 				}
 				armed := int64(-1)
-				faultyKV(t, s, &armed)
+				failKey(s, &armed)
 				m := mustMaint(t, s)
 				for k := int64(0); k < 4; k++ {
 					if err := m.Insert("kv", kvTuple(k, k)); err != nil {
@@ -130,13 +109,13 @@ func TestHeapFaultPoisonsTransaction(t *testing.T) {
 					}
 				}
 				armed = tc.key
-				if err := tc.fault(m); !errors.Is(err, storage.ErrWriteBack) {
-					t.Fatalf("%s under a write-back fault = %v, want ErrWriteBack", tc.name, err)
+				if err := tc.fault(m); !errors.Is(err, errCorrupt) {
+					t.Fatalf("%s under a heap fault = %v, want the fault", tc.name, err)
 				}
 				if armed >= 0 {
 					t.Fatal("the fault never fired")
 				}
-				if err := m.Commit(); !errors.Is(err, storage.ErrWriteBack) {
+				if err := m.Commit(); !errors.Is(err, errCorrupt) {
 					t.Fatalf("Commit after a heap fault = %v, want a refusal naming it", err)
 				}
 				if err := m.Rollback(); err != nil {
@@ -191,5 +170,77 @@ func TestInvalidOpDoesNotPoison(t *testing.T) {
 	commit(t, m)
 	if got, want := sessionRows(t, s, "kv"), []string{kvTuple(1, 1).String(), kvTuple(2, 0).String()}; !slices.Equal(got, want) {
 		t.Fatalf("the store reads %v, want %v", got, want)
+	}
+}
+
+// TestRollbackFaultLeavesItRetryable fails a rollback's revert part-way, on
+// its tenth tuple. A revert that skipped the tuple it could not write would
+// leave it with tupleVN1 = maintenanceVN, and the next transaction, which
+// reuses that VN, would publish the aborted values when it committed. So the
+// failed Rollback must report the fault and keep the transaction active,
+// Commit must refuse it, and a retry must restore the pre-transaction state.
+func TestRollbackFaultLeavesItRetryable(t *testing.T) {
+	s := newStore(t, 2)
+	if _, err := s.CreateTable(kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const keys = 30
+	m := mustMaint(t, s)
+	for k := int64(1); k <= keys; k++ {
+		if err := m.Insert("kv", kvTuple(k, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+	vn := s.CurrentVN()
+
+	m = mustMaint(t, s)
+	if _, err := m.Exec(`UPDATE kv SET v = v + 1000`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DeleteKey("kv", catalog.Tuple{catalog.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Insert("kv", kvTuple(keys+1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	reverted := 0
+	s.writeFault = func(*VTable, catalog.Tuple) error {
+		if reverted++; reverted == 10 {
+			return errCorrupt
+		}
+		return nil
+	}
+	if err := m.Rollback(); !errors.Is(err, errCorrupt) {
+		t.Fatalf("Rollback under a heap fault = %v, want the fault", err)
+	}
+	if !s.MaintenanceActive() {
+		t.Fatal("a failed Rollback ended the transaction")
+	}
+	if err := m.Commit(); err == nil {
+		t.Fatal("Commit accepted a half-reverted transaction")
+	}
+
+	s.writeFault = nil
+	if err := m.Rollback(); err != nil {
+		t.Fatalf("retried Rollback: %v", err)
+	}
+	if s.CurrentVN() != vn || s.MaintenanceActive() {
+		t.Fatalf("globals after the retry: VN=%d active=%v, want VN=%d idle", s.CurrentVN(), s.MaintenanceActive(), vn)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The next transaction takes the aborted one's VN; committing it must
+	// publish nothing of the aborted one.
+	commit(t, mustMaint(t, s))
+	sess := s.BeginSession()
+	defer sess.Close()
+	rows, err := sess.Query(`SELECT COUNT(*), SUM(v) FROM kv`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rows.Tuples), fmt.Sprintf("[(%d, %d)]", keys, keys*(keys+1)/2); got != want {
+		t.Fatalf("after the retried rollback and a commit: %s, want %s", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/index"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
@@ -131,7 +132,7 @@ func (m *Maintenance) Insert(tableName string, base catalog.Tuple) error {
 
 // lookupKey reads the stored tuple with the given unique key. found is false
 // when no tuple has the key, or its slot was freed since the index lookup —
-// the legal skip. Any other read error is an I/O fault and is returned, so
+// the legal skip. Any other read error is corruption and is returned, so
 // that it fails the operation instead of passing for a missing key and
 // silently shrinking the transaction.
 func (v *VTable) lookupKey(key catalog.Tuple) (rid storage.RID, ext catalog.Tuple, found bool, err error) {
@@ -222,12 +223,12 @@ func (m *Maintenance) Query(text string, params exec.Params) (*exec.Rows, error)
 // affected. §4.2 writes such a statement as a cursor loop and leaves its
 // atomicity to the DBMS underneath; this engine is that DBMS, so the
 // statement runs in two phases. It is first evaluated whole: every VALUES
-// row, or the WHERE over every current version (Table 1's first row) and the
-// SET of each match, checked as the applier checks them. An error there
-// returns with nothing written, and the transaction stays committable. The
-// targets are then folded through Tables 2–4 under ApplyBatch's rule: an
-// error after the first write poisons the transaction, so Commit refuses and
-// the caller must Rollback.
+// row and its key, or the WHERE over every current version (Table 1's
+// first row) and the SET of each match, checked as the applier checks them.
+// An error there returns with nothing written, and the transaction stays
+// committable. The targets are then folded through Tables 2–4 under
+// ApplyBatch's rule: an error after the first write poisons the
+// transaction, so Commit refuses and the caller must Rollback.
 func (m *Maintenance) Exec(text string, params exec.Params) (int, error) {
 	if err := m.checkActive(); err != nil {
 		return 0, err
@@ -284,7 +285,9 @@ type target struct {
 	base catalog.Tuple // the new base values; nil for a delete
 }
 
-// evalInsert evaluates and validates every VALUES row of an INSERT.
+// evalInsert evaluates and validates every VALUES row of an INSERT, and
+// refuses a key that Table 2 would: one held by a tuple not logically
+// deleted, or one an earlier row of the statement inserts.
 func (m *Maintenance) evalInsert(st *sql.InsertStmt, params exec.Params) (*VTable, []target, error) {
 	vt, err := m.table(st.Table)
 	if err != nil {
@@ -306,6 +309,7 @@ func (m *Maintenance) evalInsert(st *sql.InsertStmt, params exec.Params) (*VTabl
 		}
 	}
 	targets := make([]target, len(st.Rows))
+	keys := index.NewHash(true)
 	for r, row := range st.Rows {
 		if len(row) != len(colIdx) {
 			return nil, nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(row), len(colIdx))
@@ -321,6 +325,13 @@ func (m *Maintenance) evalInsert(st *sql.InsertStmt, params exec.Params) (*VTabl
 		}
 		if targets[r].base, err = base.Validate(t); err != nil {
 			return nil, nil, err
+		}
+		if base.HasKey() {
+			key := base.KeyOf(targets[r].base)
+			_, ext, found, err := vt.lookupKey(key)
+			if err != nil || keys.Insert(key, storage.RID{}) != nil || found && vt.ext.OpAt(ext, 1) != OpDelete {
+				return nil, nil, fmt.Errorf("%w: insert of live key %v into %s", ErrInvalidMaintenanceOp, key, base.Name)
+			}
 		}
 	}
 	return vt, targets, nil
@@ -435,10 +446,10 @@ func (s *Store) finishLocked(m *Maintenance) {
 // expiry checks, before and after a query, test it. Sessions at currentVN
 // are unaffected.
 //
-// A revert that fails on an I/O error returns it and leaves the transaction
-// active and poisoned: Commit refuses, and Rollback may be retried. The
-// retry is idempotent, because only tuples still carrying maintenanceVN in
-// slot 1 are reverted.
+// A revert whose read or write fails returns the error and leaves the
+// transaction active and poisoned: Commit refuses, and Rollback may be
+// retried. The retry is idempotent, because only tuples still carrying
+// maintenanceVN in slot 1 are reverted.
 func (m *Maintenance) Rollback() error {
 	if err := m.checkActive(); err != nil {
 		return err
@@ -513,6 +524,9 @@ func (m *Maintenance) revertTable(vt *VTable, cur VN) error {
 		t, err := vt.tbl.Get(rid)
 		if errors.Is(err, storage.ErrNotFound) {
 			continue
+		}
+		if err == nil {
+			err = m.store.injected(vt, t)
 		}
 		if err != nil {
 			return err

@@ -86,6 +86,9 @@ type Store struct {
 	// the extended table during AdoptTable (test seam for mid-load
 	// failure injection).
 	adoptLoadHook func(i int) error
+	// writeFault, when non-nil, fails each maintenance or rollback write of
+	// a tuple it returns an error for (test seam for a corrupt engine).
+	writeFault func(vt *VTable, t catalog.Tuple) error
 
 	// reg and metrics are the store's observability surface (never nil;
 	// see Options.Metrics).

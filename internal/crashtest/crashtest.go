@@ -3,9 +3,9 @@
 // paper's Tables 2–4 decision cells — with a reader session open across
 // maintenance, GC, a checkpoint, and an aborted transaction — over the
 // fault-injecting filesystem in internal/vfs, then simulates a crash at
-// every persisting-I/O boundary (WAL appends, fsyncs, heap page
-// write-backs, file creates/renames), power-cuts the filesystem, recovers
-// from the WAL, and asserts the durability invariants §7's logless
+// every persisting-I/O boundary (WAL appends, fsyncs, file
+// creates/renames), power-cuts the filesystem, recovers from the WAL, the
+// only file recovery reads, and asserts the durability invariants §7's logless
 // argument promises:
 //
 //   - the recovered currentVN is exactly the version of some
@@ -43,9 +43,6 @@ type Config struct {
 	Seed int64
 	// N is the version count (0 or 2 → 2VNL).
 	N int
-	// PoolPages is the buffer-pool capacity; small values force dirty
-	// evictions, i.e. heap write-backs at faultable moments. 0 selects 8.
-	PoolPages int
 	// Script is the base fault plan applied to every run (the sweep adds
 	// the crash point). Nil means fault-free.
 	Script *vfs.Script
@@ -73,9 +70,6 @@ type Config struct {
 func (c Config) normalize() Config {
 	if c.N == 0 {
 		c.N = 2
-	}
-	if c.PoolPages == 0 {
-		c.PoolPages = 2
 	}
 	if c.Script == nil {
 		c.Script = vfs.NewScript()
@@ -243,7 +237,7 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 	st.snapshots = map[core.VN]model{1: w.cur.clone()}
 	st.acked = 1
 
-	engine := db.Open(db.Options{DataFS: fs, DataDir: "data", PoolPages: cfg.PoolPages, PageSize: 256})
+	engine := db.Open(db.Options{PageSize: 256})
 	store, err := core.Open(engine, core.Options{N: cfg.N})
 	if err != nil {
 		return err
@@ -272,8 +266,7 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 	// VN 2: initial load (Table 2 row 3 — inserts of new tuples).
 	if err := w.txn(func(m *core.Maintenance, pend model) error {
 		// Keys 5–6 are reserved for VN 3's insert cells; the filler rows
-		// (101+) exist to spread the heap over multiple pages so pool
-		// evictions — and their faultable write-backs — actually happen.
+		// (101+) spread the heap over several pages.
 		for _, k := range []int64{1, 2, 3, 4, 101, 102, 103, 104} {
 			row := dimRow(k, 10*k, fmt.Sprintf("n%d", k))
 			if err := m.Insert("dim", row); err != nil {
@@ -508,7 +501,50 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 		}
 	}
 
-	return nil
+	// The SQL transaction (VN 6, or VN 7 with Parallel) runs statements
+	// through Exec, each evaluated whole and then folded through Tables 2–4:
+	// a WHERE update, a WHERE delete, and an insert that re-inserts a key the
+	// delete removed (Table 2 row 2) beside a fresh one.
+	if err := w.txn(func(m *core.Maintenance, pend model) error {
+		for _, stmt := range []string{
+			`UPDATE dim SET v = v + 1 WHERE k < 5`,
+			`DELETE FROM fact WHERE qty >= 4`,
+			`INSERT INTO fact VALUES (4, 40, 2.5), (7, 7, 3.5)`,
+		} {
+			if _, err := m.Exec(stmt, nil); err != nil {
+				return err
+			}
+		}
+		for k, t := range pend["dim"] {
+			if k < 5 {
+				pend.put("dim", dimRow(k, t[1].Int()+1, t[2].Str()))
+			}
+		}
+		for k, t := range pend["fact"] {
+			if t[1].Int() >= 4 {
+				pend.delete("fact", k)
+			}
+		}
+		pend.put("fact", factRow(4, 40, 2.5))
+		pend.put("fact", factRow(7, 7, 3.5))
+		return nil
+	}); err != nil {
+		return err
+	}
+	// A second GC pass reclaims that transaction's deletes and journals
+	// them as another VN-0 pseudo-transaction, and the last transaction
+	// inserts a key it reclaimed afresh (Table 2 row 3): replay collides
+	// with the deleted tuple unless the reclamation was journaled.
+	if gcStats := w.store.GC(); gcStats.Err != nil {
+		return w.stop(gcStats.Err)
+	}
+	return w.txn(func(m *core.Maintenance, pend model) error {
+		if _, err := m.Exec(`INSERT INTO fact VALUES (5, 50, 1.5)`, nil); err != nil {
+			return err
+		}
+		pend.put("fact", factRow(5, 50, 1.5))
+		return nil
+	})
 }
 
 // validate power-cuts fs, recovers, and checks every durability invariant
@@ -518,7 +554,7 @@ func validate(cfg Config, fs *vfs.FaultFS, st *runState, synclie bool) error {
 	fs.PowerCut()
 	fs.SetScript(nil) // recovery runs on healthy hardware
 	recStore, _, _, err := wal.RecoverFS(fs, walPath,
-		db.Options{DataFS: fs, DataDir: "rec", PoolPages: cfg.PoolPages, PageSize: 256},
+		db.Options{PageSize: 256},
 		core.Options{N: cfg.N})
 	if err != nil {
 		return fmt.Errorf("recovery failed: %w", err)

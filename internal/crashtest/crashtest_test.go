@@ -14,7 +14,7 @@ import (
 
 // TestCrashSweep is the exhaustive boundary sweep: the scripted workload
 // is crashed once at every persisting-I/O operation (WAL writes, fsyncs,
-// heap page write-backs, creates, renames), recovered, and validated.
+// creates, renames), recovered, and validated.
 // CRASHTEST_SEED overrides the fixed seed; on failure the reproducing
 // fault script is written to CRASHTEST_ARTIFACT (if set) and logged.
 func TestCrashSweep(t *testing.T) {
@@ -64,8 +64,8 @@ func TestCrashSweepWithRandomFaults(t *testing.T) {
 
 // TestWorkloadCoversAllBoundaryKinds pins the promise the sweep rests on:
 // the scripted workload's persisting-I/O trace includes every boundary
-// class — WAL appends, WAL fsyncs, heap page write-backs, file creates,
-// and the checkpoint rename — so "crash at every op" really does mean
+// class — WAL appends, WAL fsyncs, file creates, and the checkpoint rename
+// — so "crash at every op" really does mean
 // "crash at every kind of durability transition".
 func TestWorkloadCoversAllBoundaryKinds(t *testing.T) {
 	cfg := Config{Seed: 1}.normalize()
@@ -75,11 +75,10 @@ func TestWorkloadCoversAllBoundaryKinds(t *testing.T) {
 		t.Fatalf("fault-free workload failed: %v", err)
 	}
 	classes := map[string]func(site string) bool{
-		"WAL append":      func(s string) bool { return strings.HasPrefix(s, "write data/wal.log") },
-		"WAL fsync":       func(s string) bool { return strings.HasPrefix(s, "sync data/wal.log") },
-		"heap write-back": func(s string) bool { return strings.HasPrefix(s, "writeat ") && strings.Contains(s, ".heap") },
-		"file create":     func(s string) bool { return strings.HasPrefix(s, "create ") },
-		"ckpt rename":     func(s string) bool { return strings.HasPrefix(s, "rename ") },
+		"WAL append":  func(s string) bool { return strings.HasPrefix(s, "write data/wal.log") },
+		"WAL fsync":   func(s string) bool { return strings.HasPrefix(s, "sync data/wal.log") },
+		"file create": func(s string) bool { return strings.HasPrefix(s, "create ") },
+		"ckpt rename": func(s string) bool { return strings.HasPrefix(s, "rename ") },
 	}
 	trace := fs.Trace()
 	for name, match := range classes {

@@ -139,7 +139,7 @@ func replicaOpen(cfg Config, rfs *vfs.FaultFS) (*repl.Replica, error) {
 	return repl.Open(repl.Options{
 		FS:    rfs,
 		Path:  replicaWalPath,
-		DB:    db.Options{PoolPages: cfg.PoolPages, PageSize: 256},
+		DB:    db.Options{PageSize: 256},
 		Store: core.Options{N: cfg.N},
 		// Tiny segments: each catch-up poll ships a record or two, so the
 		// sweep injects crashes between every append/fsync pair along the

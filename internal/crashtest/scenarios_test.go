@@ -13,8 +13,8 @@ import (
 )
 
 // miniState is the tiny two-commit workload the pinned fault scenarios
-// share. Op indices on a fresh FaultFS (no DataFS, so the WAL is the only
-// persisting I/O):
+// share. Op indices on a fresh FaultFS (the WAL is the only file the engine
+// writes):
 //
 //	op 1  create wal.log
 //	op 2  write  wal.log   (commit 1: create/begin/insert/commit records)

@@ -100,12 +100,11 @@ func runShards(cfg Config, fs *vfs.FaultFS, st *runState) error {
 	st.acked = 1
 
 	r, err := shard.Open(shard.Options{
-		Shards:    cfg.Shards,
-		N:         cfg.N,
-		PoolPages: cfg.PoolPages,
-		PageSize:  256,
-		FS:        fs,
-		Dir:       "data",
+		Shards:   cfg.Shards,
+		N:        cfg.N,
+		PageSize: 256,
+		FS:       fs,
+		Dir:      "data",
 	})
 	if err != nil {
 		return fmt.Errorf("%w: %v", errStopped, err)
@@ -232,12 +231,11 @@ func validateShards(cfg Config, fs *vfs.FaultFS, st *runState) error {
 	fs.PowerCut()
 	fs.SetScript(nil)
 	r, err := shard.Open(shard.Options{
-		Shards:    cfg.Shards,
-		N:         cfg.N,
-		PoolPages: cfg.PoolPages,
-		PageSize:  256,
-		FS:        fs,
-		Dir:       "data",
+		Shards:   cfg.Shards,
+		N:        cfg.N,
+		PageSize: 256,
+		FS:       fs,
+		Dir:      "data",
 	})
 	if err != nil {
 		return fmt.Errorf("shard recovery failed: %w", err)

@@ -13,7 +13,10 @@ import (
 // copies only the old key, to remove it from the key index.
 func TestWriteAllocations(t *testing.T) {
 	d := Open(Options{})
-	tbl, err := d.CreateTable(faultKVSchema())
+	tbl, err := d.CreateTable(catalog.MustSchema("kv", []catalog.Column{
+		{Name: "k", Type: catalog.TypeInt, Length: 8},
+		{Name: "v", Type: catalog.TypeInt, Length: 8, Updatable: true},
+	}, "k"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/sql"
 	"repro/internal/storage"
-	"repro/internal/vfs"
 )
 
 // Options configures a Database.
@@ -19,21 +17,8 @@ type Options struct {
 	// PageSize in bytes; 0 selects storage.DefaultPageSize.
 	PageSize int
 	// PoolPages is the buffer-pool capacity in pages; 0 selects 1024.
+	// The pool only counts simulated page I/O: the engine is in-memory.
 	PoolPages int
-	// DataFS, when set, gives every table a backing file under DataDir:
-	// dirty pages evicted from (or flushed through) the buffer pool are
-	// mirrored to "<DataDir>/<table>.heap" on that filesystem. Nil keeps
-	// the historical accounting-only pool. The mirror is redo state — the
-	// WAL stays the durability authority — but it turns every heap flush
-	// into a faultable, crashable I/O.
-	DataFS vfs.FS
-	// DataDir is the path prefix for backing files; used only with DataFS.
-	DataDir string
-}
-
-// dataPath returns the backing-file path for a table name.
-func (o Options) dataPath(name string) string {
-	return o.DataDir + "/" + strings.ToLower(name) + ".heap"
 }
 
 // Database is the embedded engine: a catalog of tables sharing one buffer
@@ -95,45 +80,25 @@ func (d *Database) CreateSummarisedTable(s *catalog.Schema, sum storage.Summaris
 	if _, exists := d.tables[key]; exists {
 		return nil, fmt.Errorf("db: table %q already exists", s.Name)
 	}
-	if d.opts.DataFS != nil {
-		f, err := d.opts.DataFS.Create(d.opts.dataPath(s.Name))
-		if err != nil {
-			return nil, fmt.Errorf("db: creating backing file for %q: %w", s.Name, err)
-		}
-		heap.SetBacking(f)
-	}
 	d.tables[key] = t
 	return t, nil
 }
 
-// DropTable removes a table from the catalog, along with its backing file
-// when one is attached.
+// DropTable removes a table from the catalog.
 func (d *Database) DropTable(name string) error {
 	key := strings.ToLower(name)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t, exists := d.tables[key]
-	if !exists {
+	if _, exists := d.tables[key]; !exists {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
 	delete(d.tables, key)
-	if d.opts.DataFS != nil {
-		closeErr := t.heap.CloseBacking()
-		removeErr := d.opts.DataFS.Remove(d.opts.dataPath(name))
-		if err := errors.Join(closeErr, removeErr); err != nil {
-			return fmt.Errorf("db: dropping backing file for %q: %w", name, err)
-		}
-	}
 	return nil
 }
 
 // RenameTable renames a catalog entry in place: the table keeps its heap,
 // indexes, and tuples. The new name must be free. Core's AdoptTable uses
 // this to swap a fully-loaded replacement table in under the original name.
-//
-// With a backing filesystem, the backing file is renamed first: if that
-// I/O fails the catalog is left untouched and the error propagates, so the
-// file and the catalog never disagree about a table's name.
 func (d *Database) RenameTable(oldName, newName string) error {
 	okey, nkey := strings.ToLower(oldName), strings.ToLower(newName)
 	d.mu.Lock()
@@ -145,11 +110,6 @@ func (d *Database) RenameTable(oldName, newName string) error {
 	if okey != nkey {
 		if _, exists := d.tables[nkey]; exists {
 			return fmt.Errorf("db: table %q already exists", newName)
-		}
-		if d.opts.DataFS != nil {
-			if err := d.opts.DataFS.Rename(d.opts.dataPath(oldName), d.opts.dataPath(newName)); err != nil {
-				return fmt.Errorf("db: renaming backing file %q -> %q: %w", oldName, newName, err)
-			}
 		}
 		delete(d.tables, okey)
 		d.tables[nkey] = t

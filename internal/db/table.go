@@ -77,10 +77,8 @@ func (t *Table) Insert(tuple catalog.Tuple) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	// A write-back failure comes after the tuple is stored: index it, then
-	// report the failure.
 	rid, err := t.heap.Insert(tuple)
-	if err != nil && !errors.Is(err, storage.ErrWriteBack) {
+	if err != nil {
 		return storage.RID{}, err
 	}
 	if t.keyIdx != nil {
@@ -97,12 +95,10 @@ func (t *Table) Insert(tuple catalog.Tuple) (storage.RID, error) {
 		}
 	}
 	t.insertSecondary(tuple, rid)
-	return rid, err
+	return rid, nil
 }
 
-// Update replaces the tuple at rid in place and keeps indexes consistent,
-// also when the heap reports a write-back failure (storage.ErrWriteBack)
-// after making the change; Insert and Delete do the same.
+// Update replaces the tuple at rid in place and keeps indexes consistent.
 func (t *Table) Update(rid storage.RID, tuple catalog.Tuple) error {
 	tuple, err := t.schema.Validate(tuple)
 	if err != nil {
@@ -122,13 +118,13 @@ func (t *Table) Update(rid storage.RID, tuple catalog.Tuple) error {
 		}
 		t.keyIdx.Delete(oldKey, rid)
 	}
-	if err = t.heap.Update(rid, tuple); err != nil && !errors.Is(err, storage.ErrWriteBack) {
+	if err := t.heap.Update(rid, tuple); err != nil {
 		return err
 	}
 	if old != nil {
 		t.updateSecondary(old, tuple, rid)
 	}
-	return err
+	return nil
 }
 
 // Delete removes the tuple at rid and its index entries.
@@ -137,7 +133,7 @@ func (t *Table) Delete(rid storage.RID) error {
 	if err != nil {
 		return err
 	}
-	if err = t.heap.Delete(rid); err != nil && !errors.Is(err, storage.ErrWriteBack) {
+	if err := t.heap.Delete(rid); err != nil {
 		return err
 	}
 	if oldKey != nil {
@@ -146,7 +142,7 @@ func (t *Table) Delete(rid storage.RID) error {
 	if old != nil {
 		t.deleteSecondary(old, rid)
 	}
-	return err
+	return nil
 }
 
 // prior reads what Update and Delete need of the tuple at rid before they

@@ -38,8 +38,7 @@ type Options struct {
 	FS vfs.FS
 	// Path is the local WAL copy's path.
 	Path string
-	// DB sizes the local engine the log replays into (in-memory unless it
-	// carries a DataFS of its own).
+	// DB sizes the local in-memory engine the log replays into.
 	DB db.Options
 	// Store configures the version store; N must match the primary's.
 	Store core.Options

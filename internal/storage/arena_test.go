@@ -42,8 +42,7 @@ func TestHeapArenaGrowthAndClearing(t *testing.T) {
 }
 
 // Writes copy into the arena: Update, and Insert into a page with a free
-// slot, allocate nothing; UpdateFunc allocates only the copy fn receives;
-// ScanFilter with a predicate that keeps nothing allocates the same for ten
+// slot, allocate nothing; ScanFilter with a predicate that keeps nothing allocates the same for ten
 // pages as for one.
 func TestHeapArenaAllocations(t *testing.T) {
 	h, _ := newTestHeap(t, 4, 10, 80, 64) // 8 slots per page
@@ -60,14 +59,6 @@ func TestHeapArenaAllocations(t *testing.T) {
 		_ = h.Delete(r)
 	}); n != 0 {
 		t.Errorf("Insert into a free slot (and its Delete) allocates %.1f times, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		_ = h.UpdateFunc(rid, func(old catalog.Tuple) catalog.Tuple {
-			old[0] = catalog.NewInt(old[0].Int() + 1)
-			return old
-		})
-	}); n != 1 {
-		t.Errorf("UpdateFunc allocates %.1f times, want 1 (fn's copy)", n)
 	}
 
 	reject := func(catalog.Tuple) (bool, error) { return false, nil }
@@ -166,11 +157,9 @@ func TestStressHeapArena(t *testing.T) {
 				counters[k]++
 				next := value(encode(w, k, counters[k]))
 				var err error
-				switch rng.Intn(3) {
+				switch rng.Intn(2) {
 				case 0:
 					err = h.Update(rids[k], next)
-				case 1:
-					err = h.UpdateFunc(rids[k], func(catalog.Tuple) catalog.Tuple { return next })
 				default:
 					if err = h.Delete(rids[k]); err == nil {
 						gone[w*perWrite+k].Store(old)

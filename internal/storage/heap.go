@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/catalog"
-	"repro/internal/vfs"
 )
 
 // RID is a record identifier: the physical address of a tuple within a heap.
@@ -22,22 +20,15 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
 // ErrNotFound is the category error for "the requested tuple does not
 // exist": a dangling RID, a slot concurrently freed, a key with no entry.
-// Callers running cursor-style over previously collected RIDs (the executor's
-// DML paths, the indexed access path) may legally skip errors.Is(err,
-// ErrNotFound); every other error from Get/Update/Delete is an I/O fault or
-// corruption and must fail the statement, never shrink its result.
+// Callers running over previously collected RIDs (the executor's DML paths,
+// the indexed access path) may legally skip errors.Is(err, ErrNotFound);
+// every other error from Get/Update/Delete is corruption and must fail the
+// statement, never shrink its result.
 var ErrNotFound = errors.New("storage: not found")
 
 // ErrNoSuchTuple is returned when an RID does not name a live tuple. It
 // wraps ErrNotFound, so errors.Is(err, ErrNotFound) matches it.
 var ErrNoSuchTuple = fmt.Errorf("%w: no such tuple", ErrNotFound)
-
-// ErrWriteBack marks the error Insert, Update, UpdateFunc or Delete returns
-// after making its change, when the buffer pool failed to write back a page
-// it evicted to make room (BufferPool.Touch). The change stands, so a caller
-// keeping other structures in step with the heap (an index) must update them
-// before it passes the error on.
-var ErrWriteBack = errors.New("storage: write-back failed")
 
 // page is a slotted page. All its tuples live in one value arena: slot si
 // holds the w values vals[si*w:(si+1)*w], and live[si] says whether the slot
@@ -142,19 +133,13 @@ type Heap struct {
 	width       int        // values per tuple
 	sum         Summariser // nil: pages keep no summary and are never clean
 	rowBytes    int
-	pageBytes   int
 	slotsPerPag int
 
-	mu    sync.RWMutex // guards pages slice growth, freePages, and backing
+	mu    sync.RWMutex // guards pages slice growth and freePages
 	pages []*page
 	// freePages holds indexes of pages that had a free slot when last
 	// observed; it may contain stale entries, which Insert skips.
 	freePages []int
-	// backing, when set, mirrors dirty pages to a file on write-back: the
-	// pool's eviction/flush of this heap's pages calls writeBackPage. The
-	// mirror is redo state only — recovery rebuilds heaps from the WAL —
-	// but it makes every heap-flush a real I/O the crash harness can fault.
-	backing vfs.File
 
 	liveCount atomic.Int64
 }
@@ -187,7 +172,6 @@ func NewHeap(name string, width, rowBytes, pageSize int, pool *BufferPool) (*Hea
 		pool:        pool,
 		width:       width,
 		rowBytes:    rowBytes,
-		pageBytes:   pageSize,
 		slotsPerPag: pageSize / rowBytes,
 	}, nil
 }
@@ -204,93 +188,6 @@ func (h *Heap) SetSummariser(sum Summariser) error {
 	}
 	h.sum = sum
 	return nil
-}
-
-// SetBacking attaches f as the heap's page mirror and registers the
-// write-back hook with the buffer pool: from now on evicting or flushing a
-// dirty page of this heap encodes it and writes it at a fixed per-page
-// offset in f. Call before the heap sees concurrent use.
-func (h *Heap) SetBacking(f vfs.File) {
-	h.mu.Lock()
-	h.backing = f
-	h.mu.Unlock()
-	h.pool.RegisterWriter(h.fileID, h.writeBackPage)
-}
-
-// CloseBacking unregisters the write-back hook and closes the mirror file,
-// returning its Close error. Safe to call when no backing is attached.
-func (h *Heap) CloseBacking() error {
-	h.mu.Lock()
-	f := h.backing
-	h.backing = nil
-	h.mu.Unlock()
-	h.pool.RegisterWriter(h.fileID, nil)
-	if f == nil {
-		return nil
-	}
-	return f.Close()
-}
-
-// pageImageCap is the fixed byte budget one encoded page image gets in the
-// backing file (length prefix included). Variable-width values can exceed
-// their declared column lengths, so the budget carries generous slack;
-// writeBackPage fails loudly if an image outgrows it.
-func (h *Heap) pageImageCap() int { return 4*h.pageBytes + 1024 }
-
-// writeBackPage persists one page image into the backing file. It runs
-// under the pool's mutex (eviction/flush), takes the page latch only to
-// snapshot the slots, and performs a single WriteAt — one faultable I/O
-// per heap-flush boundary.
-func (h *Heap) writeBackPage(pi int) error {
-	h.mu.RLock()
-	f := h.backing
-	var pg *page
-	if pi >= 0 && pi < len(h.pages) {
-		pg = h.pages[pi]
-	}
-	h.mu.RUnlock()
-	if f == nil || pg == nil {
-		return nil
-	}
-	pg.mu.RLock()
-	img := encodePage(pg)
-	pg.mu.RUnlock()
-	capacity := h.pageImageCap()
-	if len(img)+4 > capacity {
-		return fmt.Errorf("storage: heap %q page %d image %dB exceeds its %dB budget", h.name, pi, len(img), capacity)
-	}
-	buf := make([]byte, 4, 4+len(img))
-	binary.LittleEndian.PutUint32(buf, uint32(len(img)))
-	buf = append(buf, img...)
-	if _, err := f.WriteAt(buf, int64(pi)*int64(capacity)); err != nil {
-		return fmt.Errorf("storage: heap %q page %d write-back: %w", h.name, pi, err)
-	}
-	return nil
-}
-
-// SyncBacking flushes this heap's dirty pages through the pool and fsyncs
-// the mirror file. No-op without a backing file.
-func (h *Heap) SyncBacking() error {
-	h.mu.RLock()
-	f := h.backing
-	h.mu.RUnlock()
-	if f == nil {
-		return nil
-	}
-	if err := h.pool.Flush(); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// touchRead records a read access, deliberately blanking any eviction
-// write-back error. The page walker behind Scan and ScanFilter is its only
-// caller: a full-table reader keeps working when the mirror's disk is
-// failing, because the mirror is not authoritative (the WAL is) and the
-// in-memory pages it is reading are. The error stays observable via the
-// pool's Err. Point reads (Get) propagate the same error instead — see Get.
-func (h *Heap) touchRead(pi int) {
-	_ = h.pool.Touch(PageKey{h.fileID, pi}, false)
 }
 
 // Name returns the heap's name.
@@ -363,7 +260,8 @@ func (h *Heap) Insert(t catalog.Tuple) (RID, error) {
 		pg.enter(h.sum, t)
 		pg.mu.Unlock()
 		h.liveCount.Add(1)
-		return RID{Page: pi, Slot: si}, h.written(pi)
+		h.pool.Touch(PageKey{h.fileID, pi}, true)
+		return RID{Page: pi, Slot: si}, nil
 	}
 }
 
@@ -439,13 +337,9 @@ func (h *Heap) latched(rid RID, write bool) (*page, error) {
 // Get returns a copy of the tuple at rid. The page latch is held only while
 // the tuple is copied out, so callers never see a partly-modified tuple and
 // never block behind a transaction (only behind an in-flight single-tuple
-// mutation).
-//
-// Unlike Scan, Get propagates the buffer-pool access error: a point read is
-// the access path of indexed queries and of the DML cursor's re-read, and a
-// dirty-eviction write-back failure there must fail the statement rather
-// than silently shrink its result (callers that legitimately race with
-// concurrent frees skip only errors.Is(err, ErrNotFound)).
+// mutation). Its only error is ErrNoSuchTuple, which callers that
+// legitimately race with concurrent frees skip as errors.Is(err,
+// ErrNotFound).
 func (h *Heap) Get(rid RID) (catalog.Tuple, error) {
 	pg, err := h.latched(rid, false)
 	if err != nil {
@@ -453,11 +347,7 @@ func (h *Heap) Get(rid RID) (catalog.Tuple, error) {
 	}
 	t := pg.tuple(rid.Slot).Clone()
 	pg.mu.RUnlock()
-	// Touch outside the page latch: the pool may write back an evicted
-	// victim, which takes that victim's page latch — never nest the two.
-	if err := h.pool.Touch(PageKey{h.fileID, rid.Page}, false); err != nil {
-		return nil, fmt.Errorf("storage: heap %q read %v: %w", h.name, rid, err)
-	}
+	h.pool.Touch(PageKey{h.fileID, rid.Page}, false)
 	return t, nil
 }
 
@@ -493,7 +383,8 @@ func (h *Heap) Update(rid RID, t catalog.Tuple) error {
 	copy(slot, t)
 	pg.enter(h.sum, slot)
 	pg.mu.Unlock()
-	return h.written(rid.Page)
+	h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
+	return nil
 }
 
 // Delete removes the tuple at rid, freeing its slot for reuse. The slot's
@@ -511,15 +402,7 @@ func (h *Heap) Delete(rid RID) error {
 	pg.mu.Unlock()
 	h.liveCount.Add(-1)
 	h.noteFree(rid.Page)
-	return h.written(rid.Page)
-}
-
-// written records a write to page pi, which the caller has just changed,
-// with the buffer pool; a write-back failure is marked ErrWriteBack.
-func (h *Heap) written(pi int) error {
-	if err := h.pool.Touch(PageKey{h.fileID, pi}, true); err != nil {
-		return fmt.Errorf("%w: heap %q page %d: %w", ErrWriteBack, h.name, pi, err)
-	}
+	h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
 	return nil
 }
 
@@ -643,7 +526,7 @@ func (h *Heap) walk(f Filter, fresh bool, fn func([]RID, []catalog.Tuple) bool) 
 			return err
 		}
 		if touched {
-			h.touchRead(pi)
+			h.pool.Touch(PageKey{h.fileID, pi}, false)
 		}
 		if len(b.tuples) > 0 && !fn(b.rids, b.tuples) {
 			return nil
@@ -734,29 +617,4 @@ func (h *Heap) checkPageSummary(pi int, pg *page) error {
 		return fmt.Errorf("storage: heap %q page %d: summary counts %d deleted tuples, the page holds %d", h.name, pi, pg.ndel, ndel)
 	}
 	return nil
-}
-
-// UpdateFunc applies fn to the tuple at rid atomically under the page latch:
-// read-modify-write as one short critical section. fn receives a copy and
-// returns the replacement tuple, which is copied into the slot. This is the
-// primitive the 2VNL maintenance cursor uses so that a reader latching the
-// page sees either the old or the new complete tuple state, never an
-// intermediate one. A replacement of the wrong width leaves the slot as it
-// was.
-func (h *Heap) UpdateFunc(rid RID, fn func(catalog.Tuple) catalog.Tuple) error {
-	pg, err := h.latched(rid, true)
-	if err != nil {
-		return err
-	}
-	slot := pg.tuple(rid.Slot)
-	t := fn(slot.Clone())
-	if err := h.checkWidth(t); err != nil {
-		pg.mu.Unlock()
-		return err
-	}
-	pg.leave(h.sum, slot)
-	copy(slot, t)
-	pg.enter(h.sum, slot)
-	pg.mu.Unlock()
-	return h.written(rid.Page)
 }

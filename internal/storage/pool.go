@@ -43,7 +43,7 @@ type PageKey struct {
 }
 
 // IOStats is a snapshot of buffer-pool activity. Misses are logical read
-// I/Os; WriteBacks are logical write I/Os (dirty evictions plus flushes).
+// I/Os; WriteBacks are logical write I/Os (dirty evictions).
 type IOStats struct {
 	Hits       int64
 	Misses     int64
@@ -119,19 +119,12 @@ type BufferPool struct {
 	wbacks   atomic.Int64
 	obsC     atomic.Pointer[poolCounters]
 
-	// mu serializes the miss path (insert + evict) and structural
-	// operations (Reset, Flush); it is never taken on a hit. victims is
-	// the eviction min-heap, one item per cached entry, so its length is
-	// the number of cached pages; it is only touched while mu is held.
+	// mu serializes the miss path (insert + evict) and Reset; it is never
+	// taken on a hit. victims is the eviction min-heap, one item per cached
+	// entry, so its length is the number of cached pages; it is only
+	// touched while mu is held.
 	mu      sync.Mutex
 	victims []victim
-	// writers maps a file ID to the function that persists one of its
-	// pages. When a dirty page of a registered file is written back —
-	// eviction or Flush — the writer runs and its error surfaces to the
-	// caller (and stays readable via Err). Files without a writer keep the
-	// historical accounting-only behaviour.
-	writers map[int]func(page int) error
-	ioErr   error // first write-back error; cleared by Reset
 }
 
 // NewBufferPool returns a pool caching up to capacity pages. Capacity must
@@ -156,41 +149,15 @@ func (p *BufferPool) Instrument(reg *obs.Registry, prefix string) {
 	})
 }
 
-// RegisterWriter installs fn as the persister for fileID's pages: dirty
-// write-backs of those pages call fn(page) and propagate its error. Pass
-// nil to unregister. Writers must not touch the pool re-entrantly.
-func (p *BufferPool) RegisterWriter(fileID int, fn func(page int) error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fn == nil {
-		delete(p.writers, fileID)
-		return
-	}
-	if p.writers == nil {
-		p.writers = map[int]func(page int) error{}
-	}
-	p.writers[fileID] = fn
-}
-
-// Err returns the first write-back error since the last Reset, if any.
-// Eviction can happen on any goroutine's miss, so an error may surface
-// here even when every directly-returned Touch error was checked.
-func (p *BufferPool) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ioErr
-}
-
 // Touch records an access to the page. A miss counts as a read I/O; evicting
 // a dirty page counts as a write I/O. When write is true the cached page is
-// marked dirty. The returned error is a write-back failure of some evicted
-// dirty page (not necessarily key's); the access itself is still recorded.
-func (p *BufferPool) Touch(key PageKey, write bool) error {
+// marked dirty.
+func (p *BufferPool) Touch(key PageKey, write bool) {
 	if v, ok := p.index.Load(key); ok {
 		p.recordHit(v.(*poolEntry), write)
-		return nil
+		return
 	}
-	return p.miss(key, write)
+	p.miss(key, write)
 }
 
 func (p *BufferPool) recordHit(e *poolEntry, write bool) {
@@ -205,26 +172,22 @@ func (p *BufferPool) recordHit(e *poolEntry, write bool) {
 }
 
 // miss inserts the page under the latch, evicting least-recently-stamped
-// pages to make room. The returned error is the first dirty-eviction
-// write-back failure; the insert proceeds regardless.
-func (p *BufferPool) miss(key PageKey, write bool) error {
+// pages to make room.
+func (p *BufferPool) miss(key PageKey, write bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Another goroutine may have faulted the page in while we waited; its
 	// miss was counted, ours is now a hit.
 	if v, ok := p.index.Load(key); ok {
 		p.recordHit(v.(*poolEntry), write)
-		return nil
+		return
 	}
 	p.misses.Add(1)
 	if c := p.obsC.Load(); c != nil {
 		c.misses.Inc()
 	}
-	var firstErr error
 	for len(p.victims) >= p.capacity {
-		if err := p.evictOldestLocked(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		p.evictOldestLocked()
 	}
 	e := &poolEntry{key: key}
 	st := p.clock.Add(1)
@@ -234,29 +197,12 @@ func (p *BufferPool) miss(key PageKey, write bool) error {
 	// st was drawn after every key in the heap, so appending keeps heap
 	// order without a sift.
 	p.victims = append(p.victims, victim{e: e, stamp: st})
-	return firstErr
-}
-
-// writeBackLocked persists one page through its file's registered writer
-// (if any), recording the first failure in ioErr. Callers hold mu.
-func (p *BufferPool) writeBackLocked(key PageKey) error {
-	fn := p.writers[key.File]
-	if fn == nil {
-		return nil
-	}
-	err := fn(key.Page)
-	if err != nil && p.ioErr == nil {
-		p.ioErr = err
-	}
-	return err
 }
 
 // evictOldestLocked removes the entry with the minimum recency stamp —
-// exactly the LRU victim. A dirty victim is written back first; a
-// write-back failure still evicts (the WAL, not the mirror, is the
-// authority for durability) but surfaces the error. Callers hold mu and
-// guarantee the heap is non-empty.
-func (p *BufferPool) evictOldestLocked() error {
+// exactly the LRU victim. A dirty victim counts one write-back. Callers hold
+// mu and guarantee the heap is non-empty.
+func (p *BufferPool) evictOldestLocked() {
 	for {
 		top := &p.victims[0]
 		st := top.e.stamp.Load()
@@ -273,16 +219,13 @@ func (p *BufferPool) evictOldestLocked() error {
 	p.victims = p.victims[:last]
 	p.siftDownLocked(0)
 
-	var err error
 	if e.dirty.Load() {
-		err = p.writeBackLocked(e.key)
 		p.wbacks.Add(1)
 		if c := p.obsC.Load(); c != nil {
 			c.writeBacks.Inc()
 		}
 	}
 	p.index.Delete(e.key)
-	return err
 }
 
 // siftDownLocked restores heap order below item i after its key grew (or,
@@ -327,35 +270,6 @@ func (p *BufferPool) Reset() {
 	}
 	clear(p.victims)
 	p.victims = p.victims[:0]
-	p.ioErr = nil
-}
-
-// Flush write-backs every dirty cached page, counting one write I/O each,
-// and marks them clean. It models a checkpoint at transaction commit. A
-// page whose registered writer fails stays dirty (so a later Flush retries
-// it); the first such error is returned.
-func (p *BufferPool) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var firstErr error
-	p.index.Range(func(_, v any) bool {
-		e := v.(*poolEntry)
-		if e.dirty.Swap(false) {
-			if err := p.writeBackLocked(e.key); err != nil {
-				e.dirty.Store(true)
-				if firstErr == nil {
-					firstErr = err
-				}
-				return true
-			}
-			p.wbacks.Add(1)
-			if c := p.obsC.Load(); c != nil {
-				c.writeBacks.Inc()
-			}
-		}
-		return true
-	})
-	return firstErr
 }
 
 // Capacity returns the pool's page capacity.

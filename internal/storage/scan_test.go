@@ -92,7 +92,7 @@ func TestScanFilterPredicateError(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- h.UpdateFunc(bad, func(catalog.Tuple) catalog.Tuple { return intTuple(-1, -1, -1, -1) })
+		done <- h.Update(bad, intTuple(-1, -1, -1, -1))
 	}()
 	if err := <-done; err != nil { // deadlocks here if the latch leaked
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestScanTuplesSurviveTheScan(t *testing.T) {
 	}
 }
 
-// A scan racing UpdateFunc on one page only ever observes a tuple that is
+// A scan racing Update on one page only ever observes a tuple that is
 // wholly the old or wholly the new state — in the predicate, which reads the
 // stored tuple under the latch, and in the copy delivered afterwards.
 func TestScanNeverSeesATornTuple(t *testing.T) {
@@ -148,8 +148,7 @@ func TestScanNeverSeesATornTuple(t *testing.T) {
 			default:
 			}
 			for _, rid := range rids {
-				g := gen
-				if err := h.UpdateFunc(rid, func(catalog.Tuple) catalog.Tuple { return intTuple(g, g, g, g) }); err != nil {
+				if err := h.Update(rid, intTuple(gen, gen, gen, gen)); err != nil {
 					t.Error(err)
 					return
 				}

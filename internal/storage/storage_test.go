@@ -145,13 +145,10 @@ func TestHeapErrors(t *testing.T) {
 	if err := h.Update(rid, intTuple(1, 2)); err == nil {
 		t.Error("Update with 2 values succeeded")
 	}
-	if err := h.UpdateFunc(rid, func(catalog.Tuple) catalog.Tuple { return nil }); err == nil {
-		t.Error("UpdateFunc returning 0 values succeeded")
-	}
 	if got, _ := h.Get(rid); !catalog.TuplesEqual(got, intTuple(1)) || h.Len() != 1 {
 		t.Errorf("refused writes left %v, Len %d", got, h.Len())
 	}
-	// The refused UpdateFunc released the latch.
+	// The refused Update released the latch.
 	if err := h.Update(rid, intTuple(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -166,21 +163,6 @@ func TestHeapScanEarlyStop(t *testing.T) {
 	h.Scan(func(RID, catalog.Tuple) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("scan visited %d tuples after early stop, want 5", n)
-	}
-}
-
-func TestHeapUpdateFunc(t *testing.T) {
-	h, _ := newTestHeap(t, 1, 10, 100, 8)
-	rid, _ := h.Insert(intTuple(10))
-	err := h.UpdateFunc(rid, func(old catalog.Tuple) catalog.Tuple {
-		return intTuple(old[0].Int() + 5)
-	})
-	if err != nil {
-		t.Fatalf("UpdateFunc: %v", err)
-	}
-	got, _ := h.Get(rid)
-	if got[0].Int() != 15 {
-		t.Errorf("UpdateFunc result = %v", got)
 	}
 }
 
@@ -215,6 +197,35 @@ func TestBufferPoolCounts(t *testing.T) {
 	if s.Reads() != 4 || s.Total() != 5 {
 		t.Errorf("Reads=%d Total=%d", s.Reads(), s.Total())
 	}
+
+	// The pool only counts: over a one-page pool every heap read and write
+	// succeeds, and each move to another page evicts the page the heap
+	// leaves, counted as a write-back when it is dirty.
+	h, p := newTestHeap(t, 1, 10, 20, 1) // 2 slots per page
+	var rids []RID
+	for i := int64(0); i < 6; i++ { // pages 0, 0, 1, 1, 2, 2: evicts dirty 0 and 1
+		rid, err := h.Insert(intTuple(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if _, err := h.Get(rids[0]); err != nil { // evicts dirty 2
+		t.Fatal(err)
+	}
+	if err := h.Update(rids[2], intTuple(20)); err != nil { // evicts clean 0
+		t.Fatal(err)
+	}
+	if err := h.Delete(rids[4]); err != nil { // evicts dirty 1
+		t.Fatal(err)
+	}
+	// Pages 0, 1, 2: evicts dirty 2, then clean 0 and 1.
+	if err := h.ScanFilter(Filter{}, func([]RID, []catalog.Tuple) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Stats(), (IOStats{Hits: 3, Misses: 9, WriteBacks: 5}); got != want {
+		t.Errorf("heap over a one-page pool: stats %+v, want %+v", got, want)
+	}
 }
 
 func TestBufferPoolLRUOrder(t *testing.T) {
@@ -231,21 +242,18 @@ func TestBufferPoolLRUOrder(t *testing.T) {
 	}
 }
 
-func TestBufferPoolFlushAndReset(t *testing.T) {
+func TestBufferPoolReset(t *testing.T) {
 	p := NewBufferPool(4)
 	p.Touch(PageKey{1, 0}, true)
 	p.Touch(PageKey{1, 1}, true)
-	p.Flush()
-	if wb := p.Stats().WriteBacks; wb != 2 {
-		t.Errorf("flush wrote %d pages, want 2", wb)
-	}
-	p.Flush() // now clean: no further writes
-	if wb := p.Stats().WriteBacks; wb != 2 {
-		t.Errorf("second flush wrote pages: %d", wb)
-	}
 	p.Reset()
 	if s := p.Stats(); s != (IOStats{}) {
 		t.Errorf("after reset: %+v", s)
+	}
+	// Reset emptied the cache and counted no write-back.
+	p.Touch(PageKey{1, 0}, false)
+	if s := p.Stats(); s != (IOStats{Misses: 1}) {
+		t.Errorf("first touch after reset: %+v, want one miss", s)
 	}
 }
 

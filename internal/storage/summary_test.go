@@ -83,7 +83,7 @@ func TestPageSummaryFolds(t *testing.T) {
 	expect("update to 5", 4, false)
 	expect("update to 5", 5, true)
 
-	if err := h.UpdateFunc(rids[2], func(catalog.Tuple) catalog.Tuple { return sumTuple(5, true, 2) }); err != nil {
+	if err := h.Update(rids[2], sumTuple(5, true, 2)); err != nil {
 		t.Fatal(err)
 	}
 	expect("delete marked", 9, false)
@@ -205,11 +205,9 @@ func TestStressHeapSummary(t *testing.T) {
 				k := rng.Intn(perWrite)
 				tu := next(rng, c)
 				var err error
-				switch rng.Intn(3) {
+				switch rng.Intn(2) {
 				case 0:
 					err = h.Update(rids[k], tu)
-				case 1:
-					err = h.UpdateFunc(rids[k], func(catalog.Tuple) catalog.Tuple { return tu })
 				default:
 					if err = h.Delete(rids[k]); err == nil {
 						rids[k], err = h.Insert(tu)

@@ -1,6 +1,6 @@
 // Package vfs abstracts the engine's file I/O behind a narrow File/FS
-// interface pair so that every byte the engine persists — WAL frames,
-// checkpoints, heap page write-backs — can be routed through either the
+// interface pair so that every byte the engine persists — WAL frames and
+// checkpoints — can be routed through either the
 // real operating system (OS) or a deterministic fault-injecting in-memory
 // implementation (FaultFS) driven by a parsable script.
 //
@@ -21,8 +21,8 @@ import (
 
 // File is the engine-facing handle: sequential appends (Write), positioned
 // page writes (WriteAt), positioned reads (ReadAt), durability barriers
-// (Sync), and teardown. It is the least surface the WAL and the heap
-// write-back path need.
+// (Sync), and teardown. The WAL and its replication feed use all but
+// WriteAt, which no engine path calls any more.
 type File interface {
 	io.Writer
 	io.WriterAt

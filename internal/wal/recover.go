@@ -66,9 +66,8 @@ func Recover(path string, dbOpts db.Options, storeOpts core.Options) (*core.Stor
 	return RecoverFS(vfs.Disk(), path, dbOpts, storeOpts)
 }
 
-// RecoverFS is Recover over an explicit filesystem. When dbOpts carries a
-// DataFS, the rebuilt heaps mirror their pages onto it as they are
-// replayed, so post-recovery state is itself crash-recoverable.
+// RecoverFS is Recover over an explicit filesystem, on which the log is the
+// only file it reads.
 func RecoverFS(fsys vfs.FS, path string, dbOpts db.Options, storeOpts core.Options) (*core.Store, *db.Database, RecoverStats, error) {
 	store, engine, stats, _, err := RecoverStreamFS(fsys, path, dbOpts, storeOpts)
 	return store, engine, stats, err

@@ -31,7 +31,7 @@ func propWorkload(fs *vfs.FaultFS, seed int64, st *propState) error {
 	st.history[1] = map[int64]int64{} // version 1: empty store, pre-first-commit
 	st.acked = 1
 	rng := rand.New(rand.NewSource(seed))
-	engine := db.Open(db.Options{DataFS: fs, DataDir: "data", PoolPages: 2, PageSize: 256})
+	engine := db.Open(db.Options{PoolPages: 2, PageSize: 256})
 	store, err := core.Open(engine, core.Options{})
 	if err != nil {
 		return err
@@ -114,7 +114,7 @@ func TestRecoveredScanMatchesOracleProperty(t *testing.T) {
 		fs.PowerCut()
 		fs.SetScript(nil)
 		rec, _, _, err := RecoverFS(fs, "wal.log",
-			db.Options{DataFS: fs, DataDir: "rec", PoolPages: 2, PageSize: 256},
+			db.Options{PoolPages: 2, PageSize: 256},
 			core.Options{})
 		if err != nil {
 			t.Logf("seed %d at %d: recovery: %v", seed, at, err)
