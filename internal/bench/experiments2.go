@@ -8,7 +8,9 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/exec"
 	"repro/internal/sim"
+	"repro/internal/sql"
 	"repro/internal/warehouse"
 	"repro/internal/workload"
 )
@@ -86,9 +88,13 @@ func RunE5(cfg Config) ([]*Table, error) {
 }
 
 // RunE6 measures the query-rewrite overhead of §4: the same aggregate query
-// over (a) a plain unversioned table, (b) the 2VNL-extended table via the
-// rewritten query, and (c) the same while a maintenance transaction has
-// touched every tuple (CASE takes the pre-update branch).
+// over (a) a plain unversioned table; over the 2VNL-extended table (b) as
+// the engine serves it, reading each stored tuple through its slot selector
+// (ExtTable.Slot), and (c) as §4.1 runs it on a DBMS that knows nothing of
+// versions: the rewritten query (RewriteSelect) through the tree-walker over
+// the stored table, with :sessionVN bound; and (b) and (c) again while a
+// maintenance transaction has touched every tuple (the pre-update slot, and
+// the CASE's pre-update branch).
 func RunE6(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	rows := cfg.Rows
@@ -160,8 +166,28 @@ func RunE6(cfg Config) ([]*Table, error) {
 		}
 		return time.Since(start) / time.Duration(iters)
 	}
+	sel, err := sql.ParseSelect(q)
+	if err != nil {
+		return nil, err
+	}
+	timeRewrite := func() time.Duration {
+		s := store.BeginSession()
+		defer s.Close()
+		params := exec.Params{"sessionVN": catalog.NewInt(int64(s.VN()))}
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			rw, err := core.RewriteSelect(store, sel)
+			if err != nil {
+				panic(err)
+			}
+			if _, err := exec.Select(vdb, rw, params); err != nil {
+				panic(err)
+			}
+		}
+		return time.Since(start) / time.Duration(iters)
+	}
 	plainLat := timePlain()
-	cleanLat := timeVNL()
+	cleanLat, cleanRW := timeVNL(), timeRewrite()
 	// Touch every group with an open maintenance transaction, then measure
 	// the pre-update read path.
 	m, err := store.BeginMaintenance()
@@ -171,7 +197,7 @@ func RunE6(cfg Config) ([]*Table, error) {
 	if _, err := m.Exec(`UPDATE DailySales SET total_sales = total_sales + 1`, nil); err != nil {
 		return nil, err
 	}
-	dirtyLat := timeVNL()
+	dirtyLat, dirtyRW := timeVNL(), timeRewrite()
 	if err := m.Commit(); err != nil {
 		return nil, err
 	}
@@ -179,12 +205,16 @@ func RunE6(cfg Config) ([]*Table, error) {
 		plainTbl.Len(), iters),
 		Columns: []string{"configuration", "latency", "vs plain"}}
 	rat := func(d time.Duration) string { return fmt.Sprintf("%.2fx", float64(d)/float64(plainLat)) }
-	t.AddRow("plain table, plain query", plainLat.Round(time.Microsecond).String(), "1.00x")
-	t.AddRow("2VNL table, rewritten query", cleanLat.Round(time.Microsecond).String(), rat(cleanLat))
-	t.AddRow("2VNL, every tuple touched by open maintenance", dirtyLat.Round(time.Microsecond).String(), rat(dirtyLat))
+	row := func(name string, d time.Duration) { t.AddRow(name, d.Round(time.Microsecond).String(), rat(d)) }
+	row("plain table, plain query", plainLat)
+	row("2VNL table, native (slot selector)", cleanLat)
+	row("2VNL table, §4.1 rewritten query", cleanRW)
+	row("2VNL, every tuple touched by open maintenance, native (slot selector)", dirtyLat)
+	row("2VNL, every tuple touched by open maintenance, §4.1 rewritten query", dirtyRW)
 	t.Notes = append(t.Notes,
-		"the rewrite costs one CASE per updatable attribute reference plus the visibility predicate;",
-		"the paper's claim is that this overhead is small relative to lock-based alternatives' blocking")
+		"native: the engine's compiled plan reads each stored tuple at the session's version through ExtTable.Slot;",
+		"rewritten: RewriteSelect plus the tree-walker over the stored table, one CASE per updatable attribute reference",
+		"plus the visibility predicate; the paper's claim is that this overhead is small relative to lock-based blocking")
 	return []*Table{t}, nil
 }
 

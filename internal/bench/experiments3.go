@@ -119,7 +119,7 @@ func RunE9(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 
-	// 2VNL table with identical data, queried through the rewrite.
+	// 2VNL table with identical data, queried through a session.
 	veng := db.Open(db.Options{PageSize: 512, PoolPages: 1 << 20})
 	store, err := core.Open(veng, core.Options{})
 	if err != nil {

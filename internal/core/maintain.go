@@ -204,7 +204,7 @@ func (m *Maintenance) GetCurrent(tableName string, key catalog.Tuple) (catalog.T
 }
 
 // Query runs a SELECT as the maintenance transaction: the readers' plan
-// with sessionVN bound to maintenanceVN, so the transaction reads the first
+// read at maintenanceVN, so the transaction reads the first
 // row of Table 1 — the latest version of every tuple, its own uncommitted
 // changes included (§3.3).
 func (m *Maintenance) Query(text string, params exec.Params) (*exec.Rows, error) {

@@ -14,18 +14,14 @@ import (
 const planCacheEntries = 256
 
 // planEntry is one cached, immutable query plan (see selectPlan), valid for
-// exactly the table registry it was derived against. src is the original
-// (pre-rewrite) statement, retained so the rare stale-plan race — the
+// exactly the table registry it was derived against. src is the statement
+// as the reader wrote it, retained so the rare stale-plan race — the
 // registry flipped between cache validation and execution — can recover by
-// re-deriving instead of failing the query.
+// running it through the tree-walker instead of failing the query.
 type planEntry struct {
 	reg  *tableRegistry
 	src  *sql.SelectStmt
 	plan *exec.Plan
-	// direct reports that plan reads its relation through the slot selector,
-	// so the reader's version binds directly (exec.Plan.ExecuteAt); any other
-	// plan reads :sessionVN from its parameters.
-	direct bool
 }
 
 // planCache is the store's one statement cache: every SELECT — Session.Query,
@@ -36,9 +32,9 @@ type planEntry struct {
 // statement, QueryStmt callers and Prepared handles share a single compiled
 // plan.
 //
-// Every plan takes the reader's version at execution time — as an argument
-// or as the :sessionVN parameter — so a plan depends on the registered
-// relations and their schemas and never on the session. A cached plan is
+// Every plan takes the reader's version at execution time, as an argument
+// (exec.Plan.ExecuteAt), so a plan depends on the registered relations and
+// their schemas and never on the session. A cached plan is
 // therefore usable iff the store's copy-on-write table registry is the
 // identical pointer the plan was derived against.
 // CreateTable and AdoptTable publish a fresh registry, invalidating every
@@ -85,11 +81,12 @@ func (c *planCache) put(key string, e *planEntry) {
 // text and becomes a second cache key so the next Query(raw) skips the
 // parser.
 //
-// A statement over one versioned relation compiles as written: the plan
-// reads each stored tuple at the reader's version through the relation's
-// slot selector (ExtTable.Slot). A shape the compiled plans do not cover — a
-// join, ORDER BY, DISTINCT, a non-grouped column — compiles from the §4.1
-// rewrite instead and runs through the tree-walker.
+// Every statement compiles as written, over the base schema: each versioned
+// relation declares its slot selector through queryCatalog (stored), and
+// the plan reads each stored tuple at the reader's version through it
+// (ExtTable.Slot). A shape the compiled plans do not cover — a join, ORDER
+// BY, DISTINCT, a non-grouped column — is a fallback plan, whose tree-walker
+// reads the relation through the same selector.
 //
 // The registry is loaded once, before derivation: a registry flip racing the
 // derivation tags the new plan with the older pointer, which only means the
@@ -105,24 +102,11 @@ func (s *Store) selectPlan(sel *sql.SelectStmt, raw string) (*planEntry, error) 
 	}
 	s.metrics.planMisses.Inc()
 	src := sql.CloneSelect(sel)
-	var opts *exec.CompileOptions
-	if len(src.From) == 1 {
-		if vt := s.lookup(src.From[0].Table); vt != nil {
-			opts = vt.ext.versions()
-		}
-	}
-	pl, err := exec.CompileSelect(queryCatalog{s}, src, opts)
-	direct := err == nil && opts != nil && pl.Vectorized()
-	if err == nil && !pl.Vectorized() {
-		var rw *sql.SelectStmt
-		if rw, err = RewriteSelect(s, src); err == nil {
-			pl, err = exec.CompileSelect(queryCatalog{s}, rw, nil)
-		}
-	}
+	pl, err := exec.CompileSelect(queryCatalog{s}, src, nil)
 	if err != nil {
 		return nil, err
 	}
-	e := &planEntry{reg: reg, src: src, plan: pl, direct: direct}
+	e := &planEntry{reg: reg, src: src, plan: pl}
 	s.plans.put(canon, e)
 	s.plans.put(raw, e)
 	return e, nil

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -167,13 +169,24 @@ func legacyQuery(t *testing.T, sess *Session, text string, params exec.Params) (
 	return legacyAt(sess.store, sess.vn, sel, params)
 }
 
-// legacyAt is legacyQuery at any version, with no session and no checks.
+// legacyAt is legacyQuery at any version, with no session and no checks. The
+// rewrite runs over the stored tables (Store.DB), as the paper runs it on a
+// DBMS that knows nothing of versions, never through the store's versioned
+// catalog.
 func legacyAt(s *Store, vn VN, sel *sql.SelectStmt, params exec.Params) (*exec.Rows, error) {
 	rw, err := RewriteSelect(s, sel)
 	if err != nil {
 		return nil, err
 	}
-	return exec.Select(queryCatalog{s}, rw, withSessionVN(params, vn))
+	return exec.Select(s.DB(), rw, withSessionVN(params, vn))
+}
+
+// withSessionVN returns a copy of params with :sessionVN bound to vn.
+func withSessionVN(params exec.Params, vn VN) exec.Params {
+	out := exec.Params{}
+	maps.Copy(out, params)
+	out[sessionParam] = catalog.NewInt(int64(vn))
+	return out
 }
 
 // sameAnswer reports how got/gerr differs from the oracle's want/werr, or ""
@@ -200,13 +213,18 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 	if _, err := s.CreateTable(kvSchema()); err != nil {
 		t.Fatal(err)
 	}
-	// VN 1→2: keys 0..99.
+	joinTables(t, s)
+	// VN 1→2: keys 0..99, and key 400, which a later update zeroes.
 	m := mustMaint(t, s)
 	for k := int64(0); k < 100; k++ {
 		if err := m.Insert("kv", kvTuple(k, 100+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := m.Insert("kv", kvTuple(400, 5)); err != nil {
+		t.Fatal(err)
+	}
+	writeGrp(t, m, 0)
 	commit(t, m)
 	sessA := s.BeginSession()
 	defer sessA.Close()
@@ -229,6 +247,7 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	writeGrp(t, m, 1)
 	commit(t, m)
 	sessB := s.BeginSession()
 	defer sessB.Close()
@@ -241,6 +260,8 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	zeroThenDelete(t, m, 400)
+	writeGrp(t, m, 2)
 	commit(t, m)
 	sessC := s.BeginSession()
 	defer sessC.Close()
@@ -257,15 +278,24 @@ func TestQueryDifferentialAcrossVersions(t *testing.T) {
 		`SELECT COUNT(*) FROM kv`,
 		`SELECT k, v FROM kv WHERE v <> 0 ORDER BY v, k LIMIT 9`,
 		`SELECT CASE WHEN v < 150 THEN 'lo' ELSE 'hi' END FROM kv WHERE k < 20`,
+		`SELECT k FROM kv WHERE 10 / v >= 0`,
 	}
 	queries = append(queries, groupByQueries...)
+	queries = append(queries, fallbackQueries...)
 	params := exec.Params{"k": catalog.NewInt(33)}
 	// The per-tuple (optimistic expiry) sessions run the same cached plans.
 	sessP := s.BeginSessionPerTupleExpiry()
 	defer sessP.Close()
+	// The zero is stored: a read that ignores versions divides by it.
+	if _, err := exec.Select(s.DB(), mustParse(t, `SELECT k FROM kv WHERE 10 / v >= 0`), nil); err == nil {
+		t.Fatal("no stored tuple holds v = 0")
+	}
 	for _, sess := range []*Session{sessA, sessB, sessC, sessP} {
 		for _, q := range queries {
 			want, werr := legacyQuery(t, sess, q, params)
+			if werr != nil {
+				t.Fatalf("vn=%d %q: oracle: %v", sess.VN(), q, werr)
+			}
 			got, gerr := sess.Query(q, params)
 			if diff := sameAnswer(got, gerr, want, werr); diff != "" {
 				t.Fatalf("vn=%d %q: %s", sess.VN(), q, diff)
@@ -292,6 +322,7 @@ func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
 	if _, err := s.CreateTable(kvSchema()); err != nil {
 		t.Fatal(err)
 	}
+	joinTables(t, s)
 	key := func(k int64) catalog.Tuple { return catalog.Tuple{catalog.NewInt(k)} }
 	update := func(m *Maintenance, k, by int64) {
 		t.Helper()
@@ -315,6 +346,8 @@ func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
 	for k := int64(0); k < 100; k++ {
 		insert(m, k, 100+k)
 	}
+	insert(m, 400, 5)
+	writeGrp(t, m, 0)
 	commit(t, m)
 	old := s.BeginSession()
 	defer old.Close()
@@ -325,6 +358,7 @@ func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
 	for k := int64(60); k < 70; k++ {
 		del(m, k)
 	}
+	writeGrp(t, m, 1)
 	commit(t, m)
 	mid := s.BeginSession()
 	defer mid.Close()
@@ -349,6 +383,8 @@ func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
 		del(m, k)
 		insert(m, k, k) // delete → insert: an update
 	}
+	zeroThenDelete(t, m, 400)
+	writeGrp(t, m, 2)
 	during := s.BeginSession()
 	defer during.Close()
 	perTuple := s.BeginSessionPerTupleExpiry()
@@ -368,6 +404,9 @@ func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
 					continue
 				}
 				want, werr := legacyQuery(t, sess, q, params)
+				if werr != nil {
+					t.Fatalf("n=%d vn=%d %q: oracle: %v", n, sess.VN(), q, werr)
+				}
 				if diff := sameAnswer(got, gerr, want, werr); diff != "" {
 					t.Fatalf("n=%d vn=%d %q: %s", n, sess.VN(), q, diff)
 				}
@@ -381,6 +420,9 @@ func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
 	for _, q := range queries {
 		got, gerr := m.Query(q, params)
 		want, werr := legacyAt(s, m.VN(), mustParse(t, q), params)
+		if werr != nil {
+			t.Fatalf("maintenance %q: oracle: %v", q, werr)
+		}
 		if diff := sameAnswer(got, gerr, want, werr); diff != "" {
 			t.Fatalf("maintenance %q: %s", q, diff)
 		}
@@ -389,6 +431,91 @@ func differentialDuringMaintenance(t *testing.T, n int, queries []string) {
 	after := s.BeginSession()
 	defer after.Close()
 	check(old, mid, during, perTuple, after)
+}
+
+// fallbackQueries are the shapes the compiled plans do not cover, which the
+// tree-walker serves through the same slot selector: joins of two versioned
+// relations and of a versioned with a plain one, ORDER BY … LIMIT, DISTINCT,
+// a non-grouped column, and a WHERE that divides by a v that is zero only in
+// a version no reader sees (zeroThenDelete).
+var fallbackQueries = []string{
+	`SELECT kv.k, kv.v, grp.label FROM kv, grp WHERE kv.k / 10 = grp.g AND kv.v < 1000 ORDER BY kv.k LIMIT 25`,
+	`SELECT a.k, b.v FROM kv a, kv b WHERE a.k = b.k - 1 AND a.v > b.v ORDER BY a.k`,
+	`SELECT kv.k, names.name FROM kv, names WHERE kv.k / 10 = names.g AND kv.v > 150 ORDER BY kv.k DESC LIMIT 12`,
+	`SELECT k, v FROM kv WHERE v > 100 ORDER BY v DESC, k LIMIT 10`,
+	`SELECT DISTINCT v / 100 FROM kv`,
+	`SELECT k / 10, v, COUNT(*) FROM kv GROUP BY k / 10`,
+	`SELECT k FROM kv WHERE 10 / v >= 0 ORDER BY k DESC LIMIT 20`,
+}
+
+// joinTables creates the relations fallbackQueries join kv with: grp, a
+// second versioned relation (writeGrp), and names, a plain table of the
+// database that the store does not version.
+func joinTables(t *testing.T, s *Store) {
+	t.Helper()
+	if _, err := s.CreateTable(catalog.MustSchema("grp", []catalog.Column{
+		{Name: "g", Type: catalog.TypeInt, Length: 8},
+		{Name: "label", Type: catalog.TypeInt, Length: 8, Updatable: true},
+	}, "g")); err != nil {
+		t.Fatal(err)
+	}
+	names, err := s.DB().CreateTable(catalog.MustSchema("names", []catalog.Column{
+		{Name: "g", Type: catalog.TypeInt, Length: 8},
+		{Name: "name", Type: catalog.TypeString, Length: 8},
+	}, "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := int64(0); g < 10; g++ {
+		if _, err := names.Insert(catalog.Tuple{catalog.NewInt(g), catalog.NewString(fmt.Sprintf("n%d", g))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// writeGrp is grp's share of maintenance transaction step: step 0 inserts
+// groups 0..9, step 1 relabels every third group and deletes group 7, and
+// step 2 relabels groups 1 and 2 and inserts group 7 again.
+func writeGrp(t *testing.T, m *Maintenance, step int) {
+	t.Helper()
+	key := func(g int64) catalog.Tuple { return catalog.Tuple{catalog.NewInt(g)} }
+	relabel := func(g int64) {
+		if _, err := m.UpdateKey("grp", key(g), func(old catalog.Tuple) catalog.Tuple { return kvTuple(g, old[1].Int()+1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	switch step {
+	case 0:
+		for g := int64(0); g < 10 && err == nil; g++ {
+			err = m.Insert("grp", kvTuple(g, 10*g))
+		}
+	case 1:
+		for g := int64(0); g < 10; g += 3 {
+			relabel(g)
+		}
+		_, err = m.DeleteKey("grp", key(7))
+	default:
+		relabel(1)
+		relabel(2)
+		err = m.Insert("grp", kvTuple(7, 77))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// zeroThenDelete updates key k's v to 0 and deletes it in m, so that v is
+// zero only in a version no reader sees: the deleted tuple's current one.
+func zeroThenDelete(t *testing.T, m *Maintenance, k int64) {
+	t.Helper()
+	key := catalog.Tuple{catalog.NewInt(k)}
+	if _, err := m.UpdateKey("kv", key, func(catalog.Tuple) catalog.Tuple { return kvTuple(k, 0) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DeleteKey("kv", key); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func mustParse(t *testing.T, text string) *sql.SelectStmt {
@@ -605,13 +732,54 @@ func TestUpdatableIndexNeverServesVersionedRead(t *testing.T) {
 		{before, 10, "[(1)]"}, {before, 11, "[]"}, {after, 11, "[(1)]"}, {after, 10, "[]"},
 	} {
 		params := exec.Params{"v": catalog.NewInt(c.v)}
-		got, err := c.sess.Query(`SELECT k FROM kv WHERE v = :v`, params)
-		if err != nil || fmt.Sprint(got.Tuples) != c.want {
-			t.Fatalf("vn=%d v=%d: %v, %v; want %s", c.sess.VN(), c.v, got, err, c.want)
+		// The compiled scan, and the tree-walker for ORDER BY.
+		for _, q := range []string{`SELECT k FROM kv WHERE v = :v`, `SELECT k FROM kv WHERE v = :v ORDER BY k`} {
+			got, err := c.sess.Query(q, params)
+			if err != nil || fmt.Sprint(got.Tuples) != c.want {
+				t.Fatalf("vn=%d v=%d %q: %v, %v; want %s", c.sess.VN(), c.v, q, got, err, c.want)
+			}
+			want, werr := legacyQuery(t, c.sess, q, params)
+			if diff := sameAnswer(got, err, want, werr); diff != "" {
+				t.Fatalf("vn=%d v=%d %q: %s", c.sess.VN(), c.v, q, diff)
+			}
 		}
-		want, werr := legacyQuery(t, c.sess, `SELECT k FROM kv WHERE v = :v`, params)
-		if diff := sameAnswer(got, err, want, werr); diff != "" {
-			t.Fatalf("vn=%d v=%d: %s", c.sess.VN(), c.v, diff)
+	}
+}
+
+// A reader statement names the base columns only, on every shape: the
+// extension columns that hold Table 1's bookkeeping and the pre-update
+// copies are unknown to it, whether the statement compiles or runs through
+// the tree-walker, for a session and for the maintenance transaction.
+func TestReaderNeverSeesExtensionColumns(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		s := newStore(t, n)
+		if _, err := s.CreateTable(kvSchema()); err != nil {
+			t.Fatal(err)
+		}
+		m := mustMaint(t, s)
+		if err := m.Insert("kv", kvTuple(1, 10)); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, m)
+		sess := s.BeginSession()
+		defer sess.Close()
+		m = mustMaint(t, s)
+		defer m.Rollback()
+		for _, col := range s.lookup("kv").Extended().Columns {
+			if s.lookup("kv").Base().ColIndex(col.Name) >= 0 {
+				continue
+			}
+			for _, q := range []string{
+				"SELECT k, " + col.Name + " FROM kv",
+				"SELECT k FROM kv WHERE " + col.Name + " IS NOT NULL ORDER BY k",
+			} {
+				for who, query := range map[string]func(string, exec.Params) (*exec.Rows, error){"session": sess.Query, "maintenance": m.Query} {
+					rows, err := query(q, nil)
+					if err == nil || !strings.Contains(err.Error(), "unknown column") {
+						t.Fatalf("n=%d %s %q = %v, %v; want an unknown column", n, who, q, rows, err)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/catalog"
+	"repro/internal/db"
 	"repro/internal/exec"
 )
 
@@ -72,16 +73,24 @@ func (e *ExtTable) summary(t catalog.Tuple) (vn int64, deleted bool) {
 	return int64(e.TupleVN(t, 1)), e.OpAt(t, 1) == OpDelete
 }
 
-// versions describes the relation's version slots to exec.CompileSelect, so
-// that a statement over the base schema reads each stored tuple through Slot
-// at the version bound to :sessionVN.
-func (e *ExtTable) versions() *exec.CompileOptions {
-	return &exec.CompileOptions{
+// stored is a versioned relation's heap as queryCatalog hands it to the
+// executor (exec.Versioned): a statement over the base schema reads each
+// stored tuple through Slot at the reader's version, whichever executor runs
+// it.
+type stored struct {
+	*db.Table
+	versions *exec.CompileOptions
+}
+
+func newStored(e *ExtTable, tbl *db.Table) *stored {
+	return &stored{tbl, &exec.CompileOptions{
 		Slots:  e.L.Off,
 		Select: func(t catalog.Tuple, vn int64) (int, bool) { return e.Slot(t, VN(vn)) },
-		Param:  sessionParam,
-	}
+	}}
 }
+
+// Versions implements exec.Versioned.
+func (t *stored) Versions() *exec.CompileOptions { return t.versions }
 
 // CurrentVersion reconstructs the latest tuple state (what the maintenance
 // transaction reads — it always follows the first row of Table 1, §3.3).

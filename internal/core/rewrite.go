@@ -43,12 +43,11 @@ const sessionParam = "sessionVN"
 // may freely join versioned and ordinary relations.
 //
 // The rewrite is what the paper makes of 2VNL: a way to run it on a DBMS
-// that knows nothing of versions. This engine resolves versions natively for
-// the statements its compiled plans cover (Store.selectPlan, ExtTable.Slot),
-// so the rewrite serves the rest — joins, ORDER BY, DISTINCT, a non-grouped
-// column, and recovery from a stale plan — runs through the tree-walker,
-// produces Session.Rewrite's text, and is the oracle the compiled plans are
-// tested against.
+// that knows nothing of versions. This engine resolves versions natively:
+// both executors read every versioned relation through ExtTable.Slot
+// (Store.selectPlan), so the rewrite serves no reader. It produces
+// Session.Rewrite's text, and, run over the stored tables (Store.DB) with
+// :sessionVN bound, it is the oracle the serving path is tested against.
 func RewriteSelect(s *Store, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
 	out := sql.CloneSelect(sel)
 

@@ -236,11 +236,15 @@ func TestCleanPageKernelAllocatesNothingPerPage(t *testing.T) {
 // BenchmarkPreparedScan runs the benchmark's scan and GROUP BY statements
 // through QueryPrepared over 16 384 rows at n = 4, every page clean at the
 // session's version: the engine's share of the `scan` and `online` reads.
+// orderby and distinct are shapes the compiled plans do not cover, so the
+// tree-walker serves them.
 func BenchmarkPreparedScan(b *testing.B) {
 	s := factStore(b, 16384)
 	for _, q := range []struct{ name, sql string }{
 		{"scan", `SELECT id, qty, amount FROM fact WHERE grp = :g`},
 		{"groupby", `SELECT grp, COUNT(*), SUM(amount) FROM fact GROUP BY grp`},
+		{"orderby", `SELECT id, qty, amount FROM fact WHERE grp = :g ORDER BY amount DESC LIMIT 10`},
+		{"distinct", `SELECT DISTINCT qty FROM fact WHERE grp = :g`},
 	} {
 		b.Run(q.name, func(b *testing.B) {
 			p, err := s.Prepare(q.sql)

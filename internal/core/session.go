@@ -328,31 +328,17 @@ func (sess *Session) checkAfter(from []sql.TableRef) error {
 	return nil
 }
 
-// executePlan runs a cached plan for a reader at vn. A compiled plan over a
-// versioned relation takes vn directly (exec.Plan.ExecuteAt); a fallback plan
-// reads the §4.1 rewrite's :sessionVN parameter, so only it gets a copy of
-// params with vn bound. executePlan also recovers from the rare stale-plan
-// race: the table registry can flip between cache validation and execution
-// (e.g. AdoptTable replacing the table mid-flight), which the plan detects
-// by schema-pointer comparison. Recovery re-derives against the current
-// registry and runs the rewrite through the tree-walker, which resolves
-// tables at execution time, instead of failing the query; the stale cache
-// entry dies on its next lookup.
+// executePlan runs a cached plan for a reader at vn (exec.Plan.ExecuteAt).
+// It also recovers from the rare stale-plan race: the table registry can
+// flip between cache validation and execution (e.g. AdoptTable replacing the
+// table mid-flight), which the plan detects by schema-pointer comparison.
+// Recovery runs the entry's statement through the tree-walker at vn, which
+// resolves tables at execution time, instead of failing the query; the
+// stale cache entry dies on its next lookup.
 func (s *Store) executePlan(e *planEntry, params exec.Params, vn VN) (*exec.Rows, error) {
-	cat := queryCatalog{s}
-	var rows *exec.Rows
-	var err error
-	if e.direct {
-		rows, err = e.plan.ExecuteAt(cat, params, int64(vn))
-	} else {
-		rows, err = e.plan.Execute(cat, withSessionVN(params, vn))
-	}
-	if err != nil && errors.Is(err, exec.ErrPlanStale) {
-		rw, rerr := RewriteSelect(s, e.src)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return exec.Select(cat, rw, withSessionVN(params, vn))
+	rows, err := e.plan.ExecuteAt(queryCatalog{s}, params, int64(vn))
+	if errors.Is(err, exec.ErrPlanStale) {
+		return exec.SelectAt(queryCatalog{s}, e.src, params, int64(vn))
 	}
 	return rows, err
 }
@@ -480,17 +466,6 @@ func (sess *Session) Get(table string, key catalog.Tuple) (t catalog.Tuple, visi
 		return nil, false, err
 	}
 	return t, visible, nil
-}
-
-// withSessionVN returns params with :sessionVN bound to vn, without
-// mutating the caller's map.
-func withSessionVN(params exec.Params, vn VN) exec.Params {
-	out := make(exec.Params, len(params)+1)
-	for k, v := range params {
-		out[k] = v
-	}
-	out[sessionParam] = catalog.NewInt(int64(vn))
-	return out
 }
 
 // ParseCreateTable parses a CREATE TABLE statement (with UPDATABLE column

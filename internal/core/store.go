@@ -100,7 +100,7 @@ type Store struct {
 type VTable struct {
 	store *Store
 	ext   *ExtTable
-	tbl   *db.Table
+	tbl   *stored
 	// oldestHW is a high-water mark of the oldest version slot: the
 	// maximum tupleVN(n−1) over the table's physical tuples. The
 	// per-tuple expiration probe (§3.2's optimistic alternative) reads it
@@ -200,7 +200,7 @@ func (s *Store) CreateTable(base *catalog.Schema) (*VTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	vt := &VTable{store: s, ext: ext, tbl: tbl}
+	vt := &VTable{store: s, ext: ext, tbl: newStored(ext, tbl)}
 	// Journal the create record before taking the latch: the append may
 	// block on I/O and the §3 latch must stay short-duration. The record
 	// still precedes any tuple record for the table because the table is
@@ -265,7 +265,7 @@ func (s *Store) AdoptTable(name string) (*VTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: adopting %s: %w", name, err)
 	}
-	vt := &VTable{store: s, ext: ext, tbl: tbl}
+	vt := &VTable{store: s, ext: ext, tbl: newStored(ext, tbl)}
 	var extTuples []catalog.Tuple
 	var rids []storage.RID
 	for i, t := range tuples {
@@ -355,7 +355,7 @@ func (v *VTable) Ext() *ExtTable { return v.ext }
 
 // Storage returns the underlying engine table (for storage accounting and
 // tests).
-func (v *VTable) Storage() *db.Table { return v.tbl }
+func (v *VTable) Storage() *db.Table { return v.tbl.Table }
 
 // Len returns the number of physical tuples, including logically-deleted
 // ones awaiting garbage collection.
@@ -445,10 +445,10 @@ func (s *Store) ActiveSessions() int {
 	return s.sessions.count()
 }
 
-// queryCatalog adapts the store for the executor: registered tables resolve
-// to their extended form (a compiled plan reads them through
-// ExtTable.Slot, a rewritten statement through its CASE expressions), and
-// unregistered names fall through to the plain database.
+// queryCatalog adapts the store for the executor: a registered table
+// resolves to its stored heap read through ExtTable.Slot (stored), so a
+// statement names its base columns only, and an unregistered name falls
+// through to the plain database.
 type queryCatalog struct{ s *Store }
 
 func (qc queryCatalog) Table(name string) (exec.Table, error) {

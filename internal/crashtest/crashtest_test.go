@@ -44,7 +44,11 @@ func TestCrashSweepRandomSeed(t *testing.T) {
 // TestCrashSweepWithRandomFaults layers a seeded fault script (transient
 // errors, a torn write, a short write, maybe a lying fsync) under the
 // crash sweep: every boundary is crashed while the hardware is also
-// misbehaving, and recovery must still land on a commit point.
+// misbehaving, and recovery must still land on a commit point. The WAL's
+// bounded retry absorbs a single failing op, so a last, scripted round
+// fails one WAL fsync on every attempt (exhaustedSyncScript): the fault
+// surfaces and stops the workload, and recovery must still validate at
+// every crash point.
 func TestCrashSweepWithRandomFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-script sweep skipped in -short mode")
@@ -59,6 +63,46 @@ func TestCrashSweepWithRandomFaults(t *testing.T) {
 		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) {
 			runSweep(t, Config{Seed: 2, Script: script})
 		})
+	}
+	t.Run("exhausted-retry", func(t *testing.T) {
+		runFaultStopSweep(t, Config{Seed: 2})
+	})
+}
+
+// exhaustedSyncScript fails the second WAL fsync of cfg's fault-free
+// workload on every retry attempt: vfs.DefaultRetryAttempts consecutive
+// `fault N err` lines, so the WAL's bounded retry gives up and the fault
+// surfaces after a commit has become durable.
+func exhaustedSyncScript(t *testing.T, cfg Config) *vfs.Script {
+	t.Helper()
+	fs := vfs.NewFaultFS(nil)
+	if err := run(cfg.normalize(), fs, &runState{}); err != nil {
+		t.Fatalf("fault-free workload failed: %v", err)
+	}
+	syncs := 0
+	for _, r := range fs.Trace() {
+		if !strings.HasPrefix(r.Site, "sync data/wal.log") {
+			continue
+		}
+		if syncs++; syncs == 2 {
+			script := vfs.NewScript()
+			for i := 0; i < vfs.DefaultRetryAttempts; i++ {
+				script.AddFault(r.Index+i, vfs.FaultErr, 0)
+			}
+			return script
+		}
+	}
+	t.Fatal("workload performs fewer than two WAL fsyncs")
+	return nil
+}
+
+// runFaultStopSweep sweeps cfg under exhaustedSyncScript and requires that
+// the surfaced fault stopped the workload.
+func runFaultStopSweep(t *testing.T, cfg Config) {
+	t.Helper()
+	cfg.Script = exhaustedSyncScript(t, cfg)
+	if rep := runSweep(t, cfg); rep.FaultStops < 1 {
+		t.Fatalf("no run stopped on the exhausted fsync retry under\n%s", cfg.Script)
 	}
 }
 
@@ -98,7 +142,7 @@ func TestWorkloadCoversAllBoundaryKinds(t *testing.T) {
 	}
 }
 
-func runSweep(t *testing.T, cfg Config) {
+func runSweep(t *testing.T, cfg Config) Report {
 	t.Helper()
 	rep, err := Sweep(cfg)
 	if err != nil {
@@ -129,4 +173,5 @@ func runSweep(t *testing.T, cfg Config) {
 			t.Fatalf("fault-free workload acknowledged only %d commits", rep.Commits)
 		}
 	}
+	return rep
 }

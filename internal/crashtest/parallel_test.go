@@ -56,7 +56,8 @@ func TestParallelTornGroupTail(t *testing.T) {
 }
 
 // TestParallelSweepWithRandomFaults layers a seeded fault script under the
-// Parallel sweep, mirroring the sequential TestCrashSweepWithRandomFaults.
+// Parallel sweep, mirroring the sequential TestCrashSweepWithRandomFaults,
+// its exhausted-retry round included.
 func TestParallelSweepWithRandomFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-script sweep skipped in -short mode")
@@ -67,4 +68,5 @@ func TestParallelSweepWithRandomFaults(t *testing.T) {
 	}
 	script := vfs.RandomScript(11, base.PersistOps)
 	runSweep(t, Config{Seed: 4, Parallel: true, Script: script})
+	runFaultStopSweep(t, Config{Seed: 4, Parallel: true})
 }

@@ -16,10 +16,10 @@ import (
 //
 // This is where §4.3 of the paper becomes mechanical: an index holds current
 // values, so it cannot serve a read of an updatable attribute at an older
-// version. After the 2VNL rewrite such an attribute is wrapped in a CASE
-// expression, which no access path matches; a compiled plan over a
-// versioned relation refuses it explicitly (Plan.compileEqConjuncts). Either
-// way the query scans. Indexes on non-updatable attributes (the group-by
+// version. Both executors refuse an equality on such an attribute of a
+// versioned relation (CompileOptions.indexable); after the §4.1 rewrite the
+// attribute is wrapped in a CASE expression, which no access path matches.
+// Either way the query scans. Indexes on non-updatable attributes (the group-by
 // attributes of summary tables) keep working.
 type IndexedTable interface {
 	Table
@@ -27,12 +27,6 @@ type IndexedTable interface {
 	// the given columns, and whether an index served the request. When ok
 	// is false the caller must fall back to a scan.
 	LookupEqual(cols []string, vals []catalog.Value) (rids []storage.RID, ok bool)
-}
-
-// eqConjunct is one `col = literal/param` term usable by an access path.
-type eqConjunct struct {
-	col string
-	val catalog.Value
 }
 
 // eqConjuncts calls fn for each top-level AND-ed equality between a bare
@@ -77,35 +71,26 @@ func eqColumn(l, r sql.Expr, binding string) (*sql.ColumnRef, bool) {
 	return nil, false
 }
 
-// extractEqConjuncts resolves the WHERE's equality conjuncts against params;
-// a conjunct whose parameter is unbound is unusable and dropped.
-func extractEqConjuncts(where sql.Expr, binding string, params Params) []eqConjunct {
-	var out []eqConjunct
-	eqConjuncts(where, binding, func(col *sql.ColumnRef, val sql.Expr) {
-		if v, err := EvalConst(val, params); err == nil {
-			out = append(out, eqConjunct{col: col.Name, val: v})
-		}
-	})
-	return out
-}
-
-// accessRIDs attempts an index-served row source for a single-table query,
-// returning candidate RIDs (still to be filtered by the full WHERE) and
-// whether an index was used.
-func accessRIDs(tbl Table, binding string, where sql.Expr, params Params) ([]storage.RID, bool) {
+// accessRIDs attempts an index-served row source for a single-table query
+// over relation b, returning candidate RIDs (still to be filtered by the
+// full WHERE) and whether an index was used. Its conjuncts (eqConjuncts)
+// are those an index may serve (CompileOptions.indexable) whose value
+// resolves against params: a conjunct whose parameter is unbound is
+// unusable and dropped.
+func accessRIDs(tbl Table, b binding, opts *CompileOptions, where sql.Expr, params Params) ([]storage.RID, bool) {
 	it, ok := tbl.(IndexedTable)
 	if !ok || where == nil {
 		return nil, false
 	}
-	eqs := extractEqConjuncts(where, binding, params)
-	if len(eqs) == 0 {
+	var cols []string
+	var vals []catalog.Value
+	eqConjuncts(where, b.name, func(col *sql.ColumnRef, val sql.Expr) {
+		if v, err := EvalConst(val, params); err == nil && opts.indexable(b.schema, col.Name) {
+			cols, vals = append(cols, col.Name), append(vals, v)
+		}
+	})
+	if len(cols) == 0 {
 		return nil, false
-	}
-	cols := make([]string, len(eqs))
-	vals := make([]catalog.Value, len(eqs))
-	for i, e := range eqs {
-		cols[i] = e.col
-		vals[i] = e.val
 	}
 	return it.LookupEqual(cols, vals)
 }
@@ -115,8 +100,8 @@ func accessRIDs(tbl Table, binding string, where sql.Expr, params Params) ([]sto
 // between the index probe and the heap read) is legally skipped; any other
 // Get failure is an I/O fault or corruption and fails the query — it must
 // not silently shrink the result set.
-func accessPath(tbl Table, binding string, where sql.Expr, params Params) ([]catalog.Tuple, bool, error) {
-	rids, ok := accessRIDs(tbl, binding, where, params)
+func accessPath(tbl Table, b binding, opts *CompileOptions, where sql.Expr, params Params) ([]catalog.Tuple, bool, error) {
+	rids, ok := accessRIDs(tbl, b, opts, where, params)
 	if !ok {
 		return nil, false, nil
 	}

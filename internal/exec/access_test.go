@@ -36,11 +36,22 @@ func TestExtractEqConjuncts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}
-		got := extractEqConjuncts(e, "t", params)
-		if len(got) != c.want {
-			t.Errorf("%s: %d conjuncts, want %d (%v)", c.where, len(got), c.want, got)
+		lookup := &lookupCols{}
+		if _, ok := accessRIDs(lookup, binding{name: "t"}, nil, e, params); ok != (c.want > 0) || len(lookup.cols) != c.want {
+			t.Errorf("%s: %d conjuncts (%v), want %d", c.where, len(lookup.cols), lookup.cols, c.want)
 		}
 	}
+}
+
+// lookupCols is an index that records the columns it is asked to look up.
+type lookupCols struct {
+	Table
+	cols []string
+}
+
+func (l *lookupCols) LookupEqual(cols []string, _ []catalog.Value) ([]storage.RID, bool) {
+	l.cols = cols
+	return nil, true
 }
 
 // indexedMem wraps memTable with a trivial full-scan "index" to observe the

@@ -268,29 +268,22 @@ type aggRun struct {
 	part aggPartial
 }
 
-func (p *Plan) newAggRun(params Params, vn int64, at bool) (*aggRun, error) {
-	ctx, err := p.comp.newCtx(params, vn, at)
-	if err != nil {
-		return nil, err
-	}
-	r := &aggRun{p: p, ctx: ctx, part: newAggPartial(p.agg)}
+func (p *Plan) newAggRun(params Params, vn int64) *aggRun {
+	r := &aggRun{p: p, ctx: p.comp.newCtx(params, vn), part: newAggPartial(p.agg)}
 	if p.agg.intKey == catalog.TypeNull {
 		r.key = make(catalog.Tuple, len(p.agg.keys))
 	}
-	return r, nil
+	return r
 }
 
 // executeAgg runs an aggregate plan: fold the table, then evaluate HAVING and
 // the select list per group.
-func (p *Plan) executeAgg(tbl Table, params Params, vn int64, at bool) (*Rows, error) {
+func (p *Plan) executeAgg(tbl Table, params Params, vn int64) (*Rows, error) {
 	out := &Rows{Columns: p.columns}
 	if p.limit != nil && *p.limit <= 0 {
 		return out, nil
 	}
-	r, err := p.newAggRun(params, vn, at)
-	if err != nil {
-		return nil, err
-	}
+	r := p.newAggRun(params, vn)
 	if err := r.foldTable(tbl); err != nil {
 		return nil, err
 	}

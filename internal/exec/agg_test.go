@@ -207,7 +207,6 @@ func TestPlanAggregateFastPathSplit(t *testing.T) {
 			}
 			return 1, true
 		},
-		Param: "cut",
 	}
 	const val = `CASE WHEN :cut >= vn THEN cur ELSE pre END`
 	for _, c := range []struct{ stmt, rewritten string }{
@@ -228,7 +227,7 @@ func TestPlanAggregateFastPathSplit(t *testing.T) {
 		rewritten := mustSelect(t, c.rewritten)
 		for _, cut := range []int64{0, 1, 99, 100} {
 			params := Params{"cut": catalog.NewInt(cut)}
-			got, err := pl.Execute(cat, params)
+			got, err := pl.ExecuteAt(cat, nil, cut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,10 +268,7 @@ func TestAggregatePartialMerge(t *testing.T) {
 			var merged *aggRun
 			for lo := 0; lo < pages; {
 				hi := lo + 1 + rng.Intn(pages-lo)
-				r, err := pl.newAggRun(nil, 0, false)
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := pl.newAggRun(nil, 0)
 				if err := r.foldTable(&memTable{schema: mt.schema, rows: mt.rows[lo*memPage : hi*memPage]}); err != nil {
 					t.Fatal(err)
 				}
@@ -389,10 +385,7 @@ func TestAggregateSumOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	fold := func(rows []catalog.Tuple) *aggRun {
-		r, err := pl.newAggRun(nil, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := pl.newAggRun(nil, 0)
 		if err := r.foldTable(&memTable{schema: cat["t"].schema, rows: rows}); err != nil {
 			t.Fatal(err)
 		}

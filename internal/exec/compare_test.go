@@ -28,7 +28,6 @@ func cmpLayout() ([]binding, *CompileOptions) {
 			}
 			return 1, true
 		},
-		Param: "vn",
 	}
 	return []binding{{name: "t", schema: base}}, opts
 }
@@ -75,10 +74,7 @@ func sameOutcome(e sql.Expr, stored catalog.Tuple, vn int64, params Params) erro
 	if err != nil {
 		return fmt.Errorf("compile predicate: %v", err)
 	}
-	ctx, err := comp.newCtx(params, vn, true)
-	if err != nil {
-		return fmt.Errorf("bind: %v", err)
-	}
+	ctx := comp.newCtx(params, vn)
 	ctx.at(stored)
 	got, gerr := fn(ctx, stored)
 	if err := sameError(werr, gerr); err != nil {

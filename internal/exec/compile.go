@@ -138,13 +138,10 @@ func (c *compiler) slot(name string) int {
 	return s
 }
 
-// newCtx binds one execution's parameters into a fresh context. Unbound
-// parameters are detected lazily, when (and only when) their slot is read,
-// mirroring the tree-walking evaluator — except the reader's version, which
-// every stored tuple of a versioned relation needs. With at set the version
-// is vn (Plan.ExecuteAt), which also answers the version parameter wherever
-// the statement names it; otherwise it is read from params.
-func (c *compiler) newCtx(params Params, vn int64, at bool) (*evalCtx, error) {
+// newCtx binds one execution's parameters, and the reader's version vn, into
+// a fresh context. Unbound parameters are detected lazily, when (and only
+// when) their slot is read, mirroring the tree-walking evaluator.
+func (c *compiler) newCtx(params Params, vn int64) *evalCtx {
 	ctx := &evalCtx{ver: c.ver, vn: vn}
 	if c.ver != nil {
 		ctx.off = c.ver.Slots[0]
@@ -155,20 +152,9 @@ func (c *compiler) newCtx(params Params, vn int64, at bool) (*evalCtx, error) {
 		ctx.params, ctx.bound = make([]catalog.Value, n), make([]bool, n)
 	}
 	for i, name := range c.paramNames {
-		if at && c.ver != nil && name == c.ver.Param {
-			ctx.params[i], ctx.bound[i] = catalog.NewInt(vn), true
-		} else if v, ok := params[name]; ok {
-			ctx.params[i], ctx.bound[i] = v, true
-		}
+		ctx.params[i], ctx.bound[i] = params[name]
 	}
-	if c.ver != nil && !at {
-		v, ok := params[c.ver.Param]
-		if !ok {
-			return nil, fmt.Errorf("%w: :%s", ErrUnboundParam, c.ver.Param)
-		}
-		ctx.vn = v.Int()
-	}
-	return ctx, nil
+	return ctx
 }
 
 // resolve finds the row offset for a (possibly qualified) column reference,

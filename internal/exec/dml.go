@@ -150,27 +150,25 @@ func Delete(cat Catalog, stmt *sql.DeleteStmt, params Params) (int, error) {
 // access path when one serves the predicate's equality conjuncts, else by
 // scanning.
 func matching(tbl Table, where sql.Expr, ev *env) ([]storage.RID, error) {
-	if len(ev.bindings) == 1 {
-		if rids, ok := accessRIDs(tbl, ev.bindings[0].name, where, ev.params); ok {
-			var out []storage.RID
-			for _, rid := range rids {
-				t, err := tbl.Get(rid)
-				if err != nil {
-					if errors.Is(err, storage.ErrNotFound) {
-						continue // slot concurrently freed; legal cursor skip
-					}
-					return nil, fmt.Errorf("exec: indexed read of %v: %w", rid, err)
+	if rids, ok := accessRIDs(tbl, ev.bindings[0], nil, where, ev.params); ok {
+		var out []storage.RID
+		for _, rid := range rids {
+			t, err := tbl.Get(rid)
+			if err != nil {
+				if errors.Is(err, storage.ErrNotFound) {
+					continue // slot concurrently freed; legal cursor skip
 				}
-				v, err := ev.eval(where, t)
-				if err != nil {
-					return nil, err
-				}
-				if truthy(v) {
-					out = append(out, rid)
-				}
+				return nil, fmt.Errorf("exec: indexed read of %v: %w", rid, err)
 			}
-			return out, nil
+			v, err := ev.eval(where, t)
+			if err != nil {
+				return nil, err
+			}
+			if truthy(v) {
+				out = append(out, rid)
+			}
 		}
+		return out, nil
 	}
 	var rids []storage.RID
 	var evalErr error

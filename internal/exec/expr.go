@@ -82,10 +82,14 @@ type binding struct {
 	offset int
 }
 
-// env resolves column references against the current joined row.
+// env resolves column references against the current joined row. at
+// reports that the reader has a version, vn, at which the tree-walker reads
+// each versioned relation (Plan.ExecuteAt).
 type env struct {
 	bindings []binding
 	params   Params
+	vn       int64
+	at       bool
 }
 
 // resolve finds the row index for a (possibly qualified) column reference.

@@ -102,7 +102,6 @@ func kernelTable(t *testing.T, seed int64, poison bool) (*heapTable, *memTable, 
 			}
 			return 1, true
 		},
-		Param: "cut",
 	}
 }
 
@@ -236,11 +235,7 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 				for _, params := range bindings {
 					for _, cut := range []int64{0, 1, 5} {
 						what := fmt.Sprintf("poison=%v cut=%d %s %v", poison, cut, sql.Print(stmt), params)
-						ctx, err := pl.comp.newCtx(params, cut, true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if pl.kernel.bind(ctx).n > 0 {
+						if pl.kernel.bind(pl.comp.newCtx(params, cut)).n > 0 {
 							typed++
 						}
 						want, werr := pl.ExecuteAt(memCat, params, cut)

@@ -23,11 +23,12 @@ var ErrPlanStale = errors.New("exec: plan compiled against a replaced table")
 
 // CompileOptions describes a versioned relation — one whose stored tuples
 // keep several versions of some columns side by side (2VNL's Table 1, nVNL's
-// §5) — so that CompileSelect compiles a statement written against the
-// relation's base columns once. Per stored tuple, Select picks the version
-// slot the reader sees, or finds the tuple invisible, before any expression
-// runs; every column reference then reads the stored tuple at that slot's
-// offset.
+// §5) — so that a statement written against the relation's base columns
+// reads each stored tuple at the reader's version. Per stored tuple, Select
+// picks the version slot the reader sees, or finds the tuple invisible,
+// before any expression runs; every column reference then reads the stored
+// tuple at that slot's offset. A catalog declares a relation's options by
+// returning a Versioned table; both executors read it that way.
 type CompileOptions struct {
 	// Slots[k][i] is the offset in the stored tuple of base column i as
 	// version slot k holds it. Slot 0 holds the current values, and its
@@ -40,9 +41,18 @@ type CompileOptions struct {
 	// is not clean at vn: it must be cheap, must not allocate and must not
 	// retain row.
 	Select func(row catalog.Tuple, vn int64) (slot int, visible bool)
-	// Param names the parameter that binds the reader's version.
-	Param string
 }
+
+// Versioned is a Table whose stored tuples keep several versions
+// (CompileOptions). Statements name its base columns, and a reader needs a
+// version to read it (Plan.ExecuteAt).
+type Versioned interface {
+	Table
+	Versions() *CompileOptions
+}
+
+// errNoVersion fails a read of a versioned relation given no version.
+var errNoVersion = errors.New("exec: a versioned relation is read at a version (Plan.ExecuteAt)")
 
 // base returns the relation as statements name it: the stored columns that
 // hold the current values.
@@ -65,6 +75,28 @@ func (o *CompileOptions) versioned(i int) bool {
 	return false
 }
 
+// indexable reports whether an index may serve an equality on column name
+// of base schema sc. A versioned column never qualifies (§4.3): an index
+// holds current values, so a reader at an older version would miss every
+// tuple whose value it sees differs from the current one.
+func (o *CompileOptions) indexable(sc *catalog.Schema, name string) bool {
+	if o == nil {
+		return true
+	}
+	i := sc.ColIndex(name)
+	return i >= 0 && !o.versioned(i)
+}
+
+// read writes stored tuple t into base as a reader at vn sees it, its base
+// columns at the slot Select picks, and reports whether t exists at vn.
+func (o *CompileOptions) read(base, t catalog.Tuple, vn int64) bool {
+	k, visible := o.Select(t, vn)
+	for i, off := range o.Slots[k] {
+		base[i] = t[off]
+	}
+	return visible
+}
+
 // Plan is a SELECT compiled for repeated execution: its expressions are
 // compiled closures (column offsets and parameter slots resolved once), and
 // execution evaluates them against the stored tuples in place, page by page
@@ -74,7 +106,7 @@ func (o *CompileOptions) versioned(i int) bool {
 // at the reader's version. Statements outside that subset — joins, ORDER BY,
 // DISTINCT, no FROM, an aggregate whose select list reads a column that is
 // not grouped — compile to a fallback plan that executes through the
-// tree-walking executor.
+// tree-walking executor, which reads a versioned relation the same way.
 //
 // A Plan is immutable after CompileSelect returns and safe for concurrent
 // use by any number of goroutines; each Execute builds its own evaluation
@@ -116,12 +148,13 @@ func (p *Plan) Statement() *sql.SelectStmt { return p.stmt }
 // CompileSelect compiles stmt against cat. A single-table statement without
 // ORDER BY or DISTINCT gets compiled closures: the scan pipeline when it
 // projects rows, the hash aggregate (agg.go) when it has aggregates, GROUP BY
-// or HAVING, either with LIMIT. With opts, stmt names the base columns of the
-// versioned relation opts describes, and every execution reads that relation
-// at the version bound to opts.Param. Everything else, and any statement with
-// an expression that does not compile, returns a fallback plan whose Execute
-// runs the tree-walking executor. The returned plan retains stmt; callers
-// must not mutate it afterwards.
+// or HAVING, either with LIMIT. With opts — or, when opts is nil, the
+// options of a Versioned table — stmt names the base columns of the
+// versioned relation they describe, and every execution reads that relation
+// at the version ExecuteAt is given. Everything else, and any statement with
+// an expression that does not compile, returns a fallback plan whose
+// execution runs the tree-walking executor. The returned plan retains stmt;
+// callers must not mutate it afterwards.
 func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Plan, error) {
 	if len(stmt.From) != 1 || stmt.Distinct || len(stmt.OrderBy) > 0 {
 		return &Plan{stmt: stmt}, nil
@@ -130,6 +163,9 @@ func CompileSelect(cat Catalog, stmt *sql.SelectStmt, opts *CompileOptions) (*Pl
 	tbl, err := cat.Table(tr.Table)
 	if err != nil {
 		return nil, err
+	}
+	if v, ok := tbl.(Versioned); ok && opts == nil {
+		opts = v.Versions()
 	}
 	sc := tbl.Schema()
 	b := binding{name: tr.Binding(), schema: sc}
@@ -187,17 +223,13 @@ func (p *Plan) compileWhere(comp *compiler, where sql.Expr) (err error) {
 }
 
 // compileEqConjuncts records the WHERE's equality conjuncts (eqConjuncts)
-// with their value expressions compiled, so the index access path works on
-// cached plans with per-execution parameter values. A versioned column never
-// qualifies (§4.3): an index holds current values, so a reader at an older
-// version would miss every tuple whose value it sees differs from the
-// current one.
+// that an index may serve (CompileOptions.indexable) with their value
+// expressions compiled, so the index access path works on cached plans with
+// per-execution parameter values.
 func (p *Plan) compileEqConjuncts(comp *compiler, where sql.Expr) {
 	eqConjuncts(where, p.binding, func(col *sql.ColumnRef, val sql.Expr) {
-		if comp.ver != nil {
-			if i, err := comp.resolve(col); err != nil || comp.ver.versioned(i) {
-				return
-			}
+		if !comp.ver.indexable(comp.bindings[0].schema, col.Name) {
+			return
 		}
 		if fn, err := comp.compile(val); err == nil {
 			p.eqCols = append(p.eqCols, col.Name)
@@ -212,24 +244,26 @@ func (p *Plan) compileEqConjuncts(comp *compiler, where sql.Expr) {
 // projects those. An aggregate plan hands the walker its fold instead, which
 // keeps no tuple at all (see executeAgg). With an index either fetches the
 // matching RIDs one by one. Fallback plans run the tree-walking executor on
-// the stored statement.
+// the stored statement. Execute has no reader version, so a plan that reads
+// a versioned relation fails; it needs ExecuteAt.
 func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
-	return p.execute(cat, params, 0, false)
+	return p.execute(cat, &env{params: params})
 }
 
-// ExecuteAt is Execute for a reader at version vn. A plan compiled over a
-// versioned relation (CompileOptions) reads every stored tuple at vn, so
-// params need not bind opts.Param, and a reference to that parameter in the
-// statement reads vn as well. Any other plan ignores vn and runs as Execute
-// does.
+// ExecuteAt is Execute for a reader at version vn: every versioned relation
+// the plan reads, compiled or through the tree-walker, is read at vn. A plan
+// over plain relations ignores vn.
 func (p *Plan) ExecuteAt(cat Catalog, params Params, vn int64) (*Rows, error) {
-	return p.execute(cat, params, vn, true)
+	return p.execute(cat, &env{params: params, vn: vn, at: true})
 }
 
-// execute runs the plan; with at set, vn is the reader's version (ExecuteAt).
-func (p *Plan) execute(cat Catalog, params Params, vn int64, at bool) (*Rows, error) {
+// execute runs the plan for the reader ev describes.
+func (p *Plan) execute(cat Catalog, ev *env) (*Rows, error) {
 	if !p.vectorized {
-		return Select(cat, p.stmt, params)
+		return selectStmt(cat, p.stmt, ev)
+	}
+	if p.comp.ver != nil && !ev.at {
+		return nil, errNoVersion
 	}
 	tbl, err := cat.Table(p.table)
 	if err != nil {
@@ -239,16 +273,13 @@ func (p *Plan) execute(cat Catalog, params Params, vn int64, at bool) (*Rows, er
 		return nil, fmt.Errorf("%w: %s", ErrPlanStale, p.table)
 	}
 	if p.agg != nil {
-		return p.executeAgg(tbl, params, vn, at)
+		return p.executeAgg(tbl, ev.params, ev.vn)
 	}
 	out := &Rows{Columns: p.columns}
 	if p.limit != nil && *p.limit <= 0 {
 		return out, nil
 	}
-	ctx, err := p.comp.newCtx(params, vn, at)
-	if err != nil {
-		return nil, err
-	}
+	ctx := p.comp.newCtx(ev.params, ev.vn)
 	r := planRun{p: p, ctx: ctx, out: out}
 	if rids, ok := p.lookupRIDs(ctx, tbl); ok {
 		return r.fetch(tbl, rids)

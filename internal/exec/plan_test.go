@@ -226,8 +226,7 @@ func TestPlanIndexAccessPath(t *testing.T) {
 // several pages, mixing tuples read at the current slot, tuples read at the
 // pre-update slot and tuples invisible at the reader's version. The slot a
 // tuple is invisible in holds v = 0, so any expression that reaches it
-// divides by zero. It returns the table and its version description, whose
-// parameter is :vn.
+// divides by zero. It returns the table and its version description.
 func versionedTable(rows int, seed int64) (*memTable, *CompileOptions) {
 	schema := catalog.MustSchema("t", []catalog.Column{
 		{Name: "tvn", Type: catalog.TypeInt, Length: 8},
@@ -267,7 +266,6 @@ func versionedTable(rows int, seed int64) (*memTable, *CompileOptions) {
 			}
 			return 1, row[1].Str() != "insert"
 		},
-		Param: "vn",
 	}
 }
 
@@ -320,7 +318,7 @@ func TestPlanVersionSlots(t *testing.T) {
 				t.Fatalf("%q: not compiled (%v)", q, err)
 			}
 			before := idx.lookups
-			got, err := pl.Execute(memCatalog2{"t": idx}, params)
+			got, err := pl.ExecuteAt(memCatalog2{"t": idx}, params, vn)
 			if err != nil {
 				t.Fatalf("vn=%d %q: %v", vn, q, err)
 			}
@@ -330,11 +328,6 @@ func TestPlanVersionSlots(t *testing.T) {
 			}
 			if fmt.Sprint(got.Columns, got.Tuples) != fmt.Sprint(w.Columns, w.Tuples) {
 				t.Fatalf("vn=%d %q:\nplan:   %v %.300v\noracle: %v %.300v", vn, q, got.Columns, got.Tuples, w.Columns, w.Tuples)
-			}
-			// ExecuteAt binds the version directly, with no :vn in params.
-			at, err := pl.ExecuteAt(memCatalog2{"t": idx}, Params{"p": catalog.NewInt(17)}, vn)
-			if err != nil || fmt.Sprint(at.Columns, at.Tuples) != fmt.Sprint(w.Columns, w.Tuples) {
-				t.Fatalf("vn=%d %q: ExecuteAt: %v %.300v, err %v", vn, q, at.Columns, at.Tuples, err)
 			}
 			indexed := idx.lookups > before
 			if wantIndexed := strings.Contains(q, "k = :p") || strings.Contains(q, "g = 3"); indexed != wantIndexed {
@@ -347,8 +340,79 @@ func TestPlanVersionSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Execute(memCatalog{"t": mt}, nil); !errors.Is(err, ErrUnboundParam) {
-		t.Fatalf("unbound version: err = %v, want ErrUnboundParam", err)
+	if _, err := pl.Execute(memCatalog{"t": mt}, nil); !errors.Is(err, errNoVersion) {
+		t.Fatalf("no version: err = %v, want errNoVersion", err)
+	}
+}
+
+// versionedMem declares its CompileOptions through the catalog, as a store's
+// versioned relations do.
+type versionedMem struct {
+	*indexedMem
+	opts *CompileOptions
+}
+
+func (v versionedMem) Versions() *CompileOptions { return v.opts }
+
+// A Versioned relation compiles from the catalog's options, and the shapes
+// the compiled plans do not cover — ORDER BY, DISTINCT, a non-grouped
+// column, a join with a versioned or a plain relation — read it through the
+// same slot selector in the tree-walker: invisible tuples are skipped before
+// any expression runs (10 / v over a deleted v = 0), an index never serves a
+// versioned column (§4.3), and only base columns resolve. The oracle is the
+// tree-walker over the table materialized at the reader's version.
+func TestTreeWalkerReadsVersionSlots(t *testing.T) {
+	mt, opts := versionedTable(300, 6)
+	idx := &indexedMem{memTable: mt, serve: true}
+	u := planTable(20, 4)
+	cat := memCatalog2{"t": versionedMem{idx, opts}, "u": u}
+	for _, c := range []struct {
+		q        string
+		compiled bool
+	}{
+		{`SELECT k, v FROM t WHERE 10 / v > 0`, true},
+		{`SELECT k, v FROM t WHERE 10 / v > 0 ORDER BY v DESC, k LIMIT 9`, false},
+		{`SELECT DISTINCT v / 10 FROM t`, false},
+		{`SELECT k, COUNT(*) FROM t GROUP BY g`, false},
+		{`SELECT k FROM t WHERE v = :p ORDER BY k`, false},
+		{`SELECT k FROM t WHERE k = :p ORDER BY k`, false},
+		{`SELECT a.k, b.v FROM t a, t b WHERE a.k = b.k AND a.v <> b.g ORDER BY a.k LIMIT 20`, false},
+		{`SELECT t.k, u.a FROM t, u WHERE t.g = u.a ORDER BY t.k, u.a LIMIT 30`, false},
+	} {
+		pl, err := CompileSelect(cat, mustSelect(t, c.q), nil)
+		if err != nil || pl.Vectorized() != c.compiled {
+			t.Fatalf("%q: compiled %v (%v), want %v", c.q, pl.Vectorized(), err, c.compiled)
+		}
+		if _, err := pl.Execute(cat, nil); !errors.Is(err, errNoVersion) {
+			t.Fatalf("%q: no version: err = %v, want errNoVersion", c.q, err)
+		}
+		for _, vn := range []int64{1, 2, 3} {
+			params := Params{"p": catalog.NewInt(17)}
+			before := idx.lookups
+			got, err := pl.ExecuteAt(cat, params, vn)
+			if err != nil {
+				t.Fatalf("vn=%d %q: %v", vn, c.q, err)
+			}
+			w, err := Select(memCatalog2{"t": asOf(mt, opts, vn), "u": u}, mustSelect(t, c.q), params)
+			if err != nil {
+				t.Fatalf("vn=%d %q: oracle: %v", vn, c.q, err)
+			}
+			if fmt.Sprint(got.Columns, got.Tuples) != fmt.Sprint(w.Columns, w.Tuples) {
+				t.Fatalf("vn=%d %q:\nplan:   %v %.300v\noracle: %v %.300v", vn, c.q, got.Columns, got.Tuples, w.Columns, w.Tuples)
+			}
+			if indexed, want := idx.lookups > before, strings.Contains(c.q, "k = :p"); indexed != want {
+				t.Fatalf("%q: index used = %v, want %v", c.q, indexed, want)
+			}
+		}
+	}
+	for _, q := range []string{`SELECT k, tvn FROM t`, `SELECT k, pre_v FROM t ORDER BY k`} {
+		pl, err := CompileSelect(cat, mustSelect(t, q), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.ExecuteAt(cat, nil, 2); err == nil || !strings.Contains(err.Error(), "unknown column") {
+			t.Fatalf("%q: err = %v, want an unknown column", q, err)
+		}
 	}
 }
 
@@ -386,7 +450,6 @@ func TestPlanFastPathSplit(t *testing.T) {
 			}
 			return 1, true
 		},
-		Param: "cut",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +459,7 @@ func TestPlanFastPathSplit(t *testing.T) {
 	}
 	for _, cut := range []int64{0, 1, 99, 100} {
 		params := Params{"cut": catalog.NewInt(cut)}
-		got, err := pl.Execute(cat, params)
+		got, err := pl.ExecuteAt(cat, nil, cut)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,17 +66,25 @@ func (r *Rows) String() string {
 }
 
 // Select runs a SELECT statement against cat and materializes the result.
+// It has no reader version, so a statement that reads a Versioned relation
+// fails (Plan.ExecuteAt reads one).
 func Select(cat Catalog, stmt *sql.SelectStmt, params Params) (*Rows, error) {
-	if len(stmt.From) == 0 {
-		// SELECT <exprs> with no FROM: evaluate once over an empty row.
-		return selectNoFrom(stmt, params)
-	}
-	ev := &env{params: params}
+	return selectStmt(cat, stmt, &env{params: params})
+}
+
+// SelectAt is Select for a reader at version vn: it reads every Versioned
+// relation at vn.
+func SelectAt(cat Catalog, stmt *sql.SelectStmt, params Params, vn int64) (*Rows, error) {
+	return selectStmt(cat, stmt, &env{params: params, vn: vn, at: true})
+}
+
+// selectStmt runs stmt for the reader ev describes; ev's bindings are empty.
+func selectStmt(cat Catalog, stmt *sql.SelectStmt, ev *env) (*Rows, error) {
 	// Bind FROM tables and produce the joined row set (nested loops with
-	// join predicates applied as each table joins in). Single-table
-	// queries may be served by an index access path on the WHERE's
-	// equality conjuncts.
-	rows, err := joinFrom(cat, stmt.From, ev, stmt.Where, params)
+	// join predicates applied as each table joins in; with no FROM, one
+	// empty row). Single-table queries may be served by an index access
+	// path on the WHERE's equality conjuncts.
+	rows, err := joinFrom(cat, stmt.From, ev, stmt.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -95,6 +103,9 @@ func Select(cat Catalog, stmt *sql.SelectStmt, params Params) (*Rows, error) {
 		rows = kept
 	}
 	items := expandStars(stmt, ev)
+	if len(items) == 0 {
+		return nil, errors.New("exec: SELECT * requires a FROM clause")
+	}
 	var out *Rows
 	if len(stmt.GroupBy) > 0 || anyAggregate(items) || stmt.Having != nil {
 		out, err = aggregate(stmt, items, rows, ev)
@@ -118,64 +129,59 @@ func Select(cat Catalog, stmt *sql.SelectStmt, params Params) (*Rows, error) {
 	return out, nil
 }
 
-func selectNoFrom(stmt *sql.SelectStmt, params Params) (*Rows, error) {
-	ev := &env{params: params}
-	out := &Rows{}
-	row := catalog.Tuple{}
-	var tuple catalog.Tuple
-	for i, it := range stmt.Items {
-		if it.Star {
-			return nil, fmt.Errorf("exec: SELECT * requires a FROM clause")
-		}
-		v, err := ev.eval(it.Expr, row)
-		if err != nil {
-			return nil, err
-		}
-		tuple = append(tuple, v)
-		out.Columns = append(out.Columns, itemName(it, i))
-	}
-	out.Tuples = []catalog.Tuple{tuple}
-	return out, nil
-}
-
 // joinFrom binds each FROM entry into ev and nested-loop joins them,
-// applying ON predicates as soon as their table joins. where/params enable
-// the index access path for single-table queries.
-func joinFrom(cat Catalog, from []sql.TableRef, ev *env, where sql.Expr, params Params) ([]catalog.Tuple, error) {
-	var rows []catalog.Tuple
+// applying ON predicates as soon as their table joins; with no FROM it
+// yields one empty row. A versioned relation
+// binds its base columns, and each stored tuple joins as the reader at ev.vn
+// sees it, or not at all when it does not exist at that version. where
+// enables the index access path for single-table queries.
+func joinFrom(cat Catalog, from []sql.TableRef, ev *env, where sql.Expr) ([]catalog.Tuple, error) {
+	rows := []catalog.Tuple{{}}
 	for fi, tr := range from {
 		tbl, err := cat.Table(tr.Table)
 		if err != nil {
 			return nil, err
 		}
 		sc := tbl.Schema()
-		offset := 0
-		for _, b := range ev.bindings {
-			offset += len(b.schema.Columns)
+		var opts *CompileOptions
+		if v, ok := tbl.(Versioned); ok {
+			if !ev.at {
+				return nil, fmt.Errorf("%w: %s", errNoVersion, tr.Table)
+			}
+			opts = v.Versions()
+			sc = opts.base(sc)
 		}
+		offset := 0
 		for _, b := range ev.bindings {
 			if strings.EqualFold(b.name, tr.Binding()) {
 				return nil, fmt.Errorf("exec: duplicate range variable %q (alias needed)", tr.Binding())
 			}
+			offset += len(b.schema.Columns)
 		}
 		ev.bindings = append(ev.bindings, binding{name: tr.Binding(), schema: sc, offset: offset})
 		var scanned []catalog.Tuple
+		var ok bool
 		if len(from) == 1 {
-			if indexed, ok, err := accessPath(tbl, tr.Binding(), where, params); err != nil {
+			if scanned, ok, err = accessPath(tbl, ev.bindings[0], opts, where, ev.params); err != nil {
 				return nil, err
-			} else if ok {
-				scanned = indexed
-			} else {
-				tbl.Scan(func(_ storage.RID, t catalog.Tuple) bool {
-					scanned = append(scanned, t)
-					return true
-				})
 			}
-		} else {
+		}
+		if !ok {
 			tbl.Scan(func(_ storage.RID, t catalog.Tuple) bool {
 				scanned = append(scanned, t)
 				return true
 			})
+		}
+		if opts != nil {
+			// The visible tuples' base columns share one allocation.
+			w := len(opts.Slots[0])
+			vals, visible := make([]catalog.Value, len(scanned)*w), scanned[:0]
+			for _, t := range scanned {
+				if base := catalog.Tuple(vals[:w:w]); opts.read(base, t, ev.vn) {
+					visible, vals = append(visible, base), vals[w:]
+				}
+			}
+			scanned = visible
 		}
 		if fi == 0 {
 			rows = scanned

@@ -112,8 +112,8 @@ func goodVoidScanLocked(t *db.Table) {
 	t.Scan(func(db.RID, []int) bool { return false })
 }
 
-// badBlankedUpdateLocked blanks the Version-relation write error under the
-// latch — the setGlobalsLocked bug class.
+// badBlankedUpdateLocked blanks a relation's write error under the latch, so
+// latched memory and the relation can diverge.
 func badBlankedUpdateLocked(t *db.Table, r db.RID) {
 	_ = t.Update(r, nil) // want "error from db.Table.Update is blanked inside a \\*Locked helper"
 }

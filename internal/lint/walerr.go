@@ -26,9 +26,10 @@ import (
 // The analyzer also covers the latched-write half of the same invariant:
 // inside a function named "*Locked" — the convention for helpers running
 // under the §3 latch — an error from a db.Table mutation (Insert, Update,
-// Delete) may be neither dropped nor blanked. Those helpers keep latched
-// memory and an engine relation in step (e.g. the Version relation of §4);
-// a swallowed write error silently diverges the two.
+// Delete) may be neither dropped nor blanked. Latched memory and an engine
+// relation must not diverge: a helper that writes both under the latch and
+// swallows the relation's write error leaves memory saying what the
+// relation does not hold.
 var WALErr = &Analyzer{
 	Name: "walerr",
 	Doc:  "check that WAL and journal errors are consumed; commit forces and recovery may not even be blanked (§7)",
@@ -86,7 +87,7 @@ func checkDropped(pass *Pass, call *ast.CallExpr, inLocked bool) {
 		return
 	}
 	if name, ok := dbMutationWithError(pass.TypesInfo, call); ok {
-		pass.Reportf(call.Pos(), "error from %s is silently dropped inside a *Locked helper; latched memory and the relation must not diverge (§4)", name)
+		pass.Reportf(call.Pos(), "error from %s is silently dropped inside a *Locked helper; latched memory and an engine relation must not diverge (§3)", name)
 	}
 }
 
@@ -111,7 +112,7 @@ func checkBlanked(pass *Pass, assign *ast.AssignStmt, inLocked bool) {
 			return
 		}
 		checkBlankedError(pass, assign, call, dbName,
-			"error from %s is blanked inside a *Locked helper; latched memory and the relation must not diverge (§4)")
+			"error from %s is blanked inside a *Locked helper; latched memory and an engine relation must not diverge (§3)")
 		return
 	}
 	if !walCritical[shortName(name)] {
