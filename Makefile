@@ -62,10 +62,10 @@ clean:
 # crash runs the exhaustive crash-point sweep: the scripted 2VNL workload
 # is crashed before every persisting I/O boundary, recovered, and checked
 # against the scan oracle (see internal/crashtest and cmd/vnlcrash). The
-# random-fault rounds layer torn/short/failing writes under the same sweep.
+# random-fault rounds layer torn/short/failing writes under the same sweep,
+# and a last exhausted-retry round must stop the workload on a surfaced fault.
 crash:
 	$(GO) run ./cmd/vnlcrash -faults 3 -artifact crash-fail-script.txt
-	$(GO) run ./cmd/vnlcrash -parallel -faults 1 -artifact crash-fail-script.txt
 
 # crash-replica sweeps the WAL-shipping follower instead: a fresh replica
 # is crashed at every persisting I/O boundary of its catch-up replay,
@@ -73,7 +73,7 @@ crash:
 # primary's history (see internal/crashtest ReplicaSweep).
 crash-replica:
 	$(GO) run ./cmd/vnlcrash -replica
-	$(GO) run ./cmd/vnlcrash -replica -parallel -seed 2
+	$(GO) run ./cmd/vnlcrash -replica -seed 2
 
 # crash-shards sweeps the hash-sharded router: the cross-shard workload is
 # crashed before every persisting I/O boundary of the two-phase publish

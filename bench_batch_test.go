@@ -95,7 +95,7 @@ func batchBenchChecksum(b *testing.B, s *core.Store) uint64 {
 // BenchmarkMaintainBatch measures one maintenance transaction applying a
 // 10k-delta batch through ApplyBatch, and pins that repeating it commits the
 // state one application on a fresh store commits. ARCHITECTURE.md's "Batch
-// apply & group commit" section describes the path.
+// apply" section describes the path.
 func BenchmarkMaintainBatch(b *testing.B) {
 	deltas := batchBenchDeltas()
 	apply := func(s *core.Store) {

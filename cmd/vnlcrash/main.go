@@ -9,8 +9,7 @@
 //
 //	vnlcrash                     # fixed-seed sweep
 //	vnlcrash -seed 42 -n 3       # different workload tail, 3VNL
-//	vnlcrash -parallel           # batched tail transaction + WAL group commit
-//	vnlcrash -faults 5           # add 5 random-fault sweeps on top
+//	vnlcrash -faults 5           # add 5 random-fault sweeps and an exhausted-retry sweep
 //	vnlcrash -script plan.txt    # replay a recorded fault script
 //	vnlcrash -artifact fail.txt  # write the failing script here on error
 //	vnlcrash -replica            # sweep the replica's replay path instead
@@ -26,9 +25,16 @@
 // each crash point must recover all shards to one all-or-nothing epoch
 // matching the oracle.
 //
+// With -faults, the random rounds are followed by one exhausted-retry
+// round: a WAL fsync fails on every retry attempt, so the fault surfaces
+// and stops the workload. A random fault rarely does, because the bounded
+// retry absorbs a single failing op, so that round must report at least one
+// fault stop or the run fails.
+//
 // Exit status 0 means every crash point recovered cleanly; 1 means an
-// invariant was violated (the exact fault script is printed and, with
-// -artifact, saved for replay); 2 means a usage error.
+// invariant was violated or the exhausted-retry round reached no surfaced
+// fault (the exact fault script is printed and, with -artifact, saved for
+// replay); 2 means a usage error.
 package main
 
 import (
@@ -49,13 +55,12 @@ func main() {
 		faultSrc = flag.Int64("faultseed", 7, "seed for the random fault scripts")
 		script   = flag.String("script", "", "fault script file to replay (see internal/vfs ParseScript)")
 		artifact = flag.String("artifact", "", "write the failing fault script to this file")
-		parallel = flag.Bool("parallel", false, "append a batched tail transaction and enable WAL group commit")
 		replica  = flag.Bool("replica", false, "sweep a WAL-shipping replica's replay path instead of the primary")
 		shards   = flag.Int("shards", 0, "sweep a hash-sharded router of this width instead of a single store")
 	)
 	flag.Parse()
 
-	cfg := crashtest.Config{Seed: *seed, N: *n, Parallel: *parallel, Shards: *shards}
+	cfg := crashtest.Config{Seed: *seed, N: *n, Shards: *shards}
 	if *shards > 0 {
 		if *script != "" || *faults > 0 || *replica {
 			fmt.Fprintln(os.Stderr, "vnlcrash: -shards injects its own crash points; -script, -faults, and -replica do not combine with it")
@@ -109,6 +114,21 @@ func main() {
 			report(fmt.Sprintf("fault round %d", round), frep, ferr, *artifact)
 			fmt.Printf("vnlcrash: fault round %d: %d crash points, %d fault stops\n",
 				round, frep.Points, frep.FaultStops)
+		}
+		exhausted, err := crashtest.ExhaustedSyncScript(cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "vnlcrash: %v\n", err)
+			os.Exit(1)
+		}
+		xcfg := cfg
+		xcfg.Script = exhausted
+		xrep, xerr := crashtest.Sweep(xcfg)
+		report("exhausted-retry round", xrep, xerr, *artifact)
+		fmt.Printf("vnlcrash: exhausted-retry round: %d crash points, %d fault stops\n",
+			xrep.Points, xrep.FaultStops)
+		if xrep.FaultStops < 1 {
+			fmt.Fprintf(os.Stderr, "vnlcrash: exhausted-retry round stopped on no surfaced fault under\n%s\n", xcfg.Script)
+			os.Exit(1)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // recomputed from the fact history) plus operational statistics.
 //
 //	vnlload -days 5 -facts 2000 -retract 5 -n 2 -seed 1
-//	vnlload -wal warehouse.wal -group-commit    # one fsync per commit group
+//	vnlload -wal warehouse.wal                  # journal every commit
 //	vnlload -dsn 127.0.0.1:7432 -days 20        # drive a remote vnlserver
 //
 // With -dsn the load runs over the wire against a vnlserver started with
@@ -46,8 +46,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "workload seed")
 		gc      = flag.Bool("gc", true, "garbage-collect after loading")
 		walPath = flag.String("wal", "", "journal maintenance to this write-ahead log")
-		group   = flag.Bool("group-commit", false, "batch WAL commits: one fsync per group (needs -wal)")
-		delay   = flag.Duration("group-delay", 0, "bounded linger the group-commit leader waits for joiners")
 		metrics = flag.Bool("metrics", false, "print the full metrics snapshot at the end")
 		dsn     = flag.String("dsn", "", "drive a remote vnlserver at this address instead of an embedded store")
 		report  = flag.Duration("report", 0, "print interval throughput this often while loading (0 = only the exit summary)")
@@ -57,10 +55,6 @@ func main() {
 		verify  = flag.String("verify-dsn", "", "with -readonly: compare the final COUNT/SUM against this server")
 	)
 	flag.Parse()
-	if *group && *walPath == "" {
-		fmt.Fprintln(os.Stderr, "vnlload: -group-commit needs -wal")
-		os.Exit(2)
-	}
 	if *rdonly {
 		if *dsn == "" {
 			fmt.Fprintln(os.Stderr, "vnlload: -readonly needs -dsn")
@@ -79,13 +73,13 @@ func main() {
 		}
 		return
 	}
-	if err := run(*days, *facts, *retract, *n, *seed, *gc, *walPath, *group, *delay, *metrics, *report); err != nil {
+	if err := run(*days, *facts, *retract, *n, *seed, *gc, *walPath, *metrics, *report); err != nil {
 		fmt.Fprintln(os.Stderr, "vnlload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(days, facts, retract, n int, seed int64, gc bool, walPath string, group bool, groupDelay time.Duration, metrics bool, report time.Duration) error {
+func run(days, facts, retract, n int, seed int64, gc bool, walPath string, metrics bool, report time.Duration) error {
 	d := db.Open(db.Options{})
 	store, err := core.Open(d, core.Options{N: n})
 	if err != nil {
@@ -96,9 +90,6 @@ func run(days, facts, retract, n int, seed int64, gc bool, walPath string, group
 		journal, err = wal.Create(walPath, wal.PolicyRedoOnly)
 		if err != nil {
 			return err
-		}
-		if group {
-			journal.SetGroupCommit(wal.GroupCommit{Enabled: true, MaxDelay: groupDelay})
 		}
 		store.SetJournal(journal)
 	}
@@ -185,15 +176,6 @@ func run(days, facts, retract, n int, seed int64, gc bool, walPath string, group
 		st := journal.Stats()
 		fmt.Printf("wal: %d records, %d bytes, %d syncs -> %s (recover with vnlsh -wal)\n",
 			st.Records, st.Bytes, st.Syncs, walPath)
-		if group {
-			// WAL counters live on the process-global registry (one
-			// durability story per process), so the raw values are this run.
-			walStats := obs.Default().Snapshot()
-			fmt.Printf("wal group commit: %d groups over %d commits (%.2f commits/fsync)\n",
-				walStats.Counters["wal_group_commits_total"],
-				delta.Counters["core_maint_commits_total"],
-				float64(delta.Counters["core_maint_commits_total"])/float64(max(walStats.Counters["wal_group_commits_total"], 1)))
-		}
 		if err := journal.Close(); err != nil {
 			return err
 		}

@@ -6,7 +6,7 @@
 // and each one runs as one maintenance transaction (core's ApplyBatch).
 //
 //	vnlserver -addr :7432 -http :7433 -kv
-//	vnlserver -n 3 -wal server.wal -group-commit
+//	vnlserver -n 3 -wal server.wal
 //	vnlserver -init schema.sql -drain-timeout 30s
 //
 // With -wal the server is also a replication primary: followers poll the
@@ -64,8 +64,7 @@ type flags struct {
 	addr, httpAddr                  string
 	n, shards                       int
 	walPath                         string
-	group                           bool
-	groupDelay, gcEvery             time.Duration
+	gcEvery                         time.Duration
 	maxConns                        int
 	idleTO, reqTO, writeTO, drainTO time.Duration
 	kv, demo                        bool
@@ -82,8 +81,6 @@ func main() {
 	flag.IntVar(&f.shards, "shards", 1, "hash-shard across N independent stores behind one atomic cross-shard epoch (1 = single store)")
 	flag.StringVar(&f.walPath, "wal", "", "journal maintenance to this write-ahead log (also enables the replication feed); with -shards > 1, a directory for the per-shard WALs and the epoch log")
 	flag.DurationVar(&f.gcEvery, "gc-interval", 0, "run a garbage-collection pass this often (0 = never)")
-	flag.BoolVar(&f.group, "group-commit", false, "batch WAL commits: one fsync per group (needs -wal)")
-	flag.DurationVar(&f.groupDelay, "group-delay", 0, "bounded linger the group-commit leader waits for joiners")
 	flag.IntVar(&f.maxConns, "max-conns", 256, "connection limit; excess dials are answered too_busy")
 	flag.DurationVar(&f.idleTO, "idle-timeout", 5*time.Minute, "close connections idle this long (0 = never)")
 	flag.DurationVar(&f.reqTO, "request-timeout", 30*time.Second, "sever connections whose in-flight request exceeds this (0 = never)")
@@ -97,16 +94,12 @@ func main() {
 	flag.Uint64Var(&f.maxLag, "max-lag-vns", 0, "replica mode: /readyz reports ready while VN lag is within this bound (0 = full parity)")
 	flag.Parse()
 
-	if f.group && f.walPath == "" {
-		fmt.Fprintln(os.Stderr, "vnlserver: -group-commit needs -wal")
-		os.Exit(2)
-	}
 	if f.shards > 1 {
 		// The demo loads through the warehouse layer (single store only),
-		// group commit configures a single journal, and the replication
-		// feed serves one WAL file — none of which exist in sharded mode.
-		if f.demo || f.group || f.primary != "" {
-			fmt.Fprintln(os.Stderr, "vnlserver: -shards excludes -demo, -group-commit, and -primary")
+		// and the replication feed serves one WAL file — neither exists in
+		// sharded mode.
+		if f.demo || f.primary != "" {
+			fmt.Fprintln(os.Stderr, "vnlserver: -shards excludes -demo and -primary")
 			os.Exit(2)
 		}
 		if err := runShards(f); err != nil {
@@ -154,9 +147,6 @@ func run(f flags) error {
 		journal, err = wal.Create(f.walPath, wal.PolicyRedoOnly)
 		if err != nil {
 			return err
-		}
-		if f.group {
-			journal.SetGroupCommit(wal.GroupCommit{Enabled: true, MaxDelay: f.groupDelay})
 		}
 		store.SetJournal(journal)
 		// The journal doubles as the replication feed. The epoch is the

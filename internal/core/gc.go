@@ -35,18 +35,13 @@ type GCStats struct {
 // additionally reclaims tuples whose deletion is exactly at the session
 // floor, which Table 1 shows are already invisible to those sessions.)
 //
-// GC is safe to run concurrently with readers and with an active
-// maintenance transaction: it only touches committed deletes (tupleVN <=
-// currentVN < maintenanceVN), which the maintenance transaction would treat
-// as conflict targets — so to keep Table 2's key-conflict bookkeeping
-// coherent, GC skips tables while a maintenance transaction is active
-// unless force is requested via GCWithFloor.
+// GC runs concurrently with readers, but never with a maintenance
+// transaction: a transaction may re-insert over a committed delete (Table
+// 2), which would turn a victim back into a live tuple. A pass that finds a
+// transaction active returns empty, and a transaction that begins during a
+// pass waits for it (see GCWithFloor).
 func (s *Store) GC() GCStats {
-	cur, active, _ := s.readGlobals()
-	if active {
-		return GCStats{}
-	}
-	floor := cur
+	floor, _ := s.globals()
 	if minVN, any := s.activeSessionFloor(); any && minVN < floor {
 		floor = minVN
 	}
@@ -76,13 +71,20 @@ func (s *Store) SetGCFloorClamp(fn func() (VN, bool)) {
 
 // GCWithFloor reclaims logically-deleted tuples with tupleVN <= floor.
 // Callers are responsible for choosing a floor no greater than the minimum
-// active sessionVN and currentVN.
+// active sessionVN and currentVN. It returns empty while a maintenance
+// transaction is active, and holds off BeginMaintenance until it returns.
 //
 // When a journal is installed, the physical deletions are journaled as a
 // committed pseudo-transaction (VN 0): without that, a later fresh insert
 // of a reclaimed key would collide with the still-logically-deleted tuple
-// during recovery replay.
+// during recovery replay. Because no transaction begins during the pass,
+// its records never interleave with a transaction's in the journal.
 func (s *Store) GCWithFloor(floor VN) GCStats {
+	s.gcMu.Lock()
+	defer s.gcMu.Unlock()
+	if _, active := s.globals(); active {
+		return GCStats{}
+	}
 	var stats GCStats
 	j := s.journalOrNil()
 	journalOpen := false
@@ -98,6 +100,9 @@ func (s *Store) GCWithFloor(floor VN) GCStats {
 			victims = append(victims, rids...)
 			return true
 		})
+		if s.gcSelected != nil {
+			s.gcSelected(e.Base.Name)
+		}
 		for _, rid := range victims {
 			before, err := vt.tbl.Get(rid)
 			if err != nil {

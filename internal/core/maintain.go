@@ -60,7 +60,8 @@ func (m *Maintenance) met() *storeMetrics { return m.store.metrics }
 // BeginMaintenance starts the maintenance transaction: it reads currentVN,
 // sets maintenanceVN = currentVN + 1, and raises the global
 // maintenanceActive flag (§3). Only one maintenance transaction may run at
-// a time; a second call returns ErrMaintenanceActive.
+// a time; a second call returns ErrMaintenanceActive. A call that arrives
+// during a GC pass waits for the pass to end.
 func (s *Store) BeginMaintenance() (*Maintenance, error) {
 	return s.beginMaintenance(true)
 }
@@ -69,10 +70,15 @@ func (s *Store) BeginMaintenance() (*Maintenance, error) {
 // for the ablation test: disable it and readers observe incorrect states,
 // which is the point of the ablation.
 func (s *Store) beginMaintenance(netEffect bool) (*Maintenance, error) {
+	// Wait out a GC pass in progress: it could otherwise delete a victim
+	// this transaction re-inserts over (Table 2), and interleave its VN-0
+	// records with this transaction's in the journal.
+	s.gcMu.Lock()
 	acquired := s.latchAcquire()
 	cur, active := s.globalsLocked()
 	if active {
 		s.latchRelease(acquired)
+		s.gcMu.Unlock()
 		return nil, ErrMaintenanceActive
 	}
 	m := &Maintenance{store: s, vn: cur + 1, netEffect: netEffect, began: time.Now(), journal: s.journal}
@@ -80,6 +86,7 @@ func (s *Store) beginMaintenance(netEffect bool) (*Maintenance, error) {
 	s.setGlobalsLocked(cur, true)
 	s.maint = m
 	s.latchRelease(acquired)
+	s.gcMu.Unlock()
 	// Journal the begin record outside the latch: the append may block on
 	// I/O and the §3 latch must stay short-duration. Write-ahead is
 	// preserved — no tuple record can be emitted before this call returns

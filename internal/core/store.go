@@ -90,6 +90,17 @@ type Store struct {
 	// a tuple it returns an error for (test seam for a corrupt engine).
 	writeFault func(vt *VTable, t catalog.Tuple) error
 
+	// gcMu keeps GC passes and maintenance transactions apart. A pass holds
+	// it from its maintenanceActive check to its journal commit; a begin
+	// holds it while it raises the flag. So a transaction that arrives
+	// during a pass waits for the pass, and a pass that finds a transaction
+	// active returns empty. Lock order: gcMu before mu.
+	gcMu sync.Mutex
+	// gcSelected, when non-nil, runs in a GC pass between a table's victim
+	// selection and its deletes (test seam for a transaction racing the
+	// pass).
+	gcSelected func(table string)
+
 	// reg and metrics are the store's observability surface (never nil;
 	// see Options.Metrics).
 	reg     *obs.Registry

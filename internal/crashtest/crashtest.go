@@ -46,9 +46,6 @@ type Config struct {
 	// Script is the base fault plan applied to every run (the sweep adds
 	// the crash point). Nil means fault-free.
 	Script *vfs.Script
-	// Parallel appends a batched tail transaction applied through
-	// Maintenance.ApplyBatch, and enables WAL group commit on the journal.
-	Parallel bool
 	// Shards, when the config drives ShardSweep, is the shard-router fan-out
 	// width. 0 selects 4. The single-store sweeps ignore it.
 	Shards int
@@ -248,9 +245,6 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 		return w.stop(err)
 	}
 	log.SetRetry(vfs.RetryPolicy{Sleep: func(time.Duration) {}}.Normalize())
-	if cfg.Parallel {
-		log.SetGroupCommit(wal.GroupCommit{Enabled: true})
-	}
 	w.log = log
 	store.SetJournal(log)
 	if cfg.onJournal != nil {
@@ -401,9 +395,6 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 			return w.stop(err)
 		}
 		log2.SetRetry(vfs.RetryPolicy{Sleep: func(time.Duration) {}}.Normalize())
-		if cfg.Parallel {
-			log2.SetGroupCommit(wal.GroupCommit{Enabled: true})
-		}
 		w.log = log2
 		w.store.SetJournal(log2)
 		if cfg.onJournal != nil {
@@ -460,51 +451,48 @@ func run(cfg Config, fs *vfs.FaultFS, st *runState) error {
 		return err
 	}
 
-	// VN 6 (Parallel only): a batched tail applied through ApplyBatch on
-	// the same journal — its heap writes, its records and a group-committed
-	// WAL tail all become faultable boundaries. The batch is built against
-	// the pending model so it is legal in submission order (no insert of a
-	// live key); updates and deletes of missing keys are deliberate legal
-	// skips.
-	if cfg.Parallel {
-		if err := w.txn(func(m *core.Maintenance, pend model) error {
-			var deltas []core.Delta
-			for i, n := 0, 14+w.rng.Intn(6); i < n; i++ {
-				k := int64(20 + w.rng.Intn(10))
-				switch _, exists := pend["dim"][k]; {
-				case !exists:
-					row := dimRow(k, k*7, "p")
-					deltas = append(deltas, core.Delta{Table: "dim", Op: core.DeltaInsert, Row: row})
-					pend.put("dim", row)
-				case w.rng.Intn(3) == 0:
-					deltas = append(deltas, core.Delta{Table: "dim", Op: core.DeltaDelete, Key: intKey(k)})
-					pend.delete("dim", k)
-				default:
-					row := pend["dim"][k].Clone()
-					row[1] = catalog.NewInt(w.rng.Int63n(1000))
-					deltas = append(deltas, core.Delta{Table: "dim", Op: core.DeltaUpdate, Row: row, Key: intKey(k)})
-					pend.put("dim", row)
-				}
+	// VN 6: a batched tail applied through ApplyBatch, the production write
+	// path (the wire's batches and every Exec fold through it). The batch
+	// is built against the pending model so it is legal in submission
+	// order (no insert of a live key); updates and deletes of missing keys
+	// are deliberate legal skips.
+	if err := w.txn(func(m *core.Maintenance, pend model) error {
+		var deltas []core.Delta
+		for i, n := 0, 14+w.rng.Intn(6); i < n; i++ {
+			k := int64(20 + w.rng.Intn(10))
+			switch _, exists := pend["dim"][k]; {
+			case !exists:
+				row := dimRow(k, k*7, "p")
+				deltas = append(deltas, core.Delta{Table: "dim", Op: core.DeltaInsert, Row: row})
+				pend.put("dim", row)
+			case w.rng.Intn(3) == 0:
+				deltas = append(deltas, core.Delta{Table: "dim", Op: core.DeltaDelete, Key: intKey(k)})
+				pend.delete("dim", k)
+			default:
+				row := pend["dim"][k].Clone()
+				row[1] = catalog.NewInt(w.rng.Int63n(1000))
+				deltas = append(deltas, core.Delta{Table: "dim", Op: core.DeltaUpdate, Row: row, Key: intKey(k)})
+				pend.put("dim", row)
 			}
-			// Cross-table routing plus a guaranteed missing-key skip.
-			if cur, ok := pend["fact"][2]; ok {
-				row := cur.Clone()
-				row[1] = catalog.NewInt(77)
-				deltas = append(deltas, core.Delta{Table: "fact", Op: core.DeltaUpdate, Row: row, Key: intKey(2)})
-				pend.put("fact", row)
-			}
-			deltas = append(deltas, core.Delta{Table: "fact", Op: core.DeltaDelete, Key: intKey(999)})
-			_, err := m.ApplyBatch(deltas)
-			return err
-		}); err != nil {
-			return err
 		}
+		// Cross-table routing plus a guaranteed missing-key skip.
+		if cur, ok := pend["fact"][2]; ok {
+			row := cur.Clone()
+			row[1] = catalog.NewInt(77)
+			deltas = append(deltas, core.Delta{Table: "fact", Op: core.DeltaUpdate, Row: row, Key: intKey(2)})
+			pend.put("fact", row)
+		}
+		deltas = append(deltas, core.Delta{Table: "fact", Op: core.DeltaDelete, Key: intKey(999)})
+		_, err := m.ApplyBatch(deltas)
+		return err
+	}); err != nil {
+		return err
 	}
 
-	// The SQL transaction (VN 6, or VN 7 with Parallel) runs statements
-	// through Exec, each evaluated whole and then folded through Tables 2–4:
-	// a WHERE update, a WHERE delete, and an insert that re-inserts a key the
-	// delete removed (Table 2 row 2) beside a fresh one.
+	// VN 7: the SQL transaction runs statements through Exec, each
+	// evaluated whole and then folded through Tables 2–4: a WHERE update, a
+	// WHERE delete, and an insert that re-inserts a key the delete removed
+	// (Table 2 row 2) beside a fresh one.
 	if err := w.txn(func(m *core.Maintenance, pend model) error {
 		for _, stmt := range []string{
 			`UPDATE dim SET v = v + 1 WHERE k < 5`,
@@ -707,6 +695,33 @@ func Sweep(cfg Config) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// ExhaustedSyncScript fails the second WAL fsync of cfg's fault-free
+// workload on every retry attempt: vfs.DefaultRetryAttempts consecutive
+// `fault N err` lines, so the WAL's bounded retry gives up and the fault
+// surfaces after a commit has become durable. A sweep under it must stop
+// the workload on that fault at least once; a random fault script rarely
+// does, because the retry absorbs a single failing op.
+func ExhaustedSyncScript(cfg Config) (*vfs.Script, error) {
+	fs := vfs.NewFaultFS(nil)
+	if err := run(cfg.normalize(), fs, &runState{}); err != nil {
+		return nil, fmt.Errorf("crashtest: fault-free workload: %w", err)
+	}
+	syncs := 0
+	for _, r := range fs.Trace() {
+		if !strings.HasPrefix(r.Site, "sync "+walPath) {
+			continue
+		}
+		if syncs++; syncs == 2 {
+			script := vfs.NewScript()
+			for i := 0; i < vfs.DefaultRetryAttempts; i++ {
+				script.AddFault(r.Index+i, vfs.FaultErr, 0)
+			}
+			return script, nil
+		}
+	}
+	return nil, fmt.Errorf("crashtest: workload performs fewer than two WAL fsyncs")
 }
 
 func describe(c *vfs.CrashPoint) string {

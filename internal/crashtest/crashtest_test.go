@@ -46,7 +46,7 @@ func TestCrashSweepRandomSeed(t *testing.T) {
 // crash sweep: every boundary is crashed while the hardware is also
 // misbehaving, and recovery must still land on a commit point. The WAL's
 // bounded retry absorbs a single failing op, so a last, scripted round
-// fails one WAL fsync on every attempt (exhaustedSyncScript): the fault
+// fails one WAL fsync on every attempt (ExhaustedSyncScript): the fault
 // surfaces and stops the workload, and recovery must still validate at
 // every crash point.
 func TestCrashSweepWithRandomFaults(t *testing.T) {
@@ -69,38 +69,75 @@ func TestCrashSweepWithRandomFaults(t *testing.T) {
 	})
 }
 
-// exhaustedSyncScript fails the second WAL fsync of cfg's fault-free
-// workload on every retry attempt: vfs.DefaultRetryAttempts consecutive
-// `fault N err` lines, so the WAL's bounded retry gives up and the fault
-// surfaces after a commit has become durable.
-func exhaustedSyncScript(t *testing.T, cfg Config) *vfs.Script {
-	t.Helper()
-	fs := vfs.NewFaultFS(nil)
-	if err := run(cfg.normalize(), fs, &runState{}); err != nil {
-		t.Fatalf("fault-free workload failed: %v", err)
+// TestTornTailSweep layers cutkeep scripts under the sweep: after each
+// crash the power cut preserves K unsynced bytes of the WAL, so a crash
+// between a commit's flush and its fsync leaves a torn tail on disk.
+// Recovery must treat the tear as end-of-log and land on the previous
+// commit point, for tears inside a record header, inside a payload, and
+// spanning whole records of the transaction.
+func TestTornTailSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("torn-tail sweeps skipped in -short mode")
 	}
-	syncs := 0
-	for _, r := range fs.Trace() {
-		if !strings.HasPrefix(r.Site, "sync data/wal.log") {
-			continue
-		}
-		if syncs++; syncs == 2 {
+	for _, keep := range []int{1, 5, 17, 64} {
+		t.Run(fmt.Sprintf("keep%d", keep), func(t *testing.T) {
 			script := vfs.NewScript()
-			for i := 0; i < vfs.DefaultRetryAttempts; i++ {
-				script.AddFault(r.Index+i, vfs.FaultErr, 0)
-			}
-			return script
-		}
+			script.CutKeep[walPath] = keep
+			runSweep(t, Config{Seed: 3, Script: script})
+		})
 	}
-	t.Fatal("workload performs fewer than two WAL fsyncs")
-	return nil
 }
 
-// runFaultStopSweep sweeps cfg under exhaustedSyncScript and requires that
+// TestCrashSweepSeed4 sweeps the workload under a second fixed seed. The
+// seed draws the update mix and the ApplyBatch tail's deltas, so seed 4
+// crashes a different batch than TestCrashSweep's seed 1, reproducibly.
+func TestCrashSweepSeed4(t *testing.T) {
+	runSweep(t, Config{Seed: 4})
+}
+
+// TestCrashSweepSeed4WithRandomFaults layers a seeded fault script under
+// the seed-4 sweep, mirroring TestCrashSweepWithRandomFaults, its
+// exhausted-retry round included.
+func TestCrashSweepSeed4WithRandomFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault-script sweep skipped in -short mode")
+	}
+	base, err := Sweep(Config{Seed: 4})
+	if err != nil {
+		t.Fatalf("baseline sweep: %v", err)
+	}
+	script := vfs.RandomScript(11, base.PersistOps)
+	runSweep(t, Config{Seed: 4, Script: script})
+	runFaultStopSweep(t, Config{Seed: 4})
+}
+
+// TestWorkloadCommitsBatch pins that the fault-free workload acknowledges
+// all seven transactions, the ApplyBatch tail at VN 6 among them, and that
+// the recovered store matches the last of them.
+func TestWorkloadCommitsBatch(t *testing.T) {
+	cfg := Config{Seed: 1}.normalize()
+	fs := vfs.NewFaultFS(cfg.Script)
+	st := &runState{}
+	if err := run(cfg, fs, st); err != nil {
+		t.Fatalf("fault-free workload: %v", err)
+	}
+	if st.commits != 7 {
+		t.Fatalf("workload acknowledged %d commits, want 7 (VN 2-8)", st.commits)
+	}
+	if err := validate(cfg, fs, st, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runFaultStopSweep sweeps cfg under ExhaustedSyncScript and requires that
 // the surfaced fault stopped the workload.
 func runFaultStopSweep(t *testing.T, cfg Config) {
 	t.Helper()
-	cfg.Script = exhaustedSyncScript(t, cfg)
+	script, err := ExhaustedSyncScript(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Script = script
 	if rep := runSweep(t, cfg); rep.FaultStops < 1 {
 		t.Fatalf("no run stopped on the exhausted fsync retry under\n%s", cfg.Script)
 	}

@@ -6,14 +6,13 @@ import (
 )
 
 // GoroutineLifecycle enforces the serving stack's goroutine ownership rule:
-// every `go` statement in internal/server, internal/core (which spawns
-// none today), internal/wal (group commit), internal/repl (the
-// replication tail loop), and pkg/vnlclient must
-// have a reachable join recorded where it is spawned, so Shutdown/Close
-// can prove the process quiesced. A connection handler or worker that
-// nobody joins is a leak: it outlives the drain, keeps sockets and
-// sessions pinned, and turns "graceful shutdown" into "we stopped
-// listening".
+// every `go` statement in internal/server, internal/core and internal/wal
+// (which spawn none today), internal/repl (the replication tail loop), and
+// pkg/vnlclient must have a reachable join recorded where it is spawned,
+// so Shutdown/Close can prove the process quiesced. A connection handler
+// or worker that nobody joins is a leak: it outlives the drain, keeps
+// sockets and sessions pinned, and turns "graceful shutdown" into "we
+// stopped listening".
 //
 // A `go` statement passes when one of the following joins is visible:
 //

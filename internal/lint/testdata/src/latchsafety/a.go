@@ -150,8 +150,8 @@ func (s *Store) badPoolJoinUnderLatch(parts [][]int) {
 }
 
 // badCondWaitUnderLatch parks on a condition variable while holding the
-// latch (the group-commit follower wait must use the log's own mutex, never
-// the store latch).
+// latch: every writer stalls until some other goroutine signals, and that
+// goroutine may itself need the latch.
 func (s *Store) badCondWaitUnderLatch(c *sync.Cond) {
 	s.mu.Lock()
 	c.Wait() // want "call to sync Wait while the global-variable latch is held"

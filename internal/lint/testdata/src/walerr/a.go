@@ -2,10 +2,7 @@
 // walerr analyzer.
 package walerr
 
-import (
-	"db"
-	"wal"
-)
+import "wal"
 
 // Journal mirrors core.Journal.
 type Journal interface {
@@ -91,40 +88,4 @@ func badBlankedRecoverError() *wal.Log {
 // badDroppedCheckpoint drops a checkpoint error.
 func badDroppedCheckpoint() {
 	wal.Checkpoint("x") // want "error from wal.Checkpoint is silently dropped"
-}
-
-// goodMutationHandledLocked consumes the relation-write error inside a
-// latched helper: no finding.
-func goodMutationHandledLocked(t *db.Table, r db.RID) error {
-	return t.Update(r, nil)
-}
-
-// goodBlankedMutationUnlatched blanks a db mutation outside any *Locked
-// helper: outside the latch the divergence invariant does not apply, so the
-// general dropped/blanked rules for wal stay the only ones in force.
-func goodBlankedMutationUnlatched(t *db.Table, r db.RID) {
-	_ = t.Update(r, nil)
-}
-
-// goodVoidScanLocked calls an error-free db method in a latched helper:
-// nothing to check.
-func goodVoidScanLocked(t *db.Table) {
-	t.Scan(func(db.RID, []int) bool { return false })
-}
-
-// badBlankedUpdateLocked blanks a relation's write error under the latch, so
-// latched memory and the relation can diverge.
-func badBlankedUpdateLocked(t *db.Table, r db.RID) {
-	_ = t.Update(r, nil) // want "error from db.Table.Update is blanked inside a \\*Locked helper"
-}
-
-// badDroppedDeleteLocked drops a latched delete error entirely.
-func badDroppedDeleteLocked(t *db.Table, r db.RID) {
-	t.Delete(r) // want "error from db.Table.Delete is silently dropped inside a \\*Locked helper"
-}
-
-// badBlankedInsertLocked blanks the error position of a latched insert.
-func badBlankedInsertLocked(t *db.Table) db.RID {
-	r, _ := t.Insert(nil) // want "error from db.Table.Insert is blanked inside a \\*Locked helper"
-	return r
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // WALErr enforces the durability half of §7: recovery replays only
@@ -22,14 +21,6 @@ import (
 //     Close is critical because Log.Close forces buffered records to
 //     stable storage: blanking it discards the last fsync of the log's
 //     lifetime.
-//
-// The analyzer also covers the latched-write half of the same invariant:
-// inside a function named "*Locked" — the convention for helpers running
-// under the §3 latch — an error from a db.Table mutation (Insert, Update,
-// Delete) may be neither dropped nor blanked. Latched memory and an engine
-// relation must not diverge: a helper that writes both under the latch and
-// swallows the relation's write error leaves memory saying what the
-// relation does not hold.
 var WALErr = &Analyzer{
 	Name: "walerr",
 	Doc:  "check that WAL and journal errors are consumed; commit forces and recovery may not even be blanked (§7)",
@@ -54,19 +45,18 @@ func runWALErr(pass *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			inLocked := strings.HasSuffix(fn.Name.Name, "Locked")
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ExprStmt:
 					if call, ok := n.X.(*ast.CallExpr); ok {
-						checkDropped(pass, call, inLocked)
+						checkDropped(pass, call)
 					}
 				case *ast.DeferStmt:
-					checkDropped(pass, n.Call, inLocked)
+					checkDropped(pass, n.Call)
 				case *ast.GoStmt:
-					checkDropped(pass, n.Call, inLocked)
+					checkDropped(pass, n.Call)
 				case *ast.AssignStmt:
-					checkBlanked(pass, n, inLocked)
+					checkBlanked(pass, n)
 				}
 				return true
 			})
@@ -76,25 +66,16 @@ func runWALErr(pass *Pass) error {
 }
 
 // checkDropped reports a wal/journal call used as a statement, discarding
-// an error result — and, inside *Locked helpers, a db.Table mutation
-// treated the same way.
-func checkDropped(pass *Pass, call *ast.CallExpr, inLocked bool) {
+// an error result.
+func checkDropped(pass *Pass, call *ast.CallExpr) {
 	if name, ok := walCallWithError(pass.TypesInfo, call); ok {
 		pass.Reportf(call.Pos(), "error from %s is silently dropped; the write-ahead rule is only as strong as its weakest ignored error (§7)", name)
-		return
-	}
-	if !inLocked {
-		return
-	}
-	if name, ok := dbMutationWithError(pass.TypesInfo, call); ok {
-		pass.Reportf(call.Pos(), "error from %s is silently dropped inside a *Locked helper; latched memory and an engine relation must not diverge (§3)", name)
 	}
 }
 
 // checkBlanked reports `_ = <critical wal call>` and multi-assigns that
-// blank the error position of a critical call; inside *Locked helpers,
-// blanked db.Table mutation errors are reported too.
-func checkBlanked(pass *Pass, assign *ast.AssignStmt, inLocked bool) {
+// blank the error position of a critical call.
+func checkBlanked(pass *Pass, assign *ast.AssignStmt) {
 	if len(assign.Rhs) != 1 {
 		return
 	}
@@ -103,19 +84,7 @@ func checkBlanked(pass *Pass, assign *ast.AssignStmt, inLocked bool) {
 		return
 	}
 	name, ok := walCallWithError(pass.TypesInfo, call)
-	if !ok {
-		if !inLocked {
-			return
-		}
-		dbName, isMut := dbMutationWithError(pass.TypesInfo, call)
-		if !isMut {
-			return
-		}
-		checkBlankedError(pass, assign, call, dbName,
-			"error from %s is blanked inside a *Locked helper; latched memory and an engine relation must not diverge (§3)")
-		return
-	}
-	if !walCritical[shortName(name)] {
+	if !ok || !walCritical[shortName(name)] {
 		return
 	}
 	checkBlankedError(pass, assign, call, name,
@@ -148,40 +117,6 @@ func checkBlankedError(pass *Pass, assign *ast.AssignStmt, call *ast.CallExpr, n
 			pass.Reportf(assign.Lhs[i].Pos(), format, name)
 		}
 	}
-}
-
-// dbMutationNames are the db.Table mutators whose errors matter inside
-// latched helpers.
-var dbMutationNames = map[string]bool{
-	"Insert": true,
-	"Update": true,
-	"Delete": true,
-}
-
-// dbMutationWithError reports whether call is a mutation method on db.Table
-// returning an error, and names it.
-func dbMutationWithError(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "db" || !dbMutationNames[fn.Name()] {
-		return "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || !hasErrorResult(sig) || sig.Recv() == nil {
-		return "", false
-	}
-	recv := sig.Recv().Type()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Name() != "Table" {
-		return "", false
-	}
-	return "db.Table." + fn.Name(), true
 }
 
 // walCallWithError reports whether call targets a wal-package function or

@@ -69,16 +69,22 @@ func diffStates(got state, want map[string]map[int64]string) string {
 // must land exactly on the committed VN, and its session scan is recorded;
 // after the run every recorded scan is compared byte-for-byte against the
 // oracle's snapshot at that VN.
-func runDifferential(t *testing.T, cfg crashtest.Config) {
+//
+// With tail set, Catchup is not called: the replica's own tail loop
+// (Replica.Start) long-polls the feed on another goroutine while the
+// primary writes, and the commit hook only waits for the replay to reach
+// the committed VN.
+func runDifferential(t *testing.T, cfg crashtest.Config, tail bool) {
 	t.Helper()
 	pfs := vfs.NewFaultFS(nil)
 	rfs := vfs.NewFaultFS(nil)
 
 	rep, err := repl.Open(repl.Options{
-		FS:    rfs,
-		Path:  "replica/wal.log",
-		DB:    db.Options{PoolPages: 4, PageSize: 256},
-		Store: core.Options{N: cfg.N},
+		FS:       rfs,
+		Path:     "replica/wal.log",
+		DB:       db.Options{PoolPages: 4, PageSize: 256},
+		Store:    core.Options{N: cfg.N},
+		PollWait: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +96,16 @@ func runDifferential(t *testing.T, cfg crashtest.Config) {
 	oracle, err := crashtest.RunPrimary(cfg, pfs, crashtest.PrimaryHooks{
 		OnJournal: func(log *wal.Log) {
 			src = &repl.DirectSource{Feed: repl.NewFeed(pfs, crashtest.WalPath, log, 7)}
+			if tail {
+				rep.Start(src)
+			}
 		},
 		OnCommit: func(vn core.VN) error {
-			if err := rep.Catchup(src); err != nil {
+			if tail {
+				if err := awaitReplayed(rep, vn); err != nil {
+					return err
+				}
+			} else if err := rep.Catchup(src); err != nil {
 				return fmt.Errorf("catch-up at VN %d: %w", vn, err)
 			}
 			if got := core.VN(rep.ReplayedVN()); got != vn {
@@ -102,6 +115,7 @@ func runDifferential(t *testing.T, cfg crashtest.Config) {
 			return nil
 		},
 	})
+	rep.Stop(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +134,22 @@ func runDifferential(t *testing.T, cfg crashtest.Config) {
 	if err := rep.Store().CheckInvariants(); err != nil {
 		t.Fatalf("replica invariants: %v", err)
 	}
+}
+
+// awaitReplayed waits until the replica's tail loop has replayed vn, or
+// fails if the loop latched an error or made no progress for ten seconds.
+func awaitReplayed(rep *repl.Replica, vn core.VN) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for core.VN(rep.ReplayedVN()) < vn {
+		if err := rep.Err(); err != nil {
+			return fmt.Errorf("tail at VN %d: %w", vn, err)
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("tail never replayed VN %d (at %d)", vn, rep.ReplayedVN())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return nil
 }
 
 // TestReplicaPinClampsPrimaryGC is the regression test for replica-aware
@@ -262,25 +292,28 @@ func TestReplicaPinClampsPrimaryGC(t *testing.T) {
 }
 
 // TestReplicaDifferential proves replica ≡ primary at every commit point
-// of the scripted Tables 2–4 workload across 200+ seeded schedules:
-// sequential, parallel (group-committed, worker-pool) and nVNL variants.
+// of the scripted Tables 2–4 workload across 210 seeded schedules: 100
+// where the replica catches up synchronously after each commit ("seq"),
+// 100 where its own tail loop runs beside the primary ("par"), and 10 on
+// an nVNL store.
 func TestReplicaDifferential(t *testing.T) {
 	type variant struct {
 		name  string
 		seeds int
-		mk    func(seed int64) crashtest.Config
+		n     int
+		tail  bool
 	}
 	variants := []variant{
-		{"seq", 100, func(s int64) crashtest.Config { return crashtest.Config{Seed: s} }},
-		{"par", 100, func(s int64) crashtest.Config { return crashtest.Config{Seed: s, Parallel: true} }},
-		{"nvnl", 10, func(s int64) crashtest.Config { return crashtest.Config{Seed: s, N: 4} }},
+		{"seq", 100, 0, false},
+		{"par", 100, 0, true},
+		{"nvnl", 10, 4, false},
 	}
 	for _, v := range variants {
 		for seed := int64(0); seed < int64(v.seeds); seed++ {
-			cfg := v.mk(seed)
+			cfg := crashtest.Config{Seed: seed, N: v.n}
 			t.Run(fmt.Sprintf("%s/seed=%d", v.name, seed), func(t *testing.T) {
 				t.Parallel()
-				runDifferential(t, cfg)
+				runDifferential(t, cfg, v.tail)
 			})
 		}
 	}

@@ -120,15 +120,6 @@ type Log struct {
 	flushedB  int64         // bytes handed to (and accepted by) the file
 	durableB  int64         // bytes covered by a successful fsync
 	durableCh chan struct{} // closed and replaced when durableB advances
-
-	// Group commit state (see group.go), protected by mu like the fields
-	// above; gcond waits on mu itself.
-	group   GroupCommit
-	gcond   *sync.Cond
-	seq     int64 // records accepted into the buffer
-	synced  int64 // highest seq known durable
-	syncing bool  // a group leader is flushing
-	waiters int   // committers waiting to be covered by the in-flight group
 }
 
 // Create creates (or truncates) a log file with the given policy on the
@@ -182,10 +173,7 @@ func (l *Log) Close() error {
 	closeErr := l.f.Close()
 	// Wake any WaitDurable caller so it rechecks rather than sleeping out
 	// its full timeout against a closed log.
-	if l.durableCh != nil {
-		close(l.durableCh)
-		l.durableCh = nil
-	}
+	l.wakeLocked()
 	return errors.Join(syncErr, closeErr)
 }
 
@@ -219,7 +207,6 @@ func (l *Log) append(payload []byte, beforeBytes int) {
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
-	l.seq++
 	l.stats.Records++
 	l.stats.Bytes += int64(len(hdr) + len(payload))
 	l.stats.BeforeBytes += int64(beforeBytes)
@@ -262,16 +249,18 @@ func (l *Log) flushLocked() error {
 }
 
 // sync flushes buffered records and fsyncs the file, retrying transient
-// failures per the retry policy. With group commit enabled, concurrent
-// callers coalesce onto one fsync (group.go); otherwise each call forces
-// individually, byte-for-byte as before.
+// failures per the retry policy. Every commit forces the log on its own:
+// the paper runs one maintenance transaction at a time, so a log never has
+// two committers to batch into one fsync. A failed force leaves a sticky
+// error, so it wakes WaitDurable callers, which return on it.
 func (l *Log) sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.group.Enabled {
-		return l.groupSyncLocked()
+	err := l.syncLocked()
+	if err != nil {
+		l.wakeLocked()
 	}
-	return l.syncLocked()
+	return err
 }
 
 func (l *Log) syncLocked() error {
@@ -309,6 +298,11 @@ func (l *Log) advanceDurableLocked(covered int64) {
 		return
 	}
 	l.durableB = covered
+	l.wakeLocked()
+}
+
+// wakeLocked wakes every WaitDurable caller to recheck its condition.
+func (l *Log) wakeLocked() {
 	if l.durableCh != nil {
 		close(l.durableCh)
 		l.durableCh = nil

@@ -19,10 +19,6 @@ var (
 		"transient log write/sync failures retried under the bounded policy")
 	mSyncNS = obs.Default().Histogram("wal_fsync_ns",
 		"latency of one log force", obs.DurationBuckets)
-	mGroupCommits = obs.Default().Counter("wal_group_commits_total",
-		"group-commit flushes: one fsync covering every committer in the group")
-	mGroupSize = obs.Default().Histogram("wal_group_commit_size",
-		"committers covered by one group-commit fsync", obs.CountBuckets)
 	mRecoverRecords = obs.Default().Counter("wal_recover_records_total",
 		"log records scanned during recovery")
 	mRecoverReplayed = obs.Default().Counter("wal_recover_replayed_total",

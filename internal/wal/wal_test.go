@@ -1,15 +1,18 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/storage"
+	"repro/internal/vfs"
 )
 
 func kvSchema() *catalog.Schema {
@@ -473,4 +476,86 @@ func TestRIDRemap(t *testing.T) {
 		t.Errorf("recovered %v, want {2:22}", st)
 	}
 	_ = storage.RID{}
+}
+
+// TestSyncFailures covers the force path's error handling: one failing
+// fsync is retried and counted, while a failure that exhausts the retry
+// sticks. The commit reports it, a later LogCommit returns it too, and a
+// WaitDurable caller, whether it arrives after the failure or was already
+// blocked when the force failed, returns at once instead of sleeping out
+// its timeout.
+func TestSyncFailures(t *testing.T) {
+	open := func(t *testing.T) *Log {
+		script, err := vfs.ParseScript("fault 3 err")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Op 1 is the create, op 2 the commit's flush, op 3 its fsync.
+		l, err := CreateFS(vfs.NewFaultFS(script), "wal.log", PolicyRedoOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	t.Run("retried", func(t *testing.T) {
+		l := open(t)
+		l.LogBegin(2)
+		if err := l.LogCommit(2); err != nil {
+			t.Fatalf("LogCommit with the default retry: %v", err)
+		}
+		if st := l.Stats(); st.Retries != 1 || st.Syncs != 1 {
+			t.Fatalf("stats %+v, want 1 retry and 1 fsync", st)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("exhausted", func(t *testing.T) {
+		l := open(t)
+		l.SetRetry(vfs.NoRetry)
+		l.LogBegin(2)
+		if err := l.LogCommit(2); err == nil {
+			t.Fatal("LogCommit succeeded through a failing fsync")
+		}
+		sticky := l.Err()
+		if sticky == nil {
+			t.Fatal("the failed fsync did not stick")
+		}
+		l.LogBegin(3)
+		if err := l.LogCommit(3); !errors.Is(err, sticky) {
+			t.Fatalf("LogCommit after the sticky error returned %v, want %v", err, sticky)
+		}
+		start := time.Now()
+		if got := l.WaitDurable(l.DurableLSN(), time.Minute); got != 0 {
+			t.Fatalf("WaitDurable returned durable LSN %d, want 0", got)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("WaitDurable on a failed log blocked for %v", d)
+		}
+	})
+	t.Run("blocked-waiter", func(t *testing.T) {
+		l := open(t)
+		l.SetRetry(vfs.NoRetry)
+		got := make(chan int64, 1)
+		go func() { got <- l.WaitDurable(l.DurableLSN(), time.Minute) }()
+		// Commit only once the waiter is parked on the durable channel.
+		for parked := false; !parked; {
+			l.mu.Lock()
+			parked = l.durableCh != nil
+			l.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		l.LogBegin(2)
+		if err := l.LogCommit(2); err == nil {
+			t.Fatal("LogCommit succeeded through a failing fsync")
+		}
+		select {
+		case lsn := <-got:
+			if lsn != 0 {
+				t.Fatalf("blocked WaitDurable returned durable LSN %d, want 0", lsn)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a WaitDurable caller blocked before the failed force was not woken")
+		}
+	})
 }
