@@ -3,12 +3,17 @@ package repro
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/mvcc"
+	"repro/internal/obs"
+	"repro/internal/repl"
+	"repro/internal/shard"
+	"repro/internal/vfs"
 	"repro/internal/warehouse"
 	"repro/internal/workload"
 )
@@ -237,6 +242,38 @@ func TestSchemesSideBySide(t *testing.T) {
 			if got[k] != want[k] {
 				t.Fatalf("%s diverged at key %d: %d vs %d", s.Name(), k, got[k], want[k])
 			}
+		}
+	}
+}
+
+// TestServingStoresHaveNoPool: every way a server opens a store — a plain
+// store, a router's shard and a replica — passes zero options, and so runs
+// without a buffer pool: no scan or write records a page access, and no
+// storage_pool_* series is registered.
+func TestServingStoresHaveNoPool(t *testing.T) {
+	reg := obs.NewRegistry()
+	store, err := core.Open(db.Open(db.Options{}), core.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := shard.Open(shard.Options{Shards: 2, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rep, err := repl.Open(repl.Options{FS: vfs.NewFaultFS(nil), Path: "replica/wal.log", Store: core.Options{Metrics: obs.NewRegistry()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	for name, st := range map[string]*core.Store{"store": store, "shard 0": r.Shard(0), "shard 1": r.Shard(1), "replica": rep.Store()} {
+		if p := st.DB().Pool(); p != nil {
+			t.Errorf("%s has a buffer pool of %d pages", name, p.Capacity())
+		}
+	}
+	for _, name := range reg.Names() {
+		if strings.HasPrefix(name, "storage_pool") {
+			t.Errorf("a pool-less store registered %s", name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,7 +74,14 @@ func TestScanPredicateErrorReleasesLatch(t *testing.T) {
 // n = 4 versions.
 func factStore(t testing.TB, rows int64) *Store {
 	t.Helper()
-	s, err := Open(db.Open(db.Options{}), Options{N: 4})
+	return factStorePool(t, rows, 0)
+}
+
+// factStorePool is factStore over a database with a buffer pool of
+// poolPages pages (0: none, as a serving store runs).
+func factStorePool(t testing.TB, rows int64, poolPages int) *Store {
+	t.Helper()
+	s, err := Open(db.Open(db.Options{PoolPages: poolPages}), Options{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +157,17 @@ func TestScanAllocationsDoNotScaleWithTable(t *testing.T) {
 // rule), and COALESCE is no exception: a scan whose WHERE rejects every row
 // allocates as much over 4 096 rows as over 16 — on pages clean at the
 // session's version, and on pages a later transaction rewrote, where each
-// tuple goes through ExtTable.Slot first.
+// tuple goes through ExtTable.Slot first. Both hold with a buffer pool and
+// without one.
 func TestRejectingScanAllocatesNothingPerPage(t *testing.T) {
+	for _, pool := range []int{1024, 0} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) { testRejectingScanAllocates(t, pool) })
+	}
+}
+
+func testRejectingScanAllocates(t *testing.T, pool int) {
 	allocs := func(rows int64, rewrite bool) float64 {
-		s := factStore(t, rows)
+		s := factStorePool(t, rows, pool)
 		sess := s.BeginSession()
 		defer sess.Close()
 		if rewrite {
@@ -186,8 +201,15 @@ func TestRejectingScanAllocatesNothingPerPage(t *testing.T) {
 // and in an aggregate that folds 1 row in 64 (its selection grows on the
 // first page and is reused after). And a scan that returns rows allocates at
 // most once more on clean pages than on pages a later transaction rewrote,
-// which decide each tuple through ExtTable.Slot and keep no selection.
+// which decide each tuple through ExtTable.Slot and keep no selection. All
+// three hold with a buffer pool and without one.
 func TestCleanPageKernelAllocatesNothingPerPage(t *testing.T) {
+	for _, pool := range []int{1024, 0} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) { testCleanPageKernelAllocates(t, pool) })
+	}
+}
+
+func testCleanPageKernelAllocates(t *testing.T, pool int) {
 	type query struct {
 		sql string
 		g   int64
@@ -196,7 +218,7 @@ func TestCleanPageKernelAllocatesNothingPerPage(t *testing.T) {
 	folding := query{`SELECT COUNT(*), SUM(amount) FROM fact WHERE grp = :g`, 5}
 	returning := query{`SELECT id, qty, amount FROM fact WHERE grp = :g`, 5}
 	allocs := func(rows int64, rewrite bool, q query) float64 {
-		s := factStore(t, rows)
+		s := factStorePool(t, rows, pool)
 		sess := s.BeginSession()
 		defer sess.Close()
 		if rewrite {

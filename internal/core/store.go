@@ -157,6 +157,7 @@ func Open(d *db.Database, opts Options) (*Store, error) {
 	s.publishLocked()
 	s.latchRelease(acquired)
 	s.metrics.currentVN.Set(1)
+	// A database without a pool registers no storage_pool_* series.
 	d.Pool().Instrument(reg, "storage_pool")
 	return s, nil
 }

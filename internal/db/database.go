@@ -16,16 +16,18 @@ import (
 type Options struct {
 	// PageSize in bytes; 0 selects storage.DefaultPageSize.
 	PageSize int
-	// PoolPages is the buffer-pool capacity in pages; 0 selects 1024.
-	// The pool only counts simulated page I/O: the engine is in-memory.
+	// PoolPages is the buffer-pool capacity in pages; 0 opens the
+	// database without a pool, so no page access is recorded. The pool
+	// only counts simulated page I/O (the engine is in-memory) for the §6
+	// I/O experiments, which set a capacity.
 	PoolPages int
 }
 
 // Database is the embedded engine: a catalog of tables sharing one buffer
-// pool. It implements exec.Catalog.
+// pool, or none. It implements exec.Catalog.
 type Database struct {
 	opts Options
-	pool *storage.BufferPool
+	pool *storage.BufferPool // nil without Options.PoolPages
 
 	mu     sync.RWMutex
 	tables map[string]*Table // keyed by lower-cased name
@@ -36,18 +38,15 @@ func Open(opts Options) *Database {
 	if opts.PageSize == 0 {
 		opts.PageSize = storage.DefaultPageSize
 	}
-	if opts.PoolPages == 0 {
-		opts.PoolPages = 1024
+	d := &Database{opts: opts, tables: make(map[string]*Table)}
+	if opts.PoolPages != 0 {
+		d.pool = storage.NewBufferPool(opts.PoolPages)
 	}
-	return &Database{
-		opts:   opts,
-		pool:   storage.NewBufferPool(opts.PoolPages),
-		tables: make(map[string]*Table),
-	}
+	return d
 }
 
 // Pool returns the shared buffer pool, whose counters the I/O experiments
-// read.
+// read, or nil when the database has none. A nil pool's Stats are zero.
 func (d *Database) Pool() *storage.BufferPool { return d.pool }
 
 // PageSize returns the configured page size.

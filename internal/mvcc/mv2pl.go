@@ -96,7 +96,7 @@ func poolSchema() *catalog.Schema {
 // NewMV2PL builds the scheme with its own engine instance. cfg.CacheSlots
 // selects the BC92 variant.
 func NewMV2PL(cfg Config) (*MV2PL, error) {
-	d := db.Open(db.Options{PageSize: cfg.PageSize, PoolPages: cfg.PoolPages})
+	d := cfg.engine()
 	tbl, err := d.CreateTable(mvSchema(cfg.CacheSlots))
 	if err != nil {
 		return nil, err

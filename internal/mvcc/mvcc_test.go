@@ -53,6 +53,33 @@ func load(t *testing.T, s Scheme, n int) {
 	}
 }
 
+// TestZeroConfigCountsIO guards §6 against losing its pool: a zero Config
+// still gives every scheme a buffer pool (a zero db.Options would not), so
+// loading and scanning count misses and the scan counts its page accesses.
+func TestZeroConfigCountsIO(t *testing.T) {
+	for _, s := range allSchemes(t) {
+		t.Run(s.Name(), func(t *testing.T) {
+			load(t, s, 10)
+			before := s.Stats().IO
+			r, err := s.BeginReader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := r.ScanSum(); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			after := s.Stats().IO
+			if after.Misses == 0 {
+				t.Errorf("%s counted no misses: %v", s.Name(), after)
+			}
+			if scan := after.Sub(before); scan.Hits+scan.Misses == 0 {
+				t.Errorf("%s's scan recorded no page access", s.Name())
+			}
+		})
+	}
+}
+
 // TestSchemesBasicReadWrite drives a serial insert/update/delete batch on
 // every scheme and checks readers before, during (where allowed), and after
 // see the correct committed states.

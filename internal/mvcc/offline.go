@@ -27,7 +27,7 @@ type Offline struct {
 
 // NewOffline builds the scheme with its own engine instance.
 func NewOffline(cfg Config) (*Offline, error) {
-	d := db.Open(db.Options{PageSize: cfg.PageSize, PoolPages: cfg.PoolPages})
+	d := cfg.engine()
 	tbl, err := d.CreateTable(kvSchema())
 	if err != nil {
 		return nil, err

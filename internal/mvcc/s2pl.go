@@ -38,7 +38,7 @@ type S2PL struct {
 
 // NewS2PL builds the scheme with its own engine instance.
 func NewS2PL(cfg Config) (*S2PL, error) {
-	d := db.Open(db.Options{PageSize: cfg.PageSize, PoolPages: cfg.PoolPages})
+	d := cfg.engine()
 	tbl, err := d.CreateTable(kvSchema())
 	if err != nil {
 		return nil, err

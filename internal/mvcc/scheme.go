@@ -16,6 +16,7 @@ package mvcc
 import (
 	"errors"
 
+	"repro/internal/db"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -35,6 +36,17 @@ type Config struct {
 	// previous versions kept on the tuple's own page before spilling to
 	// the global version pool. 0 selects the plain CFL+82 pool.
 	CacheSlots int
+}
+
+// engine opens the scheme's private database. Unlike db.Options, a zero
+// PoolPages here still gives a pool of 1024 pages: every scheme counts
+// page I/O, which is what §6 compares.
+func (c Config) engine() *db.Database {
+	pages := c.PoolPages
+	if pages == 0 {
+		pages = 1024
+	}
+	return db.Open(db.Options{PageSize: c.PageSize, PoolPages: pages})
 }
 
 // Errors shared by the schemes.

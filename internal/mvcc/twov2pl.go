@@ -57,7 +57,7 @@ type TwoV2PL struct {
 
 // NewTwoV2PL builds the scheme with its own engine instance.
 func NewTwoV2PL(cfg Config) (*TwoV2PL, error) {
-	d := db.Open(db.Options{PageSize: cfg.PageSize, PoolPages: cfg.PoolPages})
+	d := cfg.engine()
 	tbl, err := d.CreateTable(twoVSchema())
 	if err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ type VNL struct {
 // NewVNL builds the scheme with n simultaneously available versions (2 for
 // the paper's 2VNL).
 func NewVNL(cfg Config, n int) (*VNL, error) {
-	d := db.Open(db.Options{PageSize: cfg.PageSize, PoolPages: cfg.PoolPages})
+	d := cfg.engine()
 	s, err := core.Open(d, core.Options{N: n})
 	if err != nil {
 		return nil, err

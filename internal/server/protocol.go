@@ -486,20 +486,34 @@ func (r *wireReader) count() (int, error) {
 }
 
 func (r *wireReader) tuple() (catalog.Tuple, error) {
+	t, _, err := r.tupleFrom(nil)
+	return t, err
+}
+
+// tupleFrom reads a tuple into the front of arena when it fits there, cut as
+// a capped slice so an append to it never reaches the next tuple, and
+// returns the rest of the arena. A tuple that does not fit gets its own
+// allocation.
+func (r *wireReader) tupleFrom(arena []catalog.Value) (catalog.Tuple, []catalog.Value, error) {
 	n, err := r.count()
 	if err != nil {
-		return nil, err
+		return nil, arena, err
 	}
 	if n == 0 {
-		return nil, nil
+		return nil, arena, nil
 	}
-	t := make(catalog.Tuple, n)
+	var t catalog.Tuple
+	if n <= len(arena) {
+		t, arena = arena[:n:n], arena[n:]
+	} else {
+		t = make(catalog.Tuple, n)
+	}
 	for i := range t {
 		if t[i], err = r.value(); err != nil {
-			return nil, err
+			return nil, arena, err
 		}
 	}
-	return t, nil
+	return t, arena, nil
 }
 
 // names reads a list of column names. When the list is exactly prev, prev
@@ -785,9 +799,24 @@ func (m Rows) Append(buf []byte) []byte {
 // DecodeRows parses a MsgRows body.
 func DecodeRows(b []byte) (Rows, error) { return DecodeRowsCols(b, nil) }
 
+// rowsArena returns one value arena for nrows tuples as wide as the first,
+// about to be read: a result's rows share a width, so one allocation holds
+// them all. Every value takes at least one byte of the body, so an arena
+// larger than the bytes that remain cannot be filled and none is made.
+func (r *wireReader) rowsArena(nrows int) []catalog.Value {
+	peek := *r
+	width, err := peek.count()
+	if err != nil || nrows*width > r.remaining() {
+		return nil
+	}
+	return make([]catalog.Value, nrows*width)
+}
+
 // DecodeRowsCols is DecodeRows for a caller that expects the column names
 // cols: when the body carries exactly those names, the result's Columns is
-// cols itself rather than a decoded copy.
+// cols itself rather than a decoded copy. The rows' values share one
+// allocation; each tuple is capped to its own length, so appending to one
+// never overwrites the next.
 func DecodeRowsCols(b []byte, cols []string) (Rows, error) {
 	r := wireReader{b}
 	var m Rows
@@ -801,8 +830,9 @@ func DecodeRowsCols(b []byte, cols []string) (Rows, error) {
 	}
 	if nrows > 0 {
 		m.Tuples = make([]catalog.Tuple, nrows)
+		arena := r.rowsArena(nrows)
 		for i := range m.Tuples {
-			if m.Tuples[i], err = r.tuple(); err != nil {
+			if m.Tuples[i], arena, err = r.tupleFrom(arena); err != nil {
 				return m, err
 			}
 		}

@@ -277,3 +277,48 @@ func TestPrepareNormalization(t *testing.T) {
 		t.Fatal("stmt lookup succeeded for id 0")
 	}
 }
+
+// A MsgRows answer decodes into one value arena: 256 rows of 3 columns cost
+// the row slice and the arena, not an allocation per row.
+func TestDecodeRowsAllocations(t *testing.T) {
+	cols := []string{"id", "qty", "amount"}
+	m := Rows{Columns: cols, Tuples: make([]catalog.Tuple, 256)}
+	for i := range m.Tuples {
+		k := int64(i)
+		m.Tuples[i] = catalog.Tuple{catalog.NewInt(k), catalog.NewInt(3 * k), catalog.NewInt(7 * k)}
+	}
+	body := m.Encode()
+	allocs := testing.AllocsPerRun(100, func() {
+		got, err := DecodeRowsCols(body, cols)
+		if err != nil || len(got.Tuples) != 256 || got.Tuples[255][2].Int() != 7*255 {
+			t.Fatalf("decoded %d rows, err %v", len(got.Tuples), err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("%.1f allocations to decode 256 rows of 3 columns; the limit is 3", allocs)
+	}
+}
+
+// Tuples cut from the arena are capped: appending to one leaves the next
+// as it was. Rows of another width than the first decode too: the arena is
+// sized by the first, and a row that overruns it gets its own allocation.
+func TestDecodeRowsTuplesAreCapped(t *testing.T) {
+	row := func(vs ...int64) catalog.Tuple {
+		t := make(catalog.Tuple, len(vs))
+		for i, v := range vs {
+			t[i] = catalog.NewInt(v)
+		}
+		return t
+	}
+	want := []catalog.Tuple{row(1, 2), row(3, 4), row(5, 6, 7), row(8, 9)}
+	got, err := DecodeRows(Rows{Columns: []string{"a", "b"}, Tuples: want}.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got.Tuples[0], catalog.NewInt(99))
+	for i := range want {
+		if !catalog.TuplesEqual(got.Tuples[i], want[i]) {
+			t.Errorf("row %d decoded as %v, want %v", i, got.Tuples[i], want[i])
+		}
+	}
+}

@@ -51,7 +51,9 @@ type Options struct {
 	Shards int
 	// N is each shard's version count (0 or 2 = 2VNL, larger = nVNL).
 	N int
-	// PageSize and PoolPages configure each shard's engine (db.Options).
+	// PageSize and PoolPages configure each shard's engine (db.Options):
+	// a zero PoolPages, as every serving router passes, gives each shard
+	// no buffer pool.
 	PageSize  int
 	PoolPages int
 	// FS plus Dir select durable mode: each shard keeps a WAL at

@@ -129,9 +129,9 @@ func (pg *page) addSlot(limit int) int {
 type Heap struct {
 	name        string
 	fileID      int
-	pool        *BufferPool
-	width       int        // values per tuple
-	sum         Summariser // nil: pages keep no summary and are never clean
+	pool        *BufferPool // nil: no page access is recorded
+	width       int         // values per tuple
+	sum         Summariser  // nil: pages keep no summary and are never clean
 	rowBytes    int
 	slotsPerPag int
 
@@ -147,7 +147,8 @@ type Heap struct {
 var nextFileID atomic.Int64
 
 // NewHeap creates a heap named name whose tuples each hold width values and
-// occupy rowBytes bytes, attached to the given buffer pool. pageSize 0
+// occupy rowBytes bytes, attached to the given buffer pool, or to none when
+// pool is nil: then no access is recorded anywhere. pageSize 0
 // selects DefaultPageSize. width and rowBytes must be positive, and rowBytes
 // at most pageSize. The heap refuses a tuple of any other width.
 func NewHeap(name string, width, rowBytes, pageSize int, pool *BufferPool) (*Heap, error) {
@@ -162,9 +163,6 @@ func NewHeap(name string, width, rowBytes, pageSize int, pool *BufferPool) (*Hea
 	}
 	if rowBytes > pageSize {
 		return nil, fmt.Errorf("storage: heap %q rowBytes %d exceeds page size %d", name, rowBytes, pageSize)
-	}
-	if pool == nil {
-		return nil, fmt.Errorf("storage: heap %q needs a buffer pool", name)
 	}
 	return &Heap{
 		name:        name,
@@ -512,15 +510,17 @@ func (h *Heap) fill(b *block, pi int, pg *page, f Filter, fresh bool) (touched b
 
 // walk is the one page walker behind Scan and ScanFilter: page by page, fill
 // a block under the read latch, release the latch, record the read, and hand
-// the block to fn.
+// the block to fn. It reads the page table once, under one hold of the heap
+// latch, rather than once per page: concurrent scans would otherwise share
+// that latch's reader count on every page. Pages are only ever appended and
+// never replaced, so the slice read at the start stays valid for the pages it
+// covers; pages added after it are not walked.
 func (h *Heap) walk(f Filter, fresh bool, fn func([]RID, []catalog.Tuple) bool) error {
-	n := h.NumPages()
+	h.mu.RLock()
+	pages := h.pages[:len(h.pages):len(h.pages)]
+	h.mu.RUnlock()
 	var b block
-	for pi := 0; pi < n; pi++ {
-		pg := h.getPage(pi)
-		if pg == nil {
-			return nil
-		}
+	for pi, pg := range pages {
 		touched, err := h.fill(&b, pi, pg, f, fresh)
 		if err != nil {
 			return err

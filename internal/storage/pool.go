@@ -12,8 +12,10 @@
 //  2. Physical tuple updates happen in place, so a scan never returns two
 //     physical records for one tuple.
 //
-// The buffer pool does not persist anything — the engine is in-memory — but
-// it simulates a page cache with LRU eviction and counts hits, misses
+// The buffer pool is optional: a heap without one (a nil pool) records no
+// page access at all, which is how every serving store runs. Where a pool is
+// configured it persists nothing — the engine is in-memory — but it
+// simulates a page cache with LRU eviction and counts hits, misses
 // (reads), and dirty-page write-backs. Those counters power the paper's §6
 // I/O-overhead comparison between 2VNL (both tuple versions in one physical
 // location, zero extra I/O) and MV2PL version-pool designs (chain walks and
@@ -140,8 +142,11 @@ func NewBufferPool(capacity int) *BufferPool {
 // prefix+"_hits_total" etc. Several pools instrumented with the same prefix
 // share the counters (registry lookups are get-or-create), yielding
 // process-wide aggregate I/O; counters record activity from instrumentation
-// time onward.
+// time onward. On a nil pool it registers nothing.
 func (p *BufferPool) Instrument(reg *obs.Registry, prefix string) {
+	if p == nil {
+		return
+	}
 	p.obsC.Store(&poolCounters{
 		hits:       reg.Counter(prefix+"_hits_total", "buffer-pool hits"),
 		misses:     reg.Counter(prefix+"_misses_total", "buffer-pool misses (logical read I/Os)"),
@@ -151,8 +156,15 @@ func (p *BufferPool) Instrument(reg *obs.Registry, prefix string) {
 
 // Touch records an access to the page. A miss counts as a read I/O; evicting
 // a dirty page counts as a write I/O. When write is true the cached page is
-// marked dirty.
+// marked dirty. A nil pool records nothing, and the check inlines into the
+// caller, so a heap without a pool pays one comparison per page.
 func (p *BufferPool) Touch(key PageKey, write bool) {
+	if p != nil {
+		p.touch(key, write)
+	}
+}
+
+func (p *BufferPool) touch(key PageKey, write bool) {
 	if v, ok := p.index.Load(key); ok {
 		p.recordHit(v.(*poolEntry), write)
 		return
@@ -248,8 +260,11 @@ func (p *BufferPool) siftDownLocked(i int) {
 	}
 }
 
-// Stats returns a snapshot of the pool's counters.
+// Stats returns a snapshot of the pool's counters; a nil pool's are zero.
 func (p *BufferPool) Stats() IOStats {
+	if p == nil {
+		return IOStats{}
+	}
 	return IOStats{
 		Hits:       p.hits.Load(),
 		Misses:     p.misses.Load(),
@@ -272,5 +287,10 @@ func (p *BufferPool) Reset() {
 	p.victims = p.victims[:0]
 }
 
-// Capacity returns the pool's page capacity.
-func (p *BufferPool) Capacity() int { return p.capacity }
+// Capacity returns the pool's page capacity; a nil pool's is 0.
+func (p *BufferPool) Capacity() int {
+	if p == nil {
+		return 0
+	}
+	return p.capacity
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // refLRU is the reference the pool is checked against: a textbook LRU over
@@ -94,5 +96,60 @@ func TestBufferPoolHitAllocatesNothing(t *testing.T) {
 	p.Touch(key, false)
 	if n := testing.AllocsPerRun(1000, func() { p.Touch(key, true) }); n != 0 {
 		t.Errorf("hit allocated %.1f times per Touch, want 0", n)
+	}
+}
+
+// A heap without a pool serves every access: point reads and writes, and
+// scans of both a clean and a dirty summarised page.
+func TestHeapWithoutPool(t *testing.T) {
+	h, err := NewHeap("t", 4, 20, 80, nil) // 4 slots per page
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetSummariser(sumTest); err != nil {
+		t.Fatal(err)
+	}
+	var rids []RID
+	for c := int64(0); c < 8; c++ {
+		rid, err := h.Insert(sumTuple(1, false, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if got, err := h.Get(rids[2]); err != nil || got[2].Int() != 2 {
+		t.Fatalf("Get = %v, %v", got, err)
+	}
+	// Page 1 gets a deleted tuple (so it is dirty at every version) and
+	// loses a slot; page 0 stays clean at version 1.
+	if err := h.Update(rids[4], sumTuple(1, true, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Delete(rids[5]); err != nil {
+		t.Fatal(err)
+	}
+	clean, other := cleanAt(t, h, 1)
+	if fmt.Sprint(clean, other) != "[0 1 2 3] [40 6 7]" {
+		t.Errorf("clean %v, other %v; want page 0 clean and page 1's three live tuples dirty", clean, other)
+	}
+	if h.Len() != 7 {
+		t.Errorf("Len = %d, want 7", h.Len())
+	}
+}
+
+// Every method a pool-less database's callers reach is safe on a nil pool.
+func TestNilBufferPool(t *testing.T) {
+	var p *BufferPool
+	p.Touch(PageKey{1, 0}, true)
+	reg := obs.NewRegistry()
+	p.Instrument(reg, "storage_pool")
+	if names := reg.Names(); len(names) != 0 {
+		t.Errorf("Instrument registered %v", names)
+	}
+	if s := p.Stats(); s != (IOStats{}) {
+		t.Errorf("Stats = %v, want zero", s)
+	}
+	if c := p.Capacity(); c != 0 {
+		t.Errorf("Capacity = %d, want 0", c)
 	}
 }

@@ -124,9 +124,6 @@ func TestHeapErrors(t *testing.T) {
 	if _, err := NewHeap("t", 1, 200, 100, pool); err == nil {
 		t.Error("rowBytes > pageSize accepted")
 	}
-	if _, err := NewHeap("t", 1, 10, 100, nil); err == nil {
-		t.Error("nil pool accepted")
-	}
 	h, _ := NewHeap("t", 1, 10, 100, pool)
 	if _, err := h.Get(RID{5, 0}); !errors.Is(err, ErrNoSuchTuple) {
 		t.Errorf("Get bad page = %v", err)

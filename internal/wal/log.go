@@ -113,6 +113,9 @@ type Log struct {
 	buf   []byte
 	stats Stats
 	err   error // first unrecovered write error; subsequent appends are dropped
+	// closed is set by Close: nothing becomes durable after it, so
+	// WaitDurable returns at once.
+	closed bool
 
 	// Byte-offset durability tracking. Offsets are positions in the log
 	// file itself, so they double as the replication stream's LSNs: the
@@ -171,8 +174,9 @@ func (l *Log) Close() error {
 	defer l.mu.Unlock()
 	syncErr := l.syncLocked()
 	closeErr := l.f.Close()
-	// Wake any WaitDurable caller so it rechecks rather than sleeping out
-	// its full timeout against a closed log.
+	// Wake every WaitDurable caller: it sees the log closed and returns
+	// instead of sleeping out its timeout.
+	l.closed = true
 	l.wakeLocked()
 	return errors.Join(syncErr, closeErr)
 }
@@ -319,14 +323,14 @@ func (l *Log) DurableLSN() int64 {
 }
 
 // WaitDurable blocks until the durable LSN exceeds from, the timeout
-// elapses, or the log hits a sticky error, and returns the durable LSN at
-// that point. The replication feed long-polls on it so an idle primary
-// costs followers no busy-spin.
+// elapses, the log hits a sticky error or the log is closed, and returns the
+// durable LSN at that point. The replication feed long-polls on it so an
+// idle primary costs followers no busy-spin.
 func (l *Log) WaitDurable(from int64, timeout time.Duration) int64 {
 	deadline := time.Now().Add(timeout)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.durableB <= from && l.err == nil {
+	for l.durableB <= from && l.err == nil && !l.closed {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			break

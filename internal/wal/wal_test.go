@@ -483,7 +483,7 @@ func TestRIDRemap(t *testing.T) {
 // sticks. The commit reports it, a later LogCommit returns it too, and a
 // WaitDurable caller, whether it arrives after the failure or was already
 // blocked when the force failed, returns at once instead of sleeping out
-// its timeout.
+// its timeout. So does a waiter on a log that is closed.
 func TestSyncFailures(t *testing.T) {
 	open := func(t *testing.T) *Log {
 		script, err := vfs.ParseScript("fault 3 err")
@@ -556,6 +556,34 @@ func TestSyncFailures(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("a WaitDurable caller blocked before the failed force was not woken")
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		// A clean close makes nothing newly durable and leaves no error:
+		// the waiter must return on the close itself.
+		l, err := CreateFS(vfs.NewFaultFS(nil), "wal.log", PolicyRedoOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan time.Time, 1)
+		go func() { l.WaitDurable(l.DurableLSN(), 2*time.Second); got <- time.Now() }()
+		for parked := false; !parked; {
+			l.mu.Lock()
+			parked = l.durableCh != nil
+			l.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed := time.Now()
+		if d := (<-got).Sub(closed); d > 100*time.Millisecond {
+			t.Fatalf("a WaitDurable caller returned %v after Close", d)
+		}
+		start := time.Now()
+		l.WaitDurable(l.DurableLSN(), 2*time.Second)
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("WaitDurable on a closed log blocked for %v", d)
 		}
 	})
 }
