@@ -25,7 +25,9 @@ examples:
 # stress runs the multi-goroutine concurrency tests (readers racing
 # maintenance, shared sessions, mid-query expiry, buffer-pool hits racing
 # evictions, scans at a fixed version racing the writers that
-# fold each heap page's version summary: TestStressHeapSummary), compiled
+# fold each heap page's version summary: TestStressHeapSummary; writers, slot
+# reuse and arena growth racing clean-page readers that check each page's
+# int64 image against the tuples in place: TestStressHeapImage), compiled
 # plans checked against the oracle while batches commit, on pages small
 # enough that a session meets clean pages, where the WHERE runs as the typed
 # kernel, beside dirty ones (TestCompiledMatchesOracleUnderMaintenance), and

@@ -25,7 +25,9 @@ import (
 //     active, a removal may have marked the mark stale until the next
 //     batch end or Commit; then it may also be above the scan maximum.
 //   - Every heap page's version summary (ExtTable.summary) counts its
-//     deleted tuples exactly and bounds every live tupleVN1 from above.
+//     deleted tuples exactly and bounds every live tupleVN1 from above,
+//     and its image (ExtTable.image) holds every live slot's payload and
+//     counts the values not of their column's kind exactly.
 //
 // The first violation is returned as a descriptive error; nil means every
 // table passed.

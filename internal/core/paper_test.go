@@ -54,7 +54,7 @@ func newStore(t *testing.T, n int, opts ...func(*Options)) *Store {
 	return s
 }
 
-func mustMaint(t *testing.T, s *Store) *Maintenance {
+func mustMaint(t testing.TB, s *Store) *Maintenance {
 	t.Helper()
 	m, err := s.BeginMaintenance()
 	if err != nil {
@@ -63,7 +63,7 @@ func mustMaint(t *testing.T, s *Store) *Maintenance {
 	return m
 }
 
-func commit(t *testing.T, m *Maintenance) {
+func commit(t testing.TB, m *Maintenance) {
 	t.Helper()
 	if err := m.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)

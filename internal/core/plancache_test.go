@@ -11,6 +11,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sql"
+	"repro/internal/storage"
 )
 
 func planCounts(reg *obs.Registry) (hits, misses int64) {
@@ -810,18 +811,42 @@ func TestBenchmarkGroupByCompiles(t *testing.T) {
 }
 
 // The benchmark's scan runs its WHERE as the clean-page kernel, not as the
-// closure page loop: a refactor that loses the kernel for this shape fails
-// here before it shows as a slower benchmark. A WHERE the kernel does not
-// cover compiles without one.
+// closure page loop, and the fact table's clean pages hold the image of grp
+// that the kernel reads: a refactor that loses the kernel for this shape, or
+// the image, fails here before it shows as a slower benchmark. A WHERE the
+// kernel does not cover compiles without one.
 func TestBenchmarkScanUsesKernel(t *testing.T) {
 	s := newStore(t, 4)
-	if _, err := s.CreateTable(catalog.MustSchema("fact", []catalog.Column{
+	vt, err := s.CreateTable(catalog.MustSchema("fact", []catalog.Column{
 		{Name: "id", Type: catalog.TypeInt, Length: 8},
 		{Name: "grp", Type: catalog.TypeInt, Length: 8},
 		{Name: "qty", Type: catalog.TypeInt, Length: 8, Updatable: true},
 		{Name: "amount", Type: catalog.TypeInt, Length: 8, Updatable: true},
-	}, "id")); err != nil {
+	}, "id"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	m := mustMaint(t, s)
+	for id := int64(0); id < 3; id++ {
+		if err := m.Insert("fact", catalog.Tuple{catalog.NewInt(id), catalog.NewInt(id % 2), catalog.NewInt(id), catalog.NewInt(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, m)
+	grp := vt.Ext().L.Off[0][1]
+	var pages int
+	err = vt.Storage().ScanFilter(storage.Filter{
+		CleanPage: func(v storage.PageView, sel []int32) ([]int32, error) {
+			pages++
+			if v.Ints(grp, catalog.TypeInt) == nil {
+				return sel, fmt.Errorf("a clean page of fact holds no image of grp (offset %d)", grp)
+			}
+			return sel, nil
+		},
+		VN: int64(s.CurrentVN()),
+	}, func([]storage.RID, []catalog.Tuple) bool { return true })
+	if err != nil || pages == 0 {
+		t.Fatalf("%d clean pages: %v", pages, err)
 	}
 	for q, want := range map[string]bool{
 		`SELECT id, qty, amount FROM fact WHERE grp = :g`:              true,

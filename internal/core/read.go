@@ -4,6 +4,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/db"
 	"repro/internal/exec"
+	"repro/internal/storage"
 )
 
 // Slot is the reader decision of Table 1 (2VNL) and of §5's cases 1–2 (nVNL)
@@ -71,6 +72,23 @@ func (e *ExtTable) ReadAsOf(t catalog.Tuple, s VN) (base catalog.Tuple, visible 
 // is kept exact by every writer, a restored tombstone included.
 func (e *ExtTable) summary(t catalog.Tuple) (vn int64, deleted bool) {
 	return int64(e.TupleVN(t, 1)), e.OpAt(t, 1) == OpDelete
+}
+
+// image is what every heap of a versioned relation keeps an int64 image of
+// beside its summary (storage.Imaged): the slot-0 copy of each base column
+// declared INT, DATE or BOOL. On a clean page those copies are what a reader
+// at its VN sees, so the clean-page kernel reads the image there and never
+// the wide extended tuple.
+func (e *ExtTable) image() []storage.Imaged {
+	var im []storage.Imaged
+	for i, c := range e.Base.Columns {
+		switch c.Type {
+		case catalog.TypeInt, catalog.TypeDate, catalog.TypeBool:
+			im = append(im, storage.Imaged{Off: e.L.BaseStart + i, Kind: c.Type})
+		case catalog.TypeNull, catalog.TypeFloat, catalog.TypeString: // no int64 payload
+		}
+	}
+	return im
 }
 
 // stored is a versioned relation's heap as queryCatalog hands it to the

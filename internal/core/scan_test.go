@@ -259,8 +259,34 @@ func testCleanPageKernelAllocates(t *testing.T, pool int) {
 // through QueryPrepared over 16 384 rows at n = 4, every page clean at the
 // session's version: the engine's share of the `scan` and `online` reads.
 // orderby and distinct are shapes the compiled plans do not cover, so the
-// tree-walker serves them.
+// tree-walker serves them. scan_dirty is scan for a session that began
+// before a transaction rewrote the first half of the table: that half's
+// pages are dirty at its version, so their tuples run the slot selector and
+// the WHERE's closure in place, as `online` and `sharded` readers meet the
+// pages their writer touches.
 func BenchmarkPreparedScan(b *testing.B) {
+	b.Run("scan_dirty", func(b *testing.B) {
+		s := factStore(b, 16384)
+		p, err := s.Prepare(`SELECT id, qty, amount FROM fact WHERE grp = :g`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess := s.BeginSession()
+		defer sess.Close()
+		m := mustMaint(b, s)
+		if _, err := m.Exec(`UPDATE fact SET qty = qty + 1 WHERE id < 8192`, nil); err != nil {
+			b.Fatal(err)
+		}
+		commit(b, m)
+		params := exec.Params{"g": catalog.NewInt(5)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.QueryPrepared(p, params); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	s := factStore(b, 16384)
 	for _, q := range []struct{ name, sql string }{
 		{"scan", `SELECT id, qty, amount FROM fact WHERE grp = :g`},

@@ -208,7 +208,7 @@ func (s *Store) CreateTable(base *catalog.Schema) (*VTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl, err := s.d.CreateSummarisedTable(ext.Ext, ext.summary)
+	tbl, err := s.d.CreateSummarisedTable(ext.Ext, ext.summary, ext.image())
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +273,7 @@ func (s *Store) AdoptTable(name string) (*VTable, error) {
 	}
 	tmpSchema := ext.Ext.Clone()
 	tmpSchema.Name = base.Name + "__adopting"
-	tbl, err := s.d.CreateSummarisedTable(tmpSchema, ext.summary)
+	tbl, err := s.d.CreateSummarisedTable(tmpSchema, ext.summary, ext.image())
 	if err != nil {
 		return nil, fmt.Errorf("core: adopting %s: %w", name, err)
 	}

@@ -54,19 +54,20 @@ func (d *Database) PageSize() int { return d.opts.PageSize }
 
 // CreateTable registers a new table for the given schema.
 func (d *Database) CreateTable(s *catalog.Schema) (*Table, error) {
-	return d.CreateSummarisedTable(s, nil)
+	return d.CreateSummarisedTable(s, nil, nil)
 }
 
 // CreateSummarisedTable is CreateTable for a relation whose heap pages keep
 // a version summary through sum (storage.Summariser), so that scans can
-// decide its clean pages without a per-tuple version test. A nil sum keeps
-// no summary.
-func (d *Database) CreateSummarisedTable(s *catalog.Schema, sum storage.Summariser) (*Table, error) {
+// decide its clean pages without a per-tuple version test, and an int64
+// image of the columns image names, which a clean page's WHERE reads in
+// place of the tuples. A nil sum keeps neither.
+func (d *Database) CreateSummarisedTable(s *catalog.Schema, sum storage.Summariser, image []storage.Imaged) (*Table, error) {
 	heap, err := storage.NewHeap(s.Name, len(s.Columns), s.RowBytes(), d.opts.PageSize, d.pool)
 	if err != nil {
 		return nil, err
 	}
-	if err := heap.SetSummariser(sum); err != nil {
+	if err := heap.SetSummariser(sum, image); err != nil {
 		return nil, err
 	}
 	t := &Table{schema: s.Clone(), heap: heap}

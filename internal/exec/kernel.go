@@ -9,31 +9,28 @@ import (
 )
 
 // This file implements how a compiled WHERE decides a page clean at the
-// reader's version: in one loop over the page (Plan.selectClean), which the
+// reader's version: in one pass over the page (Plan.selectClean), which the
 // scan's and the aggregate's clean-page hooks share. A WHERE that is an AND
 // of up to maxKernel comparisons, each between a column declared INT, DATE or
 // BOOL and a literal or a parameter, also compiles beside its closure to a
 // kernel, one term per comparison. Per execution each term loads its operand
 // once and becomes a range of int64 payloads (bind), and the loop tests the
-// stored values in place against the ranges: no closure call and no Value
-// branching per tuple.
+// page's int64 image of each column (storage.PageView.Ints) against the
+// ranges: no closure call, no Value branching and no read of the wide stored
+// tuple per slot.
 //
-// The kernel decides a tuple only when every value it reads is of its
-// column's type, and an execution only when every operand is bound, not NULL
-// and of its column's type. Two such values compare by their payloads — as
-// catalog.Compare orders INT, DATE and BOOL — and no comparison between them
-// can fail, so the AND is the conjunction of the terms. Anything else (a
-// NULL, a value of another kind, an unbound parameter, a FLOAT operand, a
-// date string) goes to the WHERE's closure, which keeps its NULL handling,
-// coercions and errors.
+// The kernel decides a page only when every value it reads there is of its
+// column's type, which the page's image counts, and an execution only when
+// every operand is bound, not NULL and of its column's type. Two such values
+// compare by their payloads — as catalog.Compare orders INT, DATE and BOOL —
+// and no comparison between them can fail, so the AND is the conjunction of
+// the terms. Anything else (a NULL, a value of another kind, an unbound
+// parameter, a FLOAT operand, a date string) sends the page to the WHERE's
+// closure, which keeps its NULL handling, coercions and errors.
 
 // maxKernel is the most comparisons a kernel has, so that its bound form
 // fits in the run state, which a scan moves to the heap, in a few words.
 const maxKernel = 3
-
-// selStart is the room a selection is first allocated with: more than a
-// selective WHERE keeps of a page, less than a page, so it stays small.
-const selStart = 16
 
 // kernel is a WHERE's terms, in the order its AND names them.
 type kernel []kterm
@@ -70,53 +67,55 @@ var flipped = map[sql.BinaryOp]sql.BinaryOp{
 
 // selectClean appends to sel the live slots of v, a page clean at the
 // reader's version, that pass the WHERE, in slot order. Every tuple there is
-// visible in its current values, so the column reads point at slot 0 once
-// for the page. A tuple whose every kernel operand is a value of its column's
-// type is decided by the kernel bound in k, and any other — a NULL, a value
-// of another kind, every tuple when k is off the typed path — by the WHERE's
-// closure. The first error, in slot order, ends the page: sel then holds the
-// slots accepted before it. sel is reused from page to page; it is first
-// allocated when a page first accepts a slot, with room for selStart slots,
-// so a scan whose pages each keep up to that many allocates it once.
+// visible in its current values. When the kernel is bound in k and the page
+// holds an image of every column it reads (storage.PageView.Ints), the
+// kernel decides the page from the image alone, with X100's selection
+// vector: the first term selects among the live slots and each further one
+// keeps in place the slots that pass it. Otherwise the WHERE's closure
+// decides each live slot, and its first error, in slot order, ends the page:
+// sel then holds the slots accepted before it. sel is reused from page to
+// page, so growing it to a page's slots once serves the whole scan.
 func (p *Plan) selectClean(ctx *evalCtx, k *bounds, v storage.PageView, sel []int32) ([]int32, error) {
 	ctx.current()
 	n := v.Slots()
-	if p.filter == nil {
-		if cap(sel) < n {
-			sel = make([]int32, 0, n)
+	if cap(sel) < n {
+		sel = make([]int32, 0, n)
+	}
+	terms := k.b[:k.n] // empty without a WHERE
+	var cols [maxKernel][]int64
+	for i := range terms {
+		if cols[i] = v.Ints(int(terms[i].off), terms[i].typ); cols[i] == nil {
+			terms = terms[:0]
+			break
 		}
-		for si := 0; si < n; si++ {
-			if v.Live(si) {
+	}
+	if len(terms) > 0 {
+		b := terms[0]
+		for si, x := range cols[0] {
+			if (x >= b.lo && x <= b.hi) != b.neg && v.Live(si) {
 				sel = append(sel, int32(si))
 			}
 		}
+		for i := 1; i < len(terms); i++ {
+			b, kept := terms[i], sel[:0]
+			for _, si := range sel {
+				if x := cols[i][si]; (x >= b.lo && x <= b.hi) != b.neg {
+					kept = append(kept, si)
+				}
+			}
+			sel = kept
+		}
 		return sel, nil
 	}
-	terms := k.b[:k.n]
 	for si := 0; si < n; si++ {
-		if !v.Live(si) {
-			continue
-		}
-		keep, typed := len(terms) > 0, len(terms) > 0
-		for i := range terms {
-			b := &terms[i]
-			x := v.Value(si, int(b.off))
-			if x.Kind() != b.typ {
-				typed = false
-				break
-			}
-			keep = keep && (x.Int() >= b.lo && x.Int() <= b.hi) != b.neg
-		}
-		if !typed {
+		keep := v.Live(si)
+		if keep && p.filter != nil {
 			var err error
 			if keep, err = p.filter(ctx, v.Tuple(si)); err != nil {
 				return sel, err
 			}
 		}
 		if keep {
-			if cap(sel) == 0 {
-				sel = make([]int32, 0, selStart)
-			}
 			sel = append(sel, int32(si))
 		}
 	}

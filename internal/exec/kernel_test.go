@@ -12,11 +12,12 @@ import (
 )
 
 // heapTable is a Table over a storage.Heap whose pages keep a version
-// summary, so ScanFilter calls its clean pages' hook as the engine's tables
-// do.
+// summary and an image, so ScanFilter calls its clean pages' hook as the
+// engine's tables do. onClean, when set, sees each clean page first.
 type heapTable struct {
-	schema *catalog.Schema
-	heap   *storage.Heap
+	schema  *catalog.Schema
+	heap    *storage.Heap
+	onClean func(storage.PageView)
 }
 
 func (h *heapTable) Schema() *catalog.Schema                      { return h.schema }
@@ -26,6 +27,12 @@ func (h *heapTable) Insert(t catalog.Tuple) (storageRID, error)   { return h.hea
 func (h *heapTable) Update(rid storageRID, t catalog.Tuple) error { return h.heap.Update(rid, t) }
 func (h *heapTable) Delete(rid storageRID) error                  { return h.heap.Delete(rid) }
 func (h *heapTable) ScanFilter(f storage.Filter, fn func([]storageRID, []catalog.Tuple) bool) error {
+	if hook := f.CleanPage; hook != nil && h.onClean != nil {
+		f.CleanPage = func(v storage.PageView, sel []int32) ([]int32, error) {
+			h.onClean(v)
+			return hook(v, sel)
+		}
+	}
 	return h.heap.ScanFilter(f, fn)
 }
 
@@ -45,10 +52,18 @@ const kernelSlots = 16
 // compare without an error (a FLOAT in an INT column, a date string in a
 // DATE column). The pre-update copies hold what the current ones do not, so
 // reading the wrong copy changes the answer. With poison set, three tuples
-// hold values that fail a comparison or a SUM. It returns the heap table, a
-// memTable with the same stored tuples, which calls no page clean, and the
-// layout.
-func kernelTable(t *testing.T, seed int64, poison bool) (*heapTable, *memTable, *CompileOptions) {
+// hold values that fail a comparison or a SUM. The heap images the current
+// copies (k, n, i, d, b).
+//
+// With typed set, the current copies of k, i, d and b hold only values of
+// their column's type, so most pages offer the kernel their image, except:
+// page 2 holds exactly one NULL (in d), and page 10 one FLOAT (in k), so
+// each falls back to the closure as a whole; page 1's slot 3 held a NULL and
+// page 2's slot 9 a FLOAT, freed and reused by typed tuples, so the image
+// must have counted them out; and the last page holds 5 slots of an arena
+// still growing. It returns the heap table, a memTable with the same stored
+// tuples in the heap's order, which calls no page clean, and the layout.
+func kernelTable(t *testing.T, seed int64, poison, typed bool) (*heapTable, *memTable, *CompileOptions) {
 	t.Helper()
 	schema := catalog.MustSchema("t", []catalog.Column{
 		{Name: "vn", Type: catalog.TypeInt, Length: 8},
@@ -65,20 +80,43 @@ func kernelTable(t *testing.T, seed int64, poison bool) (*heapTable, *memTable, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := heap.SetSummariser(func(tu catalog.Tuple) (int64, bool) { return tu[0].Int(), false }); err != nil {
+	image := []storage.Imaged{{Off: 1, Kind: catalog.TypeInt}, {Off: 2, Kind: catalog.TypeInt},
+		{Off: 3, Kind: catalog.TypeInt}, {Off: 4, Kind: catalog.TypeDate}, {Off: 5, Kind: catalog.TypeBool}}
+	if err := heap.SetSummariser(func(tu catalog.Tuple) (int64, bool) { return tu[0].Int(), false }, image); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(pool []catalog.Value) catalog.Value { return pool[rng.Intn(len(pool))] }
-	mt := &memTable{schema: schema}
-	for r := 0; r < 12*kernelSlots; r++ {
+	ints, dates, bools := storedInts, storedDates, storedBools
+	if typed {
+		ints, dates, bools = typedOnly(storedInts, catalog.TypeInt), typedOnly(storedDates, catalog.TypeDate), typedOnly(storedBools, catalog.TypeBool)
+	}
+	newRow := func(r int, vn int64) catalog.Tuple {
+		return catalog.Tuple{catalog.NewInt(vn), pick(ints), catalog.NewInt(int64(r % 10)),
+			pick(ints), pick(dates), pick(bools),
+			pick(storedInts), pick(storedDates), pick(storedBools)}
+	}
+	rows := 12 * kernelSlots
+	if typed {
+		rows += 5
+	}
+	for r := 0; r < rows; r++ {
 		vn := int64(1)
 		if pg := r / kernelSlots; pg >= 8 || pg >= 4 && rng.Intn(4) == 0 {
 			vn = 5
 		}
-		row := catalog.Tuple{catalog.NewInt(vn), pick(storedInts), catalog.NewInt(int64(r % 10)),
-			pick(storedInts), pick(storedDates), pick(storedBools),
-			pick(storedInts), pick(storedDates), pick(storedBools)}
+		row := newRow(r, vn)
+		switch {
+		case !typed:
+		case r == 1*kernelSlots+3:
+			row[3] = catalog.Null
+		case r == 2*kernelSlots+4:
+			row[4] = catalog.Null
+		case r == 2*kernelSlots+9:
+			row[1] = catalog.NewFloat(3)
+		case r == 10*kernelSlots+6:
+			row[1] = catalog.NewFloat(5)
+		}
 		switch {
 		case !poison:
 		case r == 3*kernelSlots+5 || r == 9*kernelSlots+2:
@@ -92,8 +130,41 @@ func kernelTable(t *testing.T, seed int64, poison bool) (*heapTable, *memTable, 
 		if _, err := heap.Insert(row); err != nil {
 			t.Fatal(err)
 		}
-		mt.rows = append(mt.rows, row)
 	}
+	if typed {
+		// Free the NULL on page 1, the FLOAT on page 2 and one tuple of
+		// page 6, then reuse the three slots, each at its old version.
+		freed := map[storage.RID]int64{}
+		for _, r := range []int{1*kernelSlots + 3, 2*kernelSlots + 9, 6 * kernelSlots} {
+			rid := storage.RID{Page: r / kernelSlots, Slot: r % kernelSlots}
+			old, err := heap.Get(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := heap.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+			freed[rid] = old[0].Int()
+		}
+		for r := 0; r < len(freed); r++ {
+			rid, err := heap.Insert(newRow(r, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vn, ok := freed[rid]
+			if !ok {
+				t.Fatalf("insert went to %v, not to a freed slot", rid)
+			}
+			if err := heap.Update(rid, newRow(r, vn)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mt := &memTable{schema: schema}
+	heap.Scan(func(_ storage.RID, tu catalog.Tuple) bool {
+		mt.rows = append(mt.rows, tu)
+		return true
+	})
 	return &heapTable{schema: schema, heap: heap}, mt, &CompileOptions{
 		Slots: [][]int{{1, 2, 3, 4, 5}, {1, 2, 6, 7, 8}},
 		Select: func(row catalog.Tuple, cut int64) (int, bool) {
@@ -103,6 +174,17 @@ func kernelTable(t *testing.T, seed int64, poison bool) (*heapTable, *memTable, 
 			return 1, true
 		},
 	}
+}
+
+// typedOnly returns the values of pool that are of kind typ.
+func typedOnly(pool []catalog.Value, typ catalog.Type) []catalog.Value {
+	var out []catalog.Value
+	for _, v := range pool {
+		if v.Kind() == typ {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 var (
@@ -204,9 +286,10 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 		}
 	}
 
-	runs, typed := 0, 0
-	for _, poison := range []bool{false, true} {
-		ht, mt, opts := kernelTable(t, 7, poison)
+	runs, typed, cleanPages, imagePages := 0, 0, 0, 0
+	for _, fixture := range []struct{ poison, typed bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		poison := fixture.poison
+		ht, mt, opts := kernelTable(t, 7, poison, fixture.typed)
 		heapCat, memCat := memCatalog2{"t": ht}, memCatalog{"t": mt}
 		for _, sh := range shapes {
 			scan := mustSelect(t, `SELECT k, i, d, b FROM t`)
@@ -234,13 +317,35 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 				closure.kernel = nil
 				for _, params := range bindings {
 					for _, cut := range []int64{0, 1, 5} {
-						what := fmt.Sprintf("poison=%v cut=%d %s %v", poison, cut, sql.Print(stmt), params)
-						if pl.kernel.bind(pl.comp.newCtx(params, cut)).n > 0 {
+						what := fmt.Sprintf("%+v cut=%d %s %v", fixture, cut, sql.Print(stmt), params)
+						bound := pl.kernel.bind(pl.comp.newCtx(params, cut))
+						if bound.n > 0 {
 							typed++
+						}
+						// imaged reports whether the bound kernel finds an
+						// image of every column it reads on v.
+						imaged := func(v storage.PageView) bool {
+							for _, b := range bound.b[:bound.n] {
+								if v.Ints(int(b.off), b.typ) == nil {
+									return false
+								}
+							}
+							return bound.n > 0
 						}
 						want, werr := pl.ExecuteAt(memCat, params, cut)
 						outcomes := map[string]func() (*Rows, error){
-							"kernel":  func() (*Rows, error) { return pl.ExecuteAt(heapCat, params, cut) },
+							"kernel": func() (*Rows, error) {
+								if fixture.typed {
+									ht.onClean = func(v storage.PageView) {
+										cleanPages++
+										if imaged(v) {
+											imagePages++
+										}
+									}
+									defer func() { ht.onClean = nil }()
+								}
+								return pl.ExecuteAt(heapCat, params, cut)
+							},
 							"closure": func() (*Rows, error) { return closure.ExecuteAt(heapCat, params, cut) },
 						}
 						if !poison || stmt == scan {
@@ -266,5 +371,8 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 	if typed < runs/4 {
 		t.Fatalf("only %d of %d executions bound their kernel to typed operands", typed, runs)
 	}
-	t.Logf("%d WHEREs, %d executions agree, %d on the typed path", len(shapes), runs, typed)
+	if imagePages < cleanPages/3 {
+		t.Fatalf("the kernel decided %d of the typed fixtures' %d clean pages from their image: want at least a third", imagePages, cleanPages)
+	}
+	t.Logf("%d WHEREs, %d executions agree, %d on the typed path; %d of %d clean pages of the typed fixtures decided from their image", len(shapes), runs, typed, imagePages, cleanPages)
 }

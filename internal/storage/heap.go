@@ -49,6 +49,15 @@ var ErrNoSuchTuple = fmt.Errorf("%w: no such tuple", ErrNotFound)
 // holding a deleted tuple. maxVN is an upper bound that is never lowered: a
 // rollback or a physical delete can leave it above every live tuple, which
 // only keeps the page off the clean path (cleanAt) until readers reach it.
+//
+// Beside the summary the page keeps an image of the heap's imaged columns
+// (SetSummariser), folded in by the same writers: ints[c][si] is the int64
+// payload of slot si's value at column c's offset, and nbad[c] the exact
+// number of live slots whose value there is not of the column's kind (NULL
+// or any other). A page whose nbad[c] is zero holds column c as one dense
+// vector, so a scan reads 8 bytes per slot there instead of a cache line of
+// the wide tuple; the vectors grow with the arena and cost 8 bytes per
+// imaged column per slot.
 type page struct {
 	mu    sync.RWMutex
 	w     int             // values per tuple
@@ -57,6 +66,8 @@ type page struct {
 	nlive int             // live slot count
 	maxVN int64           // summary: largest version written, never lowered
 	ndel  int             // summary: live slots whose tuple is deleted
+	ints  [][]int64       // image: one vector per imaged column, len == cap(live)
+	nbad  []int           // image: live slots whose value is not of the column's kind
 }
 
 // Summariser reads what a page's version summary keeps of a stored tuple:
@@ -67,26 +78,48 @@ type page struct {
 // and must not retain t.
 type Summariser func(t catalog.Tuple) (vn int64, deleted bool)
 
-// enter folds t, just written to a live slot, into the summary.
-func (pg *page) enter(sum Summariser, t catalog.Tuple) {
-	if sum == nil {
+// Imaged names a column a summarised heap keeps an int64 image of: its
+// offset in a stored tuple and its kind, INT, DATE or BOOL, whose values
+// carry their payload in Value.Int.
+type Imaged struct {
+	Off  int
+	Kind catalog.Type
+}
+
+// enter folds t, just written to live slot si, into the summary and the
+// image.
+func (pg *page) enter(h *Heap, si int, t catalog.Tuple) {
+	if h.sum == nil {
 		return
 	}
-	vn, deleted := sum(t)
+	vn, deleted := h.sum(t)
 	pg.maxVN = max(pg.maxVN, vn)
 	if deleted {
 		pg.ndel++
 	}
+	for c, im := range h.image {
+		x := &t[im.Off]
+		pg.ints[c][si] = x.Int()
+		if x.Kind() != im.Kind {
+			pg.nbad[c]++
+		}
+	}
 }
 
-// leave takes t, about to be overwritten or freed, out of the summary. The
-// version bound stays: lowering it would need a pass over the page.
-func (pg *page) leave(sum Summariser, t catalog.Tuple) {
-	if sum == nil {
+// leave takes t, about to be overwritten or freed, out of the summary and
+// the image. The version bound stays: lowering it would need a pass over the
+// page.
+func (pg *page) leave(h *Heap, t catalog.Tuple) {
+	if h.sum == nil {
 		return
 	}
-	if _, deleted := sum(t); deleted {
+	if _, deleted := h.sum(t); deleted {
 		pg.ndel--
+	}
+	for c, im := range h.image {
+		if t[im.Off].Kind() != im.Kind {
+			pg.nbad[c]--
+		}
 	}
 }
 
@@ -104,8 +137,9 @@ func (pg *page) tuple(si int) catalog.Tuple {
 	return pg.vals[lo:hi:hi]
 }
 
-// addSlot appends one dead slot, doubling the arena, up to limit slots, when
-// it is full. The caller holds the write latch and has checked the limit.
+// addSlot appends one dead slot, doubling the arena and the image vectors,
+// up to limit slots, when it is full. The caller holds the write latch and
+// has checked the limit.
 func (pg *page) addSlot(limit int) int {
 	n := len(pg.live)
 	if n == cap(pg.live) {
@@ -115,6 +149,10 @@ func (pg *page) addSlot(limit int) int {
 		vals := make([]catalog.Value, c*pg.w)
 		copy(vals, pg.vals)
 		pg.live, pg.vals = live, vals
+		for i, col := range pg.ints {
+			pg.ints[i] = make([]int64, c)
+			copy(pg.ints[i], col)
+		}
 	}
 	pg.live = append(pg.live, false)
 	return n
@@ -132,6 +170,7 @@ type Heap struct {
 	pool        *BufferPool // nil: no page access is recorded
 	width       int         // values per tuple
 	sum         Summariser  // nil: pages keep no summary and are never clean
+	image       []Imaged    // the columns each page keeps an image of
 	rowBytes    int
 	slotsPerPag int
 
@@ -175,24 +214,22 @@ func NewHeap(name string, width, rowBytes, pageSize int, pool *BufferPool) (*Hea
 }
 
 // SetSummariser makes every page of the heap keep a version summary through
-// sum (see page). It must be called before the heap holds a tuple or sees
-// concurrent use, so that every tuple it ever stores is folded in; it refuses
-// a heap that already has a page.
-func (h *Heap) SetSummariser(sum Summariser) error {
+// sum and, with it, an image of the columns image names (see page). It must
+// be called before the heap holds a tuple or sees concurrent use, so that
+// every tuple it ever stores is folded in; it refuses a heap that already
+// has a page.
+func (h *Heap) SetSummariser(sum Summariser, image []Imaged) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.pages) > 0 {
 		return fmt.Errorf("storage: heap %q already holds pages; a summariser must be set before the first insert", h.name)
 	}
-	h.sum = sum
+	h.sum, h.image = sum, slices.Clone(image)
 	return nil
 }
 
 // Name returns the heap's name.
 func (h *Heap) Name() string { return h.name }
-
-// FileID returns the heap's buffer-pool file identifier.
-func (h *Heap) FileID() int { return h.fileID }
 
 // RowBytes returns the per-tuple storage footprint.
 func (h *Heap) RowBytes() int { return h.rowBytes }
@@ -255,7 +292,7 @@ func (h *Heap) Insert(t catalog.Tuple) (RID, error) {
 		copy(pg.tuple(si), t)
 		pg.live[si] = true
 		pg.nlive++
-		pg.enter(h.sum, t)
+		pg.enter(h, si, t)
 		pg.mu.Unlock()
 		h.liveCount.Add(1)
 		h.pool.Touch(PageKey{h.fileID, pi}, true)
@@ -279,7 +316,7 @@ func (h *Heap) pageWithSpace() (int, *page) {
 		}
 		h.freePages = h.freePages[:len(h.freePages)-1]
 	}
-	pg := &page{w: h.width}
+	pg := &page{w: h.width, ints: make([][]int64, len(h.image)), nbad: make([]int, len(h.image))}
 	h.pages = append(h.pages, pg)
 	pi := len(h.pages) - 1
 	h.freePages = append(h.freePages, pi)
@@ -377,9 +414,9 @@ func (h *Heap) Update(rid RID, t catalog.Tuple) error {
 		return err
 	}
 	slot := pg.tuple(rid.Slot)
-	pg.leave(h.sum, slot)
+	pg.leave(h, slot)
 	copy(slot, t)
-	pg.enter(h.sum, slot)
+	pg.enter(h, rid.Slot, slot)
 	pg.mu.Unlock()
 	h.pool.Touch(PageKey{h.fileID, rid.Page}, true)
 	return nil
@@ -393,7 +430,7 @@ func (h *Heap) Delete(rid RID) error {
 		return err
 	}
 	slot := pg.tuple(rid.Slot)
-	pg.leave(h.sum, slot)
+	pg.leave(h, slot)
 	clear(slot)
 	pg.live[rid.Slot] = false
 	pg.nlive--
@@ -424,29 +461,35 @@ func (b *block) add(rid RID, t catalog.Tuple) {
 }
 
 // PageView is a read-only view of one page's slots, handed to a
-// Filter.CleanPage hook under the page's read latch. Values and tuples are
+// Filter.CleanPage hook under the page's read latch. Tuples and vectors are
 // read in place in the page: the hook must not modify them, and neither the
 // view nor anything read through it may outlive the hook's call.
 type PageView struct {
-	w    int
-	vals []catalog.Value
-	live []bool
+	pg    *page
+	image []Imaged
 }
 
 // Slots returns how many slots the page has in use, live or dead: the slots
 // are 0 … Slots()-1.
-func (v PageView) Slots() int { return len(v.live) }
+func (v PageView) Slots() int { return len(v.pg.live) }
 
 // Live reports whether slot si holds a tuple.
-func (v PageView) Live(si int) bool { return v.live[si] }
-
-// Value returns the value at offset off of slot si's tuple, in place.
-func (v PageView) Value(si, off int) *catalog.Value { return &v.vals[si*v.w+off] }
+func (v PageView) Live(si int) bool { return v.pg.live[si] }
 
 // Tuple returns slot si's tuple in place, capped to the slot.
-func (v PageView) Tuple(si int) catalog.Tuple {
-	lo, hi := si*v.w, (si+1)*v.w
-	return v.vals[lo:hi:hi]
+func (v PageView) Tuple(si int) catalog.Tuple { return v.pg.tuple(si) }
+
+// Ints returns the page's image of the column at offset off, one payload
+// per slot in use, when the heap images that offset as kind and every live
+// slot holds a value of that kind there; otherwise nil. A dead slot's entry
+// is meaningless.
+func (v PageView) Ints(off int, kind catalog.Type) []int64 {
+	for c, im := range v.image {
+		if im.Off == off && im.Kind == kind && v.pg.nbad[c] == 0 {
+			return v.pg.ints[c][:len(v.pg.live)]
+		}
+	}
+	return nil
 }
 
 // Filter is what the page walker runs against each page under its read
@@ -481,7 +524,7 @@ func (h *Heap) fill(b *block, pi int, pg *page, f Filter, fresh bool) (touched b
 		b.vals = make([]catalog.Value, 0, pg.nlive*pg.w)
 	}
 	if f.CleanPage != nil && pg.cleanAt(h.sum, f.VN) {
-		if b.sel, err = f.CleanPage(PageView{pg.w, pg.vals, pg.live}, b.sel[:0]); err != nil {
+		if b.sel, err = f.CleanPage(PageView{pg, h.image}, b.sel[:0]); err != nil {
 			return true, err
 		}
 		for _, si := range b.sel {
@@ -580,9 +623,11 @@ func (h *Heap) Scan(fn func(RID, catalog.Tuple) bool) {
 	})
 }
 
-// CheckSummary verifies every page's version summary against its live
-// tuples: the deleted count is exact and the version bound is at least every
-// live tuple's version. It takes each page's read latch in turn, so it is
+// CheckSummary verifies every page's version summary and image against its
+// live tuples: the deleted count is exact, the version bound is at least
+// every live tuple's version, each image vector spans the arena and holds
+// every live slot's payload, and each count of values not of the column's
+// kind is exact. It takes each page's read latch in turn, so it is
 // exact only on a heap no writer is changing. Without a summariser there is
 // nothing to check.
 func (h *Heap) CheckSummary() error {
@@ -600,21 +645,41 @@ func (h *Heap) CheckSummary() error {
 func (h *Heap) checkPageSummary(pi int, pg *page) error {
 	pg.mu.RLock()
 	defer pg.mu.RUnlock()
-	ndel := 0
+	ndel, nbad := 0, make([]int, len(h.image))
+	for c := range h.image {
+		if len(pg.ints[c]) != cap(pg.live) {
+			return fmt.Errorf("storage: heap %q page %d: image of offset %d spans %d slots, the arena %d", h.name, pi, h.image[c].Off, len(pg.ints[c]), cap(pg.live))
+		}
+	}
 	for si, live := range pg.live {
 		if !live {
 			continue
 		}
-		vn, deleted := h.sum(pg.tuple(si))
+		t := pg.tuple(si)
+		vn, deleted := h.sum(t)
 		if vn > pg.maxVN {
 			return fmt.Errorf("storage: heap %q page %d: slot %d has version %d above the summary's bound %d", h.name, pi, si, vn, pg.maxVN)
 		}
 		if deleted {
 			ndel++
 		}
+		for c, im := range h.image {
+			x := t[im.Off]
+			if x.Kind() != im.Kind {
+				nbad[c]++
+			}
+			if pg.ints[c][si] != x.Int() {
+				return fmt.Errorf("storage: heap %q page %d: slot %d's image at offset %d is %d, the tuple holds %v", h.name, pi, si, im.Off, pg.ints[c][si], x)
+			}
+		}
 	}
 	if ndel != pg.ndel {
 		return fmt.Errorf("storage: heap %q page %d: summary counts %d deleted tuples, the page holds %d", h.name, pi, pg.ndel, ndel)
+	}
+	for c, im := range h.image {
+		if nbad[c] != pg.nbad[c] {
+			return fmt.Errorf("storage: heap %q page %d: image counts %d values of another kind than %s at offset %d, the page holds %d", h.name, pi, pg.nbad[c], im.Kind, im.Off, nbad[c])
+		}
 	}
 	return nil
 }

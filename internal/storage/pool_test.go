@@ -106,7 +106,7 @@ func TestHeapWithoutPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.SetSummariser(sumTest); err != nil {
+	if err := h.SetSummariser(sumTest, nil); err != nil {
 		t.Fatal(err)
 	}
 	var rids []RID

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +13,11 @@ import (
 )
 
 // The summary tests store tuples (vn, deleted, c, c): sumTest reads the
-// first two columns as the summary's version and deletion.
+// first two columns as the summary's version and deletion, and the heap
+// keeps an image of the last two (sumImage).
 func sumTest(t catalog.Tuple) (int64, bool) { return t[0].Int(), t[1].Bool() }
+
+var sumImage = []Imaged{{Off: 2, Kind: catalog.TypeInt}, {Off: 3, Kind: catalog.TypeInt}}
 
 func sumTuple(vn int64, deleted bool, c int64) catalog.Tuple {
 	return catalog.Tuple{catalog.NewInt(vn), catalog.NewBool(deleted), catalog.NewInt(c), catalog.NewInt(c)}
@@ -22,7 +26,7 @@ func sumTuple(vn int64, deleted bool, c int64) catalog.Tuple {
 func summaryHeap(t *testing.T, pageSize int) *Heap {
 	t.Helper()
 	h, _ := newTestHeap(t, 4, 20, pageSize, 64)
-	if err := h.SetSummariser(sumTest); err != nil {
+	if err := h.SetSummariser(sumTest, sumImage); err != nil {
 		t.Fatal(err)
 	}
 	return h
@@ -36,7 +40,7 @@ func cleanAt(t *testing.T, h *Heap, vn int64) (clean, other []int64) {
 		CleanPage: func(v PageView, sel []int32) ([]int32, error) {
 			for si := 0; si < v.Slots(); si++ {
 				if v.Live(si) {
-					clean = append(clean, v.Value(si, 2).Int())
+					clean = append(clean, v.Tuple(si)[2].Int())
 				}
 			}
 			return sel, nil
@@ -113,12 +117,16 @@ func TestPageSummaryFolds(t *testing.T) {
 	expect("slot reused by a delete", 9, false)
 }
 
-// CheckSummary finds a count that drifted and a bound below a live tuple;
-// SetSummariser refuses a heap that already holds pages; a heap without a
-// summariser has no clean page.
+// CheckSummary finds a count that drifted, a bound below a live tuple, an
+// image payload that differs from its tuple's and an image count that
+// drifted; SetSummariser refuses a heap that already holds pages; a heap
+// without a summariser has no clean page.
 func TestPageSummaryChecks(t *testing.T) {
 	h := summaryHeap(t, 80)
 	if _, err := h.Insert(sumTuple(3, true, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Insert(imgTuple(3, 1, catalog.Null)); err != nil {
 		t.Fatal(err)
 	}
 	pg := h.getPage(0)
@@ -130,7 +138,25 @@ func TestPageSummaryChecks(t *testing.T) {
 	if err := h.CheckSummary(); err == nil {
 		t.Error("CheckSummary accepted a bound below a live version")
 	}
-	if err := h.SetSummariser(sumTest); err == nil {
+	pg.maxVN = 3
+	if err := h.CheckSummary(); err != nil {
+		t.Fatalf("CheckSummary refused a mended summary: %v", err)
+	}
+	pg.ints[0][1] = 7
+	if err := h.CheckSummary(); err == nil {
+		t.Error("CheckSummary accepted an image payload that differs from its tuple's")
+	}
+	pg.ints[0][1] = 1
+	pg.nbad[1] = 0
+	if err := h.CheckSummary(); err == nil {
+		t.Error("CheckSummary accepted an image that counts no NULL where a live slot holds one")
+	}
+	pg.nbad[1] = 1
+	pg.ints[1] = pg.ints[1][:1]
+	if err := h.CheckSummary(); err == nil {
+		t.Error("CheckSummary accepted an image vector shorter than the arena")
+	}
+	if err := h.SetSummariser(sumTest, nil); err == nil {
 		t.Error("SetSummariser accepted a heap that holds pages")
 	}
 
@@ -144,6 +170,112 @@ func TestPageSummaryChecks(t *testing.T) {
 	if err := plain.CheckSummary(); err != nil {
 		t.Error(err)
 	}
+}
+
+// imgTuple is a tuple (vn, false, c, x): x is what the image's second
+// column sees.
+func imgTuple(vn, c int64, x catalog.Value) catalog.Tuple {
+	return catalog.Tuple{catalog.NewInt(vn), catalog.NewBool(false), catalog.NewInt(c), x}
+}
+
+// imageAt scans h at vn and returns, for page 0 if it is clean there, the
+// number of slots in use and a copy of its image of offset off as kind, nil
+// when the page offers none.
+func imageAt(t *testing.T, h *Heap, vn int64, off int, kind catalog.Type) (slots int, vec []int64) {
+	t.Helper()
+	err := h.ScanFilter(Filter{
+		CleanPage: func(v PageView, sel []int32) ([]int32, error) {
+			if slots == 0 {
+				slots = v.Slots()
+				vec = slices.Clone(v.Ints(off, kind))
+			}
+			return sel, nil
+		},
+		VN: vn,
+	}, func([]RID, []catalog.Tuple) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slots, vec
+}
+
+// Every writer folds into its page's image: a page offers a column's vector
+// while every live value there is of the column's kind, and the vector holds
+// each live slot's payload. A NULL or a value of another kind withdraws the
+// vector until an update or a delete takes that value out; a reused slot
+// gets its new payload; the vectors grow with the arena; an offset the heap
+// does not image, or a kind it images the offset as not, has no vector.
+func TestPageImageFolds(t *testing.T) {
+	h := summaryHeap(t, 160) // 8 slots per page
+	var rids []RID
+	for c := int64(0); c < 3; c++ {
+		rid, err := h.Insert(imgTuple(1, c, catalog.NewInt(10*c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	expect := func(step string, off int, want []int64) {
+		t.Helper()
+		if err := h.CheckSummary(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		slots, vec := imageAt(t, h, 1, off, catalog.TypeInt)
+		live := h.getPage(0).live
+		var got []int64
+		for si, x := range vec {
+			if live[si] {
+				got = append(got, x)
+			}
+		}
+		if vec != nil && len(vec) != slots || fmt.Sprint(got) != fmt.Sprint(want) || (vec == nil) != (want == nil) {
+			t.Fatalf("%s: offset %d offers %v over %d slots (live payloads %v), want %v", step, off, vec, slots, got, want)
+		}
+	}
+	expect("insert", 2, []int64{0, 1, 2})
+	expect("insert", 3, []int64{0, 10, 20})
+	if cap(h.getPage(0).live) != 4 || len(h.getPage(0).ints[1]) != 4 {
+		t.Fatalf("the image spans %d slots of an arena of %d, want 4 of 4", len(h.getPage(0).ints[1]), cap(h.getPage(0).live))
+	}
+	if _, vec := imageAt(t, h, 1, 2, catalog.TypeDate); vec != nil {
+		t.Errorf("an INT image is offered as a DATE one: %v", vec)
+	}
+	if _, vec := imageAt(t, h, 1, 0, catalog.TypeInt); vec != nil {
+		t.Errorf("an offset without an image offers %v", vec)
+	}
+
+	if err := h.Update(rids[1], imgTuple(1, 1, catalog.Null)); err != nil {
+		t.Fatal(err)
+	}
+	expect("one NULL", 3, nil)
+	expect("one NULL, other column", 2, []int64{0, 1, 2})
+	if err := h.Update(rids[1], imgTuple(1, 1, catalog.NewFloat(1))); err != nil {
+		t.Fatal(err)
+	}
+	expect("NULL overwritten by a FLOAT", 3, nil)
+	rid, err := h.Insert(imgTuple(1, 3, catalog.NewString("x")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("two of another kind", 3, nil)
+	if err := h.Delete(rids[1]); err != nil {
+		t.Fatal(err)
+	}
+	expect("one of another kind freed", 3, nil)
+	if err := h.Update(rid, imgTuple(1, 3, catalog.NewInt(30))); err != nil {
+		t.Fatal(err)
+	}
+	expect("the other overwritten", 3, []int64{0, 20, 30})
+	if _, err := h.Insert(imgTuple(1, 4, catalog.NewInt(40))); err != nil { // reuses slot 1
+		t.Fatal(err)
+	}
+	expect("slot reused", 3, []int64{0, 40, 20, 30})
+	for c := int64(5); c < 8; c++ {
+		if _, err := h.Insert(imgTuple(1, c, catalog.NewInt(10*c))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect("arena grown", 3, []int64{0, 40, 20, 30, 50, 60, 70})
 }
 
 // TestStressHeapSummary races writers that update, mark deleted, delete and
@@ -261,4 +393,150 @@ func TestStressHeapSummary(t *testing.T) {
 		t.Error("no scan reached a clean page; the race was not exercised")
 	}
 	t.Logf("%d tuples read on clean pages", cleanSeen.Load())
+}
+
+// TestStressHeapImage races writers that overwrite and free slots, and
+// re-insert into the freed ones, and an appender that grows fresh pages'
+// arenas, against scans whose clean-page hook checks the image under its
+// read latch: each count of values not of the column's kind is exact, a
+// page offers a column's vector exactly when that count is zero, and every
+// entry of an offered vector equals the payload of the tuple read in place.
+// A writer that folds the image after releasing its latch, or an arena that
+// grows without its vectors, fails here, under -race and on the checks
+// alike. One write in four stores a NULL or a FLOAT in the imaged offset 3,
+// so pages move on and off the image.
+func TestStressHeapImage(t *testing.T) {
+	const (
+		writers  = 3
+		perWrite = 8
+		appended = 256
+		vn       = 10
+		rounds   = 1000
+	)
+	h := summaryHeap(t, 160) // 8 slots per page
+	// x is offset 3's value for c: a NULL, a FLOAT or c itself.
+	x := func(c int64) catalog.Value {
+		switch c % 8 {
+		case 0:
+			return catalog.Null
+		case 1:
+			return catalog.NewFloat(float64(c))
+		}
+		return catalog.NewInt(c)
+	}
+	next := func(rng *rand.Rand, c int64) catalog.Tuple { return imgTuple(int64(1+rng.Intn(vn)), c, x(c)) }
+
+	var imaged, withdrawn atomic.Int64
+	check := func(v PageView) error {
+		for c, im := range sumImage {
+			bad := 0
+			for si := 0; si < v.Slots(); si++ {
+				if !v.Live(si) {
+					continue
+				}
+				tu := v.Tuple(si)
+				if tu[3] != x(tu[2].Int()) {
+					return fmt.Errorf("torn tuple %v", tu)
+				}
+				if tu[im.Off].Kind() != im.Kind {
+					bad++
+				}
+			}
+			if v.pg.nbad[c] != bad {
+				return fmt.Errorf("offset %d: image counts %d values of another kind, the page holds %d", im.Off, v.pg.nbad[c], bad)
+			}
+			vec := v.Ints(im.Off, im.Kind)
+			if (vec != nil) != (bad == 0) {
+				return fmt.Errorf("offset %d: %d values of another kind, vector offered: %v", im.Off, bad, vec != nil)
+			}
+			if vec == nil {
+				withdrawn.Add(1)
+				continue
+			}
+			imaged.Add(1)
+			for si := 0; si < v.Slots(); si++ {
+				if v.Live(si) && vec[si] != v.Tuple(si)[im.Off].Int() {
+					return fmt.Errorf("offset %d slot %d: image %d, tuple %v", im.Off, si, vec[si], v.Tuple(si))
+				}
+			}
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var wwg, rwg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		rng := rand.New(rand.NewSource(int64(w)))
+		rids := make([]RID, perWrite)
+		for k := range rids {
+			rid, err := h.Insert(next(rng, int64(k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids[k] = rid
+		}
+		wwg.Add(1)
+		go func() {
+			defer wwg.Done()
+			for c := int64(1); ; c++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := rng.Intn(perWrite)
+				var err error
+				if rng.Intn(2) == 0 {
+					err = h.Update(rids[k], next(rng, c))
+				} else if err = h.Delete(rids[k]); err == nil {
+					rids[k], err = h.Insert(next(rng, c))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wwg.Add(1)
+	go func() {
+		defer wwg.Done()
+		rng := rand.New(rand.NewSource(writers))
+		for c := int64(0); c < appended; c++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := h.Insert(next(rng, c)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for i := 0; i < rounds && !t.Failed(); i++ {
+				err := h.ScanFilter(Filter{
+					CleanPage: func(v PageView, sel []int32) ([]int32, error) { return sel, check(v) },
+					VN:        vn,
+				}, func([]RID, []catalog.Tuple) bool { return true })
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	rwg.Wait()
+	close(stop)
+	wwg.Wait()
+	if err := h.CheckSummary(); err != nil {
+		t.Error(err)
+	}
+	if imaged.Load() == 0 || withdrawn.Load() == 0 {
+		t.Errorf("%d vectors offered and %d withdrawn on clean pages: want both", imaged.Load(), withdrawn.Load())
+	}
+	t.Logf("%d vectors offered, %d withdrawn on clean pages", imaged.Load(), withdrawn.Load())
 }
