@@ -30,7 +30,9 @@ examples:
 # int64 image against the tuples in place: TestStressHeapImage), compiled
 # plans checked against the oracle while batches commit, on pages small
 # enough that a session meets clean pages, where the WHERE runs as the typed
-# kernel, beside dirty ones (TestCompiledMatchesOracleUnderMaintenance), and
+# kernel, beside dirty ones, and projections, a LIMIT that ends a scan
+# mid-page among them, run in place under the page latch beside the writer
+# (TestCompiledMatchesOracleUnderMaintenance), and
 # the oldest-slot watermark tests (a mark readers load while the writer
 # raises, marks stale and settles it), under the race detector, with a
 # generous timeout so slow CI machines finish the full matrix.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sql"
-	"repro/internal/storage"
 )
 
 // stressTuples and stressSum define the invariant the stress harness
@@ -335,7 +334,9 @@ func readConserved(s *Store, rows, total int64) error {
 
 // TestCompiledMatchesOracleUnderMaintenance races compiled plans — scan,
 // index and aggregate, with WHEREs the clean-page kernel runs and ones it
-// does not — against a live writer whose batches update, delete, re-insert
+// does not, a LIMIT that ends a scan mid-page and a projection that reads
+// more columns than its WHERE, both run in place under the page latch —
+// against a live writer whose batches update, delete, re-insert
 // over deletes, and fold update→delete and insert→delete within a batch, so
 // the tuples a reader meets are the ones being rewritten. Small pages spread
 // the table over many, so a session's scan meets pages clean at its version
@@ -391,6 +392,8 @@ func runOracleRace(t *testing.T, n int) {
 		mustParse(t, `SELECT k, v FROM kv WHERE v > 150 ORDER BY v, k LIMIT 10`),
 		mustParse(t, `SELECT k, v FROM kv WHERE v >= :lo AND k <> 7`),
 		mustParse(t, `SELECT COUNT(*), SUM(v), MIN(k) FROM kv WHERE v < :hi AND 20 <= k`),
+		mustParse(t, `SELECT k, v FROM kv WHERE v < 170 LIMIT 5`),
+		mustParse(t, `SELECT k, v, k * 2 + v, v - k FROM kv WHERE k >= 16`),
 	}
 	const readers = 2
 	var wg sync.WaitGroup
@@ -493,12 +496,7 @@ func readAgainstOracle(s *Store, vt *VTable, queries []*sql.SelectStmt, checked,
 	sess := s.BeginSession()
 	defer sess.Close()
 	params := exec.Params{"lo": catalog.NewInt(110), "hi": catalog.NewInt(150)}
-	var clean, dirty int
-	err := vt.Storage().ScanFilter(storage.Filter{
-		Pred:      func(catalog.Tuple) (bool, error) { dirty++; return false, nil },
-		CleanPage: func(_ storage.PageView, sel []int32) ([]int32, error) { clean++; return sel, nil },
-		VN:        int64(sess.VN()),
-	}, func([]storage.RID, []catalog.Tuple) bool { return true })
+	clean, dirty, err := pagesAt(vt, sess.VN())
 	if err != nil {
 		return err
 	}

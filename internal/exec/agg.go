@@ -311,7 +311,7 @@ func (r *aggRun) foldTable(tbl Table) error {
 	}
 	r.kern = r.p.kernel.bind(r.ctx)
 	f := storage.Filter{Pred: r.fold, CleanPage: r.foldPage, VN: r.ctx.vn}
-	return tbl.ScanFilter(f, func([]storage.RID, []catalog.Tuple) bool { return true })
+	return tbl.ScanFilter(f, keepNothing)
 }
 
 // fold adds t to its group when t exists at the reader's version and passes

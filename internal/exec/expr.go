@@ -32,8 +32,10 @@ type Table interface {
 	// accepts. f.Pred sees the stored tuple under the page latch: it must
 	// not retain or modify it, block, or call back into the table. The
 	// slices fn receives are overwritten by the next page. An error from f
-	// ends the scan and is returned. A filter that accepts nothing — the
-	// aggregate's fold — makes the scan copy nothing.
+	// ends the scan and is returned. A filter that accepts nothing makes the
+	// scan copy nothing: the aggregate's fold adds each tuple to its group
+	// and the scan plan projects each into its result row, in place under
+	// the latch, allocating only a new group or a row chunk.
 	//
 	// The clean-page contract: f.CleanPage, when set, replaces f.Pred for a
 	// page that the table calls clean at f.VN. For a versioned relation that

@@ -376,3 +376,74 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 	}
 	t.Logf("%d WHEREs, %d executions agree, %d on the typed path; %d of %d clean pages of the typed fixtures decided from their image", len(shapes), runs, typed, imagePages, cleanPages)
 }
+
+// countingTable counts what a scan of its heap decides: clean pages through
+// the hook (and how many of them offered the image of n, the column the
+// kernel below reads), tuples of dirty pages through the predicate, and
+// blocks of tuples the walker copied out to the scan's callback.
+type countingTable struct {
+	*heapTable
+	pages, imaged, tuples, blocks int
+}
+
+func (c *countingTable) ScanFilter(f storage.Filter, fn func([]storageRID, []catalog.Tuple) bool) error {
+	pred, clean := f.Pred, f.CleanPage
+	f.Pred = func(t catalog.Tuple) (bool, error) { c.tuples++; return pred(t) }
+	f.CleanPage = func(v storage.PageView, sel []int32) ([]int32, error) {
+		c.pages++
+		if v.Ints(2, catalog.TypeInt) != nil {
+			c.imaged++
+		}
+		return clean(v, sel)
+	}
+	return c.heapTable.ScanFilter(f, func(rids []storageRID, tuples []catalog.Tuple) bool {
+		c.blocks++
+		return fn(rids, tuples)
+	})
+}
+
+// A LIMIT reached in the middle of a page returns exactly LIMIT rows, ends
+// the walk there, and reports no error: on a page clean at the reader's
+// version whose image the kernel decides, on one the WHERE's closure decides
+// (n + 0 has no kernel form), and on a dirty page, whose tuples are read one
+// by one through the slot selector. kernelTable's first page holds n = 0 …
+// 9, 0 … 5, so the third row ends the scan at slot 2. Every survivor is
+// projected in place: the walker hands the scan no tuple. The rows are the
+// first three of the same statement over a table with no clean page.
+func TestPlanLimitStopsMidPage(t *testing.T) {
+	ht, mt, opts := kernelTable(t, 7, false, true)
+	for _, c := range []struct {
+		name, where           string
+		cut                   int64
+		kernel                bool
+		pages, imaged, tuples int
+	}{
+		{"clean-kernel", "n < 9", 5, true, 1, 1, 0},
+		{"clean-closure", "n + 0 < 9", 5, false, 1, 1, 0},
+		{"dirty", "n < 9", 0, true, 0, 0, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ct := &countingTable{heapTable: ht}
+			stmt := mustSelect(t, `SELECT k, n, i FROM t WHERE `+c.where+` LIMIT 3`)
+			pl, err := CompileSelect(memCatalog2{"t": ct}, stmt, opts)
+			if err != nil || !pl.Vectorized() || pl.Kernel() != c.kernel {
+				t.Fatalf("compiled=%v kernel=%v (%v); want a compiled plan, kernel %v", pl.Vectorized(), pl.Kernel(), err, c.kernel)
+			}
+			got, err := pl.ExecuteAt(memCatalog2{"t": ct}, nil, c.cut)
+			if err != nil {
+				t.Fatalf("err = %v, want none", err)
+			}
+			want, err := pl.ExecuteAt(memCatalog{"t": mt}, nil, c.cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Tuples) != 3 || fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
+				t.Errorf("rows %v, want %v", got.Tuples, want.Tuples)
+			}
+			if ct.pages != c.pages || ct.imaged != c.imaged || ct.tuples != c.tuples || ct.blocks != 0 {
+				t.Errorf("the scan decided %d clean pages (%d imaged) and %d dirty tuples, and was handed %d blocks; want %d, %d, %d and none",
+					ct.pages, ct.imaged, ct.tuples, ct.blocks, c.pages, c.imaged, c.tuples)
+			}
+		})
+	}
+}

@@ -238,12 +238,13 @@ func (p *Plan) compileEqConjuncts(comp *compiler, where sql.Expr) {
 	})
 }
 
-// Execute runs the plan. A vectorized plan without a usable index hands its
-// filter to the table's page walker, which evaluates it against each stored
-// tuple under the page latch and copies out only the survivors; Execute
-// projects those. An aggregate plan hands the walker its fold instead, which
-// keeps no tuple at all (see executeAgg). With an index either fetches the
-// matching RIDs one by one. Fallback plans run the tree-walking executor on
+// Execute runs the plan. A vectorized plan without a usable index hands the
+// table's page walker a filter that keeps no tuple: under each page's latch
+// it reads each stored tuple at the reader's version, runs the WHERE and
+// projects each survivor into its result row in place (see scan), so the
+// walker copies no stored tuple out. An aggregate plan hands the walker its
+// fold instead (see executeAgg). With an index either fetches the matching
+// RIDs one by one. Fallback plans run the tree-walking executor on
 // the stored statement. Execute has no reader version, so a plan that reads
 // a versioned relation fails; it needs ExecuteAt.
 func (p *Plan) Execute(cat Catalog, params Params) (*Rows, error) {
@@ -294,34 +295,51 @@ type planRun struct {
 	kern bounds // the kernel bound for the scan
 	out  *Rows
 	free []catalog.Value // unused rest of the current row chunk
-	err  error           // a projection's error, which ends a scan
 }
 
-// keep reports whether t exists at the reader's version and passes the
-// WHERE. It is the predicate handed to Table.ScanFilter, so it runs under the
-// page latch: compiled closures neither retain t nor allocate unless they
-// fail.
-func (r *planRun) keep(t catalog.Tuple) (bool, error) {
+// errLimit ends a scan whose LIMIT is reached; scan maps it to success.
+var errLimit = errors.New("exec: limit reached")
+
+// keepNothing is the block callback of a scan whose filter keeps no tuple.
+func keepNothing([]storage.RID, []catalog.Tuple) bool { return true }
+
+// take projects t into the next result row when t exists at the reader's
+// version and passes the WHERE, and keeps nothing. It is the predicate
+// handed to Table.ScanFilter, so it runs under the page latch: compiled
+// closures neither retain t (values copied out of it are immutable) nor
+// call back into the table, and take allocates only a row chunk or an
+// error. At the LIMIT it returns errLimit.
+func (r *planRun) take(t catalog.Tuple) (bool, error) {
 	if !r.ctx.at(t) {
 		return false, nil
 	}
-	if r.p.filter == nil {
-		return true, nil
+	if r.p.filter != nil {
+		if ok, err := r.p.filter(r.ctx, t); !ok || err != nil {
+			return false, err
+		}
 	}
-	return r.p.filter(r.ctx, t)
+	return false, r.emit(t)
 }
 
-// keepPage is keep for a page that is clean at the reader's version
+// takePage is take for a page that is clean at the reader's version
 // (Table.ScanFilter's clean-page contract): every tuple on it exists, in its
-// current values, so only the WHERE runs (selectClean).
-func (r *planRun) keepPage(v storage.PageView, sel []int32) ([]int32, error) {
-	return r.p.selectClean(r.ctx, &r.kern, v, sel)
+// current values, so the WHERE selects the slots (selectClean, which points
+// the context at slot 0 once), each is projected in place, and none is kept.
+// The slots selected lie before any slot whose WHERE failed, so the first
+// error in slot order is the one returned, unless the LIMIT comes first.
+func (r *planRun) takePage(v storage.PageView, sel []int32) ([]int32, error) {
+	sel, err := r.p.selectClean(r.ctx, &r.kern, v, sel)
+	for _, si := range sel {
+		if perr := r.emit(v.Tuple(int(si))); perr != nil {
+			return sel[:0], perr
+		}
+	}
+	return sel[:0], err
 }
 
-// emit projects t, which keep accepted, into the next result row; done
-// reports that the LIMIT is reached.
-func (r *planRun) emit(t catalog.Tuple) (done bool, err error) {
-	r.ctx.at(t)
+// emit projects t, read in the slot the context points at, into the next
+// result row; it returns errLimit when the LIMIT is reached.
+func (r *planRun) emit(t catalog.Tuple) (err error) {
 	w := len(r.p.project)
 	if len(r.free) < w {
 		// Chunks double with the result, from one row up to maxChunkRows.
@@ -333,11 +351,14 @@ func (r *planRun) emit(t catalog.Tuple) (done bool, err error) {
 	r.free = r.free[w:]
 	for i, fn := range r.p.project {
 		if row[i], err = fn(r.ctx, t); err != nil {
-			return false, err
+			return err
 		}
 	}
 	r.out.Tuples = append(r.out.Tuples, row)
-	return r.p.limit != nil && int64(len(r.out.Tuples)) >= *r.p.limit, nil
+	if r.p.limit != nil && int64(len(r.out.Tuples)) >= *r.p.limit {
+		return errLimit
+	}
+	return nil
 }
 
 // fetch is the index access path: read each RID, re-apply the full WHERE.
@@ -350,51 +371,28 @@ func (r *planRun) fetch(tbl Table, rids []storage.RID) (*Rows, error) {
 			}
 			return nil, fmt.Errorf("exec: indexed read of %v: %w", rid, err)
 		}
-		ok, err := r.keep(t)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		if done, err := r.emit(t); err != nil {
-			return nil, err
-		} else if done {
+		if _, err := r.take(t); errors.Is(err, errLimit) {
 			break
+		} else if err != nil {
+			return nil, err
 		}
 	}
 	return r.out, nil
 }
 
-// scan is the heap access path. It takes r by value so that only a scan, not
-// an indexed read, pays for moving it to the heap with its method values:
-// the two predicates and deliver.
+// scan is the heap access path: the walker runs take on each tuple of a
+// dirty page and takePage on each clean page, under the page latch, so every
+// survivor is projected in place and no stored tuple is copied out. The LIMIT
+// ends the walk at the row that reaches it, mid-page too, with errLimit,
+// which scan reads as success. It takes r by value so that only a scan, not
+// an indexed read, pays for moving it to the heap with its method values.
 func (r planRun) scan(tbl Table) (*Rows, error) {
 	r.kern = r.p.kernel.bind(r.ctx)
-	err := tbl.ScanFilter(storage.Filter{Pred: r.keep, CleanPage: r.keepPage, VN: r.ctx.vn}, r.deliver)
-	if err == nil {
-		err = r.err
-	}
-	if err != nil {
+	err := tbl.ScanFilter(storage.Filter{Pred: r.take, CleanPage: r.takePage, VN: r.ctx.vn}, keepNothing)
+	if err != nil && !errors.Is(err, errLimit) {
 		return nil, err
 	}
 	return r.out, nil
-}
-
-// deliver projects one page's survivors; it stops the scan at the LIMIT or
-// at a projection's error, which it keeps in r.err.
-func (r *planRun) deliver(_ []storage.RID, survivors []catalog.Tuple) bool {
-	for _, t := range survivors {
-		done, err := r.emit(t)
-		if err != nil {
-			r.err = err
-			return false
-		}
-		if done {
-			return false
-		}
-	}
-	return true
 }
 
 // lookupRIDs attempts the index access path with the compiled conjuncts,

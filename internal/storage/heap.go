@@ -493,7 +493,10 @@ func (v PageView) Ints(off int, kind catalog.Type) []int64 {
 }
 
 // Filter is what the page walker runs against each page under its read
-// latch (see ScanFilter).
+// latch (see ScanFilter). A filter may consume the tuples it reads in place
+// and keep none — a compiled aggregate folds them into its groups, a compiled
+// scan projects them into its result rows — so that the walker copies
+// nothing.
 type Filter struct {
 	// Pred decides each live tuple; nil keeps every one.
 	Pred func(catalog.Tuple) (keep bool, err error)
@@ -589,15 +592,19 @@ func (h *Heap) walk(f Filter, fresh bool, fn func([]RID, []catalog.Tuple) bool) 
 // so they must not retain or modify what they read, block, or call back into
 // the heap or its pool. Writers overwrite slots in place, so a tuple kept past
 // the latch would later read another version, or another tuple in a reused
-// slot. Either should allocate only when it fails or — for one that folds an
-// aggregate and keeps nothing — when it admits a new group; the selection
-// CleanPage fills is the walker's, so growing it once serves the whole scan.
+// slot; values copied out of it are immutable and may be kept. Either should
+// allocate only when it fails or, when it keeps nothing because it consumes
+// what it accepts in place, to build what it consumes into: a new group of
+// an aggregate, the result rows of a projection. The selection CleanPage
+// fills is the walker's, so growing it once serves the whole scan.
 // Which of the two decides a page is settled once per page, under the latch
 // its tuples are read under, so a page the summary calls clean at f.VN stays
 // clean for the whole CleanPage call. CleanPage decides every live slot of its page, and
 // when it fails, it returns the error of the first failing slot in slot
 // order, as Pred run slot by slot would. An error ends the scan, after the
 // latch is released, and is returned as is; fn is not called for that page.
+// A filter that has what it needs may end the scan that way too, with an
+// error of its own that its caller reads as success (a LIMIT reached).
 // Which slots are observed is as for Scan.
 func (h *Heap) ScanFilter(f Filter, fn func([]RID, []catalog.Tuple) bool) error {
 	return h.walk(f, false, fn)
