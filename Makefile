@@ -25,14 +25,17 @@ examples:
 # stress runs the multi-goroutine concurrency tests (readers racing
 # maintenance, shared sessions, mid-query expiry, buffer-pool hits racing
 # evictions, scans at a fixed version racing the writers that
-# fold each heap page's version summary: TestStressHeapSummary; writers, slot
-# reuse and arena growth racing clean-page readers that check each page's
-# int64 image against the tuples in place: TestStressHeapImage), compiled
-# plans checked against the oracle while batches commit, on pages small
-# enough that a session meets clean pages, where the WHERE runs as the typed
-# kernel, beside dirty ones, and projections, a LIMIT that ends a scan
-# mid-page among them, run in place under the page latch beside the writer
-# (TestCompiledMatchesOracleUnderMaintenance), and
+# fold each heap page's version summary and per-slot version vector, with
+# readers checking each slot's current flag: TestStressHeapSummary; writers,
+# slot reuse and arena growth racing readers that check each page's int64
+# image against the tuples in place, and CheckSummary's pass over the version
+# vectors: TestStressHeapImage), compiled plans checked against the oracle
+# while batches commit, on pages small enough that a session meets clean
+# pages, where the WHERE runs as the typed kernel, beside dirty ones, and
+# projections, a LIMIT that ends a scan mid-page, and GROUP BYs the typed
+# fold reads from the image of current slots among them, run in place under
+# the page latch beside the writer (TestCompiledMatchesOracleUnderMaintenance),
+# and
 # the oldest-slot watermark tests (a mark readers load while the writer
 # raises, marks stale and settles it), under the race detector, with a
 # generous timeout so slow CI machines finish the full matrix.

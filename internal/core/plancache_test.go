@@ -836,7 +836,10 @@ func TestBenchmarkScanUsesKernel(t *testing.T) {
 	grp := vt.Ext().L.Off[0][1]
 	var pages int
 	err = vt.Storage().ScanFilter(storage.Filter{
-		CleanPage: func(v storage.PageView, sel []int32) ([]int32, error) {
+		Page: func(v storage.PageView, sel []int32) ([]int32, error) {
+			if !v.Clean() {
+				return sel, nil
+			}
 			pages++
 			if v.Ints(grp, catalog.TypeInt) == nil {
 				return sel, fmt.Errorf("a clean page of fact holds no image of grp (offset %d)", grp)

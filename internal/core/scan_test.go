@@ -159,13 +159,23 @@ func TestPreparedScanAllocations(t *testing.T) {
 	}
 }
 
-// pagesAt counts vt's pages that are clean at version vn and the tuples of
-// the pages that are not.
+// pagesAt counts vt's pages that are clean at version vn and the live
+// tuples of the pages that are not.
 func pagesAt(vt *VTable, vn VN) (clean, dirty int, err error) {
 	err = vt.Storage().ScanFilter(storage.Filter{
-		Pred:      func(catalog.Tuple) (bool, error) { dirty++; return false, nil },
-		CleanPage: func(_ storage.PageView, sel []int32) ([]int32, error) { clean++; return sel, nil },
-		VN:        int64(vn),
+		Page: func(v storage.PageView, sel []int32) ([]int32, error) {
+			if v.Clean() {
+				clean++
+				return sel, nil
+			}
+			for si := 0; si < v.Slots(); si++ {
+				if v.Live(si) {
+					dirty++
+				}
+			}
+			return sel, nil
+		},
+		VN: int64(vn),
 	}, func([]storage.RID, []catalog.Tuple) bool { return true })
 	return clean, dirty, err
 }
@@ -334,8 +344,28 @@ func testCleanPageKernelAllocates(t *testing.T, pool int) {
 // before a transaction rewrote the first half of the table: that half's
 // pages are dirty at its version, so their tuples run the slot selector and
 // the WHERE's closure in place, as `online` and `sharded` readers meet the
-// pages their writer touches.
+// pages their writer touches. groupby_dirty is groupby on onlineDirty's
+// pages, every one dirty at the session's version, as `online`'s reader
+// meets them: the current slots fold from the image, the others through the
+// slot selector.
 func BenchmarkPreparedScan(b *testing.B) {
+	b.Run("groupby_dirty", func(b *testing.B) {
+		s := factStore(b, 16384)
+		p, err := s.Prepare(`SELECT grp, COUNT(*), SUM(amount) FROM fact GROUP BY grp`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess, m := onlineDirty(b, s, 16384)
+		defer sess.Close()
+		defer func() { _ = m.Rollback() }() // nothing reads the table after the run
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.QueryPrepared(p, exec.Params{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("scan_dirty", func(b *testing.B) {
 		s := factStore(b, 16384)
 		p, err := s.Prepare(`SELECT id, qty, amount FROM fact WHERE grp = :g`)

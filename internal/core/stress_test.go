@@ -335,7 +335,8 @@ func readConserved(s *Store, rows, total int64) error {
 // TestCompiledMatchesOracleUnderMaintenance races compiled plans — scan,
 // index and aggregate, with WHEREs the clean-page kernel runs and ones it
 // does not, a LIMIT that ends a scan mid-page and a projection that reads
-// more columns than its WHERE, both run in place under the page latch —
+// more columns than its WHERE, both run in place under the page latch, and
+// GROUP BYs the typed fold reads from the page image, on dirty pages too —
 // against a live writer whose batches update, delete, re-insert
 // over deletes, and fold update→delete and insert→delete within a batch, so
 // the tuples a reader meets are the ones being rewritten. Small pages spread
@@ -394,6 +395,8 @@ func runOracleRace(t *testing.T, n int) {
 		mustParse(t, `SELECT COUNT(*), SUM(v), MIN(k) FROM kv WHERE v < :hi AND 20 <= k`),
 		mustParse(t, `SELECT k, v FROM kv WHERE v < 170 LIMIT 5`),
 		mustParse(t, `SELECT k, v, k * 2 + v, v - k FROM kv WHERE k >= 16`),
+		mustParse(t, `SELECT v, COUNT(*), SUM(k), COUNT(v) FROM kv GROUP BY v`),
+		mustParse(t, `SELECT v, COUNT(*), SUM(k), COUNT(v) FROM kv WHERE k < :hi GROUP BY v`),
 	}
 	const readers = 2
 	var wg sync.WaitGroup

@@ -19,8 +19,10 @@ import (
 // pages of eight or fewer tuples. After every step, and after every
 // operation inside a transaction:
 //
-//   - every tuple the walker hands the clean predicate at vn is one Slot
-//     reads in slot 0 and visible at vn;
+//   - every tuple the walker hands the page hook on a page clean at vn is
+//     one Slot reads in slot 0 and visible at vn, and on every page the
+//     version vector calls a slot current at vn (PageView.Current) exactly
+//     when Slot reads its tuple in slot 0 and visible there;
 //   - the compiled scan and the compiled aggregate answer as the tree-walker
 //     over the §4.1 rewrite, at every vn in the window, and so does the
 //     rewrite compiled without CompileOptions, which scans the same
@@ -55,6 +57,7 @@ var summaryQueries = []string{
 	`SELECT k FROM kv WHERE v BETWEEN 100 AND 1100 AND k <> 7`,
 	`SELECT COUNT(*), SUM(v) FROM kv`,
 	`SELECT k / 10, COUNT(*), MAX(v) FROM kv WHERE v IS NOT NULL GROUP BY k / 10`,
+	`SELECT v, COUNT(*), SUM(k), COUNT(v) FROM kv GROUP BY v`,
 }
 
 func summaryStore(t *testing.T, n int) (*Store, *VTable) {
@@ -72,7 +75,7 @@ func summaryStore(t *testing.T, n int) (*Store, *VTable) {
 }
 
 // summarySchedule runs one seeded schedule and returns how many tuples the
-// clean predicate and the per-tuple predicate saw across its checks.
+// page hook saw on clean pages and on the others across its checks.
 func summarySchedule(t *testing.T, n int, seed int64) (clean, dirty int) {
 	s, vt := summaryStore(t, n)
 	rng := rand.New(rand.NewSource(seed))
@@ -152,14 +155,21 @@ func checkSummary(t *testing.T, s *Store, vt *VTable, n int, where string) (clea
 	lo, hi := summaryWindow(s, n)
 	for vn := lo; vn <= hi; vn++ {
 		err := vt.Storage().ScanFilter(storage.Filter{
-			Pred: func(catalog.Tuple) (bool, error) { dirty++; return false, nil },
-			CleanPage: func(v storage.PageView, sel []int32) ([]int32, error) {
+			Page: func(v storage.PageView, sel []int32) ([]int32, error) {
 				for si := 0; si < v.Slots(); si++ {
 					if !v.Live(si) {
 						continue
 					}
+					j, visible := e.Slot(v.Tuple(si), vn)
+					if v.Current(si) != (j == 0 && visible) {
+						return sel, fmt.Errorf("tuple %v at %d reads slot %d, visible %v, and the version vector calls it current: %v", v.Tuple(si), vn, j, visible, v.Current(si))
+					}
+					if !v.Clean() {
+						dirty++
+						continue
+					}
 					clean++
-					if j, visible := e.Slot(v.Tuple(si), vn); j != 0 || !visible {
+					if j != 0 || !visible {
 						return sel, fmt.Errorf("tuple %v on a page clean at %d reads slot %d, visible %v", v.Tuple(si), vn, j, visible)
 					}
 				}

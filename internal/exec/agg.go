@@ -11,18 +11,22 @@ import (
 
 // This file implements the compiled hash aggregate: a single-table
 // COUNT/SUM/AVG/MIN/MAX with optional WHERE, GROUP BY, HAVING and LIMIT. The
-// fold is itself the Table.ScanFilter predicate, so it runs against each
-// stored tuple under the page latch and keeps nothing: per tuple it reads the
-// tuple at the reader's version (skipping an invisible one), filters, finds
-// the group and adds the aggregate inputs, then answers false, so the page
-// walker copies no tuple. On a page clean at the reader's version the WHERE
-// selects the page's slots first (Plan.selectClean, with the kernel when the
-// WHERE has one), and the fold adds the selected ones and keeps none. It
-// allocates only when a new group appears. Keys
-// and inputs that are columns or parameters are read in place (operand.load).
-// One key that is a column declared INT, DATE or BOOL groups by its int64
-// payload; any other key tuple groups by catalog.HashTuple. Each aggregate's
-// function is resolved when the statement compiles.
+// fold is itself the Table.ScanFilter predicate and page hook, so it runs
+// against each stored tuple under the page latch and keeps nothing: per tuple
+// it reads the tuple at the reader's version (skipping an invisible one),
+// filters, finds the group and adds the aggregate inputs, then answers false,
+// so the page walker copies no tuple. A slot current at the reader's version
+// is read at slot 0 without the slot selector, and on a page clean there the
+// WHERE selects the page's slots first (Plan.selectClean, with the kernel
+// when the WHERE has one). It allocates only when a new group appears. Keys
+// and inputs that are columns or parameters are read in place
+// (operand.load). One key that is a column declared INT, DATE or BOOL groups
+// by its int64 payload, through a direct-indexed window and a map beyond it;
+// any other key tuple groups by catalog.HashTuple. When such a key is the
+// GROUP BY and every call is COUNT(*), or COUNT or SUM of an INT column, a
+// current slot on a page whose image holds them all is added from the int64
+// vectors alone (the typed fold). Each aggregate's function is resolved when
+// the statement compiles.
 //
 // After the walk, HAVING and the select list run once per group against the
 // group row [key₀ … keyₖ₋₁, result₀ … resultₘ₋₁]: a subtree that prints like
@@ -41,9 +45,17 @@ type aggPlan struct {
 	intKey catalog.Type
 	args   []operand
 	fns    []aggFn // the aggregate function of each result slot
+	// typed is where the typed fold reads a stored tuple at version slot 0:
+	// the key's offset, then each call's INT argument's, -1 for COUNT(*);
+	// nil when the statement has no typed fold.
+	typed  []int
 	having compiledExpr
 	out    []compiledExpr // the select list, over the group row
 }
+
+// maxTyped is the most aggregate calls a typed fold has, so that the
+// vectors it reads fit in the run state.
+const maxTyped = 4
 
 // groupRow is a statement's select list and HAVING rewritten over the group
 // row, and the aggregate calls that fill its result slots.
@@ -112,6 +124,7 @@ func (p *Plan) compileAgg(comp *compiler, stmt *sql.SelectStmt, items []sql.Sele
 		a.fns = append(a.fns, aggFnOf(fc))
 		cols = append(cols, catalog.Column{Name: slotName('a', i)})
 	}
+	a.typed = typedShape(comp, a, stmt.GroupBy, g.calls)
 	row := []binding{{schema: &catalog.Schema{Columns: cols}}}
 	for i, e := range g.out {
 		fn, err := comp.compileAt(row, e)
@@ -137,20 +150,36 @@ func intKeyType(comp *compiler, keys []sql.Expr) catalog.Type {
 	if len(keys) != 1 {
 		return catalog.TypeNull
 	}
-	col, ok := keys[0].(*sql.ColumnRef)
-	if !ok {
-		return catalog.TypeNull
-	}
-	i, err := comp.resolve(col)
-	if err != nil {
-		return catalog.TypeNull
-	}
-	switch t := comp.bindings[0].schema.Columns[i].Type; t {
+	switch _, t, _ := comp.column0(keys[0]); t {
 	case catalog.TypeInt, catalog.TypeDate, catalog.TypeBool:
 		return t
 	default:
 		return catalog.TypeNull
 	}
+}
+
+// typedShape returns aggPlan.typed for a, or nil unless a groups by an int
+// key and every call is COUNT(*), or COUNT or SUM of a column of type INT.
+func typedShape(comp *compiler, a *aggPlan, keys []sql.Expr, calls []*sql.FuncCall) []int {
+	if a.intKey == catalog.TypeNull || len(calls) > maxTyped {
+		return nil
+	}
+	key, _, _ := comp.column0(keys[0])
+	offs := []int{key}
+	for i, fc := range calls {
+		off, typ := -1, catalog.TypeInt
+		if fn := a.fns[i]; fn != fnCountStar {
+			if fc.Star || fn != fnCount && fn != fnSum {
+				return nil
+			}
+			off, typ, _ = comp.column0(fc.Args[0])
+		}
+		if typ != catalog.TypeInt {
+			return nil
+		}
+		offs = append(offs, off)
+	}
+	return offs
 }
 
 // aggPartial is the group table of one fold: groups in discovery order, each
@@ -163,8 +192,14 @@ type aggPartial struct {
 	width  int          // key values per group
 	intKey catalog.Type // aggPlan.intKey
 	n      int          // groups
-	// first maps an int key's payload to its group, or a hashed key tuple's
-	// hash to the newest group with that hash.
+	// win is an int key's window: win[d] is one more than the group of
+	// payload winLo+d, 0 while it has none. It starts at the first payload
+	// seen and grows by doubling up to maxWindow payloads.
+	win   []int32
+	winLo int64
+	// first maps an int key's payload outside the window to its group, or a
+	// hashed key tuple's hash to the newest group with that hash. It is made
+	// on first use.
 	first  map[uint64]int
 	next   []int // hashed keys, per group: an older group with the same hash, or -1
 	null   int   // an int key: the NULL key's group, or -1
@@ -172,8 +207,15 @@ type aggPartial struct {
 	states []aggState
 }
 
+// The window of an int key covers from minWindow payloads, when the first
+// key arrives, up to maxWindow.
+const (
+	minWindow = 64
+	maxWindow = 4096
+)
+
 func newAggPartial(a *aggPlan) aggPartial {
-	return aggPartial{fns: a.fns, width: len(a.keys), intKey: a.intKey, first: make(map[uint64]int), null: -1}
+	return aggPartial{fns: a.fns, width: len(a.keys), intKey: a.intKey, null: -1}
 }
 
 func (p *aggPartial) len() int { return p.n }
@@ -195,6 +237,9 @@ func (p *aggPartial) group(key catalog.Tuple) ([]aggState, error) {
 		return p.groupInt(&key[0])
 	}
 	h := catalog.HashTuple(key)
+	if p.first == nil {
+		p.first = make(map[uint64]int)
+	}
 	head, seen := p.first[h]
 	if !seen {
 		head = -1
@@ -210,27 +255,58 @@ func (p *aggPartial) group(key catalog.Tuple) ([]aggState, error) {
 	return p.newGroup(), nil
 }
 
-// groupInt is group for an int key, whose value v is read in place: the
-// payload of a non-NULL v is its own hash, exactly, so v is copied only into a
-// new group.
+// groupInt is group for an int key, whose value v is read in place and
+// copied only into a new group.
 func (p *aggPartial) groupInt(v *catalog.Value) ([]aggState, error) {
-	g, seen := p.null, p.null >= 0
-	if !v.IsNull() {
-		if v.Kind() != p.intKey {
-			return nil, fmt.Errorf("exec: %v value in a GROUP BY column of type %v", v.Kind(), p.intKey)
-		}
-		g, seen = p.first[uint64(v.Int())]
-	}
-	if seen {
-		return p.statesOf(g), nil
-	}
 	if v.IsNull() {
-		p.null = p.n
-	} else {
-		p.first[uint64(v.Int())] = p.n
+		if p.null < 0 {
+			p.null = p.n
+			p.keys = append(p.keys, catalog.Null)
+			return p.newGroup(), nil
+		}
+		return p.statesOf(p.null), nil
 	}
-	p.keys = append(p.keys, *v)
-	return p.newGroup(), nil
+	if v.Kind() != p.intKey {
+		return nil, fmt.Errorf("exec: %v value in a GROUP BY column of type %v", v.Kind(), p.intKey)
+	}
+	states, added := p.groupPayload(v.Int())
+	if added {
+		p.keys = append(p.keys, *v)
+	}
+	return states, nil
+}
+
+// groupPayload returns the aggregate states of the group of the non-NULL int
+// key with payload x, adding the group when it is new; the caller then
+// appends its key to p.keys. A payload within maxWindow of the first one
+// seen finds its group in the window, which widens by doubling as far as
+// the payload; any other goes through the map.
+func (p *aggPartial) groupPayload(x int64) (states []aggState, added bool) {
+	d := uint64(x) - uint64(p.winLo)
+	if x >= p.winLo && d < uint64(len(p.win)) && p.win[d] > 0 {
+		return p.statesOf(int(p.win[d] - 1)), false
+	}
+	if p.win == nil {
+		p.win, p.winLo, d = make([]int32, minWindow), x, 0
+	}
+	if x >= p.winLo && d < maxWindow {
+		if n := len(p.win); d >= uint64(n) {
+			for uint64(n) <= d {
+				n *= 2
+			}
+			p.win = append(p.win, make([]int32, n-len(p.win))...)
+		}
+		p.win[d] = int32(p.n + 1)
+	} else {
+		if g, seen := p.first[uint64(x)]; seen {
+			return p.statesOf(g), false
+		}
+		if p.first == nil {
+			p.first = make(map[uint64]int)
+		}
+		p.first[uint64(x)] = p.n
+	}
+	return p.newGroup(), true
 }
 
 // newGroup adds a group, whose key the caller has appended to p.keys.
@@ -266,6 +342,10 @@ type aggRun struct {
 	kern bounds        // the kernel bound for the fold
 	key  catalog.Tuple // the current tuple's hashed group key (scratch)
 	part aggPartial
+	// The current page's image of the typed fold's key and, per call, its
+	// argument (nil for COUNT(*)), when the page holds them (image).
+	keyVec []int64
+	argVec [maxTyped][]int64
 }
 
 func (p *Plan) newAggRun(params Params, vn int64) *aggRun {
@@ -310,7 +390,7 @@ func (r *aggRun) foldTable(tbl Table) error {
 		return nil
 	}
 	r.kern = r.p.kernel.bind(r.ctx)
-	f := storage.Filter{Pred: r.fold, CleanPage: r.foldPage, VN: r.ctx.vn}
+	f := storage.Filter{Pred: r.fold, Page: r.foldPage, VN: r.ctx.vn}
 	return tbl.ScanFilter(f, keepNothing)
 }
 
@@ -331,32 +411,95 @@ func (r *aggRun) fold(t catalog.Tuple) (bool, error) {
 	return false, r.add(t)
 }
 
-// foldPage is fold for a page that is clean at the reader's version
-// (Table.ScanFilter's clean-page contract): every tuple on it exists, in its
-// current values, so the WHERE selects the slots to add (selectClean), and
-// none is kept. The slots selected lie before any slot whose WHERE failed,
-// so the first error in slot order is the one returned. Without a WHERE it
-// adds every live slot and selects nothing.
+// foldPage is fold for a whole page (Table.ScanFilter's page contract), and
+// keeps nothing. On a page clean at the reader's version every tuple exists
+// in its current values, so the WHERE selects the slots to add
+// (selectClean); the slots selected lie before any slot whose WHERE failed,
+// so the first error in slot order is the one returned. On any other page
+// each live slot is folded in slot order, a current one read at slot 0
+// without the slot selector.
 func (r *aggRun) foldPage(v storage.PageView, sel []int32) ([]int32, error) {
-	if r.p.filter == nil {
-		r.ctx.current()
-		for si := 0; si < v.Slots(); si++ {
-			if !v.Live(si) {
+	typed := r.image(v)
+	if v.Clean() {
+		sel, err := r.p.selectClean(r.ctx, &r.kern, v, sel)
+		for _, si := range sel {
+			if aerr := r.addSlot(&v, int(si), typed); aerr != nil {
+				return sel[:0], aerr
+			}
+		}
+		return sel[:0], err
+	}
+	for si := 0; si < v.Slots(); si++ {
+		if !v.Live(si) {
+			continue
+		}
+		current := v.Current(si)
+		if current {
+			r.ctx.current()
+		} else if !r.ctx.at(v.Tuple(si)) {
+			continue
+		}
+		if r.p.filter != nil {
+			if ok, err := r.p.filter(r.ctx, v.Tuple(si)); !ok || err != nil {
+				if err != nil {
+					return sel, err
+				}
 				continue
 			}
-			if err := r.add(v.Tuple(si)); err != nil {
-				return sel, err
+		}
+		if err := r.addSlot(&v, si, typed && current); err != nil {
+			return sel, err
+		}
+	}
+	return sel, nil
+}
+
+// image points the run's vectors at v's image of the typed fold's key and
+// arguments, and reports whether v holds all of them.
+func (r *aggRun) image(v storage.PageView) bool {
+	offs := r.p.agg.typed
+	if offs == nil {
+		return false
+	}
+	if r.keyVec = v.Ints(offs[0], r.p.agg.intKey); r.keyVec == nil {
+		return false
+	}
+	for i, off := range offs[1:] {
+		if off >= 0 {
+			if r.argVec[i] = v.Ints(off, catalog.TypeInt); r.argVec[i] == nil {
+				return false
 			}
 		}
-		return sel, nil
 	}
-	sel, err := r.p.selectClean(r.ctx, &r.kern, v, sel)
-	for _, si := range sel {
-		if aerr := r.add(v.Tuple(int(si))); aerr != nil {
-			return sel[:0], aerr
+	return true
+}
+
+// addSlot adds slot si of v, which exists in the slot the context points at
+// and passes the WHERE, to its group: through add or, when typed, which
+// means the slot is current, from the page's image, as aggState.add adds an
+// INT value or a row for COUNT(*), copying the key out of the tuple only
+// into a new group.
+func (r *aggRun) addSlot(v *storage.PageView, si int, typed bool) error {
+	if !typed {
+		return r.add(v.Tuple(si))
+	}
+	states, added := r.part.groupPayload(r.keyVec[si])
+	if added {
+		r.part.keys = append(r.part.keys, v.Tuple(si)[r.p.agg.typed[0]])
+	}
+	for i := range states {
+		s := &states[i]
+		if s.fn == fnSum {
+			x := r.argVec[i][si]
+			var ok bool
+			if s.sumI, ok = addInt(s.sumI, x); !ok {
+				return errSumOverflow
+			}
+			s.sumF += float64(x)
 		}
+		s.count++
 	}
-	return sel[:0], err
+	return nil
 }
 
 // add adds t, which exists and passes the WHERE, to its group.

@@ -181,6 +181,25 @@ func (c *compiler) resolve(ref *sql.ColumnRef) (int, error) {
 	return found, nil
 }
 
+// column0 returns, when e is a column reference, its offset in a stored
+// tuple at version slot 0 and its declared type; otherwise ok is false and
+// typ is TypeNull.
+func (c *compiler) column0(e sql.Expr) (off int, typ catalog.Type, ok bool) {
+	ref, ok := e.(*sql.ColumnRef)
+	if !ok {
+		return 0, catalog.TypeNull, false
+	}
+	i, err := c.resolve(ref)
+	if err != nil {
+		return 0, catalog.TypeNull, false
+	}
+	off = i
+	if c.ver != nil {
+		off = c.ver.Slots[0][i]
+	}
+	return off, c.bindings[0].schema.Columns[i].Type, true
+}
+
 // operand is a leaf of an expression — a column, a parameter or a literal —
 // or, for anything else, the expression's closure. A comparison loads its
 // operands in place (load): a stored column by its address in the row, a

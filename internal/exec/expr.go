@@ -37,21 +37,22 @@ type Table interface {
 	// and the scan plan projects each into its result row, in place under
 	// the latch, allocating only a new group or a row chunk.
 	//
-	// The clean-page contract: f.CleanPage, when set, replaces f.Pred for a
-	// page that the table calls clean at f.VN. For a versioned relation that
-	// is a page on which every live tuple was written at or before f.VN and
-	// none is a deletion, so a reader at f.VN sees each of them, in its
-	// current values (Table 1's first row), and the hook can skip the
-	// per-tuple version decision. The choice is made once per page under its
-	// read latch, and the hook runs under that latch: once per page, with a
-	// read-only view of the page and an empty selection the table reuses
-	// from page to page. It decides every live slot, returns the accepted
-	// ones in slot order, and, when a slot fails, the error of the first
-	// failing slot in slot order; the table then copies exactly the accepted
-	// slots. It should allocate only to grow the selection or to build an
-	// error, and must not retain the view or anything read through it past
-	// its return. A table may call no page clean (an
-	// unversioned one never does); f.Pred must then decide everything alone.
+	// The page contract: f.Page, when set, replaces f.Pred on every page of
+	// a table that keeps a version summary per page. It runs once per page,
+	// under the page's read latch, with a read-only view of the page at
+	// f.VN and an empty selection the table reuses from page to page. For a
+	// versioned relation the view's Clean means every live tuple was written
+	// at or before f.VN and none is a deletion, and Current(si) means the
+	// same of slot si alone: a reader at f.VN sees that tuple in its current
+	// values (Table 1's first row), so the hook can skip the per-tuple
+	// version decision there. It decides every live slot, returns the
+	// accepted ones in slot order, and, when a slot fails, the error of the
+	// first failing slot in slot order; the table then copies exactly the
+	// accepted slots. It should allocate only to grow the selection, to
+	// admit what it consumes (a group, a row chunk) or to build an error,
+	// and must not retain the view or anything read through it past its
+	// return. A table may keep no summary (an unversioned one never does);
+	// f.Pred must then decide everything alone.
 	ScanFilter(f storage.Filter, fn func([]storage.RID, []catalog.Tuple) bool) error
 	// Get returns the tuple at rid.
 	Get(rid storage.RID) (catalog.Tuple, error)

@@ -10,7 +10,7 @@ import (
 
 // This file implements how a compiled WHERE decides a page clean at the
 // reader's version: in one pass over the page (Plan.selectClean), which the
-// scan's and the aggregate's clean-page hooks share. A WHERE that is an AND
+// scan's and the aggregate's page hooks share. A WHERE that is an AND
 // of up to maxKernel comparisons, each between a column declared INT, DATE or
 // BOOL and a literal or a parameter, also compiles beside its closure to a
 // kernel, one term per comparison. Per execution each term loads its operand
@@ -155,28 +155,19 @@ func (c *compiler) compileKernel(where sql.Expr) kernel {
 
 // kernelTerm compiles `col op other` as a kernel term, if it is one.
 func (c *compiler) kernelTerm(col, other sql.Expr, op sql.BinaryOp) (kterm, bool) {
-	ref, ok := col.(*sql.ColumnRef)
-	if !ok {
-		return kterm{}, false
-	}
 	switch other.(type) {
 	case *sql.Literal, *sql.Param:
 	default:
 		return kterm{}, false
 	}
-	i, err := c.resolve(ref)
-	if err != nil {
-		return kterm{}, false
-	}
-	t := kterm{off: i, typ: c.bindings[0].schema.Columns[i].Type, op: op}
+	off, typ, _ := c.column0(col)
+	t := kterm{off: off, typ: typ, op: op}
 	switch t.typ {
 	case catalog.TypeInt, catalog.TypeDate, catalog.TypeBool:
 	default:
 		return kterm{}, false
 	}
-	if c.ver != nil {
-		t.off = c.ver.Slots[0][i]
-	}
+	var err error
 	if t.rhs, err = c.operand(other); err != nil {
 		return kterm{}, false
 	}

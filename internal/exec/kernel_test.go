@@ -12,12 +12,12 @@ import (
 )
 
 // heapTable is a Table over a storage.Heap whose pages keep a version
-// summary and an image, so ScanFilter calls its clean pages' hook as the
-// engine's tables do. onClean, when set, sees each clean page first.
+// summary and an image, so ScanFilter calls its pages' hook as the engine's
+// tables do. onPage, when set, sees each page first.
 type heapTable struct {
-	schema  *catalog.Schema
-	heap    *storage.Heap
-	onClean func(storage.PageView)
+	schema *catalog.Schema
+	heap   *storage.Heap
+	onPage func(storage.PageView)
 }
 
 func (h *heapTable) Schema() *catalog.Schema                      { return h.schema }
@@ -27,9 +27,9 @@ func (h *heapTable) Insert(t catalog.Tuple) (storageRID, error)   { return h.hea
 func (h *heapTable) Update(rid storageRID, t catalog.Tuple) error { return h.heap.Update(rid, t) }
 func (h *heapTable) Delete(rid storageRID) error                  { return h.heap.Delete(rid) }
 func (h *heapTable) ScanFilter(f storage.Filter, fn func([]storageRID, []catalog.Tuple) bool) error {
-	if hook := f.CleanPage; hook != nil && h.onClean != nil {
-		f.CleanPage = func(v storage.PageView, sel []int32) ([]int32, error) {
-			h.onClean(v)
+	if hook := f.Page; hook != nil && h.onPage != nil {
+		f.Page = func(v storage.PageView, sel []int32) ([]int32, error) {
+			h.onPage(v)
 			return hook(v, sel)
 		}
 	}
@@ -336,13 +336,16 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 						outcomes := map[string]func() (*Rows, error){
 							"kernel": func() (*Rows, error) {
 								if fixture.typed {
-									ht.onClean = func(v storage.PageView) {
+									ht.onPage = func(v storage.PageView) {
+										if !v.Clean() {
+											return
+										}
 										cleanPages++
 										if imaged(v) {
 											imagePages++
 										}
 									}
-									defer func() { ht.onClean = nil }()
+									defer func() { ht.onPage = nil }()
 								}
 								return pl.ExecuteAt(heapCat, params, cut)
 							},
@@ -377,24 +380,28 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 	t.Logf("%d WHEREs, %d executions agree, %d on the typed path; %d of %d clean pages of the typed fixtures decided from their image", len(shapes), runs, typed, imagePages, cleanPages)
 }
 
-// countingTable counts what a scan of its heap decides: clean pages through
-// the hook (and how many of them offered the image of n, the column the
-// kernel below reads), tuples of dirty pages through the predicate, and
-// blocks of tuples the walker copied out to the scan's callback.
+// countingTable counts what a scan of its heap decides: pages through the
+// hook, how many of them were clean and how many of those offered the image
+// of n, the column the kernel below reads; tuples through the predicate,
+// which no page of a summarised heap reaches; and blocks of tuples the
+// walker copied out to the scan's callback.
 type countingTable struct {
 	*heapTable
-	pages, imaged, tuples, blocks int
+	pages, clean, imaged, tuples, blocks int
 }
 
 func (c *countingTable) ScanFilter(f storage.Filter, fn func([]storageRID, []catalog.Tuple) bool) error {
-	pred, clean := f.Pred, f.CleanPage
+	pred, page := f.Pred, f.Page
 	f.Pred = func(t catalog.Tuple) (bool, error) { c.tuples++; return pred(t) }
-	f.CleanPage = func(v storage.PageView, sel []int32) ([]int32, error) {
+	f.Page = func(v storage.PageView, sel []int32) ([]int32, error) {
 		c.pages++
-		if v.Ints(2, catalog.TypeInt) != nil {
-			c.imaged++
+		if v.Clean() {
+			c.clean++
+			if v.Ints(2, catalog.TypeInt) != nil {
+				c.imaged++
+			}
 		}
-		return clean(v, sel)
+		return page(v, sel)
 	}
 	return c.heapTable.ScanFilter(f, func(rids []storageRID, tuples []catalog.Tuple) bool {
 		c.blocks++
@@ -407,20 +414,21 @@ func (c *countingTable) ScanFilter(f storage.Filter, fn func([]storageRID, []cat
 // version whose image the kernel decides, on one the WHERE's closure decides
 // (n + 0 has no kernel form), and on a dirty page, whose tuples are read one
 // by one through the slot selector. kernelTable's first page holds n = 0 …
-// 9, 0 … 5, so the third row ends the scan at slot 2. Every survivor is
-// projected in place: the walker hands the scan no tuple. The rows are the
-// first three of the same statement over a table with no clean page.
+// 9, 0 … 5, so the third row ends the scan at slot 2. Every page goes to the
+// page hook, none to the predicate, and every survivor is projected in
+// place: the walker hands the scan no tuple. The rows are the first three of
+// the same statement over a table with no clean page.
 func TestPlanLimitStopsMidPage(t *testing.T) {
 	ht, mt, opts := kernelTable(t, 7, false, true)
 	for _, c := range []struct {
-		name, where           string
-		cut                   int64
-		kernel                bool
-		pages, imaged, tuples int
+		name, where          string
+		cut                  int64
+		kernel               bool
+		pages, clean, imaged int
 	}{
-		{"clean-kernel", "n < 9", 5, true, 1, 1, 0},
-		{"clean-closure", "n + 0 < 9", 5, false, 1, 1, 0},
-		{"dirty", "n < 9", 0, true, 0, 0, 3},
+		{"clean-kernel", "n < 9", 5, true, 1, 1, 1},
+		{"clean-closure", "n + 0 < 9", 5, false, 1, 1, 1},
+		{"dirty", "n < 9", 0, true, 1, 0, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ct := &countingTable{heapTable: ht}
@@ -440,9 +448,9 @@ func TestPlanLimitStopsMidPage(t *testing.T) {
 			if len(got.Tuples) != 3 || fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
 				t.Errorf("rows %v, want %v", got.Tuples, want.Tuples)
 			}
-			if ct.pages != c.pages || ct.imaged != c.imaged || ct.tuples != c.tuples || ct.blocks != 0 {
-				t.Errorf("the scan decided %d clean pages (%d imaged) and %d dirty tuples, and was handed %d blocks; want %d, %d, %d and none",
-					ct.pages, ct.imaged, ct.tuples, ct.blocks, c.pages, c.imaged, c.tuples)
+			if ct.pages != c.pages || ct.clean != c.clean || ct.imaged != c.imaged || ct.tuples != 0 || ct.blocks != 0 {
+				t.Errorf("the scan decided %d pages (%d clean, %d imaged) and %d tuples through the predicate, and was handed %d blocks; want %d (%d, %d), none and none",
+					ct.pages, ct.clean, ct.imaged, ct.tuples, ct.blocks, c.pages, c.clean, c.imaged)
 			}
 		})
 	}

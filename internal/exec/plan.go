@@ -313,28 +313,53 @@ func (r *planRun) take(t catalog.Tuple) (bool, error) {
 	if !r.ctx.at(t) {
 		return false, nil
 	}
-	if r.p.filter != nil {
-		if ok, err := r.p.filter(r.ctx, t); !ok || err != nil {
-			return false, err
-		}
-	}
-	return false, r.emit(t)
+	return false, r.pass(t)
 }
 
-// takePage is take for a page that is clean at the reader's version
-// (Table.ScanFilter's clean-page contract): every tuple on it exists, in its
-// current values, so the WHERE selects the slots (selectClean, which points
-// the context at slot 0 once), each is projected in place, and none is kept.
-// The slots selected lie before any slot whose WHERE failed, so the first
-// error in slot order is the one returned, unless the LIMIT comes first.
-func (r *planRun) takePage(v storage.PageView, sel []int32) ([]int32, error) {
-	sel, err := r.p.selectClean(r.ctx, &r.kern, v, sel)
-	for _, si := range sel {
-		if perr := r.emit(v.Tuple(int(si))); perr != nil {
-			return sel[:0], perr
+// pass projects t, read in the slot the context points at, into the next
+// result row when it passes the WHERE.
+func (r *planRun) pass(t catalog.Tuple) error {
+	if r.p.filter != nil {
+		if ok, err := r.p.filter(r.ctx, t); !ok || err != nil {
+			return err
 		}
 	}
-	return sel[:0], err
+	return r.emit(t)
+}
+
+// takePage is take for a whole page (Table.ScanFilter's page contract): each
+// survivor is projected in place, and none is kept. On a page clean at the
+// reader's version every tuple exists in its current values, so the WHERE
+// selects the slots (selectClean, which points the context at slot 0 once);
+// the slots selected lie before any slot whose WHERE failed, so the first
+// error in slot order is the one returned, unless the LIMIT comes first. On
+// any other page a current slot runs the WHERE and the projection at slot 0
+// without the slot selector, and every other slot runs take.
+func (r *planRun) takePage(v storage.PageView, sel []int32) ([]int32, error) {
+	if v.Clean() {
+		sel, err := r.p.selectClean(r.ctx, &r.kern, v, sel)
+		for _, si := range sel {
+			if perr := r.emit(v.Tuple(int(si))); perr != nil {
+				return sel[:0], perr
+			}
+		}
+		return sel[:0], err
+	}
+	for si := 0; si < v.Slots(); si++ {
+		if !v.Live(si) {
+			continue
+		}
+		t := v.Tuple(si)
+		if v.Current(si) {
+			r.ctx.current()
+		} else if !r.ctx.at(t) {
+			continue
+		}
+		if err := r.pass(t); err != nil {
+			return sel, err
+		}
+	}
+	return sel, nil
 }
 
 // emit projects t, read in the slot the context points at, into the next
@@ -380,15 +405,16 @@ func (r *planRun) fetch(tbl Table, rids []storage.RID) (*Rows, error) {
 	return r.out, nil
 }
 
-// scan is the heap access path: the walker runs take on each tuple of a
-// dirty page and takePage on each clean page, under the page latch, so every
-// survivor is projected in place and no stored tuple is copied out. The LIMIT
+// scan is the heap access path: the walker runs takePage on each page of a
+// summarised heap, and take on each tuple of any other, under the page
+// latch, so every survivor is projected in place and no stored tuple is
+// copied out. The LIMIT
 // ends the walk at the row that reaches it, mid-page too, with errLimit,
 // which scan reads as success. It takes r by value so that only a scan, not
 // an indexed read, pays for moving it to the heap with its method values.
 func (r planRun) scan(tbl Table) (*Rows, error) {
 	r.kern = r.p.kernel.bind(r.ctx)
-	err := tbl.ScanFilter(storage.Filter{Pred: r.take, CleanPage: r.takePage, VN: r.ctx.vn}, keepNothing)
+	err := tbl.ScanFilter(storage.Filter{Pred: r.take, Page: r.takePage, VN: r.ctx.vn}, keepNothing)
 	if err != nil && !errors.Is(err, errLimit) {
 		return nil, err
 	}

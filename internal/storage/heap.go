@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -58,6 +59,13 @@ var ErrNoSuchTuple = fmt.Errorf("%w: no such tuple", ErrNotFound)
 // vector, so a scan reads 8 bytes per slot there instead of a cache line of
 // the wide tuple; the vectors grow with the arena and cost 8 bytes per
 // imaged column per slot.
+//
+// The same writers keep a version vector, vns[si]: the version slot si's
+// tuple was written at, or math.MaxInt64 when it is a deletion. A reader at
+// version vn sees slot si in its current values exactly when vns[si] <= vn
+// (PageView.Current), so on a page that is not clean every slot written at
+// or before the reader's version still skips the per-tuple version decision.
+// It costs 8 bytes per slot and grows with the arena.
 type page struct {
 	mu    sync.RWMutex
 	w     int             // values per tuple
@@ -66,6 +74,7 @@ type page struct {
 	nlive int             // live slot count
 	maxVN int64           // summary: largest version written, never lowered
 	ndel  int             // summary: live slots whose tuple is deleted
+	vns   []int64         // version vector: per slot, its version or math.MaxInt64 for a deletion, len == cap(live)
 	ints  [][]int64       // image: one vector per imaged column, len == cap(live)
 	nbad  []int           // image: live slots whose value is not of the column's kind
 }
@@ -86,16 +95,18 @@ type Imaged struct {
 	Kind catalog.Type
 }
 
-// enter folds t, just written to live slot si, into the summary and the
-// image.
+// enter folds t, just written to live slot si, into the summary, the
+// version vector and the image.
 func (pg *page) enter(h *Heap, si int, t catalog.Tuple) {
 	if h.sum == nil {
 		return
 	}
 	vn, deleted := h.sum(t)
 	pg.maxVN = max(pg.maxVN, vn)
+	pg.vns[si] = vn
 	if deleted {
 		pg.ndel++
+		pg.vns[si] = math.MaxInt64
 	}
 	for c, im := range h.image {
 		x := &t[im.Off]
@@ -108,7 +119,7 @@ func (pg *page) enter(h *Heap, si int, t catalog.Tuple) {
 
 // leave takes t, about to be overwritten or freed, out of the summary and
 // the image. The version bound stays: lowering it would need a pass over the
-// page.
+// page. A freed slot's version vector entry is meaningless, like its image.
 func (pg *page) leave(h *Heap, t catalog.Tuple) {
 	if h.sum == nil {
 		return
@@ -123,10 +134,11 @@ func (pg *page) leave(h *Heap, t catalog.Tuple) {
 	}
 }
 
-// cleanAt reports whether the summary shows every live tuple written at or
-// before vn and none of them deleted. The caller holds the latch.
-func (pg *page) cleanAt(sum Summariser, vn int64) bool {
-	return sum != nil && pg.ndel == 0 && pg.maxVN <= vn
+// cleanAt reports whether the summary of a summarised page shows every live
+// tuple written at or before vn and none of them deleted. The caller holds
+// the latch.
+func (pg *page) cleanAt(vn int64) bool {
+	return pg.ndel == 0 && pg.maxVN <= vn
 }
 
 // tuple returns slot si's values in the arena, capped to the slot so an
@@ -137,21 +149,28 @@ func (pg *page) tuple(si int) catalog.Tuple {
 	return pg.vals[lo:hi:hi]
 }
 
-// addSlot appends one dead slot, doubling the arena and the image vectors,
-// up to limit slots, when it is full. The caller holds the write latch and
-// has checked the limit.
-func (pg *page) addSlot(limit int) int {
+// addSlot appends one dead slot, doubling the arena and, on a summarised
+// heap, the version vector and the image vectors, up to the heap's slots per
+// page, when it is full. The caller holds the write latch and has checked the
+// limit.
+func (pg *page) addSlot(h *Heap) int {
 	n := len(pg.live)
 	if n == cap(pg.live) {
-		c := min(max(2*n, 1), limit)
+		c := min(max(2*n, 1), h.slotsPerPag)
 		live := make([]bool, n, c)
 		copy(live, pg.live)
 		vals := make([]catalog.Value, c*pg.w)
 		copy(vals, pg.vals)
 		pg.live, pg.vals = live, vals
-		for i, col := range pg.ints {
-			pg.ints[i] = make([]int64, c)
-			copy(pg.ints[i], col)
+		if h.sum != nil {
+			// The version vector and the image vectors share one array.
+			buf := make([]int64, c*(1+len(pg.ints)))
+			copy(buf, pg.vns)
+			pg.vns = buf[:c:c]
+			for i, col := range pg.ints {
+				pg.ints[i] = buf[(i+1)*c : (i+2)*c : (i+2)*c]
+				copy(pg.ints[i], col)
+			}
 		}
 	}
 	pg.live = append(pg.live, false)
@@ -281,7 +300,7 @@ func (h *Heap) Insert(t catalog.Tuple) (RID, error) {
 		pg.mu.Lock()
 		si := slices.Index(pg.live, false) // reuse a dead slot if any
 		if si < 0 && len(pg.live) < h.slotsPerPag {
-			si = pg.addSlot(h.slotsPerPag)
+			si = pg.addSlot(h)
 		}
 		if si < 0 {
 			// Page filled up between pageWithSpace and the latch; retry.
@@ -443,7 +462,7 @@ func (h *Heap) Delete(rid RID) error {
 
 // block holds the tuples one page contributed to a scan: copies of the
 // accepted tuples, cut as 3-index slices out of one shared backing array, and
-// their RIDs; and the selection a clean-page hook fills, reused page to page.
+// their RIDs; and the selection a page hook fills, reused page to page.
 type block struct {
 	rids   []RID
 	tuples []catalog.Tuple
@@ -460,30 +479,45 @@ func (b *block) add(rid RID, t catalog.Tuple) {
 	b.rids = append(b.rids, rid)
 }
 
-// PageView is a read-only view of one page's slots, handed to a
-// Filter.CleanPage hook under the page's read latch. Tuples and vectors are
-// read in place in the page: the hook must not modify them, and neither the
-// view nor anything read through it may outlive the hook's call.
+// PageView is a read-only view of one page of a summarised heap, handed to a
+// Filter.Page hook under the page's read latch, for a reader at the
+// filter's VN. Tuples and vectors are read in place in the page: the hook
+// must not modify them, and neither the view nor anything read through it
+// may outlive the hook's call. Its methods take a pointer, so that a hook
+// looping over the slots reads the view in place instead of copying it.
 type PageView struct {
 	pg    *page
 	image []Imaged
+	vn    int64
+	clean bool
 }
 
 // Slots returns how many slots the page has in use, live or dead: the slots
 // are 0 … Slots()-1.
-func (v PageView) Slots() int { return len(v.pg.live) }
+func (v *PageView) Slots() int { return len(v.pg.live) }
 
 // Live reports whether slot si holds a tuple.
-func (v PageView) Live(si int) bool { return v.pg.live[si] }
+func (v *PageView) Live(si int) bool { return v.pg.live[si] }
+
+// Clean reports whether the page is clean at the reader's version: its
+// summary shows every live tuple written at or before it and none deleted
+// (see Summariser), so Current holds for every live slot.
+func (v *PageView) Clean() bool { return v.clean }
+
+// Current reports whether live slot si holds a tuple written at or before
+// the reader's version that is not a deletion: its version vector entry is
+// at most the reader's version. A versioned relation reads such a tuple in
+// its current values, and it exists there.
+func (v *PageView) Current(si int) bool { return v.pg.vns[si] <= v.vn }
 
 // Tuple returns slot si's tuple in place, capped to the slot.
-func (v PageView) Tuple(si int) catalog.Tuple { return v.pg.tuple(si) }
+func (v *PageView) Tuple(si int) catalog.Tuple { return v.pg.tuple(si) }
 
 // Ints returns the page's image of the column at offset off, one payload
 // per slot in use, when the heap images that offset as kind and every live
 // slot holds a value of that kind there; otherwise nil. A dead slot's entry
 // is meaningless.
-func (v PageView) Ints(off int, kind catalog.Type) []int64 {
+func (v *PageView) Ints(off int, kind catalog.Type) []int64 {
 	for c, im := range v.image {
 		if im.Off == off && im.Kind == kind && v.pg.nbad[c] == 0 {
 			return v.pg.ints[c][:len(v.pg.live)]
@@ -498,17 +532,17 @@ func (v PageView) Ints(off int, kind catalog.Type) []int64 {
 // scan projects them into its result rows — so that the walker copies
 // nothing.
 type Filter struct {
-	// Pred decides each live tuple; nil keeps every one.
+	// Pred decides each live tuple of a page Page does not decide; nil keeps
+	// every one.
 	Pred func(catalog.Tuple) (keep bool, err error)
-	// CleanPage, when set, decides a page that is clean at VN in Pred's
-	// place: a page whose summary shows every live tuple written at or
-	// before VN and none deleted (see Summariser). It is called once for
-	// such a page with a view of it and sel, an empty selection whose
-	// capacity is what the previous call returned, and returns sel with the
-	// live slots it accepts appended in ascending order. A heap without a
-	// summariser has no clean page.
-	CleanPage func(v PageView, sel []int32) ([]int32, error)
-	// VN is the reader's version, against which CleanPage is chosen.
+	// Page, when set, decides every page of a summarised heap in Pred's
+	// place, clean or not: it is called once per page with a view of it at
+	// VN (PageView.Clean, PageView.Current) and sel, an empty selection
+	// whose capacity is what the previous call returned, and returns sel
+	// with the live slots it accepts appended in ascending order. On a heap
+	// without a summariser Pred decides every tuple.
+	Page func(v PageView, sel []int32) ([]int32, error)
+	// VN is the reader's version, at which Page's view is taken.
 	VN int64
 }
 
@@ -526,8 +560,9 @@ func (h *Heap) fill(b *block, pi int, pg *page, f Filter, fresh bool) (touched b
 	if fresh {
 		b.vals = make([]catalog.Value, 0, pg.nlive*pg.w)
 	}
-	if f.CleanPage != nil && pg.cleanAt(h.sum, f.VN) {
-		if b.sel, err = f.CleanPage(PageView{pg, h.image}, b.sel[:0]); err != nil {
+	if f.Page != nil && h.sum != nil {
+		v := PageView{pg: pg, image: h.image, vn: f.VN, clean: pg.cleanAt(f.VN)}
+		if b.sel, err = f.Page(v, b.sel[:0]); err != nil {
 			return true, err
 		}
 		for _, si := range b.sel {
@@ -588,24 +623,25 @@ func (h *Heap) walk(f Filter, fresh bool, fn func([]RID, []catalog.Tuple) bool) 
 // it keeps. Returning false from fn stops the scan.
 //
 // f.Pred runs against the stored tuple — a slice of the page's arena — and
-// f.CleanPage against a view of the page, both under the page's read latch,
-// so they must not retain or modify what they read, block, or call back into
+// f.Page against a view of the page, both under the page's read latch, so
+// they must not retain or modify what they read, block, or call back into
 // the heap or its pool. Writers overwrite slots in place, so a tuple kept past
 // the latch would later read another version, or another tuple in a reused
 // slot; values copied out of it are immutable and may be kept. Either should
 // allocate only when it fails or, when it keeps nothing because it consumes
 // what it accepts in place, to build what it consumes into: a new group of
-// an aggregate, the result rows of a projection. The selection CleanPage
-// fills is the walker's, so growing it once serves the whole scan.
-// Which of the two decides a page is settled once per page, under the latch
-// its tuples are read under, so a page the summary calls clean at f.VN stays
-// clean for the whole CleanPage call. CleanPage decides every live slot of its page, and
-// when it fails, it returns the error of the first failing slot in slot
-// order, as Pred run slot by slot would. An error ends the scan, after the
-// latch is released, and is returned as is; fn is not called for that page.
-// A filter that has what it needs may end the scan that way too, with an
-// error of its own that its caller reads as success (a LIMIT reached).
-// Which slots are observed is as for Scan.
+// an aggregate, the result rows of a projection. The selection Page fills is
+// the walker's, so growing it once serves the whole scan.
+// On a summarised heap f.Page, when set, decides every page, and the view it
+// gets is taken under the latch its tuples are read under, so a page clean at
+// f.VN stays clean, and a current slot current, for the whole call. Page
+// decides every live slot of its page, and when it fails, it returns the
+// error of the first failing slot in slot order, as Pred run slot by slot
+// would. An error ends the scan, after the latch is released, and is
+// returned as is; fn is not called for that page. A filter that has what it
+// needs may end the scan that way too, with an error of its own that its
+// caller reads as success (a LIMIT reached). Which slots are observed is as
+// for Scan.
 func (h *Heap) ScanFilter(f Filter, fn func([]RID, []catalog.Tuple) bool) error {
 	return h.walk(f, false, fn)
 }
@@ -630,13 +666,15 @@ func (h *Heap) Scan(fn func(RID, catalog.Tuple) bool) {
 	})
 }
 
-// CheckSummary verifies every page's version summary and image against its
-// live tuples: the deleted count is exact, the version bound is at least
-// every live tuple's version, each image vector spans the arena and holds
-// every live slot's payload, and each count of values not of the column's
-// kind is exact. It takes each page's read latch in turn, so it is
-// exact only on a heap no writer is changing. Without a summariser there is
-// nothing to check.
+// CheckSummary verifies every page's version summary, version vector and
+// image against its live tuples: the deleted count is exact, the version
+// bound is at least every live tuple's version, the version vector and each
+// image vector span the arena, the version vector holds every live slot's
+// version (math.MaxInt64 for a deletion) and each image vector its payload,
+// and each count of values not of the column's kind is exact. It takes each
+// page's read latch in turn, so each page is checked as one writer-free
+// instant, while writers may change the pages it has not reached. Without a
+// summariser there is nothing to check.
 func (h *Heap) CheckSummary() error {
 	if h.sum == nil {
 		return nil
@@ -653,6 +691,9 @@ func (h *Heap) checkPageSummary(pi int, pg *page) error {
 	pg.mu.RLock()
 	defer pg.mu.RUnlock()
 	ndel, nbad := 0, make([]int, len(h.image))
+	if len(pg.vns) != cap(pg.live) {
+		return fmt.Errorf("storage: heap %q page %d: version vector spans %d slots, the arena %d", h.name, pi, len(pg.vns), cap(pg.live))
+	}
 	for c := range h.image {
 		if len(pg.ints[c]) != cap(pg.live) {
 			return fmt.Errorf("storage: heap %q page %d: image of offset %d spans %d slots, the arena %d", h.name, pi, h.image[c].Off, len(pg.ints[c]), cap(pg.live))
@@ -667,8 +708,13 @@ func (h *Heap) checkPageSummary(pi int, pg *page) error {
 		if vn > pg.maxVN {
 			return fmt.Errorf("storage: heap %q page %d: slot %d has version %d above the summary's bound %d", h.name, pi, si, vn, pg.maxVN)
 		}
+		want := vn
 		if deleted {
 			ndel++
+			want = math.MaxInt64
+		}
+		if pg.vns[si] != want {
+			return fmt.Errorf("storage: heap %q page %d: slot %d's version vector entry is %d, want %d (version %d, deleted %v)", h.name, pi, si, pg.vns[si], want, vn, deleted)
 		}
 		for c, im := range h.image {
 			x := t[im.Off]

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -32,15 +31,27 @@ func summaryHeap(t *testing.T, pageSize int) *Heap {
 	return h
 }
 
-// cleanAt scans h at vn and returns which tuples the clean-page hook saw.
+// cleanAt scans h at vn and returns which tuples the page hook saw on pages
+// clean at vn and which it saw elsewhere, or the predicate did. It fails the
+// test when a slot's Current disagrees with its tuple's version and deletion,
+// or a clean page holds a slot that is not current.
 func cleanAt(t *testing.T, h *Heap, vn int64) (clean, other []int64) {
 	t.Helper()
 	err := h.ScanFilter(Filter{
 		Pred: func(tu catalog.Tuple) (bool, error) { other = append(other, tu[2].Int()); return false, nil },
-		CleanPage: func(v PageView, sel []int32) ([]int32, error) {
+		Page: func(v PageView, sel []int32) ([]int32, error) {
 			for si := 0; si < v.Slots(); si++ {
-				if v.Live(si) {
-					clean = append(clean, v.Tuple(si)[2].Int())
+				if !v.Live(si) {
+					continue
+				}
+				tu := v.Tuple(si)
+				if w, deleted := sumTest(tu); v.Current(si) != (w <= vn && !deleted) || v.Clean() && !v.Current(si) {
+					return sel, fmt.Errorf("slot %d holds %v: current %v, clean %v at %d", si, tu, v.Current(si), v.Clean(), vn)
+				}
+				if v.Clean() {
+					clean = append(clean, tu[2].Int())
+				} else {
+					other = append(other, tu[2].Int())
 				}
 			}
 			return sel, nil
@@ -117,10 +128,11 @@ func TestPageSummaryFolds(t *testing.T) {
 	expect("slot reused by a delete", 9, false)
 }
 
-// CheckSummary finds a count that drifted, a bound below a live tuple, an
-// image payload that differs from its tuple's and an image count that
-// drifted; SetSummariser refuses a heap that already holds pages; a heap
-// without a summariser has no clean page.
+// CheckSummary finds a count that drifted, a bound below a live tuple, a
+// version vector entry that differs from its tuple's version or deletion, a
+// version vector shorter than the arena, an image payload that differs from
+// its tuple's and an image count that drifted; SetSummariser refuses a heap
+// that already holds pages; a heap without a summariser has no clean page.
 func TestPageSummaryChecks(t *testing.T) {
 	h := summaryHeap(t, 80)
 	if _, err := h.Insert(sumTuple(3, true, 0)); err != nil {
@@ -142,6 +154,23 @@ func TestPageSummaryChecks(t *testing.T) {
 	if err := h.CheckSummary(); err != nil {
 		t.Fatalf("CheckSummary refused a mended summary: %v", err)
 	}
+	for _, c := range []struct {
+		si   int
+		vn   int64
+		what string
+	}{{0, 3, "a deletion's entry that is its version"}, {1, 2, "an entry below its tuple's version"}} {
+		old := pg.vns[c.si]
+		pg.vns[c.si] = c.vn
+		if err := h.CheckSummary(); err == nil {
+			t.Errorf("CheckSummary accepted %s", c.what)
+		}
+		pg.vns[c.si] = old
+	}
+	pg.vns = pg.vns[:1]
+	if err := h.CheckSummary(); err == nil {
+		t.Error("CheckSummary accepted a version vector shorter than the arena")
+	}
+	pg.vns = pg.vns[:cap(pg.live)]
 	pg.ints[0][1] = 7
 	if err := h.CheckSummary(); err == nil {
 		t.Error("CheckSummary accepted an image payload that differs from its tuple's")
@@ -184,8 +213,8 @@ func imgTuple(vn, c int64, x catalog.Value) catalog.Tuple {
 func imageAt(t *testing.T, h *Heap, vn int64, off int, kind catalog.Type) (slots int, vec []int64) {
 	t.Helper()
 	err := h.ScanFilter(Filter{
-		CleanPage: func(v PageView, sel []int32) ([]int32, error) {
-			if slots == 0 {
+		Page: func(v PageView, sel []int32) ([]int32, error) {
+			if v.Clean() && slots == 0 {
 				slots = v.Slots()
 				vec = slices.Clone(v.Ints(off, kind))
 			}
@@ -280,9 +309,10 @@ func TestPageImageFolds(t *testing.T) {
 
 // TestStressHeapSummary races writers that update, mark deleted, delete and
 // re-insert tuples into reused slots against scans at a fixed version. Every
-// tuple the clean-page hook sees must honour the clean-page contract —
-// written at or before the reader's version and not deleted — and no tuple
-// may be torn. The summary is folded under the page's write latch, so a
+// tuple the page hook sees on a clean page must honour the clean-page
+// contract — written at or before the reader's version and not deleted —
+// every slot the version vector calls current must hold such a tuple and
+// every other slot must not, and no tuple may be torn. The summary is folded under the page's write latch, so a
 // reader holding the read latch never sees a tuple the summary does not yet
 // cover; folding it after the latch is released fails here, under -race
 // and on the contract check alike. Writes stay at or below the readers'
@@ -301,15 +331,24 @@ func TestStressHeapSummary(t *testing.T) {
 	next := func(rng *rand.Rand, c int64) catalog.Tuple {
 		return sumTuple(int64(1+rng.Intn(vn)), rng.Intn(6) == 0, c)
 	}
-	var cleanSeen atomic.Int64
-	contract := func(tu catalog.Tuple) error {
+	var cleanSeen, currentSeen atomic.Int64
+	contract := func(v PageView, si int) error {
+		tu := v.Tuple(si)
 		if tu[2] != tu[3] {
 			return fmt.Errorf("torn tuple %v", tu)
 		}
-		if v, deleted := sumTest(tu); v > vn || deleted {
+		w, deleted := sumTest(tu)
+		if v.Clean() && (w > vn || deleted) {
 			return fmt.Errorf("page clean at %d holds %v", vn, tu)
 		}
-		cleanSeen.Add(1)
+		if v.Current(si) != (w <= vn && !deleted) {
+			return fmt.Errorf("slot %d holds %v: current %v at %d", si, tu, v.Current(si), vn)
+		}
+		if v.Clean() {
+			cleanSeen.Add(1)
+		} else if v.Current(si) {
+			currentSeen.Add(1)
+		}
 		return nil
 	}
 
@@ -358,18 +397,12 @@ func TestStressHeapSummary(t *testing.T) {
 			defer rwg.Done()
 			for i := 0; i < rounds && !t.Failed(); i++ {
 				err := h.ScanFilter(Filter{
-					Pred: func(tu catalog.Tuple) (bool, error) {
-						if tu[2] != tu[3] {
-							return false, errors.New("torn tuple")
-						}
-						return false, nil
-					},
-					CleanPage: func(v PageView, sel []int32) ([]int32, error) {
+					Page: func(v PageView, sel []int32) ([]int32, error) {
 						for si := 0; si < v.Slots(); si++ {
 							if !v.Live(si) {
 								continue
 							}
-							if err := contract(v.Tuple(si)); err != nil {
+							if err := contract(v, si); err != nil {
 								return sel, err
 							}
 						}
@@ -389,22 +422,24 @@ func TestStressHeapSummary(t *testing.T) {
 	if err := h.CheckSummary(); err != nil {
 		t.Error(err)
 	}
-	if cleanSeen.Load() == 0 {
-		t.Error("no scan reached a clean page; the race was not exercised")
+	if cleanSeen.Load() == 0 || currentSeen.Load() == 0 {
+		t.Errorf("%d tuples read on clean pages, %d current ones on dirty pages: want both; the race was not exercised", cleanSeen.Load(), currentSeen.Load())
 	}
-	t.Logf("%d tuples read on clean pages", cleanSeen.Load())
+	t.Logf("%d tuples read on clean pages, %d current ones on dirty pages", cleanSeen.Load(), currentSeen.Load())
 }
 
 // TestStressHeapImage races writers that overwrite and free slots, and
 // re-insert into the freed ones, and an appender that grows fresh pages'
-// arenas, against scans whose clean-page hook checks the image under its
-// read latch: each count of values not of the column's kind is exact, a
-// page offers a column's vector exactly when that count is zero, and every
-// entry of an offered vector equals the payload of the tuple read in place.
-// A writer that folds the image after releasing its latch, or an arena that
-// grows without its vectors, fails here, under -race and on the checks
-// alike. One write in four stores a NULL or a FLOAT in the imaged offset 3,
-// so pages move on and off the image.
+// arenas, against scans whose page hook checks the image under its read
+// latch: each count of values not of the column's kind is exact, a page
+// offers a column's vector exactly when that count is zero, and every entry
+// of an offered vector equals the payload of the tuple read in place. Every
+// tenth scan is a CheckSummary instead, which checks each page's version
+// vector, summary and image under its latch while the writers run. A writer
+// that folds the image or the version vector after releasing its latch, or
+// an arena that grows without its vectors, fails here, under -race and on
+// the checks alike. One write in four stores a NULL or a FLOAT in the imaged
+// offset 3, so pages move on and off the image.
 func TestStressHeapImage(t *testing.T) {
 	const (
 		writers  = 3
@@ -519,9 +554,15 @@ func TestStressHeapImage(t *testing.T) {
 		go func() {
 			defer rwg.Done()
 			for i := 0; i < rounds && !t.Failed(); i++ {
+				if i%10 == 9 {
+					if err := h.CheckSummary(); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
 				err := h.ScanFilter(Filter{
-					CleanPage: func(v PageView, sel []int32) ([]int32, error) { return sel, check(v) },
-					VN:        vn,
+					Page: func(v PageView, sel []int32) ([]int32, error) { return sel, check(v) },
+					VN:   vn,
 				}, func([]RID, []catalog.Tuple) bool { return true })
 				if err != nil {
 					t.Error(err)
@@ -536,7 +577,7 @@ func TestStressHeapImage(t *testing.T) {
 		t.Error(err)
 	}
 	if imaged.Load() == 0 || withdrawn.Load() == 0 {
-		t.Errorf("%d vectors offered and %d withdrawn on clean pages: want both", imaged.Load(), withdrawn.Load())
+		t.Errorf("%d vectors offered and %d withdrawn: want both", imaged.Load(), withdrawn.Load())
 	}
-	t.Logf("%d vectors offered, %d withdrawn on clean pages", imaged.Load(), withdrawn.Load())
+	t.Logf("%d vectors offered, %d withdrawn", imaged.Load(), withdrawn.Load())
 }
