@@ -37,10 +37,13 @@ examples:
 # the page latch beside the writer (TestCompiledMatchesOracleUnderMaintenance),
 # and
 # the oldest-slot watermark tests (a mark readers load while the writer
-# raises, marks stale and settles it), under the race detector, with a
+# raises, marks stale and settles it), and a wire client that pipelines 32
+# prepared executions on one connection beside a maintenance writer, so that
+# result encoders cycle between the connection's reader and writer
+# goroutines (TestStressPipelinedExecStmt), under the race detector, with a
 # generous timeout so slow CI machines finish the full matrix.
 stress:
-	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance|TestOldestHWMatchesScan|TestOldestHWRecomputesOncePerBatch' -count=2 ./internal/core/ ./internal/storage/
+	$(GO) test -race -timeout 10m -run 'TestStress|TestSessionSharedAcrossGoroutines|TestQueryPathsMatrix|TestPreparedRacesRegistryFlips|TestConcurrentReadersDuringMaintenance|TestAggregateConservationUnderMaintenance|TestCompiledMatchesOracleUnderMaintenance|TestOldestHWMatchesScan|TestOldestHWRecomputesOncePerBatch' -count=2 ./internal/core/ ./internal/storage/ ./internal/server/
 
 # soak repeats the two differential tests that race readers against
 # maintenance with rollbacks, 200 times each on two CPUs and without the race

@@ -222,7 +222,7 @@ func (m *Maintenance) Query(text string, params exec.Params) (*exec.Rows, error)
 	if err != nil {
 		return nil, err
 	}
-	return m.store.executePlan(e, params, m.vn)
+	return exec.Collect(func(sink exec.Sink) error { return m.store.executePlan(e, params, m.vn, sink) })
 }
 
 // Exec parses and applies a maintenance DML statement (INSERT, UPDATE or

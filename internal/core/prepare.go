@@ -54,16 +54,21 @@ func (p *Prepared) plan() (*planEntry, error) {
 	return e, nil
 }
 
-// QueryPrepared executes a prepared SELECT at the session's version under
-// the discipline of Session.run. On a hit the steady-state path performs no
-// parsing, no rewrite, and no mutex acquisition.
+// QueryPrepared is QueryPreparedInto, materialized.
 func (sess *Session) QueryPrepared(p *Prepared, params exec.Params) (*exec.Rows, error) {
+	return exec.Collect(func(sink exec.Sink) error { return sess.QueryPreparedInto(p, params, sink) })
+}
+
+// QueryPreparedInto executes a prepared SELECT at the session's version into
+// sink, under the discipline of Session.run. On a hit the steady-state path
+// performs no parsing, no rewrite, and no mutex acquisition.
+func (sess *Session) QueryPreparedInto(p *Prepared, params exec.Params, sink exec.Sink) error {
 	if p.store != sess.store {
-		return nil, fmt.Errorf("core: prepared statement belongs to a different store")
+		return fmt.Errorf("core: prepared statement belongs to a different store")
 	}
 	e, err := p.plan()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return sess.run(e, params)
+	return sess.run(e, params, sink)
 }

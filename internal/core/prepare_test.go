@@ -160,7 +160,7 @@ func TestRegistryFlipInvalidatesHandleAndMapEntry(t *testing.T) {
 	// The race the registry compare cannot close: an entry validated just
 	// before AdoptTable replaced its table. The plan notices (ErrPlanStale)
 	// and run re-derives instead of failing the query.
-	if rows, err := sess.run(stale, nil); err != nil || fmt.Sprint(rows.Tuples) != "[(1, 10)]" {
+	if rows, err := runRows(sess, stale); err != nil || fmt.Sprint(rows.Tuples) != "[(1, 10)]" {
 		t.Fatalf("stale plan: %v, %v; want recovery to the adopted table's row", rows, err)
 	}
 }
@@ -218,7 +218,7 @@ func TestPreparedRacesRegistryFlips(t *testing.T) {
 				}
 				for _, run := range []func() (*exec.Rows, error){
 					func() (*exec.Rows, error) { return sess.QueryPrepared(pPlain[i%adopted], nil) },
-					func() (*exec.Rows, error) { return sess.run(stale[i%adopted], nil) },
+					func() (*exec.Rows, error) { return runRows(sess, stale[i%adopted]) },
 				} {
 					rows, err := run()
 					if err == nil && fmt.Sprint(rows.Tuples) != "[(1, 10)]" {

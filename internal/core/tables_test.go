@@ -36,7 +36,7 @@ func planAsOf(t *testing.T, s *Store, table string, vn VN) *exec.Rows {
 	if !e.plan.Vectorized() {
 		t.Fatalf("SELECT * FROM %s is not a compiled plan", table)
 	}
-	rows, err := s.executePlan(e, nil, vn)
+	rows, err := planRows(s, e, nil, vn)
 	if err != nil {
 		t.Fatal(err)
 	}

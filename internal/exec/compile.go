@@ -58,11 +58,10 @@ func predOf(test compiledTest) compiledPred {
 // evalCtx is the per-execution state shared by every compiled closure of
 // one plan: the parameter values, bound into slots assigned at compile
 // time; for a versioned relation the reader's version and where the current
-// tuple keeps its columns at that version; and the index lookup's scratch
-// (Plan.lookupRIDs). It never escapes an execution, so concurrent executions
-// of one shared plan each get their own. A plan with at most ctxInline
-// parameters and ctxInline equality conjuncts keeps all of it inside the
-// context, so building one is a single allocation.
+// tuple keeps its columns at that version; and scratch for the index lookup
+// (Plan.lookupRIDs) and the result row. It never escapes an execution, so
+// concurrent executions of one shared plan each get their own. A plan within
+// the inline sizes keeps it all inside, so building one is one allocation.
 type evalCtx struct {
 	params []catalog.Value
 	bound  []bool
@@ -74,11 +73,23 @@ type evalCtx struct {
 	boundArr [ctxInline]bool
 	lookCols [ctxInline]string
 	lookVals [ctxInline]catalog.Value
+	rowArr   [rowInline]catalog.Value
 }
 
 // ctxInline is how many parameters, and how many index-lookup conjuncts, an
-// evalCtx holds without a further allocation.
-const ctxInline = 2
+// evalCtx holds without a further allocation, and rowInline how wide a row.
+const (
+	ctxInline = 2
+	rowInline = 4
+)
+
+// scratch returns the row an execution projects its result rows into.
+func (ctx *evalCtx) scratch(w int) catalog.Tuple {
+	if w <= rowInline {
+		return ctx.rowArr[:w:w]
+	}
+	return make(catalog.Tuple, w)
+}
 
 // at points the context's column reads at the version slot the reader sees
 // stored tuple t in, and reports whether t exists in that version. Without a

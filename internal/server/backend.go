@@ -47,6 +47,13 @@ type BackendSession interface {
 	QueryPrepared(stmt BackendStmt, params exec.Params) (*exec.Rows, error)
 }
 
+// intoSession runs a prepared statement straight into the connection's
+// encoder; other sessions go through QueryPrepared and exec.Feed. It is not in
+// BackendSession, so a type embedding one to override QueryPrepared is obeyed.
+type intoSession interface {
+	QueryPreparedInto(stmt BackendStmt, params exec.Params, sink exec.Sink) error
+}
+
 // BackendStmt is a prepared statement; SQL is its canonical printed form.
 type BackendStmt interface {
 	SQL() string
@@ -102,11 +109,14 @@ func (cs coreSession) Query(text string, params exec.Params) (*exec.Rows, error)
 	return cs.s.Query(text, params)
 }
 func (cs coreSession) QueryPrepared(stmt BackendStmt, params exec.Params) (*exec.Rows, error) {
+	return exec.Collect(func(sink exec.Sink) error { return cs.QueryPreparedInto(stmt, params, sink) })
+}
+func (cs coreSession) QueryPreparedInto(stmt BackendStmt, params exec.Params, sink exec.Sink) error {
 	p, ok := stmt.(*core.Prepared)
 	if !ok {
-		return nil, fmt.Errorf("server: statement %T is not a single-store statement", stmt)
+		return fmt.Errorf("server: statement %T is not a single-store statement", stmt)
 	}
-	return cs.s.QueryPrepared(p, params)
+	return cs.s.QueryPreparedInto(p, params, sink)
 }
 
 // ---- sharded backend ----
@@ -164,9 +174,12 @@ func (ss shardSession) Query(text string, params exec.Params) (*exec.Rows, error
 	return ss.s.Query(text, params)
 }
 func (ss shardSession) QueryPrepared(stmt BackendStmt, params exec.Params) (*exec.Rows, error) {
+	return exec.Collect(func(sink exec.Sink) error { return ss.QueryPreparedInto(stmt, params, sink) })
+}
+func (ss shardSession) QueryPreparedInto(stmt BackendStmt, params exec.Params, sink exec.Sink) error {
 	p, ok := stmt.(*shardStmt)
 	if !ok {
-		return nil, fmt.Errorf("server: statement %T is not a sharded statement", stmt)
+		return fmt.Errorf("server: statement %T is not a sharded statement", stmt)
 	}
-	return ss.s.QueryStmt(p.sel, params)
+	return ss.s.QueryStmtInto(p.sel, params, sink)
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // After a request of about 1 MiB and a result of about 1 MiB, a server
-// connection keeps neither its read buffer nor its encode buffer above
-// MaxRetainedFrame, and it still answers small frames.
+// connection keeps neither its read buffer, nor its encode buffer, nor a
+// result encoder above MaxRetainedFrame, and it still answers small frames
+// and small results.
 func TestConnBuffersHaveACeiling(t *testing.T) {
 	s, store := testServer(t)
 	if _, err := store.CreateTableSQL(`CREATE TABLE doc (k INT(8), body VARCHAR(64) UPDATABLE, UNIQUE KEY(k))`); err != nil {
@@ -65,6 +66,7 @@ func TestConnBuffersHaveACeiling(t *testing.T) {
 		t.Fatalf("result of %d bytes, want about 1 MiB", len(resp))
 	}
 	exchange(MsgPing, nil, MsgOK)
+	exchange(MsgQuery, Query{SQL: "SELECT k FROM doc WHERE k = 1"}.Encode(), MsgRows)
 
 	s.mu.Lock()
 	var c *conn
@@ -85,6 +87,14 @@ func TestConnBuffersHaveACeiling(t *testing.T) {
 	}
 	if cap(c.wbuf) == 0 {
 		t.Fatal("the encode buffer was not reused after the large result")
+	}
+	if len(c.encs) == 0 {
+		t.Fatal("no result encoder was returned to the free list after the small result")
+	}
+	for len(c.encs) > 0 {
+		if e := <-c.encs; cap(e.buf) > MaxRetainedFrame {
+			t.Fatalf("the free list keeps a %d-byte result encoder; the cap is %d", cap(e.buf), MaxRetainedFrame)
+		}
 	}
 }
 

@@ -796,6 +796,39 @@ func (m Rows) Append(buf []byte) []byte {
 	return buf
 }
 
+// rowsEncoder is the exec.Sink a query runs into: it appends Rows.Append's
+// bytes to a frame as rows come. Begin leaves room for the row count's longest
+// varint; frame moves the header and names up against the count.
+type rowsEncoder struct {
+	buf  []byte // the frame: header, names, count room, rows
+	rows int
+	at   int // where the count room ends and the rows begin
+}
+
+func (e *rowsEncoder) Begin(columns []string) {
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(columns)))
+	for _, c := range columns {
+		e.buf = appendString(e.buf, c)
+	}
+	e.buf = append(e.buf, make([]byte, binary.MaxVarintLen64)...)
+	e.at = len(e.buf)
+}
+
+func (e *rowsEncoder) Add(row catalog.Tuple) {
+	e.buf = appendTuple(e.buf, row)
+	e.rows++
+}
+
+// frame writes the row count and returns the frame for WriteFrameBuf.
+func (e *rowsEncoder) frame() []byte {
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(e.rows))
+	gap := len(n) - k
+	copy(e.buf[gap:], e.buf[:e.at-len(n)])
+	copy(e.buf[e.at-k:], n[:k])
+	return e.buf[gap:]
+}
+
 // DecodeRows parses a MsgRows body.
 func DecodeRows(b []byte) (Rows, error) { return DecodeRowsCols(b, nil) }
 

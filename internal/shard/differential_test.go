@@ -278,6 +278,7 @@ func runDifferential(t *testing.T, shards, n int, seed int64) {
 				}
 			}
 		}
+		checkFanoutLimits(t, label, sess, osess)
 		sess.Close()
 		osess.Close()
 
@@ -336,5 +337,43 @@ func TestShardDifferentialNVNL(t *testing.T) {
 				runDifferential(t, shards, 4, int64(100+seed))
 			}
 		})
+	}
+}
+
+// checkFanoutLimits runs a fan-out at LIMIT 0, at a LIMIT below the first
+// shard's row count and at one above the total: any LIMIT rows satisfy a
+// statement without ORDER BY, so each must answer the oracle's columns and
+// min(LIMIT, total) distinct rows of the oracle's unlimited answer.
+func checkFanoutLimits(t *testing.T, label string, sess *Session, osess *core.Session) {
+	t.Helper()
+	const full = "SELECT k, v FROM dim WHERE v > 300"
+	all, err := osess.Query(full, nil)
+	if err != nil {
+		t.Fatalf("%s: oracle %q: %v", label, full, err)
+	}
+	first, err := sess.sess[0].Query(full, nil)
+	if err != nil {
+		t.Fatalf("%s: shard 0 %q: %v", label, full, err)
+	}
+	want := map[string]bool{}
+	for _, row := range all.Tuples {
+		want[row.String()] = true
+	}
+	for _, limit := range []int{0, len(first.Tuples) / 2, len(all.Tuples) + 3} {
+		q := fmt.Sprintf("%s LIMIT %d", full, limit)
+		got, err := sess.Query(q, nil)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", label, q, err)
+		}
+		if fmt.Sprint(got.Columns) != fmt.Sprint(all.Columns) || len(got.Tuples) != min(limit, len(all.Tuples)) {
+			t.Fatalf("%s: %q: %v and %d rows, want %v and %d", label, q, got.Columns, len(got.Tuples), all.Columns, min(limit, len(all.Tuples)))
+		}
+		seen := map[string]bool{}
+		for _, row := range got.Tuples {
+			if !want[row.String()] || seen[row.String()] {
+				t.Fatalf("%s: %q: row %s is not one of the oracle's, or repeats", label, q, row)
+			}
+			seen[row.String()] = true
+		}
 	}
 }

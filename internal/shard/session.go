@@ -137,38 +137,54 @@ func (s *Session) Query(text string, params exec.Params) (*exec.Rows, error) {
 	return s.QueryStmt(sel, params)
 }
 
-// QueryStmt is Query over a pre-parsed statement. Fan-out-and-merge is
-// only sound for single-table statements without aggregates, DISTINCT,
-// GROUP BY, HAVING, or ORDER BY — a per-shard SUM is not the global SUM,
-// and a cross-shard join would miss pairs split across shards — so those
-// statements are rejected with an explanatory error rather than answered
-// wrongly. LIMIT is allowed: without ORDER BY any n rows satisfy it, so
-// it is re-applied to the merged set.
+// QueryStmt is QueryStmtInto, materialized.
 func (s *Session) QueryStmt(sel *sql.SelectStmt, params exec.Params) (*exec.Rows, error) {
+	return exec.Collect(func(sink exec.Sink) error { return s.QueryStmtInto(sel, params, sink) })
+}
+
+// QueryStmtInto is Query over a pre-parsed statement, into sink: a routed
+// statement passes sink to its shard, a fan-out runs every shard into one
+// capSink over it. Fan-out is only sound for single-table statements without
+// aggregates, DISTINCT, GROUP BY, HAVING, or ORDER BY — a per-shard SUM is
+// not the global SUM, a cross-shard join misses pairs split across shards —
+// so those are rejected; without ORDER BY any n rows satisfy a LIMIT.
+func (s *Session) QueryStmtInto(sel *sql.SelectStmt, params exec.Params, sink exec.Sink) error {
 	if err := routable(sel); err != nil {
-		return nil, err
+		return err
 	}
 	if idx, ok := s.r.routeSelect(sel, params, len(s.sess)); ok {
 		s.r.metrics.queries.Inc()
-		return s.sess[idx].QueryStmt(sel, params)
+		return s.sess[idx].QueryStmtInto(sel, params, sink)
 	}
 	s.r.metrics.fanouts.Inc()
-	var out *exec.Rows
+	c := &capSink{Sink: sink, limit: sel.Limit}
 	for _, cs := range s.sess {
-		rows, err := cs.QueryStmt(sel, params)
-		if err != nil {
-			return nil, err
+		if err := cs.QueryStmtInto(sel, params, c); err != nil {
+			return err
 		}
-		if out == nil {
-			out = rows
-			continue
-		}
-		out.Tuples = append(out.Tuples, rows.Tuples...)
 	}
-	if sel.Limit != nil && int64(len(out.Tuples)) > *sel.Limit {
-		out.Tuples = out.Tuples[:*sel.Limit]
+	return nil
+}
+
+// capSink forwards the first shard's Begin only, and rows up to the LIMIT.
+type capSink struct {
+	exec.Sink
+	limit  *int64
+	begins int
+	n      int64
+}
+
+func (c *capSink) Begin(columns []string) {
+	if c.begins++; c.begins == 1 {
+		c.Sink.Begin(columns)
 	}
-	return out, nil
+}
+
+func (c *capSink) Add(row catalog.Tuple) {
+	if c.limit == nil || c.n < *c.limit {
+		c.n++
+		c.Sink.Add(row)
+	}
 }
 
 // Routable reports whether a statement can be answered coherently by a

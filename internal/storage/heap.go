@@ -529,8 +529,10 @@ func (v *PageView) Ints(off int, kind catalog.Type) []int64 {
 // Filter is what the page walker runs against each page under its read
 // latch (see ScanFilter). A filter may consume the tuples it reads in place
 // and keep none — a compiled aggregate folds them into its groups, a compiled
-// scan projects them into its result rows — so that the walker copies
-// nothing.
+// scan projects each into a scratch row and hands that on to its consumer (an
+// exec.Sink, which a wire encoder may be) — so that the walker copies
+// nothing. Whatever the filter calls runs under the latch as well: it must
+// not block, must not call into the heap, and must copy anything it keeps.
 type Filter struct {
 	// Pred decides each live tuple of a page Page does not decide; nil keeps
 	// every one.
@@ -630,7 +632,9 @@ func (h *Heap) walk(f Filter, fresh bool, fn func([]RID, []catalog.Tuple) bool) 
 // slot; values copied out of it are immutable and may be kept. Either should
 // allocate only when it fails or, when it keeps nothing because it consumes
 // what it accepts in place, to build what it consumes into: a new group of
-// an aggregate, the result rows of a projection. The selection Page fills is
+// an aggregate, the result rows or encoded bytes a projection is handed to.
+// That consumer runs under the latch too, under the same rules. The
+// selection Page fills is
 // the walker's, so growing it once serves the whole scan.
 // On a summarised heap f.Page, when set, decides every page, and the view it
 // gets is taken under the latch its tuples are read under, so a page clean at
