@@ -33,7 +33,7 @@ type planEntry struct {
 // plan.
 //
 // Every plan takes the reader's version at execution time, as an argument
-// (exec.Plan.ExecuteAt), so a plan depends on the registered relations and
+// (exec.Plan.ExecuteInto), so a plan depends on the registered relations and
 // their schemas and never on the session. A cached plan is
 // therefore usable iff the store's copy-on-write table registry is the
 // identical pointer the plan was derived against.

@@ -332,7 +332,7 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 							}
 							return bound.n > 0
 						}
-						want, werr := pl.ExecuteAt(memCat, params, cut)
+						want, werr := executeAt(pl, memCat, params, cut)
 						outcomes := map[string]func() (*Rows, error){
 							"kernel": func() (*Rows, error) {
 								if fixture.typed {
@@ -347,9 +347,9 @@ func TestCleanPageKernelMatchesClosure(t *testing.T) {
 									}
 									defer func() { ht.onPage = nil }()
 								}
-								return pl.ExecuteAt(heapCat, params, cut)
+								return executeAt(pl, heapCat, params, cut)
 							},
-							"closure": func() (*Rows, error) { return closure.ExecuteAt(heapCat, params, cut) },
+							"closure": func() (*Rows, error) { return executeAt(&closure, heapCat, params, cut) },
 						}
 						if !poison || stmt == scan {
 							outcomes["tree-walker"] = func() (*Rows, error) {
@@ -437,11 +437,11 @@ func TestPlanLimitStopsMidPage(t *testing.T) {
 			if err != nil || !pl.Vectorized() || pl.Kernel() != c.kernel {
 				t.Fatalf("compiled=%v kernel=%v (%v); want a compiled plan, kernel %v", pl.Vectorized(), pl.Kernel(), err, c.kernel)
 			}
-			got, err := pl.ExecuteAt(memCatalog2{"t": ct}, nil, c.cut)
+			got, err := executeAt(pl, memCatalog2{"t": ct}, nil, c.cut)
 			if err != nil {
 				t.Fatalf("err = %v, want none", err)
 			}
-			want, err := pl.ExecuteAt(memCatalog{"t": mt}, nil, c.cut)
+			want, err := executeAt(pl, memCatalog{"t": mt}, nil, c.cut)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -135,13 +135,13 @@ func TestTypedFoldMatchesPerTuple(t *testing.T) {
 			}
 			for cut := int64(0); cut <= 3; cut++ {
 				what := fmt.Sprintf("%+v cut=%d %q", fixture, cut, q)
-				want, werr := pl.ExecuteAt(memCat, params, cut)
+				want, werr := executeAt(pl, memCat, params, cut)
 				ht.onPage = func(v storage.PageView) {
 					if v.Ints(2, catalog.TypeInt) != nil && v.Ints(5, catalog.TypeInt) != nil {
 						typedPages++
 					}
 				}
-				got, gerr := pl.ExecuteAt(heapCat, params, cut)
+				got, gerr := executeAt(pl, heapCat, params, cut)
 				ht.onPage = nil
 				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 					t.Fatalf("%s: typed fold err %v, per-tuple err %v", what, gerr, werr)
